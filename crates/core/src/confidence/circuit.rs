@@ -8,14 +8,15 @@
 //! only on the source collection and the padding, never on the question.
 //! This module splits the two concerns:
 //!
-//! * **Compile** ([`compile_circuit`]): run the DP recursion once and
-//!   record it as a d-DNNF-style arithmetic circuit. Every interior node
-//!   is an Or over the count choices `k` of one signature class; each
-//!   disjunct is an And of the binomial leaf `C(n_j, k)` and the child
-//!   node; the single accepting leaf carries weight 1. Node identity is
-//!   the DP engine's packed residual-state key, so the circuit has
-//!   exactly one node per distinct live residual state — subtrees the
-//!   DFS re-enters exponentially often appear once.
+//! * **Compile** ([`compile_circuit`]): run the memoized residual walk
+//!   (`residual.rs`) once — the same walk the DP folds into counts — and
+//!   fold every node into a d-DNNF-style arithmetic circuit instead.
+//!   Every interior node is an Or over the count choices `k` of one
+//!   signature class; each disjunct is an And of the binomial leaf
+//!   `C(n_j, k)` and the child node; the single accepting leaf carries
+//!   weight 1. Node identity is the walk's packed residual-state key, so
+//!   the circuit has exactly one node per distinct live residual state —
+//!   subtrees the DFS re-enters exponentially often appear once.
 //! * **Query** ([`analyze_circuit`], [`analyze_circuit_conditional`],
 //!   [`analyze_circuit_topk`]): every question becomes one or two linear
 //!   passes over the node arena. All per-tuple confidences come from the
@@ -31,19 +32,19 @@
 //! # Node identity and residual-key canonicalization
 //!
 //! The arena that answers queries is keyed on the **exact** residual key
-//! — the same `(deficit, clamped margin)` triples, packed the same way,
-//! as the DP memo (`dp.rs` documents why equal clamped residuals have
-//! bit-identical suffix trees). That makes every circuit answer equal to
-//! the DFS and DP answers *by construction*: the traversals sum exactly
-//! the terms the DFS enumerates, in exact integer arithmetic.
+//! — the one key the DP memo uses too (`residual.rs` documents why equal
+//! clamped residuals have bit-identical suffix trees). That makes every
+//! circuit answer equal to the DFS and DP answers *by construction*: the
+//! traversals sum exactly the terms the DFS enumerates, in exact integer
+//! arithmetic.
 //!
 //! On top of the exact arena the compiler maintains a **canonical**
-//! index: within each *orbit* of interchangeable sources, the per-source
-//! `(deficit, margin)` triples are sorted before packing. Two sources
-//! `a`, `b` are interchangeable at level `j` when they claim identical
-//! bounds `(min_sound, c)` and the multiset of suffix classes
-//! `(signature, size)` from `j` on is invariant under swapping their
-//! signature bits — then swapping their residuals relabels the suffix
+//! index: within each *orbit* of interchangeable sources, the exact
+//! key's per-source `(deficit, margin)` triples are sorted before
+//! packing. Two sources `a`, `b` are interchangeable at level `j` when
+//! they claim identical bounds `(min_sound, c)` and the multiset of
+//! suffix classes `(signature, size)` from `j` on is invariant under
+//! swapping their signature bits — then swapping their residuals relabels the suffix
 //! count assignments bijectively without changing feasibility or
 //! weights, so the suffix *counts* coincide (DESIGN.md §3.13 gives the
 //! argument). The per-class *numerators* do **not** coincide — the
@@ -55,9 +56,14 @@
 //! collision is `debug_assert`ed to agree on `(count, vectors)` with its
 //! representative — the compile-time analogue of the DP's debug replay
 //! check.
+//!
+//! Unlike the DP, which drops what its memo cannot hold, the compiler
+//! keeps every node: the arena *is* the artifact, so exceeding
+//! [`CircuitConfig::max_nodes`] is an error.
 
 use crate::collection::IdentityCollection;
 use crate::confidence::counting::ConfidenceAnalysis;
+use crate::confidence::residual::{Fold, Residual, ResidualKey};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
@@ -123,14 +129,6 @@ impl CircuitStats {
         metrics.counter_add(names::CIRCUIT_EDGES, self.edges);
         metrics.counter_add(names::CIRCUIT_SHARED_NODES, self.shared_nodes);
     }
-}
-
-/// Packed residual state (exact or canonicalized): the compile memo key.
-/// Same three-words-per-source layout as the DP's `ResidualKey`.
-#[derive(PartialEq, Eq, Hash)]
-struct CircuitKey {
-    level: u32,
-    packed: Box<[u64]>,
 }
 
 /// One Or-disjunct: choose `k` tuples of the node's class, weighted by
@@ -275,26 +273,6 @@ fn swap_bits(sig: u64, a: usize, b: usize) -> u64 {
     }
 }
 
-/// `hurt[i][j]` — total size of classes `j..` with bit `i` unset (the
-/// margin-saturation cap; see the DP module docs).
-fn hurt_table(analysis: &SignatureAnalysis) -> Vec<Vec<u64>> {
-    let classes = analysis.classes();
-    let m = classes.len();
-    let n = analysis.source_count();
-    let mut hurt = vec![vec![0u64; m + 1]; n];
-    for (i, row) in hurt.iter_mut().enumerate() {
-        for j in (0..m).rev() {
-            let contrib = if classes[j].signature >> i & 1 == 1 {
-                0
-            } else {
-                classes[j].size
-            };
-            row[j] = row[j + 1].saturating_add(contrib);
-        }
-    }
-    hurt
-}
-
 /// Computes, per level, the orbit label of each source: `labels[i]` is
 /// the smallest source index interchangeable with `i` from that level
 /// on (bounds equal and suffix class multiset invariant under the bit
@@ -346,8 +324,8 @@ fn source_orbits(analysis: &SignatureAnalysis) -> Vec<Vec<usize>> {
 /// node ids plus the binomial interning table. Valid only against the
 /// skeleton the same compile (or patch) produced.
 pub(crate) struct CircuitMemo {
-    exact: HashMap<CircuitKey, Option<u32>>,
-    canonical: HashMap<CircuitKey, u32>,
+    exact: HashMap<ResidualKey, Option<u32>>,
+    canonical: HashMap<ResidualKey, u32>,
     binom_slots: HashMap<(u64, u64), u32>,
     /// Arena length right after the last from-scratch compile. Patches
     /// strand the old prefix nodes as unreachable garbage; once the
@@ -368,121 +346,42 @@ impl CircuitMemo {
 /// were dropped (the `delta.states_invalidated` quantity).
 pub(crate) fn invalidate_prefix(memo: &mut CircuitMemo, max_touched: usize) -> u64 {
     let before = memo.exact.len() + memo.canonical.len();
-    memo.exact.retain(|key, _| key.level as usize > max_touched);
+    memo.exact
+        .retain(|key, _| key.level() as usize > max_touched);
     memo.canonical
-        .retain(|key, _| key.level as usize > max_touched);
+        .retain(|key, _| key.level() as usize > max_touched);
     (before - memo.exact.len() - memo.canonical.len()) as u64
 }
 
-/// The compiler: the DP recursion (`dp.rs`), with the memo replaced by
-/// a node arena plus the canonical sharing index.
+/// The compiler's fold over the residual walk: every node becomes an
+/// arena node with weighted edges, memoized on the exact key and
+/// registered in the canonical sharing index.
 struct Compiler<'a> {
     analysis: &'a SignatureAnalysis,
-    /// `hurt[i][j]` — total size of classes `j..` with bit `i` unset
-    /// (the margin-saturation cap; see the DP module docs).
-    hurt: Vec<Vec<u64>>,
+    rows: RowCache,
     /// Per level, the orbit label of each source.
     orbits: Vec<Vec<usize>>,
-    exact: HashMap<CircuitKey, Option<u32>>,
-    canonical: HashMap<CircuitKey, u32>,
-    nodes: Vec<Node>,
-    binoms: Vec<UBig>,
-    binom_slots: HashMap<(u64, u64), u32>,
-    stats: CircuitStats,
+    arena: CircuitSkeleton,
+    memo: CircuitMemo,
     max_nodes: usize,
 }
 
-impl<'a> Compiler<'a> {
-    fn new(analysis: &'a SignatureAnalysis, config: &CircuitConfig) -> Self {
-        let m = analysis.classes().len();
-        let leaf = Node {
-            // lint-allow(no-panic): the class count is capped far below u32::MAX
-            level: u32::try_from(m).expect("class count fits u32"),
-            edges: Vec::new(),
-            count: UBig::one(),
-            vectors: 1,
-        };
-        Compiler {
-            orbits: source_orbits(analysis),
-            hurt: hurt_table(analysis),
-            analysis,
-            exact: HashMap::new(),
-            canonical: HashMap::new(),
-            nodes: vec![leaf],
-            binoms: Vec::new(),
-            binom_slots: HashMap::new(),
-            stats: CircuitStats::default(),
-            max_nodes: config.max_nodes,
-        }
-    }
+/// One Or-node's edges and counts while its children are folded in.
+struct CircuitAcc {
+    edges: Vec<Edge>,
+    count: UBig,
+    vectors: u64,
+    scratch: UBig,
+}
 
-    /// Resumes over an existing arena: retained memo entries answer
-    /// suffix states instantly, new nodes append after the old arena
-    /// (so children still carry smaller ids than parents). The caller
-    /// must have pruned the memo with [`invalidate_prefix`] and
-    /// guaranteed the suffix classes and every bound are unchanged.
-    fn seeded(
-        analysis: &'a SignatureAnalysis,
-        config: &CircuitConfig,
-        skeleton: CircuitSkeleton,
-        memo: CircuitMemo,
-    ) -> Self {
-        Compiler {
-            orbits: source_orbits(analysis),
-            hurt: hurt_table(analysis),
-            analysis,
-            exact: memo.exact,
-            canonical: memo.canonical,
-            nodes: skeleton.nodes,
-            binoms: skeleton.binoms,
-            binom_slots: memo.binom_slots,
-            stats: skeleton.stats,
-            max_nodes: config.max_nodes,
-        }
-    }
-
-    /// The completeness margin `V_i = t_i·den − num·w` (the DP's,
-    /// verbatim — saturating i128).
-    fn margin(&self, i: usize, t_i: u64, w: u64) -> i128 {
-        let b = &self.analysis.bounds()[i];
-        let den = i128::from(b.completeness.den());
-        let num = i128::from(b.completeness.num());
-        i128::from(t_i)
-            .saturating_mul(den)
-            .saturating_sub(num.saturating_mul(i128::from(w)))
-    }
-
-    /// The per-source `(deficit, clamped-margin)` triple of the
-    /// residual key (exact and canonical keys pack the same triples).
-    fn triple(&self, i: usize, j: usize, t: &[u64], w: u64) -> [u64; 3] {
-        let b = &self.analysis.bounds()[i];
-        let deficit = b.min_sound.saturating_sub(t[i]);
-        let num = i128::from(b.completeness.num());
-        let saturation = num.saturating_mul(i128::from(self.hurt[i][j]));
-        let clamped = self.margin(i, t[i], w).min(saturation);
-        let limbs = clamped as u128;
-        [deficit, limbs as u64, (limbs >> 64) as u64]
-    }
-
-    fn key(&self, j: usize, t: &[u64], w: u64) -> CircuitKey {
-        let n = self.analysis.source_count();
-        let mut packed = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            packed.extend_from_slice(&self.triple(i, j, t, w));
-        }
-        CircuitKey {
-            // lint-allow(no-panic): j indexes the signature classes, capped far below u32::MAX
-            level: u32::try_from(j).expect("class count fits u32"),
-            packed: packed.into_boxed_slice(),
-        }
-    }
-
-    /// The canonical key: the exact key with each orbit's triples
-    /// sorted, so residual permutations within an orbit collapse.
-    fn canonical_key(&self, j: usize, t: &[u64], w: u64) -> CircuitKey {
-        let n = self.analysis.source_count();
+impl Compiler<'_> {
+    /// The canonical key: the exact key's triples with each orbit's
+    /// triples sorted, so residual permutations within an orbit collapse.
+    fn canonical_key(&self, exact: &ResidualKey) -> ResidualKey {
+        let j = exact.level() as usize;
         let labels = &self.orbits[j];
-        let mut triples: Vec<[u64; 3]> = (0..n).map(|i| self.triple(i, j, t, w)).collect();
+        let mut triples: Vec<[u64; 3]> = exact.triples().collect();
+        let n = triples.len();
         for root in 0..n {
             let members: Vec<usize> = (0..n).filter(|&i| labels[i] == root).collect();
             if members.len() > 1 {
@@ -493,120 +392,64 @@ impl<'a> Compiler<'a> {
                 }
             }
         }
-        let mut packed = Vec::with_capacity(3 * n);
-        for triple in triples {
-            packed.extend_from_slice(&triple);
-        }
-        CircuitKey {
-            // lint-allow(no-panic): j indexes the signature classes, capped far below u32::MAX
-            level: u32::try_from(j).expect("class count fits u32"),
-            packed: packed.into_boxed_slice(),
-        }
-    }
-
-    /// The DFS's pruning tests, verbatim (see `dp.rs`).
-    fn pruned(&self, j: usize, t: &[u64], w: u64) -> bool {
-        for (i, b) in self.analysis.bounds().iter().enumerate() {
-            let max_future = self.analysis.suffix_max(i, j);
-            if t[i] + max_future < b.min_sound {
-                return true;
-            }
-            let den = i128::from(b.completeness.den());
-            let num = i128::from(b.completeness.num());
-            let v = self.margin(i, t[i], w);
-            if v + i128::from(max_future) * (den - num) < 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The DFS leaf test, verbatim.
-    fn leaf_feasible(&self, t: &[u64], w: u64) -> bool {
-        self.analysis
-            .bounds()
-            .iter()
-            .enumerate()
-            .all(|(i, b)| t[i] >= b.min_sound && b.completeness.leq_ratio(t[i], w))
+        ResidualKey::pack(j, triples)
     }
 
     /// Interns the binomial `C(size, k)` and returns its weight slot.
-    fn weight_slot(&mut self, rows: &mut RowCache, size: u64, k: u64) -> u32 {
-        if let Some(&slot) = self.binom_slots.get(&(size, k)) {
+    fn weight_slot(&mut self, size: u64, k: u64) -> u32 {
+        if let Some(&slot) = self.memo.binom_slots.get(&(size, k)) {
             return slot;
         }
-        let row = rows.intern(size);
-        let value = rows.get(row, k).clone();
+        let row = self.rows.intern(size);
+        let value = self.rows.get(row, k).clone();
         // lint-allow(no-panic): one slot per (size, k) pair actually used, far below u32::MAX
-        let slot = u32::try_from(self.binoms.len()).expect("weight slot fits u32");
-        self.binoms.push(value);
-        self.binom_slots.insert((size, k), slot);
+        let slot = u32::try_from(self.arena.binoms.len()).expect("weight slot fits u32");
+        self.arena.binoms.push(value);
+        self.memo.binom_slots.insert((size, k), slot);
         slot
     }
+}
 
-    /// The compile recursion: the DP's `node`, materializing an arena
-    /// node per live residual state instead of a memo entry. Returns
-    /// the node id, or `None` for empty subtrees (no node at all — the
-    /// circuit never stores zero-count structure, which is why
-    /// `exact_nodes` can undercut even the DP's distinct-state count).
-    fn node(
-        &mut self,
-        rows: &mut RowCache,
-        j: usize,
-        t: &mut Vec<u64>,
-        w: &mut u64,
-        budget: &Budget,
-    ) -> Result<Option<u32>, CoreError> {
-        budget.tick(COMPILE_PHASE)?;
-        let m = self.analysis.classes().len();
-        if j == m {
-            return Ok(self.leaf_feasible(t, *w).then_some(0));
+impl Fold for Compiler<'_> {
+    /// An arena node id; empty subtrees get no node at all (the circuit
+    /// never stores zero-count structure, which is why `exact_nodes` can
+    /// undercut even the DP's distinct-state count).
+    type Node = u32;
+    type Acc = CircuitAcc;
+    const PHASE: &'static str = COMPILE_PHASE;
+
+    fn leaf(&mut self) -> u32 {
+        0
+    }
+
+    fn lookup(&mut self, key: &ResidualKey, _j: usize, _t: &[u64], _w: u64) -> Option<Option<u32>> {
+        self.memo.exact.get(key).copied()
+    }
+
+    fn open(&mut self, _j: usize) -> CircuitAcc {
+        CircuitAcc {
+            edges: Vec::new(),
+            count: UBig::zero(),
+            vectors: 0,
+            scratch: UBig::zero(),
         }
-        if self.pruned(j, t, *w) {
+    }
+
+    fn add(&mut self, acc: &mut CircuitAcc, j: usize, k: u64, &child: &u32) {
+        let weight = self.weight_slot(self.analysis.classes()[j].size, k);
+        let child_node = &self.arena.nodes[child as usize];
+        acc.vectors = acc.vectors.saturating_add(child_node.vectors);
+        self.arena.binoms[weight as usize].mul_into(&child_node.count, &mut acc.scratch);
+        acc.count.add_assign(&acc.scratch);
+        acc.edges.push(Edge { k, weight, child });
+    }
+
+    fn store(&mut self, key: ResidualKey, acc: CircuitAcc) -> Result<Option<u32>, CoreError> {
+        if acc.edges.is_empty() {
+            self.memo.exact.insert(key, None);
             return Ok(None);
         }
-        let key = self.key(j, t, *w);
-        if let Some(&cached) = self.exact.get(&key) {
-            return Ok(cached);
-        }
-        let cap = self.analysis.k_cap(j, t, *w);
-        let (sig, class_size) = {
-            let class = &self.analysis.classes()[j];
-            (class.signature, class.size)
-        };
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut count = UBig::zero();
-        let mut vectors = 0u64;
-        let mut scratch = UBig::zero();
-        for k in 0..=cap {
-            *w += k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if sig >> i & 1 == 1 {
-                    *ti += k;
-                }
-            }
-            let child = self.node(rows, j + 1, t, w, budget);
-            *w -= k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if sig >> i & 1 == 1 {
-                    *ti -= k;
-                }
-            }
-            let Some(child) = child? else {
-                continue; // empty suffix: no edge, no zero node
-            };
-            let weight = self.weight_slot(rows, class_size, k);
-            let child_node = &self.nodes[child as usize];
-            vectors = vectors.saturating_add(child_node.vectors);
-            self.binoms[weight as usize].mul_into(&child_node.count, &mut scratch);
-            count.add_assign(&scratch);
-            edges.push(Edge { k, weight, child });
-        }
-        if edges.is_empty() {
-            self.exact.insert(key, None);
-            return Ok(None);
-        }
-        if self.nodes.len() > self.max_nodes {
+        if self.arena.nodes.len() > self.max_nodes {
             return Err(CoreError::BadDomain {
                 message: format!(
                     "circuit compilation exceeded the {} node cap (raise \
@@ -616,37 +459,42 @@ impl<'a> Compiler<'a> {
             });
         }
         // lint-allow(no-panic): the arena is capped at max_nodes, far below u32::MAX
-        let id = u32::try_from(self.nodes.len()).expect("node id fits u32");
-        self.stats.exact_nodes += 1;
-        self.stats.edges += edges.len() as u64;
-        self.nodes.push(Node {
-            // lint-allow(no-panic): j indexes the signature classes, capped far below u32::MAX
-            level: u32::try_from(j).expect("class count fits u32"),
-            edges,
-            count,
-            vectors,
+        let id = u32::try_from(self.arena.nodes.len()).expect("node id fits u32");
+        self.arena.stats.exact_nodes += 1;
+        self.arena.stats.edges += acc.edges.len() as u64;
+        self.arena.nodes.push(Node {
+            level: key.level(),
+            edges: acc.edges,
+            count: acc.count,
+            vectors: acc.vectors,
         });
-        self.exact.insert(key, Some(id));
-        match self.canonical.entry(self.canonical_key(j, t, *w)) {
+        let canonical = self.canonical_key(&key);
+        self.memo.exact.insert(key, Some(id));
+        match self.memo.canonical.entry(canonical) {
             Entry::Occupied(rep) => {
-                self.stats.shared_nodes += 1;
+                self.arena.stats.shared_nodes += 1;
                 // The canonicalization soundness check: canonical-equal
                 // states must agree on the count aggregates. They need
                 // NOT agree on per-class numerators — that is exactly
                 // why the answering arena stays exact.
-                let rep = *rep.get() as usize;
-                debug_assert_eq!(
-                    self.nodes[rep].vectors, self.nodes[id as usize].vectors,
-                    "canonical residual collision at level {j}: completion counts differ"
+                let (rep, node) = (
+                    &self.arena.nodes[*rep.get() as usize],
+                    &self.arena.nodes[id as usize],
                 );
                 debug_assert_eq!(
-                    self.nodes[rep].count, self.nodes[id as usize].count,
-                    "canonical residual collision at level {j}: world counts differ"
+                    rep.vectors, node.vectors,
+                    "canonical residual collision at level {}: completion counts differ",
+                    node.level
+                );
+                debug_assert_eq!(
+                    rep.count, node.count,
+                    "canonical residual collision at level {}: world counts differ",
+                    node.level
                 );
             }
             Entry::Vacant(slot) => {
                 slot.insert(id);
-                self.stats.canonical_nodes += 1;
+                self.arena.stats.canonical_nodes += 1;
             }
         }
         Ok(Some(id))
@@ -728,38 +576,28 @@ pub(crate) fn compile_with_memo(
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<(CompiledCircuit, CircuitMemo), CoreError> {
-    let mut rows = RowCache::new();
-    let mut compiler = Compiler::new(&analysis, config);
-    let mut t = vec![0u64; analysis.source_count()];
-    let mut w = 0u64;
-    let root = compiler.node(&mut rows, 0, &mut t, &mut w, budget)?;
-    let Compiler {
-        exact,
-        canonical,
-        nodes,
-        binoms,
-        binom_slots,
-        stats,
-        ..
-    } = compiler;
-    let compiled_len = nodes.len();
-    Ok((
-        CompiledCircuit {
-            analysis,
-            skeleton: Rc::new(CircuitSkeleton {
-                nodes,
-                root,
-                binoms,
-                stats,
-            }),
-        },
-        CircuitMemo {
-            exact,
-            canonical,
-            binom_slots,
-            compiled_len,
-        },
-    ))
+    let leaf = Node {
+        // lint-allow(no-panic): the class count is capped far below u32::MAX
+        level: u32::try_from(analysis.classes().len()).expect("class count fits u32"),
+        edges: Vec::new(),
+        count: UBig::one(),
+        vectors: 1,
+    };
+    let arena = CircuitSkeleton {
+        nodes: vec![leaf],
+        root: None,
+        binoms: Vec::new(),
+        stats: CircuitStats::default(),
+    };
+    let memo = CircuitMemo {
+        exact: HashMap::new(),
+        canonical: HashMap::new(),
+        binom_slots: HashMap::new(),
+        compiled_len: 0,
+    };
+    let (circuit, mut memo) = compile_onto(analysis, arena, memo, budget, config)?;
+    memo.compiled_len = circuit.node_count();
+    Ok((circuit, memo))
 }
 
 /// Resumes a compile after a delta changed the sizes of classes
@@ -786,41 +624,44 @@ pub(crate) fn patch_compile(
         analysis.classes().len(),
         "patch_compile requires an unchanged class sequence"
     );
-    let compiled_len = memo.compiled_len;
-    let skeleton = Rc::try_unwrap(circuit.skeleton).unwrap_or_else(|shared| (*shared).clone());
-    let old_len = skeleton.nodes.len();
-    let mut rows = RowCache::new();
-    let mut compiler = Compiler::seeded(&analysis, config, skeleton, memo);
+    let arena = Rc::try_unwrap(circuit.skeleton).unwrap_or_else(|shared| (*shared).clone());
+    let old_len = arena.nodes.len();
+    let (circuit, memo) = compile_onto(analysis, arena, memo, budget, config)?;
+    let patched = (circuit.node_count() - old_len) as u64;
+    Ok((circuit, memo, patched))
+}
+
+/// The one compile driver: walks the residual states from the root,
+/// appending new nodes to `arena` (children always get smaller ids than
+/// their parents) and answering retained states from `memo`.
+fn compile_onto(
+    analysis: SignatureAnalysis,
+    arena: CircuitSkeleton,
+    memo: CircuitMemo,
+    budget: &Budget,
+    config: &CircuitConfig,
+) -> Result<(CompiledCircuit, CircuitMemo), CoreError> {
+    let mut compiler = Compiler {
+        analysis: &analysis,
+        rows: RowCache::new(),
+        orbits: source_orbits(&analysis),
+        arena,
+        memo,
+        max_nodes: config.max_nodes,
+    };
     let mut t = vec![0u64; analysis.source_count()];
     let mut w = 0u64;
-    let root = compiler.node(&mut rows, 0, &mut t, &mut w, budget)?;
+    let root = Residual::new(&analysis).walk(&mut compiler, 0, &mut t, &mut w, budget)?;
     let Compiler {
-        exact,
-        canonical,
-        nodes,
-        binoms,
-        binom_slots,
-        stats,
-        ..
+        mut arena, memo, ..
     } = compiler;
-    let patched = (nodes.len() - old_len) as u64;
+    arena.root = root;
     Ok((
         CompiledCircuit {
             analysis,
-            skeleton: Rc::new(CircuitSkeleton {
-                nodes,
-                root,
-                binoms,
-                stats,
-            }),
+            skeleton: Rc::new(arena),
         },
-        CircuitMemo {
-            exact,
-            canonical,
-            binom_slots,
-            compiled_len,
-        },
-        patched,
+        memo,
     ))
 }
 

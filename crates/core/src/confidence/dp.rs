@@ -3,69 +3,26 @@
 //! The exact counter (`counting.rs`) enumerates feasible count vectors
 //! `(k_σ)` by DFS, so its runtime grows with the number of *paths* into
 //! each suffix of the class order even though a suffix's contribution
-//! depends only on a small residual state. This module removes that
-//! redundancy: it runs the same recursion, but keys every interior node on
-//! the **residual state** after class `j` and caches the node's entire
-//! suffix aggregate — the suffix world count `N_suffix`, the per-class
+//! depends only on a small residual state. This engine is one of the two
+//! folds over the memoized residual walk (`residual.rs`, which also holds
+//! the argument why equal residual keys have identical suffixes): every
+//! interior node folds its children into the node's entire suffix
+//! aggregate — the suffix world count `N_suffix`, the per-class
 //! containment numerators `Σ Π C(n_σ,k_σ)·k_σ₀`, and the number of
-//! feasible suffix completions. One sweep from the root therefore yields
-//! `total`, every `class_numerators[σ₀]`, and `feasible_vectors` exactly
-//! as the DFS does, while instances whose search trees re-enter the same
-//! residual states (disjoint extensions, wide slack classes) collapse
-//! from exponential to pseudo-polynomial in the class sizes.
-//!
-//! # The residual state, and why equal residuals have identical suffixes
-//!
-//! Fix the class order `0..m` and a level `j`. The DFS state entering
-//! level `j` is `(t_1..t_n, w)` — per-source sound-tuple counts and the
-//! world size so far. Every test the DFS performs from level `j` onwards
-//! touches that state only through two per-source quantities:
-//!
-//! * the **soundness deficit** `d_i = max(0, ⌈s_i|v_i|⌉ − t_i)`, used by
-//!   the reachability prune `d_i > suffix_max_t[i][l]` and the leaf test
-//!   `d_i = 0`;
-//! * the **completeness margin** `V_i = t_i·den(c_i) − num(c_i)·w`, used
-//!   by the recovery prune `V_i + suffix_max_t[i][l]·(den−num) < 0`, the
-//!   per-class loop cap `k_cap` (through the headroom
-//!   `V_i + suffix_max_t[i][l+1]·(den−num)`), and the leaf test
-//!   `V_i ≥ 0`.
-//!
-//! Both quantities evolve under a suffix choice `(k_j..k_{l−1})` by
-//! increments that depend only on the choice, never on the prefix that
-//! produced the state: `t_i` gains the chosen counts of bit-`i` classes
-//! and `w` gains all of them. Hence two level-`j` states with equal
-//! `(d_i, V_i)` for every source generate *bit-identical* suffix trees —
-//! same prunes, same `k_cap` at every descendant, same leaf verdicts —
-//! and therefore equal `N_suffix`, equal per-class numerators, and equal
-//! completion counts.
-//!
-//! The cache key additionally **clamps** both quantities to the values
-//! that can still influence the suffix:
-//!
-//! * `d_i` is already clamped from below at `0` by its `max`; states with
-//!   `d_i > suffix_max_t[i][j]` are pruned before the cache is consulted,
-//!   so live keys store the deficit exactly. The clamp at zero is sound
-//!   because every suffix test uses `t_i` only through `d_i` and `V_i`.
-//! * `V_i` is clamped from above at the **saturation cap**
-//!   `num(c_i)·hurt_i[j]`, where `hurt_i[j]` is the total size of suffix
-//!   classes with bit `i` *unset* (the only classes that can erode the
-//!   margin, by `num` per unit). If `V_i ≥ num·hurt_i[j]`, then at every
-//!   descendant level `l` the margin satisfies `V_i(l) ≥ num·hurt_i[l]`
-//!   (each erosion step is matched by the shrinking of `hurt`), so the
-//!   recovery prune never fires for source `i`, the headroom grants
-//!   `k_cap ≥ hurt_i[l] ≥ size_l` (the class's own size is part of its
-//!   `hurt`), and the leaf test ends at `V_i(m) ≥ num·hurt_i[m] = 0`.
-//!   A saturated margin thus behaves identically to any other saturated
-//!   margin down the entire subtree — and saturation is *invariant*: once
-//!   above the cap at level `j`, the margin stays above the cap at every
-//!   descendant, so equal clamped keys also produce equal clamped child
-//!   keys. Below the cap the key stores `V_i` exactly (live states are
-//!   bounded below by the recovery prune, so no floor clamp is needed).
+//! feasible suffix completions — and memoizes it. One sweep from the root
+//! therefore yields `total`, every `class_numerators[σ₀]`, and
+//! `feasible_vectors` exactly as the DFS does, while instances whose
+//! search trees re-enter the same residual states (disjoint extensions,
+//! wide slack classes) collapse from exponential to pseudo-polynomial in
+//! the class sizes. The numerators are built bottom-up per node — unlike
+//! the circuit, which keeps its arena and derives them in one top-down
+//! pass — so a node the memo cannot hold is simply dropped.
 //!
 //! Equality of clamped residuals is checked empirically in debug builds:
-//! on each first cache hit the engine *replays* a bounded uncached DFS
-//! from the current (unclamped) state and `debug_assert`s that the number
-//! of feasible completions matches the cached node.
+//! on each first cache hit the engine replays the uncached DFS
+//! (`SignatureAnalysis::dfs`) from the current exact state under a
+//! small step allowance and `debug_assert`s that the number of feasible
+//! completions matches the cached node.
 //!
 //! # Cache budget and degradation
 //!
@@ -75,13 +32,18 @@
 //! is governed separately by [`DpConfig::max_cache_entries`]: when the
 //! map is full, new nodes are computed but not inserted — the engine
 //! silently degrades to plain DFS for those subtrees (still exact, still
-//! budget-governed), it never errors on cache exhaustion.
+//! budget-governed, memory still bounded), it never errors on cache
+//! exhaustion.
+//!
+//! Every run memoizes through a [`SharedDpCache`]: a private run is a run
+//! against a fresh cache, and the consensus sweep keeps one cache across
+//! all its runs.
 //!
 //! # Parallel fan-out
 //!
 //! [`count_dp_parallel`] partitions the top of the search tree with
 //! [`SignatureAnalysis::prefix_plan`] and runs one DP per prefix chunk
-//! through [`partition::run_chunks`], each with a private cache (caches
+//! through [`partition::run_chunks`], each with a fresh cache (caches
 //! are not shared across workers — `Rc` nodes are cheap, locks are not).
 //! Per-chunk results are exact integers merged in chunk order and
 //! per-chunk cache statistics are folded deterministically (sums, and
@@ -90,10 +52,12 @@
 //! the serial DFS — at every thread count.
 
 use crate::confidence::counting::ConfidenceAnalysis;
+use crate::confidence::residual::{Fold, Residual, ResidualKey};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
 use crate::partition::{self, ParallelConfig};
+use pscds_numeric::binomial::RowId;
 use pscds_numeric::{RowCache, UBig};
 use pscds_obs::{names, MetricSet, ObsSession, SpanStack, EXEMPLAR_KEYS};
 use std::collections::HashMap;
@@ -184,48 +148,29 @@ impl DpStats {
     }
 }
 
-/// Packed residual state: the memo key. Three words per source — the
-/// exact soundness deficit and the clamped completeness margin (an `i128`
-/// split into two limbs).
-#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct ResidualKey {
-    level: u32,
-    packed: Box<[u64]>,
-}
-
-impl ResidualKey {
-    /// Canonical fixed-width rendering (`l<level>.<limb>.<limb>…`, all
-    /// hex) whose lexicographic order matches the struct's `Ord`, so the
-    /// keep-smallest exemplar rule picks the same keys the key order
-    /// would.
-    fn render(&self) -> String {
-        let mut out = format!("l{:02x}", self.level);
-        for limb in &self.packed {
-            out.push_str(&format!(".{limb:016x}"));
-        }
-        out
-    }
-}
-
 /// One cached suffix aggregate.
 struct DpNode {
     /// `N_suffix` — the weighted world count of the suffix.
     count: UBig,
-    /// Number of feasible suffix completions (saturating).
+    /// Number of feasible suffix completions (saturating; `0` marks a
+    /// memoized empty subtree).
     vectors: u64,
     /// `numerators[l]` = `Σ_{feasible completions} Π C · k_{level+l}`.
     numerators: Vec<UBig>,
+    /// The run that computed the node (for cross-subset hit attribution).
+    run: u32,
     /// Debug-only: whether the replay check already ran for this node.
     #[cfg(debug_assertions)]
     replayed: std::cell::Cell<bool>,
 }
 
 impl DpNode {
-    fn new(count: UBig, vectors: u64, numerators: Vec<UBig>) -> Self {
+    fn new(count: UBig, vectors: u64, numerators: Vec<UBig>, run: u32) -> Self {
         DpNode {
             count,
             vectors,
             numerators,
+            run,
             #[cfg(debug_assertions)]
             replayed: std::cell::Cell::new(false),
         }
@@ -236,6 +181,12 @@ impl DpNode {
 /// verify real collisions, small enough to keep debug test runs subexponential.
 #[cfg(debug_assertions)]
 const REPLAY_NODE_CAP: u64 = 10_000;
+
+/// Budget phase charged once per DP node.
+const DP_PHASE: &str = "confidence::dp";
+
+/// One context's residual memo.
+type Memo = HashMap<ResidualKey, Rc<DpNode>>;
 
 /// A residual-node memo shared **across DP runs** — the consensus sweep's
 /// cache (ROADMAP "DP for consensus levels").
@@ -259,17 +210,14 @@ const REPLAY_NODE_CAP: u64 = 10_000;
 /// [`count_dp_shared_parallel`] documents how the parallel twin degrades.
 #[derive(Default)]
 pub struct SharedDpCache {
-    /// Structural encoding → interned context id.
-    contexts: HashMap<Box<[u64]>, u32>,
+    /// Structural encoding → interned context id (an index into `memos`).
+    contexts: HashMap<Box<[u64]>, usize>,
     /// Per-context residual memos.
-    nodes: HashMap<u32, HashMap<ResidualKey, (Rc<DpNode>, u32)>>,
+    memos: Vec<Memo>,
     /// Total nodes across contexts (the capacity the cap governs).
     entries: usize,
     /// Next run sequence number.
     runs: u32,
-    /// Next context id — monotonic, never reused even after a context is
-    /// retired by [`SharedDpCache::migrate_for_delta`].
-    next_ctx: u32,
     max_entries: usize,
 }
 
@@ -322,444 +270,229 @@ impl SharedDpCache {
         }
         enc.into_boxed_slice()
     }
-
-    /// Interns the analysis's projected structure and opens a new run,
-    /// returning `(context id, run sequence)`.
-    fn begin_run(&mut self, analysis: &SignatureAnalysis) -> (u32, u32) {
-        let enc = Self::encode(analysis);
-        let ctx = self.intern(enc);
-        let run = self.runs;
-        self.runs = self.runs.saturating_add(1);
-        (ctx, run)
-    }
-
-    fn intern(&mut self, enc: Box<[u64]>) -> u32 {
-        match self.contexts.entry(enc) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let id = self.next_ctx;
-                self.next_ctx = self.next_ctx.saturating_add(1);
-                *e.insert(id)
-            }
-        }
-    }
-
-    /// Delta-scoped context migration: moves the residual nodes that
-    /// survive a structural delta from `old_analysis`'s context to
-    /// `new_analysis`'s, and retires the old context.
-    ///
-    /// A cached node at `level` is a pure function of `classes[level..]`
-    /// and the bounds (every prune, `k_cap`, clamping cap, and leaf
-    /// verdict derives from those suffix quantities — see the module
-    /// docs), so when a delta changes only class *sizes* at indices
-    /// `<= max_touched`, leaving the class count, every deeper class, and
-    /// all bounds intact, nodes with `level > max_touched` are valid
-    /// verbatim under the new context. The caller (`core::delta`)
-    /// guarantees exactly that precondition; it is debug-asserted here
-    /// by comparing the suffix encodings.
-    ///
-    /// Returns `(migrated, dropped)` node counts. A no-op (both zero)
-    /// when the old structure was never interned or the two structures
-    /// coincide.
-    pub(crate) fn migrate_for_delta(
-        &mut self,
-        old_analysis: &SignatureAnalysis,
-        new_analysis: &SignatureAnalysis,
-        max_touched: usize,
-    ) -> (u64, u64) {
-        let old_enc = Self::encode(old_analysis);
-        let new_enc = Self::encode(new_analysis);
-        if old_enc == new_enc {
-            return (0, 0);
-        }
-        debug_assert_eq!(
-            old_analysis.classes().len(),
-            new_analysis.classes().len(),
-            "delta migration requires an unchanged class count"
-        );
-        debug_assert!(
-            old_analysis.classes()[max_touched + 1..] == new_analysis.classes()[max_touched + 1..]
-                && old_analysis.bounds() == new_analysis.bounds(),
-            "delta migration requires untouched suffix classes and bounds"
-        );
-        let Some(&old_ctx) = self.contexts.get(&old_enc) else {
-            return (0, 0);
-        };
-        let Some(old_nodes) = self.nodes.remove(&old_ctx) else {
-            self.contexts.remove(&old_enc);
-            return (0, 0);
-        };
-        self.entries -= old_nodes.len();
-        self.contexts.remove(&old_enc);
-        let new_ctx = self.intern(new_enc);
-        let target = self.nodes.entry(new_ctx).or_default();
-        let mut migrated = 0u64;
-        let mut dropped = 0u64;
-        let mut room = self.max_entries - self.entries;
-        // Migration is capped by `room`, so *which* nodes migrate must not
-        // depend on hash order: iterate a key-sorted snapshot so the same
-        // survivors are kept on every run (the cache-hit counters CI diffs
-        // would otherwise drift).
-        let mut entries: Vec<(ResidualKey, (Rc<DpNode>, u32))> = old_nodes.into_iter().collect();
-        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        for (key, value) in entries {
-            if key.level as usize > max_touched && room > 0 && !target.contains_key(&key) {
-                target.insert(key, value);
-                migrated += 1;
-                room -= 1;
-            } else {
-                dropped += 1;
-            }
-        }
-        self.entries += migrated as usize;
-        (migrated, dropped)
-    }
-
-    fn get(&self, ctx: u32, key: &ResidualKey) -> Option<(Rc<DpNode>, u32)> {
-        self.nodes
-            .get(&ctx)?
-            .get(key)
-            .map(|(node, run)| (Rc::clone(node), *run))
-    }
-
-    /// Inserts unless the global cap is reached; returns whether the node
-    /// was cached.
-    fn insert(&mut self, ctx: u32, key: ResidualKey, node: Rc<DpNode>, run: u32) -> bool {
-        if self.entries >= self.max_entries {
-            return false;
-        }
-        if self
-            .nodes
-            .entry(ctx)
-            .or_default()
-            .insert(key, (node, run))
-            .is_none()
-        {
-            self.entries += 1;
-        }
-        true
-    }
 }
 
-/// Where one engine run memoizes its residual nodes.
-enum CacheBackend<'c> {
-    /// The classic per-run private memo.
-    Private(HashMap<ResidualKey, Rc<DpNode>>),
-    /// A [`SharedDpCache`] scoped to an interned context and tagged with
-    /// this run's sequence number (for cross-subset hit attribution).
-    Shared {
-        cache: &'c mut SharedDpCache,
-        ctx: u32,
-        run: u32,
-    },
-}
-
-struct DpEngine<'a, 'c> {
-    analysis: &'a SignatureAnalysis,
-    /// `hurt[i][j]` — total size of classes `j..` with bit `i` unset (the
-    /// classes that erode source `i`'s completeness margin).
-    hurt: Vec<Vec<u64>>,
-    cache: CacheBackend<'c>,
-    /// Shared all-zero node per level (pruned subtrees).
-    zeros: Vec<Rc<DpNode>>,
+/// The DP's fold over the residual walk: children fold into a suffix
+/// aggregate, memoized in one context of a [`SharedDpCache`] (borrowed
+/// once, for the whole run).
+struct DpFold<'r> {
+    analysis: &'r SignatureAnalysis,
+    rows: &'r mut RowCache,
+    memo: &'r mut Memo,
+    /// The cache's total node count, shared by all its contexts.
+    entries: &'r mut usize,
+    max_entries: usize,
+    /// This run's sequence number (for cross-subset hit attribution).
+    run: u32,
     /// Shared feasible-leaf node (count 1, one completion).
     leaf: Rc<DpNode>,
-    max_cache_entries: usize,
     stats: DpStats,
 }
 
-impl<'a, 'c> DpEngine<'a, 'c> {
-    fn new(analysis: &'a SignatureAnalysis, config: &DpConfig) -> Self {
-        let classes = analysis.classes();
-        let m = classes.len();
-        let n = analysis.source_count();
-        let mut hurt = vec![vec![0u64; m + 1]; n];
-        for (i, row) in hurt.iter_mut().enumerate() {
-            for j in (0..m).rev() {
-                let contrib = if classes[j].signature >> i & 1 == 1 {
-                    0
-                } else {
-                    classes[j].size
-                };
-                row[j] = row[j + 1].saturating_add(contrib);
-            }
+/// One node's aggregate while its children are folded in.
+struct DpAcc {
+    /// The interned binomial row of the node's class.
+    row: RowId,
+    count: UBig,
+    vectors: u64,
+    numerators: Vec<UBig>,
+    scratch: UBig,
+    scaled: UBig,
+}
+
+impl<'r> DpFold<'r> {
+    /// Interns the analysis's projected structure in `cache` and opens a
+    /// new run against that context.
+    fn begin(
+        analysis: &'r SignatureAnalysis,
+        cache: &'r mut SharedDpCache,
+        rows: &'r mut RowCache,
+    ) -> Self {
+        let next = cache.memos.len();
+        let ctx = *cache
+            .contexts
+            .entry(SharedDpCache::encode(analysis))
+            .or_insert(next);
+        if ctx == next {
+            cache.memos.push(Memo::new());
         }
-        let zeros = (0..=m)
-            .map(|j| Rc::new(DpNode::new(UBig::zero(), 0, vec![UBig::zero(); m - j])))
-            .collect();
-        let leaf = Rc::new(DpNode::new(UBig::one(), 1, Vec::new()));
-        DpEngine {
+        let run = cache.runs;
+        cache.runs = cache.runs.saturating_add(1);
+        DpFold {
             analysis,
-            hurt,
-            cache: CacheBackend::Private(HashMap::new()),
-            zeros,
-            leaf,
-            max_cache_entries: config.max_cache_entries,
+            rows,
+            memo: &mut cache.memos[ctx],
+            entries: &mut cache.entries,
+            max_entries: cache.max_entries,
+            run,
+            leaf: Rc::new(DpNode::new(UBig::one(), 1, Vec::new(), run)),
             stats: DpStats::default(),
         }
     }
+}
 
-    /// An engine whose memo is a [`SharedDpCache`] run (the consensus
-    /// sweep's configuration). The shared cache's own global capacity
-    /// replaces `config.max_cache_entries`.
-    fn with_shared(
-        analysis: &'a SignatureAnalysis,
-        config: &DpConfig,
-        shared: &'c mut SharedDpCache,
-    ) -> Self {
-        let mut engine = DpEngine::new(analysis, config);
-        let (ctx, run) = shared.begin_run(analysis);
-        engine.cache = CacheBackend::Shared {
-            cache: shared,
-            ctx,
-            run,
-        };
-        engine
+impl Fold for DpFold<'_> {
+    type Node = Rc<DpNode>;
+    type Acc = DpAcc;
+    const PHASE: &'static str = DP_PHASE;
+
+    fn leaf(&mut self) -> Rc<DpNode> {
+        Rc::clone(&self.leaf)
     }
 
-    /// The completeness margin `V_i = t_i·den − num·w` (saturating — the
-    /// DFS's own arithmetic assumes the products fit `i128`; saturation
-    /// only widens the safety net on the clamp side).
-    fn margin(&self, i: usize, t_i: u64, w: u64) -> i128 {
-        let b = &self.analysis.bounds()[i];
-        let den = i128::from(b.completeness.den());
-        let num = i128::from(b.completeness.num());
-        i128::from(t_i)
-            .saturating_mul(den)
-            .saturating_sub(num.saturating_mul(i128::from(w)))
-    }
-
-    /// Builds the packed residual key for a live (unpruned) state.
-    fn key(&self, j: usize, t: &[u64], w: u64) -> ResidualKey {
-        let bounds = self.analysis.bounds();
-        let mut packed = Vec::with_capacity(3 * bounds.len());
-        for (i, b) in bounds.iter().enumerate() {
-            let deficit = b.min_sound.saturating_sub(t[i]);
-            debug_assert!(
-                deficit <= self.analysis.suffix_max(i, j),
-                "pruning admits only reachable deficits"
-            );
-            let num = i128::from(b.completeness.num());
-            let saturation = num.saturating_mul(i128::from(self.hurt[i][j]));
-            let clamped = self.margin(i, t[i], w).min(saturation);
-            let limbs = clamped as u128;
-            packed.push(deficit);
-            packed.push(limbs as u64);
-            packed.push((limbs >> 64) as u64);
-        }
-        ResidualKey {
-            // lint-allow(no-panic): j indexes the signature classes, capped far below u32::MAX
-            level: u32::try_from(j).expect("class count fits u32"),
-            packed: packed.into_boxed_slice(),
-        }
-    }
-
-    /// The DFS's pruning tests, verbatim: `true` iff the subtree rooted at
-    /// level `j` with state `(t, w)` is provably empty.
-    fn pruned(&self, j: usize, t: &[u64], w: u64) -> bool {
-        for (i, b) in self.analysis.bounds().iter().enumerate() {
-            let max_future = self.analysis.suffix_max(i, j);
-            if t[i] + max_future < b.min_sound {
-                return true;
-            }
-            let den = i128::from(b.completeness.den());
-            let num = i128::from(b.completeness.num());
-            let v = self.margin(i, t[i], w);
-            if v + i128::from(max_future) * (den - num) < 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// `true` iff the complete vector behind `(t, w)` satisfies the final
-    /// constraints (the DFS leaf test).
-    fn leaf_feasible(&self, t: &[u64], w: u64) -> bool {
-        self.analysis
-            .bounds()
-            .iter()
-            .enumerate()
-            .all(|(i, b)| t[i] >= b.min_sound && b.completeness.leq_ratio(t[i], w))
-    }
-
-    /// The memoized suffix recursion. `t`/`w` are the exact running sums
-    /// (mutated in place and restored, like the DFS); the memo key is the
-    /// clamped residual derived from them.
-    fn node(
+    fn lookup(
         &mut self,
-        rows: &mut RowCache,
+        key: &ResidualKey,
         j: usize,
-        t: &mut Vec<u64>,
-        w: &mut u64,
-        budget: &Budget,
-    ) -> Result<Rc<DpNode>, CoreError> {
-        budget.tick("confidence::dp")?;
-        let m = self.analysis.classes().len();
-        if j == m {
-            return Ok(if self.leaf_feasible(t, *w) {
-                Rc::clone(&self.leaf)
-            } else {
-                Rc::clone(&self.zeros[m])
-            });
+        t: &[u64],
+        w: u64,
+    ) -> Option<Option<Rc<DpNode>>> {
+        let node = self.memo.get(key)?;
+        self.stats.cache_hits += 1;
+        if node.run < self.run {
+            self.stats.cross_subset_hits += 1;
         }
-        if self.pruned(j, t, *w) {
-            return Ok(Rc::clone(&self.zeros[j]));
-        }
-        let key = self.key(j, t, *w);
-        let hit = match &self.cache {
-            CacheBackend::Private(map) => map.get(&key).map(|node| (Rc::clone(node), false)),
-            CacheBackend::Shared { cache, ctx, run } => cache
-                .get(*ctx, &key)
-                .map(|(node, inserted_run)| (node, inserted_run < *run)),
-        };
-        if let Some((node, cross_subset)) = hit {
-            self.stats.cache_hits += 1;
-            if cross_subset {
-                self.stats.cross_subset_hits += 1;
-            }
-            #[cfg(debug_assertions)]
-            self.replay_check(j, t, w, &node);
-            return Ok(node);
-        }
+        #[cfg(debug_assertions)]
+        replay_check(self.analysis, j, t, w, node);
+        #[cfg(not(debug_assertions))]
+        let _ = (j, t, w);
+        Some((node.vectors > 0).then(|| Rc::clone(node)))
+    }
+
+    fn open(&mut self, j: usize) -> DpAcc {
         self.stats.cache_misses += 1;
-        let cap = self.analysis.k_cap(j, t, *w);
-        let (sig, class_size) = {
-            let class = &self.analysis.classes()[j];
-            (class.signature, class.size)
-        };
-        let row = rows.intern(class_size);
-        let mut count = UBig::zero();
-        let mut vectors = 0u64;
-        let mut numerators = vec![UBig::zero(); m - j];
-        let mut scratch = UBig::zero();
-        let mut scaled = UBig::zero();
-        for k in 0..=cap {
-            *w += k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if sig >> i & 1 == 1 {
-                    *ti += k;
-                }
-            }
-            let child = self.node(rows, j + 1, t, w, budget);
-            *w -= k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if sig >> i & 1 == 1 {
-                    *ti -= k;
-                }
-            }
-            let child = child?;
-            if child.vectors == 0 {
-                continue; // empty suffix: no weight, no numerators
-            }
-            vectors = vectors.saturating_add(child.vectors);
-            let binom = rows.get(row, k);
-            binom.mul_into(&child.count, &mut scratch);
-            if k > 0 {
-                scratch.mul_u64_into(k, &mut scaled);
-                numerators[0].add_assign(&scaled);
-            }
-            count.add_assign(&scratch);
-            for (l, child_num) in child.numerators.iter().enumerate() {
-                if !child_num.is_zero() {
-                    binom.mul_into(child_num, &mut scratch);
-                    numerators[l + 1].add_assign(&scratch);
-                }
-            }
-        }
-        let node = Rc::new(DpNode::new(count, vectors, numerators));
-        let fallback = match &mut self.cache {
-            CacheBackend::Private(map) => {
-                if map.len() < self.max_cache_entries {
-                    map.insert(key, Rc::clone(&node));
-                    self.stats.peak_cache_entries = self.stats.peak_cache_entries.max(map.len());
-                    None
-                } else {
-                    Some(key.render())
-                }
-            }
-            CacheBackend::Shared { cache, ctx, run } => {
-                if cache.len() >= cache.max_entries {
-                    Some(key.render())
-                } else {
-                    cache.insert(*ctx, key, Rc::clone(&node), *run);
-                    // For shared runs the peak is the shared cache's
-                    // global occupancy high-water mark.
-                    self.stats.peak_cache_entries = self.stats.peak_cache_entries.max(cache.len());
-                    None
-                }
-            }
-        };
-        if let Some(rendered) = fallback {
-            self.stats.fallback_nodes += 1;
-            self.stats.note_fallback_key(&rendered);
-        }
-        Ok(node)
-    }
-
-    /// Debug check of the residual-state equivalence argument: on the
-    /// first hit of each cached node, recount the feasible completions
-    /// from the *current* exact state with a bounded uncached DFS and
-    /// compare with the cached aggregate (two states mapping to one key
-    /// must have identical suffix trees).
-    #[cfg(debug_assertions)]
-    fn replay_check(&self, j: usize, t: &mut Vec<u64>, w: &mut u64, node: &DpNode) {
-        if node.replayed.get() {
-            return;
-        }
-        node.replayed.set(true);
-        let mut nodes_left = REPLAY_NODE_CAP;
-        if let Some(vectors) = self.replay_vectors(j, t, w, &mut nodes_left) {
-            debug_assert_eq!(
-                vectors, node.vectors,
-                "residual-state collision at level {j}: cached suffix has \
-                 {} completions, replay from the hitting state found {vectors}",
-                node.vectors
-            );
-        }
-    }
-
-    /// Uncached feasible-completion count from level `j`, or `None` once
-    /// the node allowance runs out.
-    #[cfg(debug_assertions)]
-    fn replay_vectors(
-        &self,
-        j: usize,
-        t: &mut Vec<u64>,
-        w: &mut u64,
-        nodes_left: &mut u64,
-    ) -> Option<u64> {
-        if *nodes_left == 0 {
-            return None;
-        }
-        *nodes_left -= 1;
         let classes = self.analysis.classes();
-        if j == classes.len() {
-            return Some(u64::from(self.leaf_feasible(t, *w)));
+        DpAcc {
+            row: self.rows.intern(classes[j].size),
+            count: UBig::zero(),
+            vectors: 0,
+            numerators: vec![UBig::zero(); classes.len() - j],
+            scratch: UBig::zero(),
+            scaled: UBig::zero(),
         }
-        if self.pruned(j, t, *w) {
-            return Some(0);
-        }
-        let cap = self.analysis.k_cap(j, t, *w);
-        let sig = classes[j].signature;
-        let mut total = 0u64;
-        for k in 0..=cap {
-            *w += k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if sig >> i & 1 == 1 {
-                    *ti += k;
-                }
-            }
-            let sub = self.replay_vectors(j + 1, t, w, nodes_left);
-            *w -= k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if sig >> i & 1 == 1 {
-                    *ti -= k;
-                }
-            }
-            total = total.saturating_add(sub?);
-        }
-        Some(total)
     }
+
+    fn add(&mut self, acc: &mut DpAcc, _j: usize, k: u64, child: &Rc<DpNode>) {
+        acc.vectors = acc.vectors.saturating_add(child.vectors);
+        let binom = self.rows.get(acc.row, k);
+        binom.mul_into(&child.count, &mut acc.scratch);
+        if k > 0 {
+            acc.scratch.mul_u64_into(k, &mut acc.scaled);
+            acc.numerators[0].add_assign(&acc.scaled);
+        }
+        acc.count.add_assign(&acc.scratch);
+        for (l, child_num) in child.numerators.iter().enumerate() {
+            if !child_num.is_zero() {
+                binom.mul_into(child_num, &mut acc.scratch);
+                acc.numerators[l + 1].add_assign(&acc.scratch);
+            }
+        }
+    }
+
+    fn store(&mut self, key: ResidualKey, acc: DpAcc) -> Result<Option<Rc<DpNode>>, CoreError> {
+        let node = Rc::new(DpNode::new(
+            acc.count,
+            acc.vectors,
+            acc.numerators,
+            self.run,
+        ));
+        if *self.entries < self.max_entries {
+            if self.memo.insert(key, Rc::clone(&node)).is_none() {
+                *self.entries += 1;
+            }
+            self.stats.peak_cache_entries = self.stats.peak_cache_entries.max(*self.entries);
+        } else {
+            // The memo is full: the node is computed but not kept.
+            self.stats.fallback_nodes += 1;
+            self.stats.note_fallback_key(&key.render());
+        }
+        Ok((node.vectors > 0).then_some(node))
+    }
+}
+
+/// Debug check of the residual-state equivalence argument: on the first
+/// hit of each cached node, recount the feasible completions from the
+/// *current* exact state with the uncached DFS and compare with the
+/// cached aggregate (two states mapping to one key must have identical
+/// suffix trees). Replays that outgrow [`REPLAY_NODE_CAP`] are skipped.
+#[cfg(debug_assertions)]
+fn replay_check(analysis: &SignatureAnalysis, j: usize, t: &[u64], w: u64, node: &DpNode) {
+    if node.replayed.replace(true) {
+        return;
+    }
+    let mut vectors = 0u64;
+    let mut counts = vec![0u64; analysis.classes().len()];
+    let replay = analysis.dfs(
+        j,
+        &mut counts,
+        &mut t.to_vec(),
+        &mut { w },
+        DP_PHASE,
+        &Budget::with_max_steps(REPLAY_NODE_CAP),
+        &mut |_: &[u64]| {
+            vectors = vectors.saturating_add(1);
+            std::ops::ControlFlow::<()>::Continue(())
+        },
+    );
+    if replay.is_ok() {
+        debug_assert_eq!(
+            vectors, node.vectors,
+            "residual-state collision at level {j}: cached suffix has \
+             {} completions, replay from the hitting state found {vectors}",
+            node.vectors
+        );
+    }
+}
+
+/// The one DP driver: advances the root state through `prefix` (a
+/// parallel chunk's fixed classes; empty for a whole run), walks the
+/// suffix against `cache`, and scales the suffix aggregates by the
+/// prefix weight.
+fn run_dp(
+    analysis: &SignatureAnalysis,
+    cache: &mut SharedDpCache,
+    rows: &mut RowCache,
+    prefix: &[u64],
+    budget: &Budget,
+) -> Result<Partial, CoreError> {
+    let m = analysis.classes().len();
+    let mut partial = Partial {
+        total: UBig::zero(),
+        class_numerators: vec![UBig::zero(); m],
+        vectors: 0,
+        stats: DpStats::default(),
+    };
+    let mut counts = vec![0u64; m];
+    let mut t = vec![0u64; analysis.source_count()];
+    let mut w = 0u64;
+    if !analysis.apply_prefix(prefix, &mut counts, &mut t, &mut w) {
+        // The serial DFS never reaches this prefix; the chunk is empty.
+        return Ok(partial);
+    }
+    let mut fold = DpFold::begin(analysis, cache, rows);
+    let root = Residual::new(analysis).walk(&mut fold, prefix.len(), &mut t, &mut w, budget)?;
+    partial.stats = fold.stats;
+    let Some(root) = root else {
+        return Ok(partial);
+    };
+    // Weight of the fixed prefix: Π_{j<d} C(size_j, k_j); every class
+    // numerator of a prefix class is its fixed k times the chunk total.
+    let mut weight = UBig::one();
+    for (j, &k) in prefix.iter().enumerate() {
+        let row = fold.rows.intern(analysis.classes()[j].size);
+        weight = weight.mul(fold.rows.get(row, k));
+    }
+    partial.total = weight.mul(&root.count);
+    for (j, &k) in prefix.iter().enumerate() {
+        if k > 0 {
+            partial.class_numerators[j] = partial.total.mul_u64(k);
+        }
+    }
+    for (l, suffix_num) in root.numerators.iter().enumerate() {
+        partial.class_numerators[prefix.len() + l] = weight.mul(suffix_num);
+    }
+    partial.vectors = root.vectors;
+    Ok(partial)
 }
 
 /// Runs the memoized DP over a prebuilt decomposition, reusing `rows`
@@ -777,22 +510,18 @@ pub fn count_dp(
     config: &DpConfig,
     rows: &mut RowCache,
 ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    let mut engine = DpEngine::new(&analysis, config);
-    let mut t = vec![0u64; analysis.source_count()];
-    let mut w = 0u64;
-    let root = engine.node(rows, 0, &mut t, &mut w, budget)?;
-    let stats = engine.stats;
-    let result = ConfidenceAnalysis::from_parts(
-        analysis,
-        root.count.clone(),
-        root.numerators.clone(),
-        root.vectors,
-    );
-    Ok((result, stats))
+    let partial = run_dp(
+        &analysis,
+        &mut SharedDpCache::new(config),
+        rows,
+        &[],
+        budget,
+    )?;
+    Ok(merge_partials(analysis, std::iter::once(partial)))
 }
 
 /// Work-partitioned parallel variant of [`count_dp`]: prefix chunks from
-/// [`SignatureAnalysis::prefix_plan`] run one DP each (private caches)
+/// [`SignatureAnalysis::prefix_plan`] run one DP each (fresh caches)
 /// through [`partition::run_chunks`]; exact per-chunk sums and cache
 /// statistics are merged in chunk order. Bit-identical to [`count_dp`]
 /// for every thread count; `config.is_serial()` runs the serial path.
@@ -808,64 +537,12 @@ pub fn count_dp_parallel(
     if parallel.is_serial() {
         return count_dp(analysis, budget, config, &mut RowCache::new());
     }
-    let m = analysis.classes().len();
     let prefixes = analysis.prefix_plan(parallel.target_chunks());
     let outcomes = partition::run_chunks(parallel, budget, &prefixes, |_, prefix, budget, _| {
-        dp_prefix_partial(&analysis, config, prefix, budget)
+        let mut cache = SharedDpCache::new(config);
+        run_dp(&analysis, &mut cache, &mut RowCache::new(), prefix, budget)
     })?;
-    let (result, stats) = merge_partials(analysis, m, outcomes.into_iter().flatten());
-    Ok((result, stats))
-}
-
-/// One chunk of the partitioned DP: fixes `prefix`, runs a private-cache
-/// DP over the suffix, and scales the aggregates by the prefix weight.
-/// Shared verbatim by [`count_dp_parallel`] and [`count_dp_observed`] so
-/// the instrumented route cannot drift from the plain one.
-fn dp_prefix_partial(
-    analysis: &SignatureAnalysis,
-    config: &DpConfig,
-    prefix: &[u64],
-    budget: &Budget,
-) -> Result<Partial, CoreError> {
-    let m = analysis.classes().len();
-    let mut counts = vec![0u64; m];
-    let mut t = vec![0u64; analysis.source_count()];
-    let mut w = 0u64;
-    if !analysis.apply_prefix(prefix, &mut counts, &mut t, &mut w) {
-        // The serial DFS never reaches this prefix; the chunk is empty.
-        return Ok(Partial {
-            total: UBig::zero(),
-            class_numerators: vec![UBig::zero(); m],
-            vectors: 0,
-            stats: DpStats::default(),
-        });
-    }
-    let mut rows = RowCache::new();
-    let mut engine = DpEngine::new(analysis, config);
-    let root = engine.node(&mut rows, prefix.len(), &mut t, &mut w, budget)?;
-    // Weight of the fixed prefix: Π_{j<d} C(size_j, k_j); every class
-    // numerator of a prefix class is its fixed k times the chunk total.
-    let mut weight = UBig::one();
-    for (j, &k) in prefix.iter().enumerate() {
-        let row = rows.intern(analysis.classes()[j].size);
-        weight = weight.mul(rows.get(row, k));
-    }
-    let total = weight.mul(&root.count);
-    let mut class_numerators = vec![UBig::zero(); m];
-    for (j, &k) in prefix.iter().enumerate() {
-        if k > 0 {
-            class_numerators[j] = total.mul_u64(k);
-        }
-    }
-    for (l, suffix_num) in root.numerators.iter().enumerate() {
-        class_numerators[prefix.len() + l] = weight.mul(suffix_num);
-    }
-    Ok(Partial {
-        total,
-        class_numerators,
-        vectors: root.vectors,
-        stats: engine.stats,
-    })
+    Ok(merge_partials(analysis, outcomes.into_iter().flatten()))
 }
 
 /// One prefix chunk's exact aggregates.
@@ -881,11 +558,10 @@ struct Partial {
 /// into the result).
 fn merge_partials(
     analysis: SignatureAnalysis,
-    m: usize,
     partials: impl Iterator<Item = Partial>,
 ) -> (ConfidenceAnalysis, DpStats) {
     let mut total = UBig::zero();
-    let mut class_numerators = vec![UBig::zero(); m];
+    let mut class_numerators = vec![UBig::zero(); analysis.classes().len()];
     let mut vectors = 0u64;
     let mut stats = DpStats::default();
     for partial in partials {
@@ -951,8 +627,7 @@ fn count_dp_observed_chunked(
     config: &DpConfig,
     obs: &mut ObsSession,
 ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    let m = analysis.classes().len();
-    obs.span_attr("classes", &m.to_string());
+    obs.span_attr("classes", &analysis.classes().len().to_string());
     let prefixes = analysis.prefix_plan(parallel.target_chunks());
     let outcomes = partition::run_chunks(parallel, budget, &prefixes, |idx, prefix, budget, _| {
         // Per-chunk telemetry: ticks as `steps()` deltas (works for both
@@ -963,7 +638,8 @@ fn count_dp_observed_chunked(
         // self-steps sum to the merged `budget.ticks` counter.
         let start_ns = budget.elapsed_ns();
         let steps_before = budget.steps();
-        let partial = dp_prefix_partial(&analysis, config, prefix, budget)?;
+        let mut cache = SharedDpCache::new(config);
+        let partial = run_dp(&analysis, &mut cache, &mut RowCache::new(), prefix, budget)?;
         let delta = budget.steps() - steps_before;
         let mut metrics = MetricSet::new();
         metrics.counter_add(names::BUDGET_TICKS, delta);
@@ -987,8 +663,7 @@ fn count_dp_observed_chunked(
         partials.push(partial);
     }
     obs.merge_metrics(&lifecycle);
-    let (result, stats) = merge_partials(analysis, m, partials.into_iter());
-    Ok((result, stats))
+    Ok(merge_partials(analysis, partials.into_iter()))
 }
 
 /// Runs the DP against a cross-run [`SharedDpCache`] — the consensus
@@ -998,29 +673,19 @@ fn count_dp_observed_chunked(
 ///
 /// Results are bit-identical to [`count_dp`]: the cache changes *where*
 /// a suffix aggregate comes from, never its value (see the soundness
-/// argument on [`SharedDpCache`]).
+/// argument on [`SharedDpCache`]). The shared cache's own capacity
+/// governs the memo, so `_config` is not consulted.
 ///
 /// # Errors
 /// As [`count_dp`].
 pub fn count_dp_shared(
     analysis: SignatureAnalysis,
     budget: &Budget,
-    config: &DpConfig,
+    _config: &DpConfig,
     shared: &mut SharedDpCache,
 ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    let mut rows = RowCache::new();
-    let mut engine = DpEngine::with_shared(&analysis, config, shared);
-    let mut t = vec![0u64; analysis.source_count()];
-    let mut w = 0u64;
-    let root = engine.node(&mut rows, 0, &mut t, &mut w, budget)?;
-    let stats = engine.stats;
-    let result = ConfidenceAnalysis::from_parts(
-        analysis,
-        root.count.clone(),
-        root.numerators.clone(),
-        root.vectors,
-    );
-    Ok((result, stats))
+    let partial = run_dp(&analysis, shared, &mut RowCache::new(), &[], budget)?;
+    Ok(merge_partials(analysis, std::iter::once(partial)))
 }
 
 /// Parallel twin of [`count_dp_shared`]. The shared memo's nodes are

@@ -33,10 +33,11 @@
 //!   residual states: exact like the DFS, but pseudo-polynomial on
 //!   instances whose search trees re-enter the same residuals (padded
 //!   domains, wide slack classes).
-//! * [`circuit`] — the DP's residual-state recursion compiled once into
-//!   a shared-node arithmetic circuit; per-tuple, conditional, and
-//!   top-k confidences are then linear traversals, so one compile
-//!   amortizes across many queries.
+//! * [`circuit`] — the same memoized residual walk as the DP (the
+//!   private `residual` module) folded once into a shared-node
+//!   arithmetic circuit; per-tuple, conditional, and top-k confidences
+//!   are then linear traversals, so one compile amortizes across many
+//!   queries.
 
 pub mod circuit;
 pub mod closed_form;
@@ -44,6 +45,7 @@ pub mod counting;
 pub mod dp;
 pub mod gamma;
 pub mod intervals;
+mod residual;
 pub mod sampling;
 pub mod signature;
 pub mod worlds;

@@ -26,6 +26,12 @@ use crate::govern::Budget;
 use pscds_numeric::Frac;
 use pscds_relational::{Fact, Value};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
+
+/// Budget phase of the counting DFS (one tick per node).
+const COUNT_PHASE: &str = "confidence::signature";
+/// Budget phase of the first-feasible DFS behind consistency checks.
+const FIND_PHASE: &str = "consistency::identity";
 
 /// One signature class: the set of potential facts shared by exactly the
 /// sources flagged in `signature`.
@@ -48,6 +54,26 @@ pub(crate) struct SourceBounds {
     pub(crate) completeness: Frac,
     /// `⌈s_i · |v_i|⌉` — minimum sound tuples (inequality (3)).
     pub(crate) min_sound: u64,
+}
+
+impl SourceBounds {
+    /// The completeness margin `V = t·den − num·w`, with `(num, den)` the
+    /// completeness bound. Plain `i128` cannot overflow here: margins are
+    /// only taken above the padding class, which is last in the class
+    /// order, so `w` sums extension classes only (`t ≤ w ≤ |∪v_i|`, a
+    /// count of in-memory tuples) and each product stays far below 2^127.
+    #[inline]
+    pub(crate) fn margin(&self, t: u64, w: u64) -> i128 {
+        i128::from(t) * i128::from(self.completeness.den())
+            - i128::from(self.completeness.num()) * i128::from(w)
+    }
+
+    /// What one unit of a class with the source's bit set adds to the
+    /// margin: `den − num ≥ 0`.
+    #[inline]
+    fn gain(&self) -> i128 {
+        i128::from(self.completeness.den()) - i128::from(self.completeness.num())
+    }
 }
 
 /// The signature decomposition of an identity-view collection over a
@@ -272,13 +298,9 @@ impl SignatureAnalysis {
     pub fn try_for_each_feasible<F: FnMut(&[u64])>(
         &self,
         budget: &Budget,
-        mut visit: F,
+        visit: F,
     ) -> Result<(), CoreError> {
-        let mut counts = vec![0u64; self.classes.len()];
-        let n = self.bounds.len();
-        let mut t = vec![0u64; n];
-        let mut w = 0u64;
-        self.dfs(0, &mut counts, &mut t, &mut w, &mut visit, budget)
+        self.enumerate_from(&[], budget, visit)
     }
 
     /// Plans a prefix partition of the feasibility DFS for parallel
@@ -335,29 +357,11 @@ impl SignatureAnalysis {
         w: &mut u64,
     ) -> bool {
         for (j, &k) in prefix.iter().enumerate() {
-            for (i, b) in self.bounds.iter().enumerate() {
-                let max_future = self.suffix_max_t[i][j];
-                if t[i] + max_future < b.min_sound {
-                    return false;
-                }
-                let den = i128::from(b.completeness.den());
-                let num = i128::from(b.completeness.num());
-                let v = i128::from(t[i]) * den - num * i128::from(*w);
-                if v + i128::from(max_future) * (den - num) < 0 {
-                    return false;
-                }
-            }
-            if k > self.k_cap(j, t, *w) {
+            if self.pruned(j, t, *w) || k > self.k_cap(j, t, *w) {
                 return false;
             }
             counts[j] = k;
-            *w += k;
-            let sig = self.classes[j].signature;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if sig >> i & 1 == 1 {
-                    *ti += k;
-                }
-            }
+            self.descend(j, k, t, w);
         }
         true
     }
@@ -373,23 +377,10 @@ impl SignatureAnalysis {
         &self,
         prefix: &[u64],
         budget: &Budget,
-        mut visit: F,
+        visit: F,
     ) -> Result<(), CoreError> {
-        budget.tick("confidence::signature")?;
-        let mut counts = vec![0u64; self.classes.len()];
-        let mut t = vec![0u64; self.bounds.len()];
-        let mut w = 0u64;
-        if !self.apply_prefix(prefix, &mut counts, &mut t, &mut w) {
-            return Ok(());
-        }
-        self.dfs(
-            prefix.len(),
-            &mut counts,
-            &mut t,
-            &mut w,
-            &mut visit,
-            budget,
-        )
+        budget.tick(COUNT_PHASE)?;
+        self.enumerate_from(prefix, budget, visit)
     }
 
     /// Finds the first feasible count vector of one prefix chunk, in the
@@ -403,23 +394,107 @@ impl SignatureAnalysis {
         prefix: &[u64],
         budget: &Budget,
     ) -> Result<Option<Vec<u64>>, CoreError> {
-        budget.tick("consistency::identity")?;
+        budget.tick(FIND_PHASE)?;
+        self.first_from(prefix, budget)
+    }
+
+    /// Every feasible vector below `prefix`, charging [`COUNT_PHASE`].
+    fn enumerate_from<F: FnMut(&[u64])>(
+        &self,
+        prefix: &[u64],
+        budget: &Budget,
+        mut visit: F,
+    ) -> Result<(), CoreError> {
+        self.search_from(prefix, COUNT_PHASE, budget, &mut |counts: &[u64]| {
+            visit(counts);
+            ControlFlow::<()>::Continue(())
+        })
+        .map(|_| ())
+    }
+
+    /// The first feasible vector below `prefix`, charging [`FIND_PHASE`].
+    fn first_from(&self, prefix: &[u64], budget: &Budget) -> Result<Option<Vec<u64>>, CoreError> {
+        let flow = self.search_from(prefix, FIND_PHASE, budget, &mut |counts: &[u64]| {
+            ControlFlow::Break(counts.to_vec())
+        })?;
+        Ok(match flow {
+            ControlFlow::Break(found) => Some(found),
+            ControlFlow::Continue(()) => None,
+        })
+    }
+
+    /// Runs [`dfs`](SignatureAnalysis::dfs) from the root state advanced
+    /// through `prefix` (nothing, when the serial DFS never reaches it).
+    fn search_from<B>(
+        &self,
+        prefix: &[u64],
+        phase: &'static str,
+        budget: &Budget,
+        visit: &mut impl FnMut(&[u64]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, CoreError> {
         let mut counts = vec![0u64; self.classes.len()];
         let mut t = vec![0u64; self.bounds.len()];
         let mut w = 0u64;
         if !self.apply_prefix(prefix, &mut counts, &mut t, &mut w) {
-            return Ok(None);
+            return Ok(ControlFlow::Continue(()));
         }
-        let mut found = None;
-        self.dfs_first(
+        self.dfs(
             prefix.len(),
             &mut counts,
             &mut t,
             &mut w,
-            &mut found,
+            phase,
             budget,
-        )?;
-        Ok(found)
+            visit,
+        )
+    }
+
+    /// `true` iff the subtree at level `j` with running sums `(t, w)` is
+    /// provably empty: for some source the soundness minimum is out of
+    /// reach, or the completeness margin cannot recover even if every
+    /// future class with the source's bit is taken whole and every other
+    /// class is left empty.
+    #[inline]
+    pub(crate) fn pruned(&self, j: usize, t: &[u64], w: u64) -> bool {
+        self.bounds.iter().enumerate().any(|(i, b)| {
+            let max_future = self.suffix_max_t[i][j];
+            t[i] + max_future < b.min_sound
+                || b.margin(t[i], w) + i128::from(max_future) * b.gain() < 0
+        })
+    }
+
+    /// `true` iff the complete count vector behind `(t, w)` satisfies
+    /// every source's soundness and completeness constraint.
+    #[inline]
+    pub(crate) fn leaf_feasible(&self, t: &[u64], w: u64) -> bool {
+        self.bounds
+            .iter()
+            .zip(t)
+            .all(|(b, &t_i)| t_i >= b.min_sound && b.completeness.leq_ratio(t_i, w))
+    }
+
+    /// Adds `k` tuples of class `j` to the running sums.
+    #[inline]
+    pub(crate) fn descend(&self, j: usize, k: u64, t: &mut [u64], w: &mut u64) {
+        let sig = self.classes[j].signature;
+        *w += k;
+        for (i, t_i) in t.iter_mut().enumerate() {
+            if sig >> i & 1 == 1 {
+                *t_i += k;
+            }
+        }
+    }
+
+    /// Undoes [`descend`](SignatureAnalysis::descend).
+    #[inline]
+    pub(crate) fn restore(&self, j: usize, k: u64, t: &mut [u64], w: &mut u64) {
+        let sig = self.classes[j].signature;
+        *w -= k;
+        for (i, t_i) in t.iter_mut().enumerate() {
+            if sig >> i & 1 == 1 {
+                *t_i -= k;
+            }
+        }
     }
 
     /// Largest `k` for class `j` that leaves every completeness constraint
@@ -429,6 +504,7 @@ impl SignatureAnalysis {
     /// compensation, so `k` is capped by the remaining headroom — this is
     /// what keeps the padding-class loop bounded by the feasible region
     /// instead of the (possibly enormous) class size.
+    #[inline]
     pub(crate) fn k_cap(&self, j: usize, t: &[u64], w: u64) -> u64 {
         let class = &self.classes[j];
         let mut cap = class.size;
@@ -440,11 +516,9 @@ impl SignatureAnalysis {
             if num == 0 {
                 continue;
             }
-            let den = i128::from(b.completeness.den());
-            let v = i128::from(t[i]) * den - num * i128::from(w);
             // Future classes with bit i add at most suffix·(den−num);
             // class j itself has bit i unset so suffix at j equals at j+1.
-            let headroom = v + i128::from(self.suffix_max_t[i][j + 1]) * (den - num);
+            let headroom = b.margin(t[i], w) + i128::from(self.suffix_max_t[i][j + 1]) * b.gain();
             let k_max = if headroom < 0 {
                 0
             } else {
@@ -455,65 +529,47 @@ impl SignatureAnalysis {
         cap
     }
 
-    fn dfs<F: FnMut(&[u64])>(
+    /// The one uncached search of the count-vector tree: walks the
+    /// subtree below level `j` of the state `(counts, t, w)`, charging
+    /// `phase` once per node, and calls `visit` on every feasible
+    /// complete vector until it breaks. `counts`, `t` and `w` are
+    /// restored on return.
+    ///
+    /// # Errors
+    /// [`CoreError::BudgetExceeded`] when the budget trips mid-walk.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn dfs<B>(
         &self,
         j: usize,
-        counts: &mut Vec<u64>,
-        t: &mut Vec<u64>,
+        counts: &mut [u64],
+        t: &mut [u64],
         w: &mut u64,
-        visit: &mut F,
+        phase: &'static str,
         budget: &Budget,
-    ) -> Result<(), CoreError> {
-        budget.tick("confidence::signature")?;
+        visit: &mut impl FnMut(&[u64]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, CoreError> {
+        budget.tick(phase)?;
         if j == self.classes.len() {
-            // All counts chosen; verify the final constraints exactly.
-            for (i, b) in self.bounds.iter().enumerate() {
-                if t[i] < b.min_sound || !b.completeness.leq_ratio(t[i], *w) {
-                    return Ok(());
-                }
-            }
-            visit(counts);
-            return Ok(());
+            return Ok(if self.leaf_feasible(t, *w) {
+                visit(counts)
+            } else {
+                ControlFlow::Continue(())
+            });
         }
-        // Pruning: for each source, check the best still-achievable values.
-        for (i, b) in self.bounds.iter().enumerate() {
-            let max_future = self.suffix_max_t[i][j];
-            // Soundness minimum unreachable?
-            if t[i] + max_future < b.min_sound {
-                return Ok(());
-            }
-            // Completeness margin V_i = t_i·den − num·w; future classes with
-            // bit i add (den−num) per unit (≥ 0), others subtract num per
-            // unit (take 0). Max achievable:
-            let den = i128::from(b.completeness.den());
-            let num = i128::from(b.completeness.num());
-            let v = i128::from(t[i]) * den - num * i128::from(*w);
-            let v_max = v + i128::from(max_future) * (den - num);
-            if v_max < 0 {
-                return Ok(());
-            }
+        if self.pruned(j, t, *w) {
+            return Ok(ControlFlow::Continue(()));
         }
-        let cap = self.k_cap(j, t, *w);
-        let class = &self.classes[j];
-        for k in 0..=cap {
+        for k in 0..=self.k_cap(j, t, *w) {
             counts[j] = k;
-            *w += k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if class.signature >> i & 1 == 1 {
-                    *ti += k;
-                }
+            self.descend(j, k, t, w);
+            let flow = self.dfs(j + 1, counts, t, w, phase, budget, visit);
+            self.restore(j, k, t, w);
+            if let ControlFlow::Break(b) = flow? {
+                return Ok(ControlFlow::Break(b));
             }
-            let descent = self.dfs(j + 1, counts, t, w, visit, budget);
-            *w -= k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if class.signature >> i & 1 == 1 {
-                    *ti -= k;
-                }
-            }
-            descent?;
         }
         counts[j] = 0;
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     }
 
     /// Finds one feasible count vector, if any (early-exit DFS).
@@ -531,76 +587,7 @@ impl SignatureAnalysis {
     /// [`CoreError::BudgetExceeded`] when the budget runs out before the
     /// search concludes either way.
     pub fn find_feasible_budgeted(&self, budget: &Budget) -> Result<Option<Vec<u64>>, CoreError> {
-        let mut found: Option<Vec<u64>> = None;
-        // A dedicated early-exit DFS keeps the hot path simple: reuse
-        // for_each_feasible but stop as soon as possible via a flag.
-        let mut counts = vec![0u64; self.classes.len()];
-        let n = self.bounds.len();
-        let mut t = vec![0u64; n];
-        let mut w = 0u64;
-        self.dfs_first(0, &mut counts, &mut t, &mut w, &mut found, budget)?;
-        Ok(found)
-    }
-
-    fn dfs_first(
-        &self,
-        j: usize,
-        counts: &mut Vec<u64>,
-        t: &mut Vec<u64>,
-        w: &mut u64,
-        found: &mut Option<Vec<u64>>,
-        budget: &Budget,
-    ) -> Result<(), CoreError> {
-        if found.is_some() {
-            return Ok(());
-        }
-        budget.tick("consistency::identity")?;
-        if j == self.classes.len() {
-            for (i, b) in self.bounds.iter().enumerate() {
-                if t[i] < b.min_sound || !b.completeness.leq_ratio(t[i], *w) {
-                    return Ok(());
-                }
-            }
-            *found = Some(counts.clone());
-            return Ok(());
-        }
-        for (i, b) in self.bounds.iter().enumerate() {
-            let max_future = self.suffix_max_t[i][j];
-            if t[i] + max_future < b.min_sound {
-                return Ok(());
-            }
-            let den = i128::from(b.completeness.den());
-            let num = i128::from(b.completeness.num());
-            let v = i128::from(t[i]) * den - num * i128::from(*w);
-            if v + i128::from(max_future) * (den - num) < 0 {
-                return Ok(());
-            }
-        }
-        let cap = self.k_cap(j, t, *w);
-        let class = &self.classes[j];
-        for k in 0..=cap {
-            counts[j] = k;
-            *w += k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if class.signature >> i & 1 == 1 {
-                    *ti += k;
-                }
-            }
-            let descent = self.dfs_first(j + 1, counts, t, w, found, budget);
-            *w -= k;
-            for (i, ti) in t.iter_mut().enumerate() {
-                if class.signature >> i & 1 == 1 {
-                    *ti -= k;
-                }
-            }
-            descent?;
-            if found.is_some() {
-                counts[j] = k; // keep the found prefix intact
-                return Ok(());
-            }
-        }
-        counts[j] = 0;
-        Ok(())
+        self.first_from(&[], budget)
     }
 
     /// Materializes a witness database from a feasible count vector: the

@@ -16,8 +16,7 @@
 //!   and circuit breakers compose with streaming unchanged.
 //! * [`DeltaSession`] — the maintained state: the identity collection,
 //!   its signature decomposition, the compiled confidence circuit with
-//!   its compile-time memo, a [`SharedDpCache`] migrated across
-//!   structural changes, and the last answer's aggregates. Applying a
+//!   its compile-time memo, and the last answer's aggregates. Applying a
 //!   batch classifies the damage instead of recomputing:
 //!
 //!   1. **Reuse** — the *projected structure* (per-source bounds plus
@@ -35,9 +34,7 @@
 //!      pscds_obs::names::DELTA_STATES_INVALIDATED)), recompiles onto
 //!      the retained arena (fresh nodes append; stale prefix nodes
 //!      become unreachable garbage with reach weight zero), and counts
-//!      the freshly materialized nodes (`delta.nodes_patched`). The DP
-//!      residual cache is migrated the same way
-//!      ([`SharedDpCache::migrate_for_delta`]).
+//!      the freshly materialized nodes (`delta.nodes_patched`).
 //!   3. **Recompile** — a bound changed (a source's `(c, s)` claim, or
 //!      `⌈s·|v|⌉` through an extension-size change), the class
 //!      signature sequence changed, or patched garbage outgrew twice
@@ -49,7 +46,7 @@
 //!
 //! Why is `max_touched` — the deepest class index whose size changed —
 //! a sound invalidation key? Every memoized quantity at level `l`
-//! (circuit memo entries, arena nodes, DP residual nodes) is produced
+//! (circuit memo entries and arena nodes) is produced
 //! by a recursion whose tests and loop caps touch only *suffix*
 //! quantities: `suffix_max_t[i][l..]`, `hurt[i][l..]`, the class sizes
 //! `classes[l..]`, the source orbits at level `l` (computed from the
@@ -75,7 +72,6 @@ use crate::confidence::circuit::{
     analyze_circuit_budgeted, compile_with_memo, invalidate_prefix, patch_compile, CircuitConfig,
     CircuitMemo, CompiledCircuit,
 };
-use crate::confidence::dp::{DpConfig, SharedDpCache};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::confidence::ConfidenceAnalysis;
 use crate::error::CoreError;
@@ -442,8 +438,8 @@ struct CachedResult {
 }
 
 /// Maintained incremental state across a delta stream: the collection,
-/// its decomposition, the compiled circuit plus compile memo, a shared
-/// DP residual cache, and the last answer. See the module docs for the
+/// its decomposition, the compiled circuit plus compile memo, and the
+/// last answer. See the module docs for the
 /// three-tier maintenance scheme.
 pub struct DeltaSession {
     collection: IdentityCollection,
@@ -456,7 +452,6 @@ pub struct DeltaSession {
     circuit: Option<(CompiledCircuit, CircuitMemo)>,
     cached: Option<CachedResult>,
     maintenance: Maintenance,
-    dp: SharedDpCache,
     config: CircuitConfig,
     stats: DeltaStats,
 }
@@ -470,24 +465,6 @@ impl DeltaSession {
     /// [`CoreError::NotIdentityCollection`] when the catalog is not the
     /// Section 5.1 identity-view shape.
     pub fn new(catalog: &SourceCollection, padding: u64) -> Result<Self, CoreError> {
-        Self::with_configs(
-            catalog,
-            padding,
-            CircuitConfig::default(),
-            &DpConfig::default(),
-        )
-    }
-
-    /// [`DeltaSession::new`] with explicit circuit and DP-cache limits.
-    ///
-    /// # Errors
-    /// As [`DeltaSession::new`].
-    pub fn with_configs(
-        catalog: &SourceCollection,
-        padding: u64,
-        config: CircuitConfig,
-        dp_config: &DpConfig,
-    ) -> Result<Self, CoreError> {
         let collection = catalog.as_identity()?;
         let universe = padding
             .checked_add(collection.all_tuples().len() as u64)
@@ -503,8 +480,7 @@ impl DeltaSession {
             circuit: None,
             cached: None,
             maintenance: Maintenance::Recompile,
-            dp: SharedDpCache::new(dp_config),
-            config,
+            config: CircuitConfig::default(),
             stats: DeltaStats::default(),
         })
     }
@@ -542,14 +518,6 @@ impl DeltaSession {
             }
             Maintenance::Patch { .. } | Maintenance::Recompile => None,
         }
-    }
-
-    /// The session's shared DP residual cache — maintained across
-    /// structural deltas by [`SharedDpCache::migrate_for_delta`], so a
-    /// `count_dp_shared` run against [`DeltaSession::analysis`] reuses
-    /// every surviving suffix node.
-    pub fn dp_cache(&mut self) -> &mut SharedDpCache {
-        &mut self.dp
     }
 
     /// Emits the `delta.*` counters into a metric set.
@@ -715,12 +683,7 @@ impl DeltaSession {
                 .collect();
             self.stats.classes_touched += touched.len() as u64;
             match touched.last() {
-                Some(&max_touched) => {
-                    // Suffix classes and bounds are unchanged, so the DP
-                    // cache's surviving nodes migrate to the new context.
-                    self.dp.migrate_for_delta(old, &fresh, max_touched);
-                    Maintenance::Patch { max_touched }
-                }
+                Some(&max_touched) => Maintenance::Patch { max_touched },
                 None => {
                     let members_changed = old
                         .classes()
@@ -877,8 +840,8 @@ pub fn analyze_incremental_budgeted(
 }
 
 /// Parallel twin of [`analyze_incremental_budgeted`]. Maintenance is a
-/// single sequenced pass over shared mutable state (the arena, the
-/// memo, the DP cache) with no independent work to partition, so every
+/// single sequenced pass over shared mutable state (the arena and the
+/// memo) with no independent work to partition, so every
 /// thread count runs the identical serial path — bit-identical results
 /// for 1, 2, or 8 threads by construction (the same convention as
 /// `analyze_circuit_parallel`).
@@ -896,8 +859,8 @@ pub fn analyze_incremental_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::confidence::analyze_circuit;
     use crate::confidence::circuit::compile_circuit;
-    use crate::confidence::{analyze_circuit, count_dp_shared};
     use crate::faults::{FaultPlan, FaultSpec};
     use crate::paper::example_5_1;
     use crate::source::{AccessPolicy, CatalogProvider, FaultyProvider, SourceAccess};
@@ -1233,39 +1196,6 @@ mod tests {
         let incremental = analyze_incremental(&mut session);
         let scratch = from_scratch(session.collection(), session.padding());
         assert_answers_match(&incremental, &scratch, session.collection());
-    }
-
-    #[test]
-    fn dp_cache_migrates_across_patch_deltas() {
-        let catalog = patch_catalog();
-        let mut session = DeltaSession::new(&catalog, 3).unwrap();
-        // Seed the shared DP cache at the current structure.
-        let analysis = session.analysis().clone();
-        let (first, _) = count_dp_shared(
-            analysis,
-            &Budget::unlimited(),
-            &DpConfig::default(),
-            session.dp_cache(),
-        )
-        .unwrap();
-        assert!(first.is_consistent());
-        let before = session.dp_cache().len();
-        assert!(before > 0);
-        // A patch-class delta migrates the suffix nodes to the new
-        // context; a rerun hits them as cross-run nodes.
-        session.apply_batch(&patch_batch()).unwrap();
-        let analysis = session.analysis().clone();
-        let (second, stats) = count_dp_shared(
-            analysis,
-            &Budget::unlimited(),
-            &DpConfig::default(),
-            session.dp_cache(),
-        )
-        .unwrap();
-        assert!(stats.cross_subset_hits > 0, "migrated nodes must be hit");
-        let scratch = from_scratch(session.collection(), session.padding());
-        assert_eq!(second.world_count(), scratch.world_count());
-        assert_eq!(session.dp_cache().context_count(), 1, "old context retired");
     }
 
     #[test]

@@ -149,7 +149,15 @@ pub fn cache_sim_stream(config: &CacheStreamConfig) -> Result<DeltaStream, CoreE
             })
             .collect();
         for _ in 0..config.updates_per_batch.max(1) {
-            let from_group = rng.gen_range(0..n_subsets);
+            let mut from_group = rng.gen_range(0..n_subsets);
+            if groups[from_group].is_empty() {
+                // Drift can drain a group; redraw among the non-empty
+                // ones (some group always holds the constant resident
+                // population). Driftless streams never reach this branch,
+                // so their draws are unchanged.
+                let live: Vec<usize> = (0..n_subsets).filter(|&g| !groups[g].is_empty()).collect();
+                from_group = live[rng.gen_range(0..live.len())];
+            }
             let victims = &mut groups[from_group];
             let victim = victims.swap_remove(rng.gen_range(0..victims.len()));
             let to_group = if config.drift > 0.0 && rng.gen_bool(config.drift) {
@@ -337,6 +345,35 @@ mod tests {
             let scratch = ConfidenceAnalysis::analyze(session.collection(), session.padding());
             assert_eq!(incremental.world_count(), scratch.world_count());
             assert_eq!(incremental.feasible_vectors(), scratch.feasible_vectors());
+        }
+    }
+
+    #[test]
+    fn draining_drift_replays_identically_to_scratch() {
+        // One object per group and heavy drift: groups empty out, and the
+        // victim draw must fall back to a non-empty group.
+        let stream = cache_sim_stream(&CacheStreamConfig {
+            drift: 0.5,
+            group_size: 1,
+            batches: 64,
+            ..CacheStreamConfig::default()
+        })
+        .unwrap();
+        let mut session = DeltaSession::new(&stream.initial, stream.padding).unwrap();
+        for batch in &stream.batches {
+            session.apply_batch(batch).unwrap();
+            let incremental = analyze_incremental(&mut session);
+            let scratch = ConfidenceAnalysis::analyze(session.collection(), session.padding());
+            assert_eq!(incremental.world_count(), scratch.world_count());
+            assert_eq!(incremental.feasible_vectors(), scratch.feasible_vectors());
+            let classes = scratch.signature_analysis().classes().len();
+            for idx in 0..classes {
+                assert_eq!(
+                    incremental.class_confidence(idx).ok(),
+                    scratch.class_confidence(idx).ok(),
+                    "class {idx} diverged"
+                );
+            }
         }
     }
 

@@ -56,6 +56,14 @@ PSCDS_THREADS=1 cargo test --workspace -q
 echo "==> cargo test (default thread count, debug profile)"
 cargo test --workspace -q
 
+# The benchmark (crates/bench/src/bin/pscds-bench) is a package of its
+# own, outside the workspace, so `cargo test --workspace` never sees its
+# unit tests. They drive DeltaSession, count_dp_observed and
+# compile_circuit end to end; run them against the shared target/.
+echo "==> cargo test (pscds-bench package)"
+CARGO_TARGET_DIR=target cargo test -q \
+    --manifest-path crates/bench/src/bin/pscds-bench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -229,3 +229,82 @@ fn circuit_reproduces_the_golden_tables() {
         );
     }
 }
+
+/// One golden step row: `(label, dfs, find_feasible, dp, circuit)` —
+/// the `Budget::steps()` charge of one call into each engine:
+/// the counting DFS (`from_signature_analysis_budgeted`), the consistency
+/// DFS (`find_feasible_budgeted`), the memoized DP (`count_dp`) and the
+/// circuit compile (`compile_circuit`).
+///
+/// Step counts decide where the engine ladder degrades under a step cap,
+/// so a refactor of the shared search tree must leave every one of these
+/// unchanged, not merely the answers.
+type GoldenStepRow = (&'static str, u64, u64, u64, u64);
+
+/// The golden step table: scaled Example 5.1 at `r ∈ {1, 2, 8, 32}` with
+/// padding `r`, then the default `pscds_datagen::symmetric` instance.
+const GOLDEN_STEPS: [GoldenStepRow; 5] = [
+    ("scaled1", 22, 6, 20, 20),
+    ("scaled2", 66, 7, 52, 52),
+    ("scaled8", 2185, 13, 1005, 1005),
+    ("scaled32", 247061, 37, 43877, 43877),
+    ("symmetric", 117, 8, 114, 114),
+];
+
+#[test]
+fn engine_step_counts_reproduce_the_golden_table() {
+    use pscds::core::confidence::{
+        compile_circuit, count_dp, CircuitConfig, DpConfig, SignatureAnalysis,
+    };
+    use pscds::core::paper::example_5_1_scaled;
+    use pscds::datagen::symmetric::{self, SymmetricConfig};
+    use pscds::numeric::RowCache;
+
+    let symmetric = symmetric::generate(&SymmetricConfig::default()).expect("valid config");
+    let mut catalogs: Vec<(String, _, u64)> = [1usize, 2, 8, 32]
+        .into_iter()
+        .map(|r| (format!("scaled{r}"), example_5_1_scaled(r), r as u64))
+        .collect();
+    catalogs.push(("symmetric".into(), symmetric.collection, symmetric.padding));
+    let mut measured = Vec::new();
+    for (label, collection, padding) in &catalogs {
+        let identity = collection.as_identity().expect("identity views");
+        let analysis = SignatureAnalysis::new(&identity, *padding);
+        let steps = |run: &dyn Fn(&Budget)| {
+            let budget = Budget::unlimited();
+            run(&budget);
+            budget.steps()
+        };
+        let dfs = steps(&|b| {
+            ConfidenceAnalysis::from_signature_analysis_budgeted(analysis.clone(), b)
+                .expect("unlimited budget");
+        });
+        let first = steps(&|b| {
+            analysis
+                .find_feasible_budgeted(b)
+                .expect("unlimited budget");
+        });
+        let dp = steps(&|b| {
+            count_dp(
+                analysis.clone(),
+                b,
+                &DpConfig::default(),
+                &mut RowCache::new(),
+            )
+            .expect("unlimited budget");
+        });
+        let circuit = steps(&|b| {
+            compile_circuit(analysis.clone(), b, &CircuitConfig::default())
+                .expect("unlimited budget");
+        });
+        measured.push((label.clone(), dfs, first, dp, circuit));
+    }
+    let expected: Vec<(String, u64, u64, u64, u64)> = GOLDEN_STEPS
+        .iter()
+        .map(|&(label, dfs, first, dp, circuit)| (label.to_owned(), dfs, first, dp, circuit))
+        .collect();
+    assert_eq!(
+        measured, expected,
+        "(label, dfs, find_feasible, dp, circuit) steps"
+    );
+}
