@@ -1,22 +1,26 @@
 //! L1 `engine-twins`: every super-polynomial engine entry point in
 //! `crates/core` — a bare-`pub` `fn` whose name matches `check_*`,
-//! `analyze_*` or `count_*` — must be interruptible and parallelizable,
-//! and its parity with the serial path must be tested:
+//! `analyze_*` or `count_*` — must be interruptible, and its parity with
+//! the other engine routes must be tested:
 //!
-//! 1. a **budgeted twin** exists (`<name>_budgeted`), or the engine
-//!    itself takes a [`Budget`] parameter;
-//! 2. a **parallel twin** exists (`<name>_parallel`), or the engine
-//!    itself takes a [`ParallelConfig`] parameter;
-//! 3. the engine's name is referenced from `tests/engine_parity.rs`, the
+//! 1. the engine **is governed**: it takes a [`Budget`] parameter, or a
+//!    bare-`pub` member of its name family (`<name>_*`, e.g.
+//!    `<name>_budgeted` or `<name>_observed`) does;
+//! 2. the engine's name is referenced from `tests/engine_parity.rs`, the
 //!    differential harness that makes the Theorem 4.1 / Theorem 5.1
 //!    bit-identity contract executable.
 //!
-//! Names ending in `_budgeted` / `_parallel` are twins, not bases, and
-//! are skipped. The discovered engine list is exposed via
+//! One more clause: no bare-`pub` `fn` in `crates/core/src` binds a
+//! [`ParallelConfig`] parameter to an `_`-prefixed name. A thread count
+//! the body never reads promises a parallel route that does not exist.
+//!
+//! Names ending in `_budgeted` / `_parallel` are family members, not
+//! bases, and are skipped. The discovered engine list is exposed via
 //! [`engine_bases`] so `tests/engine_parity.rs` can assert at runtime
 //! that the registry and the parity suite stay in sync.
 
 use super::{flag, fn_decls};
+use crate::lexer::{TokKind, Token};
 use crate::source::{Violation, Workspace};
 
 /// Rule id for `lint-allow`.
@@ -28,20 +32,20 @@ pub const PARITY_TEST: &str = "tests/engine_parity.rs";
 /// A discovered engine base function.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineBase {
-    /// The engine's function name (e.g. `count_dp`).
+    /// The engine's function name (e.g. `count_dp_observed`).
     pub name: String,
     /// Workspace-relative file.
     pub file: String,
     /// 1-based line of the declaration.
     pub line: u32,
     /// `true` if a `lint-allow(engine-twins)` directive covers the
-    /// declaration (such engines are exempt from the twin checks but are
+    /// declaration (such engines are exempt from the checks but are
     /// still listed).
     pub allowed: bool,
 }
 
 /// `true` iff `name` is an engine *base* name: matches the verb patterns
-/// and is not itself a twin.
+/// and is not itself a `_budgeted` / `_parallel` family member.
 #[must_use]
 pub fn is_engine_base_name(name: &str) -> bool {
     let matches_verb = ["check_", "analyze_", "count_"]
@@ -70,19 +74,71 @@ pub fn engine_bases(ws: &Workspace) -> Vec<EngineBase> {
     bases
 }
 
-/// `true` iff some core library path declares `fn <name>`.
-fn core_declares_fn(ws: &Workspace, name: &str) -> bool {
-    ws.core_files().any(|file| {
-        fn_decls(file)
-            .iter()
-            .any(|d| d.name == name && !file.is_test_line(d.line))
-    })
+/// The parameters of a parameter list, split at top-level commas.
+fn params(tokens: &[Token]) -> Vec<&[Token]> {
+    let mut out = Vec::new();
+    let (mut depth, mut start) = (0i32, 0usize);
+    for (i, t) in tokens.iter().enumerate() {
+        // `->` inside a closure type is not a closing angle bracket.
+        let arrow = i > 0 && tokens[i - 1].is_punct('-');
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || (t.is_punct('>') && !arrow) {
+            depth -= 1;
+        } else if t.is_punct(',') && depth == 0 {
+            out.push(&tokens[start..i]);
+            start = i + 1;
+        }
+    }
+    if start < tokens.len() {
+        out.push(&tokens[start..]);
+    }
+    out
+}
+
+/// The `_`-prefixed name a parameter binds its [`ParallelConfig`] to,
+/// if it does.
+fn ignored_parallel_config(param: &[Token]) -> Option<&str> {
+    let colon = param.iter().position(|t| t.is_punct(':'))?;
+    let (pattern, ty) = param.split_at(colon);
+    let name = pattern.last()?;
+    let ignored = pattern.iter().all(|t| t.kind == TokKind::Ident) && name.text.starts_with('_');
+    (ignored && ty.iter().any(|t| t.is_ident("ParallelConfig"))).then_some(name.text.as_str())
 }
 
 /// Runs the rule.
 #[must_use]
 pub fn run(ws: &Workspace) -> Vec<Violation> {
     let mut out = Vec::new();
+    // Bare-pub core fns that take a `Budget`: the governed entries.
+    let mut governed = Vec::new();
+    for file in ws.core_files() {
+        for decl in fn_decls(file) {
+            if !decl.is_pub || file.is_test_line(decl.line) {
+                continue;
+            }
+            let (ps, pe) = decl.params;
+            let tokens = &file.tokens[ps..pe];
+            if tokens.iter().any(|t| t.is_ident("Budget")) {
+                governed.push(decl.name.clone());
+            }
+            for name in params(tokens)
+                .into_iter()
+                .filter_map(ignored_parallel_config)
+            {
+                flag(
+                    &mut out,
+                    file,
+                    RULE,
+                    decl.line,
+                    format!(
+                        "`{}` binds its `ParallelConfig` to `{name}` and never reads it: a thread count the body ignores promises a parallel route that does not exist — drop the parameter, and the function if it then duplicates another",
+                        decl.name
+                    ),
+                );
+            }
+        }
+    }
     let parity = ws.file(PARITY_TEST);
     for base in engine_bases(ws) {
         if base.allowed {
@@ -91,26 +147,10 @@ pub fn run(ws: &Workspace) -> Vec<Violation> {
         let file = ws
             .file(&base.file)
             .expect("engine base came from this workspace");
-        let decl = fn_decls(file)
-            .into_iter()
-            .find(|d| d.name == base.name && d.line == base.line)
-            .expect("engine base came from fn_decls");
-        let (ps, pe) = decl.params;
-        let param_has = |ty: &str| file.tokens[ps..pe].iter().any(|t| t.is_ident(ty));
-
-        if !param_has("Budget") && !core_declares_fn(ws, &format!("{}_budgeted", base.name)) {
-            flag(
-                &mut out,
-                file,
-                RULE,
-                base.line,
-                format!(
-                    "engine `{}` has no budgeted twin: declare `{}_budgeted` (or take a `&Budget` parameter) so the engine is interruptible",
-                    base.name, base.name
-                ),
-            );
-        }
-        if !param_has("ParallelConfig") && !core_declares_fn(ws, &format!("{}_parallel", base.name))
+        let family = format!("{}_", base.name);
+        if !governed
+            .iter()
+            .any(|g| *g == base.name || g.starts_with(&family))
         {
             flag(
                 &mut out,
@@ -118,8 +158,8 @@ pub fn run(ws: &Workspace) -> Vec<Violation> {
                 RULE,
                 base.line,
                 format!(
-                    "engine `{}` has no parallel twin: declare `{}_parallel` (or take a `&ParallelConfig` parameter) bit-identical to the serial path",
-                    base.name, base.name
+                    "engine `{}` is not governed: take a `&Budget` parameter, or declare a `pub` member of its name family (`{}*`) that does, so the engine is interruptible",
+                    base.name, family
                 ),
             );
         }
@@ -147,6 +187,7 @@ pub fn run(ws: &Workspace) -> Vec<Violation> {
             ),
         }
     }
+    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }
 
@@ -159,9 +200,9 @@ mod tests {
 
     #[test]
     fn base_name_classification() {
-        assert!(is_engine_base_name("count_dp"));
-        assert!(is_engine_base_name("check_resilient_with"));
-        assert!(is_engine_base_name("analyze_dp"));
+        assert!(is_engine_base_name("count_dp_observed"));
+        assert!(is_engine_base_name("check_resilient"));
+        assert!(is_engine_base_name("analyze_circuit"));
         assert!(!is_engine_base_name("count_dp_parallel"));
         assert!(!is_engine_base_name("analyze_budgeted"));
         assert!(!is_engine_base_name("decide_identity"));
@@ -169,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_twins_and_parity_reference_are_flagged() {
+    fn ungoverned_engine_and_missing_parity_reference_are_flagged() {
         let ws = Workspace::from_sources(&[
             (
                 "crates/core/src/widgets.rs",
@@ -178,35 +219,74 @@ mod tests {
             ("tests/engine_parity.rs", "#[test]\nfn other() {}\n"),
         ]);
         let v = run(&ws);
-        assert_eq!(
-            v.len(),
-            3,
-            "budgeted twin, parallel twin, parity ref: {v:?}"
-        );
+        assert_eq!(v.len(), 2, "ungoverned, parity ref: {v:?}");
         assert!(v.iter().all(|x| x.rule == RULE));
+        assert!(v[0].message.contains("is not governed"), "{v:?}");
+        assert!(v[1].message.contains("is not referenced"), "{v:?}");
     }
 
     #[test]
-    fn twins_by_declaration_or_parameter_pass() {
+    fn governed_by_parameter_or_family_member_passes() {
         let ws = Workspace::from_sources(&[
             (
                 "crates/core/src/widgets.rs",
-                "pub fn count_widgets(n: u64, budget: &Budget, config: &ParallelConfig) -> u64 { n }\n",
+                "pub fn count_widgets(n: u64, budget: &Budget) -> u64 { n }\n",
             ),
             ("tests/engine_parity.rs", PARITY_OK),
         ]);
         assert_eq!(run(&ws), vec![]);
 
+        // A `_budgeted` member is not a base; an `_observed` one is, and
+        // needs a parity reference of its own.
+        for member in ["count_widgets_budgeted", "count_widgets_observed"] {
+            let src = format!(
+                "pub fn count_widgets(n: u64) -> u64 {{ n }}\n\
+                 pub fn {member}(n: u64, b: &Budget, c: &ParallelConfig) -> u64 {{ n }}\n"
+            );
+            let parity = format!("{PARITY_OK}fn more() {{ {member}(1); }}\n");
+            let ws = Workspace::from_sources(&[
+                ("crates/core/src/widgets.rs", src.as_str()),
+                ("tests/engine_parity.rs", parity.as_str()),
+            ]);
+            assert_eq!(run(&ws), vec![], "{member}");
+        }
+    }
+
+    #[test]
+    fn private_family_members_do_not_govern() {
         let ws = Workspace::from_sources(&[
             (
                 "crates/core/src/widgets.rs",
                 "pub fn count_widgets(n: u64) -> u64 { n }\n\
-                 pub fn count_widgets_budgeted(n: u64, b: &Budget) -> u64 { n }\n\
-                 pub fn count_widgets_parallel(n: u64, b: &Budget, c: &ParallelConfig) -> u64 { n }\n",
+                 fn count_widgets_inner(n: u64, b: &Budget) -> u64 { n }\n",
             ),
             ("tests/engine_parity.rs", PARITY_OK),
         ]);
-        assert_eq!(run(&ws), vec![]);
+        let v = run(&ws);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("is not governed"));
+    }
+
+    #[test]
+    fn ignored_parallel_config_is_flagged_anywhere_in_core() {
+        let ws = Workspace::from_sources(&[
+            (
+                "crates/core/src/widgets.rs",
+                "pub fn count_widgets(n: u64, b: &Budget, _parallel: &ParallelConfig) -> u64 { n }\n\
+                 pub fn spread(f: impl Fn(u64) -> u64, _: &ParallelConfig) -> u64 { f(0) }\n\
+                 pub fn used(n: u64, parallel: &ParallelConfig) -> u64 { n }\n\
+                 fn private(_parallel: &ParallelConfig) {}\n",
+            ),
+            ("tests/engine_parity.rs", PARITY_OK),
+        ]);
+        let v = run(&ws);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0]
+            .message
+            .contains("`count_widgets` binds its `ParallelConfig` to `_parallel`"));
+        assert!(v[1]
+            .message
+            .contains("`spread` binds its `ParallelConfig` to `_`"));
     }
 
     #[test]
@@ -229,7 +309,7 @@ mod tests {
         let ws = Workspace::from_sources(&[
             (
                 "crates/core/src/widgets.rs",
-                "#[cfg(test)]\nmod tests {\n    pub fn count_fixtures() -> u64 { 0 }\n}\n",
+                "#[cfg(test)]\nmod tests {\n    pub fn count_fixtures(_p: &ParallelConfig) -> u64 { 0 }\n}\n",
             ),
             ("tests/engine_parity.rs", PARITY_OK),
         ]);

@@ -8,7 +8,7 @@
 //!
 //! | code | id | invariant |
 //! |------|----|-----------|
-//! | L1 | `engine-twins` | every `check_*`/`analyze_*`/`count_*` engine in `crates/core` has budgeted + parallel twins and an `engine_parity.rs` reference |
+//! | L1 | `engine-twins` | every `check_*`/`analyze_*`/`count_*` engine in `crates/core` takes a `Budget` (itself or through a `<name>_*` family member) and has an `engine_parity.rs` reference; no `pub fn` ignores a `ParallelConfig` |
 //! | L2 | `budget-bypass` | no `thread::spawn` / `Instant::now` / un-ticked `loop`/`while` outside `govern`/`partition` |
 //! | L3 | `relaxed-ordering` | every `Ordering::Relaxed` carries a justification |
 //! | L4 | `no-panic` | no `.unwrap()` / `.expect()` / `panic!` in `crates/core` library paths |
@@ -77,14 +77,19 @@ pub fn registry() -> Vec<LintRule> {
         LintRule {
             id: engine_twins::RULE,
             code: "L1",
-            summary: "core engines expose _budgeted/_parallel twins and an engine_parity.rs case",
+            summary: "core engines take a Budget (directly or via a <name>_* member) and have an engine_parity.rs case",
             explain: "Every super-polynomial engine entry point (a bare-pub \
-check_*/analyze_*/count_* fn in crates/core) must be interruptible and \
-parallelizable: declare <name>_budgeted and <name>_parallel twins (or take \
-&Budget / &ParallelConfig directly) and reference the base name from \
-tests/engine_parity.rs. The twins carry the paper's anytime contract; the \
-parity harness makes the serial/budgeted/parallel bit-identity executable. \
-Exempt a thin wrapper with lint-allow(engine-twins) and a justification.",
+check_*/analyze_*/count_* fn in crates/core) must be interruptible: it takes \
+&Budget itself, or a bare-pub member of its name family (<name>_*, e.g. \
+<name>_budgeted or <name>_observed) does. Its base name must appear in \
+tests/engine_parity.rs, which makes the bit-identity of every engine route \
+executable. One entry per engine carries the budget, the ParallelConfig and \
+the ObsSession as plain parameters, so the rule does not ask for twin \
+functions. It does forbid their old shape: no bare-pub fn in crates/core/src \
+may bind a ParallelConfig to an _-prefixed name, because a thread count the \
+body never reads promises a parallel route that does not exist. Drop the \
+parameter (and the function, if it then duplicates another). Exempt a thin \
+wrapper with lint-allow(engine-twins) and a justification.",
             run: engine_twins::run,
         },
         LintRule {
@@ -197,9 +202,9 @@ Test-only emissions do not count as coverage.",
             id: dead_twin::RULE,
             code: "L10",
             summary: "every registered engine twin is transitively called from tests/engine_parity.rs",
-            explain: "L1 makes twins exist and makes the harness mention the \
-base name; L10 closes the gap by requiring each <base>_budgeted / \
-<base>_parallel twin to be transitively *called* from \
+            explain: "L1 makes every engine governed and makes the harness \
+mention its base name; L10 closes the gap by requiring each <base>_budgeted \
+/ <base>_parallel twin that still exists to be transitively *called* from \
 tests/engine_parity.rs on the workspace call graph (call and reference \
 edges — a twin handed to a table-driven runner counts). A twin the parity \
 harness cannot reach is an untested bit-identity claim. Add a differential \

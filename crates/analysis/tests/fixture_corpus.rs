@@ -27,7 +27,8 @@ fn lint_fixture(name: &str) -> (Workspace, Vec<pscds_analysis::source::Violation
 /// the documented site count; each clean fixture is silent.
 #[test]
 fn corpus_violations_hit_exactly_the_intended_rule() {
-    let expected: [(&str, &str, usize); 4] = [
+    let expected: [(&str, &str, usize); 5] = [
+        ("l1_violation", "engine-twins", 2),
         ("l2_violation", "budget-bypass", 1),
         ("l8_violation", "determinism", 1),
         ("l9_violation", "counter-coverage", 2),
@@ -54,7 +55,7 @@ fn corpus_violations_hit_exactly_the_intended_rule() {
             );
         }
     }
-    for name in ["l2_clean", "l8_clean", "l9_clean", "l10_clean"] {
+    for name in ["l1_clean", "l2_clean", "l8_clean", "l9_clean", "l10_clean"] {
         let (_, violations) = lint_fixture(name);
         assert!(
             violations.is_empty(),
@@ -73,6 +74,8 @@ fn corpus_violations_hit_exactly_the_intended_rule() {
 #[test]
 fn corpus_reports_match_goldens_byte_for_byte() {
     for name in [
+        "l1_violation",
+        "l1_clean",
         "l2_violation",
         "l2_clean",
         "l8_violation",

@@ -17,12 +17,13 @@
 use pscds_bench::schema::BenchRecord;
 use pscds_bench::{markdown_table, Cell};
 use pscds_core::confidence::{
-    analyze_circuit, count_dp, CircuitConfig, CompiledCollection, DpConfig, SignatureAnalysis,
+    analyze_circuit, count_dp_observed, CircuitConfig, CompiledCollection, DpConfig,
+    SignatureAnalysis,
 };
 use pscds_core::govern::Budget;
-use pscds_core::obs::MetricSet;
+use pscds_core::obs::{MetricSet, ObsSession};
+use pscds_core::ParallelConfig;
 use pscds_datagen::symmetric::{generate, SymmetricConfig};
-use pscds_numeric::RowCache;
 use std::io::Write as _;
 use std::time::Instant;
 
@@ -70,12 +71,12 @@ fn main() {
     let mut dp_answers = Vec::with_capacity(queries);
     for q in 0..queries {
         let tuple = &tuples[q % tuples.len()];
-        let mut rows = RowCache::new();
-        let (analysis, _stats) = count_dp(
+        let (analysis, _stats) = count_dp_observed(
             SignatureAnalysis::new(&identity, padding),
             &budget,
+            &ParallelConfig::serial(),
             &DpConfig::default(),
-            &mut rows,
+            &mut ObsSession::disabled(),
         )
         .expect("unlimited budget");
         dp_answers.push(

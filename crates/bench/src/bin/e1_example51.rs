@@ -234,9 +234,12 @@ fn main() {
         let mut cells = vec![Cell::from(m)];
         for threads in [2usize, 8] {
             let config = ParallelConfig::with_threads(threads);
-            let par =
-                ConfidenceAnalysis::analyze_parallel(&identity, m, &Budget::unlimited(), &config)
-                    .expect("unlimited budget");
+            let par = ConfidenceAnalysis::from_signature_analysis_parallel(
+                SignatureAnalysis::new(&identity, m),
+                &Budget::unlimited(),
+                &config,
+            )
+            .expect("unlimited budget");
             assert_eq!(par.world_count(), serial.world_count(), "m={m} t={threads}");
             for sym in ["a", "b", "c"] {
                 assert_eq!(

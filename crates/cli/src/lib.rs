@@ -42,8 +42,8 @@ use pscds_core::govern::Budget;
 use pscds_core::measures::measure;
 use pscds_core::obs::{render_summary, JsonlSink, ObsSession};
 use pscds_core::resilient::{
-    confidence_over_stream, confidence_resilient_observed, confidence_under_faults,
-    FaultAwareConfidence, LadderPolicy, ResilientConfidence,
+    confidence_over_stream, confidence_resilient, confidence_under_faults, FaultAwareConfidence,
+    LadderPolicy, ResilientConfidence,
 };
 use pscds_core::source::{AccessPolicy, RetryPolicy, SourceStatus};
 use pscds_core::textfmt::{format_interval, parse_collection};
@@ -1056,12 +1056,13 @@ fn confidence_output(
     let mut out = String::new();
     match opts.engine {
         EngineChoice::Auto => {
-            let result = confidence_resilient_observed(
+            let result = confidence_resilient(
                 &identity,
                 padding,
                 &budget,
                 &parallel,
                 opts.approx,
+                &LadderPolicy::default(),
                 obs,
             )?;
             match &result {
@@ -1130,8 +1131,11 @@ fn confidence_output(
             render_exact_confidence(&mut out, &analysis, &identity, padding)?;
         }
         EngineChoice::Signature => {
-            let analysis =
-                ConfidenceAnalysis::analyze_parallel(&identity, padding, &budget, &parallel)?;
+            let analysis = ConfidenceAnalysis::from_signature_analysis_parallel(
+                SignatureAnalysis::new(&identity, padding),
+                &budget,
+                &parallel,
+            )?;
             let _ = writeln!(out, "engine: signature (exact, padding {padding})");
             render_exact_confidence(&mut out, &analysis, &identity, padding)?;
         }

@@ -29,6 +29,11 @@
 //! structure, so one compile amortizes across arbitrarily many queries —
 //! the compile-once/query-many regime experiment E11 measures.
 //!
+//! The compile and every query are serial: a traversal is one linear
+//! sweep over the arena with nothing to partition, so no entry takes a
+//! thread count. The resilient ladder's circuit rung records each phase
+//! under its own span through `govern::observe_phase`.
+//!
 //! # Node identity and residual-key canonicalization
 //!
 //! The arena that answers queries is keyed on the **exact** residual key
@@ -67,9 +72,8 @@ use crate::confidence::residual::{Fold, Residual, ResidualKey};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
-use crate::partition::ParallelConfig;
 use pscds_numeric::{Rational, RowCache, UBig};
-use pscds_obs::{names, MetricSet, ObsSession};
+use pscds_obs::{names, MetricSet};
 use pscds_relational::Value;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -519,53 +523,6 @@ pub fn compile_circuit(
     Ok(circuit)
 }
 
-/// The **instrumented** compile route: identical to [`compile_circuit`],
-/// plus a `circuit.compile` span carrying the compile's step charge (the
-/// compile is serial, so the raw delta is thread-invariant), a
-/// `circuit.compile_steps` histogram sample, and the circuit-size
-/// counters merged into the session. With a disabled session this is
-/// exactly [`compile_circuit`].
-///
-/// # Errors
-/// As [`compile_circuit`]; a budget trip additionally records a
-/// `budget.trips` increment and a `budget.trip` event.
-pub fn compile_circuit_observed(
-    analysis: SignatureAnalysis,
-    budget: &Budget,
-    config: &CircuitConfig,
-    obs: &mut ObsSession,
-) -> Result<CompiledCircuit, CoreError> {
-    if !obs.is_enabled() {
-        return compile_circuit(analysis, budget, config);
-    }
-    obs.span_open(names::SPAN_CIRCUIT_COMPILE, budget.elapsed_ns());
-    obs.span_attr("engine", "circuit");
-    let steps_before = budget.steps();
-    let result = compile_circuit(analysis, budget, config);
-    let delta = budget.steps() - steps_before;
-    obs.charge_steps(delta);
-    obs.histogram_record(names::CIRCUIT_COMPILE_STEPS, delta);
-    match &result {
-        Ok(circuit) => {
-            let mut metrics = MetricSet::new();
-            circuit.stats().record_into(&mut metrics);
-            obs.merge_metrics(&metrics);
-        }
-        Err(CoreError::BudgetExceeded { phase, .. }) => {
-            obs.counter_add(names::BUDGET_TRIPS, 1);
-            let phase = phase.clone();
-            obs.event(
-                names::EVENT_BUDGET_TRIP,
-                budget.elapsed_ns(),
-                &[("phase", phase.as_str())],
-            );
-        }
-        Err(_) => {}
-    }
-    obs.span_close(budget.elapsed_ns());
-    result
-}
-
 /// [`compile_circuit`] plus the compile-time memo, so the caller (the
 /// delta engine) can later resume the compile with [`patch_compile`].
 ///
@@ -736,62 +693,6 @@ pub fn analyze_circuit_budgeted(
     ))
 }
 
-/// Parallel twin of [`analyze_circuit_budgeted`]. The reach pass is a
-/// single linear sweep over an arena the compile already shrank to one
-/// node per residual state — there is no independent work to partition
-/// — so every thread count runs the identical serial traversal (the
-/// same convention as `count_dp_shared_parallel`): bit-identical
-/// results for 1, 2, or 8 threads by construction.
-///
-/// # Errors
-/// As [`analyze_circuit_budgeted`].
-pub fn analyze_circuit_parallel(
-    circuit: &CompiledCircuit,
-    budget: &Budget,
-    _parallel: &ParallelConfig,
-) -> Result<ConfidenceAnalysis, CoreError> {
-    analyze_circuit_budgeted(circuit, budget)
-}
-
-/// The **instrumented** traversal route: identical to
-/// [`analyze_circuit_parallel`] (the reach pass is one serial sweep at
-/// every thread count, so the raw step delta is thread-invariant), plus
-/// a `circuit.traverse` span carrying the traversal's step charge and a
-/// `circuit.traverse_steps` histogram sample. With a disabled session
-/// this is exactly [`analyze_circuit_parallel`].
-///
-/// # Errors
-/// As [`analyze_circuit_budgeted`]; a budget trip additionally records a
-/// `budget.trips` increment and a `budget.trip` event.
-pub fn analyze_circuit_observed(
-    circuit: &CompiledCircuit,
-    budget: &Budget,
-    parallel: &ParallelConfig,
-    obs: &mut ObsSession,
-) -> Result<ConfidenceAnalysis, CoreError> {
-    if !obs.is_enabled() {
-        return analyze_circuit_parallel(circuit, budget, parallel);
-    }
-    obs.span_open(names::SPAN_CIRCUIT_TRAVERSE, budget.elapsed_ns());
-    obs.span_attr("engine", "circuit");
-    let steps_before = budget.steps();
-    let result = analyze_circuit_parallel(circuit, budget, parallel);
-    let delta = budget.steps() - steps_before;
-    obs.charge_steps(delta);
-    obs.histogram_record(names::CIRCUIT_TRAVERSE_STEPS, delta);
-    if let Err(CoreError::BudgetExceeded { phase, .. }) = &result {
-        obs.counter_add(names::BUDGET_TRIPS, 1);
-        let phase = phase.clone();
-        obs.event(
-            names::EVENT_BUDGET_TRIP,
-            budget.elapsed_ns(),
-            &[("phase", phase.as_str())],
-        );
-    }
-    obs.span_close(budget.elapsed_ns());
-    result
-}
-
 /// Bottom-up falling-factorial moment pass: returns
 /// `W(e) = Σ_vec Π_j C(n_j, k_j) · k_j·(k_j−1)···(k_j−e_j+1)`,
 /// the world count weighted by the number of ways to pin `e_j` ordered
@@ -910,24 +811,6 @@ pub fn analyze_circuit_conditional_budgeted(
     Ok(Rational::new(joint_weight, given_weight.mul_u64(remaining)))
 }
 
-/// Parallel twin of [`analyze_circuit_conditional_budgeted`] — the
-/// moment passes are linear arena sweeps with nothing to partition, so
-/// all thread counts run the identical serial traversal (bit-identical
-/// by construction; same convention as [`analyze_circuit_parallel`]).
-///
-/// # Errors
-/// As [`analyze_circuit_conditional_budgeted`].
-pub fn analyze_circuit_conditional_parallel(
-    circuit: &CompiledCircuit,
-    collection: &IdentityCollection,
-    tuple: &[Value],
-    given: &[Vec<Value>],
-    budget: &Budget,
-    _parallel: &ParallelConfig,
-) -> Result<Rational, CoreError> {
-    analyze_circuit_conditional_budgeted(circuit, collection, tuple, given, budget)
-}
-
 /// The `k` highest-confidence named extension tuples, from one reach
 /// pass: ties broken by tuple order (ascending), matching the CLI's
 /// rendering order, so the result is a prefix of the full sorted
@@ -968,20 +851,6 @@ pub fn analyze_circuit_topk_budgeted(
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     rows.truncate(k);
     Ok(rows)
-}
-
-/// Parallel twin of [`analyze_circuit_topk_budgeted`] — delegates to
-/// the serial traversal (see [`analyze_circuit_parallel`]).
-///
-/// # Errors
-/// As [`analyze_circuit_topk_budgeted`].
-pub fn analyze_circuit_topk_parallel(
-    circuit: &CompiledCircuit,
-    k: usize,
-    budget: &Budget,
-    _parallel: &ParallelConfig,
-) -> Result<Vec<(Vec<Value>, Rational)>, CoreError> {
-    analyze_circuit_topk_budgeted(circuit, k, budget)
 }
 
 /// A two-level cache of compiled circuits, so one compile amortizes
@@ -1145,10 +1014,13 @@ impl CompiledCollection {
 mod tests {
     use super::*;
     use crate::collection::SourceCollection;
+    use crate::confidence::dp::{count_dp_observed, DpConfig};
     use crate::descriptor::SourceDescriptor;
     use crate::paper::example_5_1;
+    use crate::partition::ParallelConfig;
     use crate::resilient::tests_support::wide_slack_identity;
     use pscds_numeric::Frac;
+    use pscds_obs::ObsSession;
 
     fn compile_example(m: u64) -> CompiledCircuit {
         let collection = example_5_1().as_identity().unwrap();
@@ -1178,7 +1050,14 @@ mod tests {
             let circuit = compile_example(m);
             let from_circuit = analyze_circuit(&circuit);
             let dfs = ConfidenceAnalysis::analyze(&collection, padding);
-            let dp = ConfidenceAnalysis::analyze_dp(&collection, padding);
+            let (dp, _) = count_dp_observed(
+                SignatureAnalysis::new(&collection, padding),
+                &Budget::unlimited(),
+                &ParallelConfig::serial(),
+                &DpConfig::default(),
+                &mut ObsSession::disabled(),
+            )
+            .unwrap();
             assert_same_analysis(&from_circuit, &dfs);
             assert_same_analysis(&from_circuit, &dp);
         }
@@ -1420,44 +1299,6 @@ mod tests {
             let top = analyze_circuit_topk(&circuit, k).unwrap();
             assert_eq!(top.len(), k.min(full.len()));
             assert_eq!(top[..], full[..k.min(full.len())]);
-        }
-    }
-
-    #[test]
-    fn parallel_twins_are_bit_identical() {
-        let collection = example_5_1().as_identity().unwrap();
-        let circuit = compile_example(5);
-        let budget = Budget::unlimited();
-        let serial = analyze_circuit_budgeted(&circuit, &budget).unwrap();
-        for threads in [1usize, 2, 8] {
-            let parallel = ParallelConfig::with_threads(threads);
-            let par = analyze_circuit_parallel(&circuit, &budget, &parallel).unwrap();
-            assert_same_analysis(&serial, &par);
-            let tuple = [Value::sym("a")];
-            let given = vec![vec![Value::sym("b")]];
-            assert_eq!(
-                analyze_circuit_conditional_parallel(
-                    &circuit,
-                    &collection,
-                    &tuple,
-                    &given,
-                    &budget,
-                    &parallel
-                )
-                .unwrap(),
-                analyze_circuit_conditional_budgeted(
-                    &circuit,
-                    &collection,
-                    &tuple,
-                    &given,
-                    &budget
-                )
-                .unwrap()
-            );
-            assert_eq!(
-                analyze_circuit_topk_parallel(&circuit, 2, &budget, &parallel).unwrap(),
-                analyze_circuit_topk_budgeted(&circuit, 2, &budget).unwrap()
-            );
         }
     }
 

@@ -12,13 +12,17 @@
 //! which stays integral because `k·C(n,k) = n·C(n−1,k−1)`; we accumulate
 //! the numerator `Σ Π C · k_σ₀` and divide by `|class σ₀| · N_sol(Γ)` at
 //! the end, in exact rational arithmetic.
+//!
+//! [`ConfidenceAnalysis::from_signature_analysis_parallel`] is the one
+//! governed entry: the serial walk and the prefix-chunk workers fold each
+//! feasible vector through the same per-vector sum.
 
 use crate::collection::IdentityCollection;
-use crate::confidence::dp::{self, DpConfig, DpStats};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
 use crate::partition::{self, ParallelConfig};
+use pscds_numeric::binomial::RowId;
 use pscds_numeric::{Rational, RowCache, UBig};
 use pscds_relational::Value;
 
@@ -75,76 +79,54 @@ impl ConfidenceAnalysis {
         budget: &Budget,
     ) -> Result<Self, CoreError> {
         let analysis = SignatureAnalysis::new(collection, padding);
-        Self::from_signature_analysis_budgeted(analysis, budget)
+        Self::from_signature_analysis_parallel(analysis, budget, &ParallelConfig::serial())
     }
 
-    /// Runs the exact counter over a prebuilt decomposition.
-    #[must_use]
-    pub fn from_signature_analysis(analysis: SignatureAnalysis) -> Self {
-        Self::from_signature_analysis_budgeted(analysis, &Budget::unlimited())
-            // lint-allow(no-panic): an unlimited budget has no deadline, step cap, or cancel flag to trip
-            .expect("an unlimited budget never interrupts the counter")
-    }
-
-    /// Budget-governed variant of
-    /// [`ConfidenceAnalysis::from_signature_analysis`].
+    /// The counter over a prebuilt decomposition. A serial `config` walks
+    /// the whole feasibility DFS; otherwise the DFS is split into prefix
+    /// chunks (see [`SignatureAnalysis::prefix_plan`]) counted across
+    /// `config.threads()` workers. The per-chunk sums are exact `UBig`
+    /// values merged in chunk order, so the result is bit-identical for
+    /// every thread count.
     ///
     /// # Errors
     /// [`CoreError::BudgetExceeded`] when the budget runs out before the
     /// count completes.
-    pub fn from_signature_analysis_budgeted(
+    pub fn from_signature_analysis_parallel(
         analysis: SignatureAnalysis,
         budget: &Budget,
+        config: &ParallelConfig,
     ) -> Result<Self, CoreError> {
-        Self::from_signature_analysis_with_rows(analysis, budget, &mut RowCache::new())
-    }
-
-    /// [`ConfidenceAnalysis::from_signature_analysis_budgeted`] with a
-    /// caller-supplied [`RowCache`], so repeated engine calls over related
-    /// decompositions (equal class sizes) reuse the same Pascal rows.
-    ///
-    /// # Errors
-    /// As [`ConfidenceAnalysis::from_signature_analysis_budgeted`].
-    pub fn from_signature_analysis_with_rows(
-        analysis: SignatureAnalysis,
-        budget: &Budget,
-        rows: &mut RowCache,
-    ) -> Result<Self, CoreError> {
-        // Binomial rows are interned and extended lazily: the feasibility
-        // pruning often visits only a tiny prefix of each row (for Example
-        // 5.1 the million-fact padding class never needs k > 1), and a full
-        // Pascal row of a 10^6-sized class would be astronomically large.
-        let row_ids: Vec<_> = analysis
-            .classes()
-            .iter()
-            .map(|c| rows.intern(c.size))
-            .collect();
+        let tallies = if config.is_serial() {
+            // The whole walk, not the empty-prefix chunk: a chunk ticks
+            // once more on entry.
+            let mut tally = Tally::new(&analysis);
+            analysis.try_for_each_feasible(budget, |counts| tally.add(counts))?;
+            vec![tally]
+        } else {
+            let prefixes = analysis.prefix_plan(config.target_chunks());
+            let outcomes =
+                partition::run_chunks(config, budget, &prefixes, |_, prefix, budget, _| {
+                    let mut tally = Tally::new(&analysis);
+                    analysis.try_for_each_feasible_from(prefix, budget, |counts| {
+                        tally.add(counts);
+                    })?;
+                    Ok(tally)
+                })?;
+            outcomes.into_iter().flatten().collect()
+        };
+        // Exact integer sums are associative and commutative; merging in
+        // chunk order makes the outcome independent of scheduling anyway.
         let mut total = UBig::zero();
         let mut class_numerators = vec![UBig::zero(); analysis.classes().len()];
         let mut feasible_vectors = 0u64;
-        // One product and one scratch buffer reused across the whole
-        // enumeration: the hot multiply loop allocates nothing once the
-        // buffers reach their steady-state size.
-        let mut product = UBig::zero();
-        let mut scratch = UBig::zero();
-        analysis.try_for_each_feasible(budget, |counts| {
-            feasible_vectors += 1;
-            product.set_u64(1);
-            for (j, &k) in counts.iter().enumerate() {
-                if k > 0 {
-                    // C(n, 0) = 1: skip the no-op factor.
-                    rows.get(row_ids[j], k).mul_into(&product, &mut scratch);
-                    std::mem::swap(&mut product, &mut scratch);
-                }
+        for tally in tallies {
+            total.add_assign(&tally.total);
+            for (acc, part) in class_numerators.iter_mut().zip(&tally.class_numerators) {
+                acc.add_assign(part);
             }
-            total.add_assign(&product);
-            for (j, &k) in counts.iter().enumerate() {
-                if k > 0 {
-                    product.mul_u64_into(k, &mut scratch);
-                    class_numerators[j].add_assign(&scratch);
-                }
-            }
-        })?;
+            feasible_vectors += tally.vectors;
+        }
         Ok(ConfidenceAnalysis {
             analysis,
             total,
@@ -176,148 +158,6 @@ impl ConfidenceAnalysis {
             class_numerators,
             feasible_vectors,
         }
-    }
-
-    /// Runs the memoized residual-state DP (see [`crate::confidence::dp`])
-    /// — the same exact result as [`ConfidenceAnalysis::analyze`], reached
-    /// pseudo-polynomially on instances whose DFS re-enters the same
-    /// residual states (padded domains, wide slack classes).
-    #[must_use]
-    pub fn analyze_dp(collection: &IdentityCollection, padding: u64) -> Self {
-        Self::analyze_dp_budgeted(collection, padding, &Budget::unlimited())
-            // lint-allow(no-panic): an unlimited budget has no deadline, step cap, or cancel flag to trip
-            .expect("an unlimited budget never interrupts the counter")
-    }
-
-    /// Budget-governed variant of [`ConfidenceAnalysis::analyze_dp`] with
-    /// the default memo limits; use [`dp::count_dp`] directly for explicit
-    /// [`DpConfig`] control and cache statistics.
-    ///
-    /// # Errors
-    /// [`CoreError::BudgetExceeded`] when the budget runs out before the
-    /// count completes.
-    pub fn analyze_dp_budgeted(
-        collection: &IdentityCollection,
-        padding: u64,
-        budget: &Budget,
-    ) -> Result<Self, CoreError> {
-        let analysis = SignatureAnalysis::new(collection, padding);
-        let (result, _stats): (Self, DpStats) =
-            dp::count_dp(analysis, budget, &DpConfig::default(), &mut RowCache::new())?;
-        Ok(result)
-    }
-
-    /// Work-partitioned parallel variant of
-    /// [`ConfidenceAnalysis::analyze_dp_budgeted`] (see
-    /// [`dp::count_dp_parallel`]); bit-identical to the serial DP — and to
-    /// the DFS counter — for every thread count.
-    ///
-    /// # Errors
-    /// As [`ConfidenceAnalysis::analyze_dp_budgeted`].
-    pub fn analyze_dp_parallel(
-        collection: &IdentityCollection,
-        padding: u64,
-        budget: &Budget,
-        config: &ParallelConfig,
-    ) -> Result<Self, CoreError> {
-        let analysis = SignatureAnalysis::new(collection, padding);
-        let (result, _stats) =
-            dp::count_dp_parallel(analysis, budget, config, &DpConfig::default())?;
-        Ok(result)
-    }
-
-    /// Work-partitioned parallel variant of
-    /// [`ConfidenceAnalysis::analyze_budgeted`]: the feasibility DFS is
-    /// split into prefix chunks (see [`SignatureAnalysis::prefix_plan`])
-    /// counted across `config.threads()` workers. The per-chunk sums are
-    /// exact `UBig` values merged in chunk order, so the result is
-    /// bit-identical to the serial counter for every thread count;
-    /// `config.threads() == 1` runs the untouched serial path.
-    ///
-    /// # Errors
-    /// As [`ConfidenceAnalysis::analyze_budgeted`].
-    pub fn analyze_parallel(
-        collection: &IdentityCollection,
-        padding: u64,
-        budget: &Budget,
-        config: &ParallelConfig,
-    ) -> Result<Self, CoreError> {
-        let analysis = SignatureAnalysis::new(collection, padding);
-        Self::from_signature_analysis_parallel(analysis, budget, config)
-    }
-
-    /// Parallel variant of
-    /// [`ConfidenceAnalysis::from_signature_analysis_budgeted`] (see
-    /// [`ConfidenceAnalysis::analyze_parallel`]).
-    ///
-    /// # Errors
-    /// As [`ConfidenceAnalysis::from_signature_analysis_budgeted`].
-    pub fn from_signature_analysis_parallel(
-        analysis: SignatureAnalysis,
-        budget: &Budget,
-        config: &ParallelConfig,
-    ) -> Result<Self, CoreError> {
-        if config.is_serial() {
-            return Self::from_signature_analysis_budgeted(analysis, budget);
-        }
-        struct Partial {
-            total: UBig,
-            class_numerators: Vec<UBig>,
-            feasible_vectors: u64,
-        }
-        let n_classes = analysis.classes().len();
-        let prefixes = analysis.prefix_plan(config.target_chunks());
-        let outcomes = partition::run_chunks(config, budget, &prefixes, |_, prefix, budget, _| {
-            let mut rows = RowCache::new();
-            let row_ids: Vec<_> = analysis
-                .classes()
-                .iter()
-                .map(|c| rows.intern(c.size))
-                .collect();
-            let mut partial = Partial {
-                total: UBig::zero(),
-                class_numerators: vec![UBig::zero(); n_classes],
-                feasible_vectors: 0,
-            };
-            let mut product = UBig::zero();
-            let mut scratch = UBig::zero();
-            analysis.try_for_each_feasible_from(prefix, budget, |counts| {
-                partial.feasible_vectors += 1;
-                product.set_u64(1);
-                for (j, &k) in counts.iter().enumerate() {
-                    if k > 0 {
-                        rows.get(row_ids[j], k).mul_into(&product, &mut scratch);
-                        std::mem::swap(&mut product, &mut scratch);
-                    }
-                }
-                partial.total.add_assign(&product);
-                for (j, &k) in counts.iter().enumerate() {
-                    if k > 0 {
-                        product.mul_u64_into(k, &mut scratch);
-                        partial.class_numerators[j].add_assign(&scratch);
-                    }
-                }
-            })?;
-            Ok(partial)
-        })?;
-        // Exact integer sums are associative and commutative; merging in
-        // chunk order makes the outcome independent of scheduling anyway.
-        let mut total = UBig::zero();
-        let mut class_numerators = vec![UBig::zero(); n_classes];
-        let mut feasible_vectors = 0u64;
-        for partial in outcomes.into_iter().flatten() {
-            total.add_assign(&partial.total);
-            for (acc, part) in class_numerators.iter_mut().zip(&partial.class_numerators) {
-                acc.add_assign(part);
-            }
-            feasible_vectors += partial.feasible_vectors;
-        }
-        Ok(ConfidenceAnalysis {
-            analysis,
-            total,
-            class_numerators,
-            feasible_vectors,
-        })
     }
 
     /// `N_sol(Γ)` — the number of possible worlds over the finite domain.
@@ -473,11 +313,8 @@ impl ConfidenceAnalysis {
                 message: format!("class of size {ni} holds no two distinct facts"),
             });
         }
-        let mut rows = RowCache::new();
-        let row_ids: Vec<_> = classes.iter().map(|c| rows.intern(c.size)).collect();
+        let mut tally = Tally::new(&self.analysis);
         let mut num = UBig::zero();
-        let mut product = UBig::zero();
-        let mut scratch = UBig::zero();
         self.analysis.for_each_feasible(|counts| {
             let weight = if class_i == class_j {
                 let k = counts[class_i];
@@ -492,15 +329,9 @@ impl ConfidenceAnalysis {
                 }
                 prod
             };
-            product.set_u64(1);
-            for (j, &k) in counts.iter().enumerate() {
-                if k > 0 {
-                    rows.get(row_ids[j], k).mul_into(&product, &mut scratch);
-                    std::mem::swap(&mut product, &mut scratch);
-                }
-            }
-            product.mul_u64_into(weight, &mut scratch);
-            num.add_assign(&scratch);
+            tally.weigh(counts);
+            tally.product.mul_u64_into(weight, &mut tally.scratch);
+            num.add_assign(&tally.scratch);
         });
         let den = if class_i == class_j {
             self.total.mul_u64(ni).mul_u64(ni - 1)
@@ -551,6 +382,73 @@ impl ConfidenceAnalysis {
                 message: "analysis has no padding class (padding = 0)".into(),
             })?;
         self.class_confidence(idx)
+    }
+}
+
+/// One walk's share of the count: every feasible count vector's binomial
+/// product `Π_σ C(|σ|, k_σ)`, summed into the world total and, scaled by
+/// each class's count, into the class numerators.
+struct Tally {
+    /// Binomial rows are interned and extended lazily: the feasibility
+    /// pruning often visits only a tiny prefix of each row (for Example
+    /// 5.1 the million-fact padding class never needs k > 1), and a full
+    /// Pascal row of a 10^6-sized class would be astronomically large.
+    rows: RowCache,
+    row_ids: Vec<RowId>,
+    /// One product and one scratch buffer reused across the whole walk:
+    /// the hot multiply loop allocates nothing once the buffers reach
+    /// their steady-state size.
+    product: UBig,
+    scratch: UBig,
+    total: UBig,
+    class_numerators: Vec<UBig>,
+    vectors: u64,
+}
+
+impl Tally {
+    fn new(analysis: &SignatureAnalysis) -> Self {
+        let mut rows = RowCache::new();
+        let row_ids = analysis
+            .classes()
+            .iter()
+            .map(|c| rows.intern(c.size))
+            .collect();
+        Tally {
+            rows,
+            row_ids,
+            product: UBig::zero(),
+            scratch: UBig::zero(),
+            total: UBig::zero(),
+            class_numerators: vec![UBig::zero(); analysis.classes().len()],
+            vectors: 0,
+        }
+    }
+
+    /// Sets `product` to the binomial product of `counts`.
+    fn weigh(&mut self, counts: &[u64]) {
+        self.product.set_u64(1);
+        for (j, &k) in counts.iter().enumerate() {
+            if k > 0 {
+                // C(n, 0) = 1: skip the no-op factor.
+                self.rows
+                    .get(self.row_ids[j], k)
+                    .mul_into(&self.product, &mut self.scratch);
+                std::mem::swap(&mut self.product, &mut self.scratch);
+            }
+        }
+    }
+
+    /// Adds one feasible count vector.
+    fn add(&mut self, counts: &[u64]) {
+        self.vectors += 1;
+        self.weigh(counts);
+        self.total.add_assign(&self.product);
+        for (j, &k) in counts.iter().enumerate() {
+            if k > 0 {
+                self.product.mul_u64_into(k, &mut self.scratch);
+                self.class_numerators[j].add_assign(&self.scratch);
+            }
+        }
     }
 }
 
@@ -870,9 +768,12 @@ mod tests {
             let serial = ConfidenceAnalysis::analyze(&id, m);
             for threads in [1usize, 2, 8] {
                 let config = ParallelConfig::with_threads(threads);
-                let par =
-                    ConfidenceAnalysis::analyze_parallel(&id, m, &Budget::unlimited(), &config)
-                        .unwrap();
+                let par = ConfidenceAnalysis::from_signature_analysis_parallel(
+                    SignatureAnalysis::new(&id, m),
+                    &Budget::unlimited(),
+                    &config,
+                )
+                .unwrap();
                 assert_eq!(par.world_count(), serial.world_count(), "m={m} t={threads}");
                 assert_eq!(
                     par.feasible_vectors(),
@@ -898,9 +799,8 @@ mod tests {
     fn parallel_counter_propagates_budget_errors() {
         use crate::resilient::tests_support::wide_slack_identity;
         let id = wide_slack_identity(6, 9);
-        let err = ConfidenceAnalysis::analyze_parallel(
-            &id,
-            0,
+        let err = ConfidenceAnalysis::from_signature_analysis_parallel(
+            SignatureAnalysis::new(&id, 0),
             &Budget::with_max_steps(200),
             &ParallelConfig::with_threads(4),
         )

@@ -39,23 +39,26 @@
 //! against a fresh cache, and the consensus sweep keeps one cache across
 //! all its runs.
 //!
-//! # Parallel fan-out
+//! # Chunks and telemetry
 //!
-//! [`count_dp_parallel`] partitions the top of the search tree with
-//! [`SignatureAnalysis::prefix_plan`] and runs one DP per prefix chunk
-//! through [`partition::run_chunks`], each with a fresh cache (caches
-//! are not shared across workers — `Rc` nodes are cheap, locks are not).
+//! [`count_dp_observed`] is the one entry over a private cache. It runs
+//! one DP per prefix chunk from [`SignatureAnalysis::prefix_plan`]
+//! through [`partition::run_chunks`], each with a fresh cache (caches are
+//! not shared across workers — `Rc` nodes are cheap, locks are not).
 //! Per-chunk results are exact integers merged in chunk order and
 //! per-chunk cache statistics are folded deterministically (sums, and
 //! the bookkeeping inherits `run_chunks`' lowest-chunk-wins error
-//! ordering), so the outcome is bit-identical to the serial DP — and to
-//! the serial DFS — at every thread count.
+//! ordering), so the outcome is bit-identical to one whole-tree walk —
+//! and to the serial DFS — at every thread count. An untraced serial run
+//! plans just the empty prefix: one walk over the whole tree.
+//! [`count_dp_shared`] is the serial walk against a caller-owned
+//! [`SharedDpCache`].
 
 use crate::confidence::counting::ConfidenceAnalysis;
 use crate::confidence::residual::{Fold, Residual, ResidualKey};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::error::CoreError;
-use crate::govern::Budget;
+use crate::govern::{record_trip, Budget};
 use crate::partition::{self, ParallelConfig};
 use pscds_numeric::binomial::RowId;
 use pscds_numeric::{RowCache, UBig};
@@ -206,8 +209,8 @@ type Memo = HashMap<ResidualKey, Rc<DpNode>>;
 /// run's node is reported as [`DpStats::cross_subset_hits`] — the
 /// quantity the `dp.cross_subset_hits` counter tracks.
 ///
-/// The memo is single-threaded (nodes are `Rc`);
-/// [`count_dp_shared_parallel`] documents how the parallel twin degrades.
+/// The memo is single-threaded (nodes are `Rc`), so
+/// [`count_dp_shared`] is a serial walk.
 #[derive(Default)]
 pub struct SharedDpCache {
     /// Structural encoding → interned context id (an index into `memos`).
@@ -277,7 +280,7 @@ impl SharedDpCache {
 /// once, for the whole run).
 struct DpFold<'r> {
     analysis: &'r SignatureAnalysis,
-    rows: &'r mut RowCache,
+    rows: RowCache,
     memo: &'r mut Memo,
     /// The cache's total node count, shared by all its contexts.
     entries: &'r mut usize,
@@ -303,11 +306,7 @@ struct DpAcc {
 impl<'r> DpFold<'r> {
     /// Interns the analysis's projected structure in `cache` and opens a
     /// new run against that context.
-    fn begin(
-        analysis: &'r SignatureAnalysis,
-        cache: &'r mut SharedDpCache,
-        rows: &'r mut RowCache,
-    ) -> Self {
+    fn begin(analysis: &'r SignatureAnalysis, cache: &'r mut SharedDpCache) -> Self {
         let next = cache.memos.len();
         let ctx = *cache
             .contexts
@@ -320,7 +319,7 @@ impl<'r> DpFold<'r> {
         cache.runs = cache.runs.saturating_add(1);
         DpFold {
             analysis,
-            rows,
+            rows: RowCache::new(),
             memo: &mut cache.memos[ctx],
             entries: &mut cache.entries,
             max_entries: cache.max_entries,
@@ -445,13 +444,12 @@ fn replay_check(analysis: &SignatureAnalysis, j: usize, t: &[u64], w: u64, node:
 }
 
 /// The one DP driver: advances the root state through `prefix` (a
-/// parallel chunk's fixed classes; empty for a whole run), walks the
-/// suffix against `cache`, and scales the suffix aggregates by the
-/// prefix weight.
+/// chunk's fixed classes; empty for a whole-tree walk), walks the suffix
+/// against `cache`, and scales the suffix aggregates by the prefix
+/// weight.
 fn run_dp(
     analysis: &SignatureAnalysis,
     cache: &mut SharedDpCache,
-    rows: &mut RowCache,
     prefix: &[u64],
     budget: &Budget,
 ) -> Result<Partial, CoreError> {
@@ -469,7 +467,7 @@ fn run_dp(
         // The serial DFS never reaches this prefix; the chunk is empty.
         return Ok(partial);
     }
-    let mut fold = DpFold::begin(analysis, cache, rows);
+    let mut fold = DpFold::begin(analysis, cache);
     let root = Residual::new(analysis).walk(&mut fold, prefix.len(), &mut t, &mut w, budget)?;
     partial.stats = fold.stats;
     let Some(root) = root else {
@@ -493,56 +491,6 @@ fn run_dp(
     }
     partial.vectors = root.vectors;
     Ok(partial)
-}
-
-/// Runs the memoized DP over a prebuilt decomposition, reusing `rows`
-/// across calls. Returns the same [`ConfidenceAnalysis`] the exact DFS
-/// produces (bit-identical `total`, per-class numerators, and feasible
-/// vector count) plus the run's cache statistics.
-///
-/// # Errors
-/// [`CoreError::BudgetExceeded`] when the budget runs out before the count
-/// completes (cache exhaustion, by contrast, degrades to DFS — see the
-/// module docs).
-pub fn count_dp(
-    analysis: SignatureAnalysis,
-    budget: &Budget,
-    config: &DpConfig,
-    rows: &mut RowCache,
-) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    let partial = run_dp(
-        &analysis,
-        &mut SharedDpCache::new(config),
-        rows,
-        &[],
-        budget,
-    )?;
-    Ok(merge_partials(analysis, std::iter::once(partial)))
-}
-
-/// Work-partitioned parallel variant of [`count_dp`]: prefix chunks from
-/// [`SignatureAnalysis::prefix_plan`] run one DP each (fresh caches)
-/// through [`partition::run_chunks`]; exact per-chunk sums and cache
-/// statistics are merged in chunk order. Bit-identical to [`count_dp`]
-/// for every thread count; `config.is_serial()` runs the serial path.
-///
-/// # Errors
-/// As [`count_dp`] (the lowest-indexed failing chunk's error wins).
-pub fn count_dp_parallel(
-    analysis: SignatureAnalysis,
-    budget: &Budget,
-    parallel: &ParallelConfig,
-    config: &DpConfig,
-) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    if parallel.is_serial() {
-        return count_dp(analysis, budget, config, &mut RowCache::new());
-    }
-    let prefixes = analysis.prefix_plan(parallel.target_chunks());
-    let outcomes = partition::run_chunks(parallel, budget, &prefixes, |_, prefix, budget, _| {
-        let mut cache = SharedDpCache::new(config);
-        run_dp(&analysis, &mut cache, &mut RowCache::new(), prefix, budget)
-    })?;
-    Ok(merge_partials(analysis, outcomes.into_iter().flatten()))
 }
 
 /// One prefix chunk's exact aggregates.
@@ -578,21 +526,27 @@ fn merge_partials(
     )
 }
 
-/// The **instrumented** DP route: identical mathematics to
-/// [`count_dp_parallel`], plus per-chunk telemetry recorded into `obs`.
+/// Runs the memoized DP over a prebuilt decomposition with a private
+/// cache per chunk (see the module docs), recording per-chunk telemetry
+/// into `obs` under a `dp.run` span. Returns the same
+/// [`ConfidenceAnalysis`] the exact DFS produces (bit-identical `total`,
+/// per-class numerators, and feasible vector count) plus the run's cache
+/// statistics.
 ///
-/// Determinism contract: with an enabled session the engine always runs
-/// the *chunked* plan — even at one thread, where `run_chunks` processes
-/// the same chunk list serially in order — so per-chunk budget-tick and
-/// cache counters are identical at every thread count, and the merged
-/// counter totals (and span skeletons) are bit-identical between a
-/// serial and a `--threads 4` run. With a disabled session this is
-/// exactly [`count_dp_parallel`] (no chunked detour, no overhead).
+/// Determinism contract: an enabled session always runs the fixed chunk
+/// plan — even at one thread, where `run_chunks` processes the same
+/// chunk list serially in order — so per-chunk budget-tick and cache
+/// counters are identical at every thread count, and the merged counter
+/// totals (and span skeletons) are bit-identical between a serial and a
+/// `--threads 4` run. Only an untraced serial run walks the whole tree
+/// as one chunk.
 ///
 /// # Errors
-/// As [`count_dp_parallel`]; a budget trip additionally records a
-/// `budget.trips` counter increment and a `budget.trip` event before the
-/// error propagates.
+/// [`CoreError::BudgetExceeded`] when the budget runs out before the
+/// count completes (the lowest-indexed failing chunk's error wins; cache
+/// exhaustion, by contrast, degrades to DFS — see the module docs). A
+/// trip also records a `budget.trips` increment and a `budget.trip`
+/// event.
 pub fn count_dp_observed(
     analysis: SignatureAnalysis,
     budget: &Budget,
@@ -600,35 +554,14 @@ pub fn count_dp_observed(
     config: &DpConfig,
     obs: &mut ObsSession,
 ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    if !obs.is_enabled() {
-        return count_dp_parallel(analysis, budget, parallel, config);
-    }
     obs.span_open(names::SPAN_DP_RUN, budget.elapsed_ns());
     obs.span_attr("engine", "dp");
-    let result = count_dp_observed_chunked(analysis, budget, parallel, config, obs);
-    if let Err(CoreError::BudgetExceeded { phase, .. }) = &result {
-        obs.counter_add(names::BUDGET_TRIPS, 1);
-        let phase = phase.clone();
-        obs.event(
-            names::EVENT_BUDGET_TRIP,
-            budget.elapsed_ns(),
-            &[("phase", phase.as_str())],
-        );
-    }
-    obs.span_close(budget.elapsed_ns());
-    result
-}
-
-/// The chunked body of [`count_dp_observed`] (enabled sessions only).
-fn count_dp_observed_chunked(
-    analysis: SignatureAnalysis,
-    budget: &Budget,
-    parallel: &ParallelConfig,
-    config: &DpConfig,
-    obs: &mut ObsSession,
-) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
     obs.span_attr("classes", &analysis.classes().len().to_string());
-    let prefixes = analysis.prefix_plan(parallel.target_chunks());
+    let prefixes = if parallel.is_serial() && !obs.is_enabled() {
+        vec![Vec::new()]
+    } else {
+        analysis.prefix_plan(parallel.target_chunks())
+    };
     let outcomes = partition::run_chunks(parallel, budget, &prefixes, |idx, prefix, budget, _| {
         // Per-chunk telemetry: ticks as `steps()` deltas (works for both
         // the serial pass-through budget and per-worker forks) and a
@@ -638,8 +571,7 @@ fn count_dp_observed_chunked(
         // self-steps sum to the merged `budget.ticks` counter.
         let start_ns = budget.elapsed_ns();
         let steps_before = budget.steps();
-        let mut cache = SharedDpCache::new(config);
-        let partial = run_dp(&analysis, &mut cache, &mut RowCache::new(), prefix, budget)?;
+        let partial = run_dp(&analysis, &mut SharedDpCache::new(config), prefix, budget)?;
         let delta = budget.steps() - steps_before;
         let mut metrics = MetricSet::new();
         metrics.counter_add(names::BUDGET_TICKS, delta);
@@ -651,63 +583,46 @@ fn count_dp_observed_chunked(
         spans.charge(delta);
         spans.close(budget.elapsed_ns());
         Ok((partial, metrics, spans.finish()))
-    })?;
-    let mut lifecycle = MetricSet::new();
-    partition::record_chunk_lifecycle(&mut lifecycle, parallel, &outcomes);
-    // The join point: merge per-chunk telemetry in chunk order, then the
-    // exact aggregates the same way.
-    let mut partials = Vec::with_capacity(outcomes.len());
-    for (partial, metrics, spans) in outcomes.into_iter().flatten() {
-        obs.merge_metrics(&metrics);
-        obs.graft_spans(spans);
-        partials.push(partial);
-    }
-    obs.merge_metrics(&lifecycle);
-    Ok(merge_partials(analysis, partials.into_iter()))
+    });
+    record_trip(obs, budget.elapsed_ns(), &outcomes);
+    let result = outcomes.map(|outcomes| {
+        let mut lifecycle = MetricSet::new();
+        partition::record_chunk_lifecycle(&mut lifecycle, parallel, &outcomes);
+        // The join point: merge per-chunk telemetry in chunk order, then
+        // the exact aggregates the same way.
+        let mut partials = Vec::with_capacity(outcomes.len());
+        for (partial, metrics, spans) in outcomes.into_iter().flatten() {
+            obs.merge_metrics(&metrics);
+            obs.graft_spans(spans);
+            partials.push(partial);
+        }
+        obs.merge_metrics(&lifecycle);
+        merge_partials(analysis, partials.into_iter())
+    });
+    obs.span_close(budget.elapsed_ns());
+    result
 }
 
-/// Runs the DP against a cross-run [`SharedDpCache`] — the consensus
-/// sweep's engine: overlapping source subsets whose projected structures
-/// coincide reuse each other's residual nodes, and the reuse is reported
-/// through [`DpStats::cross_subset_hits`].
+/// Runs the DP serially against a cross-run [`SharedDpCache`] — the
+/// consensus sweep's engine: overlapping source subsets whose projected
+/// structures coincide reuse each other's residual nodes, and the reuse
+/// is reported through [`DpStats::cross_subset_hits`].
 ///
-/// Results are bit-identical to [`count_dp`]: the cache changes *where*
-/// a suffix aggregate comes from, never its value (see the soundness
-/// argument on [`SharedDpCache`]). The shared cache's own capacity
-/// governs the memo, so `_config` is not consulted.
+/// Results are bit-identical to [`count_dp_observed`]: the cache changes
+/// *where* a suffix aggregate comes from, never its value (see the
+/// soundness argument on [`SharedDpCache`]). The shared cache's own
+/// capacity governs the memo.
 ///
 /// # Errors
-/// As [`count_dp`].
+/// [`CoreError::BudgetExceeded`] when the budget runs out before the
+/// count completes.
 pub fn count_dp_shared(
     analysis: SignatureAnalysis,
     budget: &Budget,
-    _config: &DpConfig,
     shared: &mut SharedDpCache,
 ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    let partial = run_dp(&analysis, shared, &mut RowCache::new(), &[], budget)?;
+    let partial = run_dp(&analysis, shared, &[], budget)?;
     Ok(merge_partials(analysis, std::iter::once(partial)))
-}
-
-/// Parallel twin of [`count_dp_shared`]. The shared memo's nodes are
-/// `Rc`-backed and cannot cross threads, so a non-serial configuration
-/// delegates to the partitioned private-cache engine
-/// ([`count_dp_parallel`]) — bit-identical results, just without
-/// cross-run node reuse (and hence `cross_subset_hits = 0`). The serial
-/// configuration runs [`count_dp_shared`] exactly.
-///
-/// # Errors
-/// As [`count_dp_shared`].
-pub fn count_dp_shared_parallel(
-    analysis: SignatureAnalysis,
-    budget: &Budget,
-    parallel: &ParallelConfig,
-    config: &DpConfig,
-    shared: &mut SharedDpCache,
-) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    if parallel.is_serial() {
-        return count_dp_shared(analysis, budget, config, shared);
-    }
-    count_dp_parallel(analysis, budget, parallel, config)
 }
 
 #[cfg(test)]
@@ -718,15 +633,25 @@ mod tests {
     use crate::resilient::tests_support::wide_slack_identity;
     use pscds_relational::Value;
 
+    /// The untraced serial DP: one walk over the whole tree.
+    fn count(
+        analysis: SignatureAnalysis,
+        budget: &Budget,
+        config: &DpConfig,
+    ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
+        let serial = ParallelConfig::serial();
+        count_dp_observed(
+            analysis,
+            budget,
+            &serial,
+            config,
+            &mut ObsSession::disabled(),
+        )
+    }
+
     fn run_dp(collection: &IdentityCollection, padding: u64) -> (ConfidenceAnalysis, DpStats) {
         let analysis = SignatureAnalysis::new(collection, padding);
-        count_dp(
-            analysis,
-            &Budget::unlimited(),
-            &DpConfig::default(),
-            &mut RowCache::new(),
-        )
-        .unwrap()
+        count(analysis, &Budget::unlimited(), &DpConfig::default()).unwrap()
     }
 
     #[test]
@@ -766,13 +691,7 @@ mod tests {
         let id = wide_slack_identity(6, 9);
         let budget = Budget::unlimited();
         let analysis = SignatureAnalysis::new(&id, 0);
-        let (dp, stats) = count_dp(
-            analysis,
-            &budget,
-            &DpConfig::default(),
-            &mut RowCache::new(),
-        )
-        .unwrap();
+        let (dp, stats) = count(analysis, &budget, &DpConfig::default()).unwrap();
         // 7^6 ≈ 118k vectors enumerated by the DFS...
         assert_eq!(dp.feasible_vectors(), 7u64.pow(6));
         // ...but the DP visits only a few hundred nodes.
@@ -795,20 +714,14 @@ mod tests {
     fn cache_exhaustion_degrades_to_dfs_without_changing_results() {
         let id = example_5_1().as_identity().unwrap();
         let analysis = SignatureAnalysis::new(&id, 9);
-        let (full, full_stats) = count_dp(
-            analysis.clone(),
-            &Budget::unlimited(),
-            &DpConfig::default(),
-            &mut RowCache::new(),
-        )
-        .unwrap();
-        let (starved, starved_stats) = count_dp(
+        let (full, full_stats) =
+            count(analysis.clone(), &Budget::unlimited(), &DpConfig::default()).unwrap();
+        let (starved, starved_stats) = count(
             analysis,
             &Budget::unlimited(),
             &DpConfig {
                 max_cache_entries: 0,
             },
-            &mut RowCache::new(),
         )
         .unwrap();
         assert_eq!(starved.world_count(), full.world_count());
@@ -829,25 +742,16 @@ mod tests {
     #[test]
     fn dp_respects_step_budget_and_reruns_cleanly() {
         let id = wide_slack_identity(4, 8);
-        let mut rows = RowCache::new();
         let analysis = SignatureAnalysis::new(&id, 0);
-        let err = count_dp(
+        let err = count(
             analysis.clone(),
             &Budget::with_max_steps(5),
             &DpConfig::default(),
-            &mut rows,
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { .. }));
-        // The shared row cache survives the interruption; a rerun with a
-        // fresh allowance gives the exact answer.
-        let (dp, _) = count_dp(
-            analysis,
-            &Budget::unlimited(),
-            &DpConfig::default(),
-            &mut rows,
-        )
-        .unwrap();
+        // A rerun with a fresh allowance gives the exact answer.
+        let (dp, _) = count(analysis, &Budget::unlimited(), &DpConfig::default()).unwrap();
         let dfs = ConfidenceAnalysis::analyze(&id, 0);
         assert_eq!(dp.world_count(), dfs.world_count());
     }
@@ -862,13 +766,12 @@ mod tests {
         let budget = Budget::unlimited();
         budget.cancel_handle().store(true, Ordering::Relaxed);
         let analysis = SignatureAnalysis::new(&id, 0);
-        let err = count_dp(
+        let err = count(
             analysis,
             &budget,
             &DpConfig {
                 max_cache_entries: 0,
             },
-            &mut RowCache::new(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { .. }));
@@ -879,19 +782,15 @@ mod tests {
         let id = example_5_1().as_identity().unwrap();
         for m in [0u64, 1, 3, 50] {
             let analysis = SignatureAnalysis::new(&id, m);
-            let (serial, _) = count_dp(
-                analysis.clone(),
-                &Budget::unlimited(),
-                &DpConfig::default(),
-                &mut RowCache::new(),
-            )
-            .unwrap();
+            let (serial, _) =
+                count(analysis.clone(), &Budget::unlimited(), &DpConfig::default()).unwrap();
             for threads in [2usize, 8] {
-                let (par, _) = count_dp_parallel(
+                let (par, _) = count_dp_observed(
                     analysis.clone(),
                     &Budget::unlimited(),
                     &ParallelConfig::with_threads(threads),
                     &DpConfig::default(),
+                    &mut ObsSession::disabled(),
                 )
                 .unwrap();
                 assert_eq!(par.world_count(), serial.world_count(), "m={m} t={threads}");
@@ -915,13 +814,8 @@ mod tests {
     fn observed_route_counters_and_skeletons_are_thread_independent() {
         let id = example_5_1().as_identity().unwrap();
         let analysis = SignatureAnalysis::new(&id, 17);
-        let (baseline, _) = count_dp(
-            analysis.clone(),
-            &Budget::unlimited(),
-            &DpConfig::default(),
-            &mut RowCache::new(),
-        )
-        .unwrap();
+        let (baseline, _) =
+            count(analysis.clone(), &Budget::unlimited(), &DpConfig::default()).unwrap();
         type Digest<'a> = (Vec<(&'a str, u64)>, Vec<String>);
         let mut reference: Option<Digest> = None;
         for threads in [1usize, 2, 8] {
@@ -959,31 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_route_with_disabled_session_matches_parallel() {
-        let id = example_5_1().as_identity().unwrap();
-        let analysis = SignatureAnalysis::new(&id, 5);
-        let (plain, plain_stats) = count_dp_parallel(
-            analysis.clone(),
-            &Budget::unlimited(),
-            &ParallelConfig::serial(),
-            &DpConfig::default(),
-        )
-        .unwrap();
-        let mut obs = ObsSession::disabled();
-        let (observed, observed_stats) = count_dp_observed(
-            analysis,
-            &Budget::unlimited(),
-            &ParallelConfig::serial(),
-            &DpConfig::default(),
-            &mut obs,
-        )
-        .unwrap();
-        assert_eq!(observed.world_count(), plain.world_count());
-        assert_eq!(observed_stats, plain_stats);
-        assert!(obs.finish().metrics.is_empty());
-    }
-
-    #[test]
     fn observed_route_records_budget_trips() {
         let id = wide_slack_identity(4, 8);
         let analysis = SignatureAnalysis::new(&id, 0);
@@ -1010,14 +879,14 @@ mod tests {
         let mut shared = SharedDpCache::new(&config);
         let analysis = SignatureAnalysis::new(&id, 9);
         let (first, first_stats) =
-            count_dp_shared(analysis.clone(), &Budget::unlimited(), &config, &mut shared).unwrap();
+            count_dp_shared(analysis.clone(), &Budget::unlimited(), &mut shared).unwrap();
         assert_eq!(first_stats.cross_subset_hits, 0, "first run has no past");
         assert!(!shared.is_empty());
         assert_eq!(shared.context_count(), 1);
         // A second run over the identical projected structure reuses the
         // root node outright: everything is a cross-subset hit.
         let (second, second_stats) =
-            count_dp_shared(analysis, &Budget::unlimited(), &config, &mut shared).unwrap();
+            count_dp_shared(analysis, &Budget::unlimited(), &mut shared).unwrap();
         assert_eq!(second.world_count(), first.world_count());
         assert_eq!(second.feasible_vectors(), first.feasible_vectors());
         assert!(second_stats.cross_subset_hits > 0);
@@ -1034,44 +903,10 @@ mod tests {
         let id = example_5_1().as_identity().unwrap();
         for (padding, expected_contexts) in [(0u64, 1usize), (7, 2), (0, 2)] {
             let analysis = SignatureAnalysis::new(&id, padding);
-            let (result, _) =
-                count_dp_shared(analysis, &Budget::unlimited(), &config, &mut shared).unwrap();
+            let (result, _) = count_dp_shared(analysis, &Budget::unlimited(), &mut shared).unwrap();
             let dfs = ConfidenceAnalysis::analyze(&id, padding);
             assert_eq!(result.world_count(), dfs.world_count(), "padding={padding}");
             assert_eq!(shared.context_count(), expected_contexts);
-        }
-    }
-
-    #[test]
-    fn shared_parallel_twin_is_bit_identical() {
-        let id = example_5_1().as_identity().unwrap();
-        let config = DpConfig::default();
-        let analysis = SignatureAnalysis::new(&id, 3);
-        let mut shared = SharedDpCache::new(&config);
-        let (serial, _) = count_dp_shared_parallel(
-            analysis.clone(),
-            &Budget::unlimited(),
-            &ParallelConfig::serial(),
-            &config,
-            &mut shared,
-        )
-        .unwrap();
-        for threads in [2usize, 8] {
-            let mut fresh = SharedDpCache::new(&config);
-            let (par, stats) = count_dp_shared_parallel(
-                analysis.clone(),
-                &Budget::unlimited(),
-                &ParallelConfig::with_threads(threads),
-                &config,
-                &mut fresh,
-            )
-            .unwrap();
-            assert_eq!(par.world_count(), serial.world_count(), "t={threads}");
-            assert_eq!(par.feasible_vectors(), serial.feasible_vectors());
-            assert_eq!(
-                stats.cross_subset_hits, 0,
-                "private caches cannot cross runs"
-            );
         }
     }
 

@@ -30,7 +30,7 @@
 
 use crate::collection::IdentityCollection;
 use crate::error::CoreError;
-use crate::govern::{Budget, Engine};
+use crate::govern::{record_trip, Budget, Engine};
 use crate::partition::{run_chunks, ParallelConfig};
 use pscds_numeric::Rational;
 use pscds_obs::{names, MetricSet, ObsSession, SpanStack};
@@ -215,77 +215,29 @@ pub fn count_intervals(
     padding: u64,
     unavailable: &[usize],
 ) -> Result<IntervalAnalysis, CoreError> {
-    count_intervals_budgeted(collection, padding, unavailable, &Budget::unlimited())
-}
-
-/// Budget-governed variant of [`count_intervals`]: every scenario's
-/// counting DFS charges the shared budget.
-///
-/// # Errors
-/// As [`count_intervals`], plus [`CoreError::BudgetExceeded`].
-pub fn count_intervals_budgeted(
-    collection: &IdentityCollection,
-    padding: u64,
-    unavailable: &[usize],
-    budget: &Budget,
-) -> Result<IntervalAnalysis, CoreError> {
-    count_intervals_parallel(
+    count_intervals_observed(
         collection,
         padding,
         unavailable,
-        budget,
+        &Budget::unlimited(),
         &ParallelConfig::serial(),
+        &mut ObsSession::disabled(),
     )
 }
 
-/// Parallel variant of [`count_intervals`]: availability scenarios are
-/// partitioned into chunks and evaluated across workers, with results
-/// merged in scenario order — bit-identical to the serial engine at any
-/// thread count.
+/// The governed interval engine: availability scenarios are evaluated
+/// across `config.threads()` workers, every scenario's counting DFS
+/// charging the shared budget, and the brackets are merged in scenario
+/// order — bit-identical at any thread count. Each scenario worker
+/// charges its budget-tick delta to an `interval.scenario` span (the
+/// per-mask delta is thread-invariant — one scenario is one unit of
+/// partitioned work) and samples it into the `interval.scenario_steps`
+/// histogram; the join merges scenario telemetry in mask order under an
+/// `interval.run` span.
 ///
 /// # Errors
-/// As [`count_intervals_budgeted`].
-pub fn count_intervals_parallel(
-    collection: &IdentityCollection,
-    padding: u64,
-    unavailable: &[usize],
-    budget: &Budget,
-    config: &ParallelConfig,
-) -> Result<IntervalAnalysis, CoreError> {
-    let missing = validate_unavailable(collection, unavailable)?;
-    let k = missing.len();
-    let full_tuples: Vec<Vec<Value>> = collection.all_tuples().into_iter().collect();
-    let masks: Vec<u64> = (0..(1u64 << k)).collect();
-
-    let worker = |_idx: usize, mask: &u64, budget: &Budget, _control: &_| {
-        scenario_outcome(collection, &full_tuples, &missing, *mask, padding, budget)
-    };
-
-    let outcomes = run_chunks(config, budget, &masks, worker)?;
-
-    // No worker short-circuits, so every slot is populated; a `None`
-    // slot would indicate a partition-layer bug — treat it as an
-    // inconsistent scenario rather than panicking.
-    let scenarios: Vec<Option<ScenarioConfidences>> = outcomes
-        .into_iter()
-        .map(|slot| slot.and_then(|o| o.confidences))
-        .collect();
-
-    merge_scenarios(&full_tuples, &scenarios, k)
-}
-
-/// The **instrumented** interval route: identical mathematics to
-/// [`count_intervals_parallel`], plus per-scenario telemetry. Each
-/// scenario worker charges its budget-tick delta to an
-/// `interval.scenario` span (the per-mask delta is thread-invariant —
-/// one scenario is one unit of partitioned work) and samples it into the
-/// `interval.scenario_steps` histogram; the join merges scenario
-/// telemetry in mask order under an `interval.run` span. With a disabled
-/// session this is exactly [`count_intervals_parallel`].
-///
-/// # Errors
-/// As [`count_intervals_parallel`]; a budget trip additionally records a
-/// `budget.trips` increment and a `budget.trip` event.
+/// As [`count_intervals`], plus [`CoreError::BudgetExceeded`], which also
+/// records a `budget.trips` increment and a `budget.trip` event.
 pub fn count_intervals_observed(
     collection: &IdentityCollection,
     padding: u64,
@@ -294,82 +246,54 @@ pub fn count_intervals_observed(
     config: &ParallelConfig,
     obs: &mut ObsSession,
 ) -> Result<IntervalAnalysis, CoreError> {
-    if !obs.is_enabled() {
-        return count_intervals_parallel(collection, padding, unavailable, budget, config);
-    }
     obs.span_open(names::SPAN_INTERVAL_RUN, budget.elapsed_ns());
     obs.span_attr("engine", "intervals");
-    let result =
-        count_intervals_observed_inner(collection, padding, unavailable, budget, config, obs);
-    if let Err(CoreError::BudgetExceeded { phase, .. }) = &result {
-        obs.counter_add(names::BUDGET_TRIPS, 1);
-        let phase = phase.clone();
-        obs.event(
-            names::EVENT_BUDGET_TRIP,
-            budget.elapsed_ns(),
-            &[("phase", phase.as_str())],
-        );
-    }
+    let result = validate_unavailable(collection, unavailable).and_then(|missing| {
+        let k = missing.len();
+        obs.span_attr("unavailable", &k.to_string());
+        let full_tuples: Vec<Vec<Value>> = collection.all_tuples().into_iter().collect();
+        let masks: Vec<u64> = (0..(1u64 << k)).collect();
+        let outcomes = run_chunks(config, budget, &masks, |_, mask, budget, _| {
+            // Per-scenario telemetry on the worker's own accumulators; the
+            // tick delta is charged to the scenario span and paired with
+            // the local `budget.ticks` increment (the step-attribution
+            // contract).
+            let start_ns = budget.elapsed_ns();
+            let steps_before = budget.steps();
+            let outcome =
+                scenario_outcome(collection, &full_tuples, &missing, *mask, padding, budget)?;
+            let delta = budget.steps() - steps_before;
+            let mut metrics = MetricSet::new();
+            metrics.counter_add(names::BUDGET_TICKS, delta);
+            metrics.histogram_record(names::INTERVAL_SCENARIO_STEPS, delta);
+            let mut spans = SpanStack::new();
+            spans.span_open(names::SPAN_INTERVAL_SCENARIO, start_ns);
+            spans.attr("mask", &mask.to_string());
+            spans.charge(delta);
+            spans.close(budget.elapsed_ns());
+            Ok((outcome, metrics, spans.finish()))
+        })?;
+        // The join point: merge per-scenario telemetry in mask order,
+        // then the brackets the same way. No worker short-circuits, so
+        // every slot is populated; a `None` slot would indicate a
+        // partition-layer bug — treat it as an inconsistent scenario
+        // rather than panicking.
+        let mut scenarios = Vec::with_capacity(outcomes.len());
+        for slot in outcomes {
+            scenarios.push(slot.and_then(|(outcome, metrics, spans)| {
+                obs.merge_metrics(&metrics);
+                obs.graft_spans(spans);
+                outcome.confidences
+            }));
+        }
+        merge_scenarios(&full_tuples, &scenarios, k)
+    });
+    record_trip(obs, budget.elapsed_ns(), &result);
     obs.span_close(budget.elapsed_ns());
     result
 }
 
-/// The chunked body of [`count_intervals_observed`] (enabled sessions
-/// only).
-fn count_intervals_observed_inner(
-    collection: &IdentityCollection,
-    padding: u64,
-    unavailable: &[usize],
-    budget: &Budget,
-    config: &ParallelConfig,
-    obs: &mut ObsSession,
-) -> Result<IntervalAnalysis, CoreError> {
-    let missing = validate_unavailable(collection, unavailable)?;
-    let k = missing.len();
-    obs.span_attr("unavailable", &k.to_string());
-    let full_tuples: Vec<Vec<Value>> = collection.all_tuples().into_iter().collect();
-    let masks: Vec<u64> = (0..(1u64 << k)).collect();
-
-    let worker = |_idx: usize, mask: &u64, budget: &Budget, _control: &_| {
-        // Per-scenario telemetry on the worker's own accumulators; the
-        // tick delta is charged to the scenario span and paired with the
-        // local `budget.ticks` increment (the step-attribution contract).
-        let start_ns = budget.elapsed_ns();
-        let steps_before = budget.steps();
-        let outcome = scenario_outcome(collection, &full_tuples, &missing, *mask, padding, budget)?;
-        let delta = budget.steps() - steps_before;
-        let mut metrics = MetricSet::new();
-        metrics.counter_add(names::BUDGET_TICKS, delta);
-        metrics.histogram_record(names::INTERVAL_SCENARIO_STEPS, delta);
-        let mut spans = SpanStack::new();
-        spans.span_open(names::SPAN_INTERVAL_SCENARIO, start_ns);
-        spans.attr("mask", &mask.to_string());
-        spans.charge(delta);
-        spans.close(budget.elapsed_ns());
-        Ok((outcome, metrics, spans.finish()))
-    };
-
-    let outcomes = run_chunks(config, budget, &masks, worker)?;
-
-    // The join point: merge per-scenario telemetry in mask order, then
-    // the brackets the same way.
-    let mut scenarios: Vec<Option<ScenarioConfidences>> = Vec::with_capacity(outcomes.len());
-    for slot in outcomes {
-        match slot {
-            Some((outcome, metrics, spans)) => {
-                obs.merge_metrics(&metrics);
-                obs.graft_spans(spans);
-                scenarios.push(outcome.confidences);
-            }
-            None => scenarios.push(None),
-        }
-    }
-
-    merge_scenarios(&full_tuples, &scenarios, k)
-}
-
-/// Validates and canonicalizes the unavailable-source index list shared
-/// by the plain and observed routes.
+/// Validates and canonicalizes the unavailable-source index list.
 fn validate_unavailable(
     collection: &IdentityCollection,
     unavailable: &[usize],
@@ -395,9 +319,7 @@ fn validate_unavailable(
     Ok(missing)
 }
 
-/// Evaluates one availability scenario — shared verbatim by
-/// [`count_intervals_parallel`] and [`count_intervals_observed`] so the
-/// instrumented route cannot drift from the plain one.
+/// Evaluates one availability scenario.
 fn scenario_outcome(
     collection: &IdentityCollection,
     full_tuples: &[Vec<Value>],
@@ -442,7 +364,7 @@ fn scenario_outcome(
 
 /// Folds per-scenario confidences into the final bracket analysis
 /// (scenario-order min/max — associative and order-insensitive, so the
-/// plain and observed joins agree bit-for-bit).
+/// join is independent of scheduling).
 fn merge_scenarios(
     full_tuples: &[Vec<Value>],
     scenarios: &[Option<ScenarioConfidences>],
@@ -588,16 +510,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_twin_is_bit_identical() {
+    fn parallel_run_is_bit_identical() {
         let (id, m) = identity(3);
         let serial = count_intervals(&id, m, &[0, 1]).unwrap();
         for threads in [2usize, 8] {
-            let par = count_intervals_parallel(
+            let par = count_intervals_observed(
                 &id,
                 m,
                 &[0, 1],
                 &Budget::unlimited(),
                 &ParallelConfig::with_threads(threads),
+                &mut ObsSession::disabled(),
             )
             .unwrap();
             assert_eq!(serial, par, "threads = {threads}");
@@ -605,11 +528,22 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_twin_trips_cleanly() {
+    fn budget_trips_cleanly_and_are_recorded() {
         let (id, m) = identity(4);
-        let err =
-            count_intervals_budgeted(&id, m, &[0, 1], &Budget::with_max_steps(3)).unwrap_err();
+        let mut obs = ObsSession::in_memory();
+        let err = count_intervals_observed(
+            &id,
+            m,
+            &[0, 1],
+            &Budget::with_max_steps(3),
+            &ParallelConfig::serial(),
+            &mut obs,
+        )
+        .unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { .. }));
+        let report = obs.finish();
+        assert_eq!(report.metrics.counter(names::BUDGET_TRIPS), 1);
+        assert_eq!(report.events[0].name, names::EVENT_BUDGET_TRIP);
     }
 
     #[test]

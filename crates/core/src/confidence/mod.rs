@@ -52,20 +52,14 @@ pub mod worlds;
 
 pub use circuit::{
     analyze_circuit, analyze_circuit_budgeted, analyze_circuit_conditional,
-    analyze_circuit_conditional_budgeted, analyze_circuit_conditional_parallel,
-    analyze_circuit_observed, analyze_circuit_parallel, analyze_circuit_topk,
-    analyze_circuit_topk_budgeted, analyze_circuit_topk_parallel, compile_circuit,
-    compile_circuit_observed, CircuitConfig, CircuitStats, CompiledCircuit, CompiledCollection,
+    analyze_circuit_conditional_budgeted, analyze_circuit_topk, analyze_circuit_topk_budgeted,
+    compile_circuit, CircuitConfig, CircuitStats, CompiledCircuit, CompiledCollection,
 };
 pub use counting::ConfidenceAnalysis;
-pub use dp::{
-    count_dp, count_dp_observed, count_dp_parallel, count_dp_shared, count_dp_shared_parallel,
-    DpConfig, DpStats, SharedDpCache,
-};
+pub use dp::{count_dp_observed, count_dp_shared, DpConfig, DpStats, SharedDpCache};
 pub use gamma::LinearSystem;
 pub use intervals::{
-    count_intervals, count_intervals_budgeted, count_intervals_observed, count_intervals_parallel,
-    ConfidenceInterval, IntervalAnalysis, TupleInterval,
+    count_intervals, count_intervals_observed, ConfidenceInterval, IntervalAnalysis, TupleInterval,
 };
 pub use sampling::{
     sample_confidences, sample_confidences_budgeted, SampledConfidence, SamplerConfig,

@@ -321,7 +321,7 @@ impl SignatureAnalysis {
         let target = target_chunks.max(1) as u64;
         let mut prefixes: Vec<Vec<u64>> = vec![Vec::new()];
         let mut depth = 0usize;
-        // lint-allow(budget-bypass): reachable from count_dp_parallel but bounded
+        // lint-allow(budget-bypass): reachable from count_dp_observed but bounded
         // without ticking — at most classes.len() iterations, and the prefix list
         // is capped at 16 × target_chunks entries by the width check below
         while (prefixes.len() as u64) < target && depth < self.classes.len() {

@@ -20,10 +20,10 @@ use crate::confidence::dp::{count_dp_shared, DpConfig, DpStats, SharedDpCache};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::consistency::identity::decide_identity_budgeted;
 use crate::error::CoreError;
-use crate::govern::Budget;
+use crate::govern::{observe_phase, Budget, Phase};
 use crate::partition::{self, ParallelConfig};
 use pscds_numeric::Rational;
-use pscds_obs::{names, MetricSet, ObsSession};
+use pscds_obs::{MetricSet, ObsSession};
 
 /// The result of a consensus analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -228,28 +228,18 @@ pub fn consensus_with_dp_cache(
     obs: &mut ObsSession,
 ) -> Result<(ConsensusReport, DpStats), CoreError> {
     let n = validate_consensus_size(collection, budget)?;
-    obs.span_open(names::SPAN_CONSENSUS_SWEEP, budget.elapsed_ns());
-    obs.span_attr("sources", &n.to_string());
-    let steps_before = budget.steps();
-    let result = consensus_dp_sweep(collection, padding, budget, n);
-    // The sweep is serial, so the raw step delta is thread-invariant:
-    // charge it to the sweep span (pairing the `budget.ticks` increment
-    // inside `charge_steps`) and sample it into the sweep histogram.
-    let delta = budget.steps() - steps_before;
-    obs.charge_steps(delta);
-    obs.histogram_record(names::CONSENSUS_SWEEP_STEPS, delta);
-    match &result {
-        Ok((_, stats)) => {
-            let mut metrics = MetricSet::new();
-            stats.record_into(&mut metrics);
-            obs.merge_metrics(&metrics);
-        }
-        Err(CoreError::BudgetExceeded { .. }) => {
-            obs.counter_add(names::BUDGET_TRIPS, 1);
-        }
-        Err(_) => {}
+    let result = observe_phase(
+        obs,
+        budget,
+        Phase::ConsensusSweep,
+        ("sources", &n.to_string()),
+        || consensus_dp_sweep(collection, padding, budget, n),
+    );
+    if let Ok((_, stats)) = &result {
+        let mut metrics = MetricSet::new();
+        stats.record_into(&mut metrics);
+        obs.merge_metrics(&metrics);
     }
-    obs.span_close(budget.elapsed_ns());
     result
 }
 
@@ -260,8 +250,7 @@ fn consensus_dp_sweep(
     budget: &Budget,
     n: usize,
 ) -> Result<(ConsensusReport, DpStats), CoreError> {
-    let config = DpConfig::default();
-    let mut shared = SharedDpCache::new(&config);
+    let mut shared = SharedDpCache::new(&DpConfig::default());
     let mut stats = DpStats::default();
     let mut masks: Vec<u32> = (0..(1u32 << n)).collect();
     masks.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
@@ -271,15 +260,7 @@ fn consensus_dp_sweep(
         if maximal.iter().any(|&m| m & mask == mask) {
             continue; // contained in an already-found consistent subset
         }
-        if subset_is_consistent_dp(
-            collection,
-            mask,
-            padding,
-            budget,
-            &config,
-            &mut shared,
-            &mut stats,
-        )? {
+        if subset_is_consistent_dp(collection, mask, padding, budget, &mut shared, &mut stats)? {
             maximal.push(mask);
         }
     }
@@ -289,13 +270,11 @@ fn consensus_dp_sweep(
 /// DP twin of [`subset_is_consistent`]: the subset is consistent iff its
 /// signature decomposition admits a feasible count vector, decided by
 /// the shared-cache DP.
-#[allow(clippy::too_many_arguments)]
 fn subset_is_consistent_dp(
     collection: &SourceCollection,
     mask: u32,
     padding: u64,
     budget: &Budget,
-    config: &DpConfig,
     shared: &mut SharedDpCache,
     stats: &mut DpStats,
 ) -> Result<bool, CoreError> {
@@ -312,7 +291,7 @@ fn subset_is_consistent_dp(
     );
     let identity = subset.as_identity()?;
     let analysis = SignatureAnalysis::new(&identity, padding);
-    let (result, run_stats) = count_dp_shared(analysis, budget, config, shared)?;
+    let (result, run_stats) = count_dp_shared(analysis, budget, shared)?;
     stats.absorb(&run_stats);
     Ok(result.is_consistent())
 }
@@ -681,6 +660,8 @@ mod tests {
         ));
         let report = obs.finish();
         assert_eq!(report.metrics.counter(pscds_obs::names::BUDGET_TRIPS), 1);
+        assert_eq!(report.events.len(), 1);
+        assert_eq!(report.events[0].name, pscds_obs::names::EVENT_BUDGET_TRIP);
     }
 
     #[test]

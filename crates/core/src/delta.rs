@@ -60,12 +60,11 @@
 //! final index and invalidates everything — automatically, with no
 //! special case.
 //!
-//! The answering entry points come in the standard engine triple —
-//! [`analyze_incremental`], [`analyze_incremental_budgeted`],
-//! [`analyze_incremental_parallel`] — and are bit-identical to a
-//! from-scratch recompute at any thread count (the traversal is a
-//! single linear arena sweep, the same convention as
-//! [`analyze_circuit_parallel`](crate::confidence::analyze_circuit_parallel)).
+//! The answering entry points are [`analyze_incremental`] and its
+//! governed form [`analyze_incremental_budgeted`], bit-identical to a
+//! from-scratch recompute. Maintenance is a single sequenced pass over
+//! shared mutable state (the arena and the memo) with no independent
+//! work to partition, so it takes no thread count.
 
 use crate::collection::{IdentityCollection, SourceCollection};
 use crate::confidence::circuit::{
@@ -76,7 +75,6 @@ use crate::confidence::signature::SignatureAnalysis;
 use crate::confidence::ConfidenceAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
-use crate::partition::ParallelConfig;
 use crate::source::{extension_view, FetchFault, SourceProvider};
 use pscds_obs::{names, MetricSet};
 use pscds_relational::parser::{format_fact, parse_facts};
@@ -837,23 +835,6 @@ pub fn analyze_incremental_budgeted(
     budget: &Budget,
 ) -> Result<ConfidenceAnalysis, CoreError> {
     session.answer(budget)
-}
-
-/// Parallel twin of [`analyze_incremental_budgeted`]. Maintenance is a
-/// single sequenced pass over shared mutable state (the arena and the
-/// memo) with no independent work to partition, so every
-/// thread count runs the identical serial path — bit-identical results
-/// for 1, 2, or 8 threads by construction (the same convention as
-/// `analyze_circuit_parallel`).
-///
-/// # Errors
-/// As [`analyze_incremental_budgeted`].
-pub fn analyze_incremental_parallel(
-    session: &mut DeltaSession,
-    budget: &Budget,
-    _parallel: &ParallelConfig,
-) -> Result<ConfidenceAnalysis, CoreError> {
-    analyze_incremental_budgeted(session, budget)
 }
 
 #[cfg(test)]

@@ -17,8 +17,13 @@
 //! clock and the cancellation flag only every
 //! [`Budget::CHECK_INTERVAL`] steps — so a deadline overrun is detected
 //! within at most `CHECK_INTERVAL` additional steps of work.
+//!
+//! The crate-private `record_trip` is the one place a budget trip is
+//! written into an observability session, and `observe_phase` wraps a
+//! serial phase in its span, step charge, histogram sample and trip.
 
 use crate::error::CoreError;
+use pscds_obs::{names, ObsSession};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -257,6 +262,79 @@ impl Budget {
             elapsed: self.elapsed(),
         }
     }
+}
+
+/// Records a budget trip into `obs`: the `budget.trips` counter plus a
+/// `budget.trip` event tagged with the phase that charged the fatal
+/// step. Any other outcome records nothing. Each trip is recorded once,
+/// by the engine when it takes the session, otherwise by the ladder
+/// that ran it.
+pub(crate) fn record_trip<T>(obs: &mut ObsSession, at_ns: u64, outcome: &Result<T, CoreError>) {
+    if let Err(CoreError::BudgetExceeded { phase, .. }) = outcome {
+        obs.counter_add(names::BUDGET_TRIPS, 1);
+        obs.event(
+            names::EVENT_BUDGET_TRIP,
+            at_ns,
+            &[("phase", phase.as_str())],
+        );
+    }
+}
+
+/// A serial phase that runs under its own span (see [`observe_phase`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Phase {
+    /// Compiling a confidence circuit.
+    CircuitCompile,
+    /// Traversing a compiled confidence circuit.
+    CircuitTraverse,
+    /// The consensus subset sweep over the shared DP cache.
+    ConsensusSweep,
+    /// One incremental-maintenance epoch of a delta-stream replay.
+    DeltaEpoch,
+}
+
+impl Phase {
+    fn open(self, obs: &mut ObsSession, now_ns: u64) {
+        match self {
+            Phase::CircuitCompile => obs.span_open(names::SPAN_CIRCUIT_COMPILE, now_ns),
+            Phase::CircuitTraverse => obs.span_open(names::SPAN_CIRCUIT_TRAVERSE, now_ns),
+            Phase::ConsensusSweep => obs.span_open(names::SPAN_CONSENSUS_SWEEP, now_ns),
+            Phase::DeltaEpoch => obs.span_open(names::SPAN_RESILIENT_STREAM, now_ns),
+        }
+    }
+
+    fn sample(self, obs: &mut ObsSession, steps: u64) {
+        match self {
+            Phase::CircuitCompile => obs.histogram_record(names::CIRCUIT_COMPILE_STEPS, steps),
+            Phase::CircuitTraverse => obs.histogram_record(names::CIRCUIT_TRAVERSE_STEPS, steps),
+            Phase::ConsensusSweep => obs.histogram_record(names::CONSENSUS_SWEEP_STEPS, steps),
+            Phase::DeltaEpoch => obs.histogram_record(names::DELTA_EPOCH_STEPS, steps),
+        }
+    }
+}
+
+/// Runs one serial phase under its own span on `budget`'s clock: opens
+/// the phase's span with the attribute `attr`, runs `run`, charges the
+/// step delta to the span and samples it into the phase's histogram (a
+/// serial phase's raw delta is thread-invariant), records a trip, and
+/// closes the span.
+pub(crate) fn observe_phase<T>(
+    obs: &mut ObsSession,
+    budget: &Budget,
+    phase: Phase,
+    attr: (&'static str, &str),
+    run: impl FnOnce() -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    phase.open(obs, budget.elapsed_ns());
+    obs.span_attr(attr.0, attr.1);
+    let steps_before = budget.steps();
+    let outcome = run();
+    let delta = budget.steps() - steps_before;
+    obs.charge_steps(delta);
+    phase.sample(obs, delta);
+    record_trip(obs, budget.elapsed_ns(), &outcome);
+    obs.span_close(budget.elapsed_ns());
+    outcome
 }
 
 /// Provenance of an analysis result: which engine produced it. Attached

@@ -70,9 +70,8 @@ pub use pscds_obs as obs;
 
 pub use collection::SourceCollection;
 pub use delta::{
-    analyze_incremental, analyze_incremental_budgeted, analyze_incremental_parallel,
-    apply_batch_to_catalog, format_delta_stream, parse_delta_stream, DeltaBatch, DeltaProvider,
-    DeltaSession, DeltaStats, SourceDelta,
+    analyze_incremental, analyze_incremental_budgeted, apply_batch_to_catalog, format_delta_stream,
+    parse_delta_stream, DeltaBatch, DeltaProvider, DeltaSession, DeltaStats, SourceDelta,
 };
 pub use descriptor::SourceDescriptor;
 pub use error::CoreError;
@@ -81,10 +80,9 @@ pub use govern::{Budget, Engine};
 pub use measures::{completeness_of, satisfies, soundness_of, MeasureReport};
 pub use partition::ParallelConfig;
 pub use resilient::{
-    check_resilient, check_resilient_observed, check_resilient_policy, check_resilient_with,
-    confidence_over_stream, confidence_resilient, confidence_resilient_observed,
-    confidence_resilient_policy, confidence_resilient_with, confidence_under_faults, CheckRung,
-    ConfidenceRung, FaultAwareConfidence, LadderPolicy, ResilientCheck, ResilientConfidence,
+    check_resilient, confidence_over_stream, confidence_resilient, confidence_under_faults,
+    CheckRung, ConfidenceRung, FaultAwareConfidence, LadderPolicy, ResilientCheck,
+    ResilientConfidence,
 };
 pub use source::{
     AccessPolicy, AccessReport, CatalogProvider, FaultyProvider, SourceAccess, SourceProvider,

@@ -19,11 +19,15 @@
 //!   exact signature counter; then the memoized residual-state DP under a
 //!   renewed budget (still exact — it merely collapses redundant search);
 //!   finally the Metropolis sampler (an *estimate*; opt-in via `approx`).
+//!
+//! Each ladder is one entry taking the budget, the [`ParallelConfig`],
+//! the [`LadderPolicy`] and the [`ObsSession`] as plain parameters. Every
+//! tripped rung records one `budget.trips` increment and one
+//! `budget.trip` event: the rung's engine records it when it takes the
+//! session, the ladder otherwise.
 
 use crate::collection::IdentityCollection;
-use crate::confidence::circuit::{
-    analyze_circuit_observed, compile_circuit_observed, CircuitConfig,
-};
+use crate::confidence::circuit::{analyze_circuit_budgeted, compile_circuit, CircuitConfig};
 use crate::confidence::counting::ConfidenceAnalysis;
 use crate::confidence::dp::{count_dp_observed, DpConfig};
 use crate::confidence::intervals::{count_intervals_observed, IntervalAnalysis};
@@ -33,7 +37,7 @@ use crate::consistency::exhaustive::find_witness_parallel;
 use crate::consistency::identity::{decide_identity_parallel, IdentityConsistency};
 use crate::delta::{analyze_incremental_budgeted, DeltaSession};
 use crate::error::CoreError;
-use crate::govern::{Budget, Engine};
+use crate::govern::{observe_phase, record_trip, Budget, Engine, Phase};
 use crate::partition::ParallelConfig;
 use crate::source::{SourceAccess, SourceProvider};
 use crate::SourceCollection;
@@ -137,14 +141,6 @@ fn record_degradation(obs: &mut ObsSession, at_ns: u64, from: Engine, to: Engine
     );
 }
 
-/// Records a budget trip observed by a resilient ladder: the
-/// `budget.trips` counter plus a `budget.trip` event tagged with the
-/// phase that charged the fatal step.
-fn record_trip(obs: &mut ObsSession, at_ns: u64, phase: &str) {
-    obs.counter_add(names::BUDGET_TRIPS, 1);
-    obs.event(names::EVENT_BUDGET_TRIP, at_ns, &[("phase", phase)]);
-}
-
 /// Outcome of a resilient consistency check.
 #[derive(Debug)]
 pub struct ResilientCheck {
@@ -158,114 +154,56 @@ pub struct ResilientCheck {
 
 /// Decides consistency under a budget, degrading gracefully.
 ///
-/// Strategy: run the exhaustive Lemma-3.1-bounded witness search under
-/// `budget` ([`Engine::Exact`]). If the budget trips *and* the collection
-/// is identity-view, rerun with the signature-decomposition solver under a
-/// renewed budget ([`Engine::Signature`] — still an exact answer, reached
-/// by a cheaper route). Otherwise the budget error propagates.
+/// Strategy: run the rungs of `policy.check` in order — by default the
+/// exhaustive Lemma-3.1-bounded witness search under `budget`
+/// ([`Engine::Exact`]), then, if the budget trips *and* the collection
+/// is identity-view, the signature-decomposition solver under a renewed
+/// budget ([`Engine::Signature`] — still an exact answer, reached by a
+/// cheaper route). Otherwise the budget error propagates. Both engines
+/// run their work-partitioned variants across `parallel.threads()`
+/// workers, bit-identical for every thread count.
 ///
 /// Note the signature fallback decides consistency over the *identity
 /// model's* domain (extension tuples plus padding), which for identity
 /// collections coincides with the exhaustive search over `domain` when
 /// `domain` covers the extension constants.
 ///
+/// The ladder's budget trips and degradation decisions (with [`Engine`]
+/// provenance) are recorded into `obs` as counters and events under a
+/// `resilient.check` span timed on the **budget clock**
+/// ([`Budget::elapsed_ns`]). A [disabled](ObsSession::disabled) session
+/// makes every hook a no-op.
+///
 /// # Errors
 /// Evaluation errors from either engine, or [`CoreError::BudgetExceeded`]
 /// when the budget trips and no fallback applies (or the fallback trips
-/// too).
-// lint-allow(engine-twins): thin serial wrapper — the real engine is
-// check_resilient_with directly below, which carries the ParallelConfig
-// and the parity coverage
+/// too); an empty `policy.check` is rejected as [`CoreError::BadDomain`].
 pub fn check_resilient(
     collection: &SourceCollection,
     domain: &[Value],
     budget: &Budget,
-) -> Result<ResilientCheck, CoreError> {
-    check_resilient_with(collection, domain, budget, &ParallelConfig::serial())
-}
-
-/// [`check_resilient`] with an explicit [`ParallelConfig`]: both the
-/// exhaustive witness search and the signature fallback run their
-/// work-partitioned parallel variants, which return bit-identical results
-/// for every thread count. `config.threads() == 1` is exactly
-/// [`check_resilient`].
-///
-/// # Errors
-/// As [`check_resilient`].
-pub fn check_resilient_with(
-    collection: &SourceCollection,
-    domain: &[Value],
-    budget: &Budget,
-    config: &ParallelConfig,
-) -> Result<ResilientCheck, CoreError> {
-    check_resilient_observed(
-        collection,
-        domain,
-        budget,
-        config,
-        &mut ObsSession::disabled(),
-    )
-}
-
-/// [`check_resilient_with`] with a [`pscds_obs`] session: the ladder's
-/// budget trips and degradation decisions (with [`Engine`] provenance)
-/// are recorded as counters and events under a `resilient.check` span
-/// timed on the **budget clock** ([`Budget::elapsed_ns`]). A
-/// [disabled](ObsSession::disabled) session makes every hook a no-op, so
-/// this *is* [`check_resilient_with`] — one code path, not a twin.
-///
-/// # Errors
-/// As [`check_resilient`].
-pub fn check_resilient_observed(
-    collection: &SourceCollection,
-    domain: &[Value],
-    budget: &Budget,
-    config: &ParallelConfig,
-    obs: &mut ObsSession,
-) -> Result<ResilientCheck, CoreError> {
-    check_resilient_policy(
-        collection,
-        domain,
-        budget,
-        config,
-        &LadderPolicy::default(),
-        obs,
-    )
-}
-
-/// [`check_resilient_observed`] with an explicit [`LadderPolicy`]: the
-/// rung order comes from `policy.check` instead of the built-in default.
-/// With `LadderPolicy::default()` this *is* [`check_resilient_observed`].
-///
-/// # Errors
-/// As [`check_resilient`]; an empty `policy.check` is rejected as
-/// [`CoreError::BadDomain`].
-pub fn check_resilient_policy(
-    collection: &SourceCollection,
-    domain: &[Value],
-    budget: &Budget,
-    config: &ParallelConfig,
+    parallel: &ParallelConfig,
     policy: &LadderPolicy,
     obs: &mut ObsSession,
 ) -> Result<ResilientCheck, CoreError> {
     obs.span_open(names::SPAN_RESILIENT_CHECK, budget.elapsed_ns());
     obs.span_attr("sources", &collection.len().to_string());
-    let result = check_ladder(collection, domain, budget, config, policy, obs);
+    let result = check_ladder(collection, domain, budget, parallel, policy, obs);
     obs.span_close(budget.elapsed_ns());
     result
 }
 
-/// The engine ladder of [`check_resilient_observed`]: runs each rung of
+/// The engine ladder of [`check_resilient`]: runs each rung of
 /// `policy.check` in order. The first rung runs on the caller's budget;
-/// every later rung runs under a [renewed](Budget::renewed) slice. A
-/// rung's budget trip is recorded (and a degradation event emitted) only
-/// when a later, *applicable* rung exists to fall back to — otherwise
-/// the trip propagates exactly as the rung raised it.
+/// every later rung runs under a [renewed](Budget::renewed) slice. Every
+/// rung's budget trip is recorded; a degradation event follows only when
+/// a later, *applicable* rung exists to fall back to — otherwise the trip
+/// propagates exactly as the rung raised it.
 fn check_ladder(
     collection: &SourceCollection,
     domain: &[Value],
     budget: &Budget,
-    config: &ParallelConfig,
+    parallel: &ParallelConfig,
     policy: &LadderPolicy,
     obs: &mut ObsSession,
 ) -> Result<ResilientCheck, CoreError> {
@@ -316,7 +254,7 @@ fn check_ladder(
         obs.span_attr("engine", &engine_name);
         let outcome = match rung {
             CheckRung::Exhaustive => {
-                find_witness_parallel(collection, domain, None, rung_budget, config).map(
+                find_witness_parallel(collection, domain, None, rung_budget, parallel).map(
                     |witness| ResilientCheck {
                         engine: Engine::Exact,
                         consistent: witness.is_some(),
@@ -328,7 +266,7 @@ fn check_ladder(
                 // lint-allow(no-panic): runnable established identity.is_some() above
                 let identity = identity.as_ref().expect("signature rung needs identity");
                 padding_of(identity, domain).and_then(|padding| {
-                    decide_identity_parallel(identity, padding, rung_budget, config).map(
+                    decide_identity_parallel(identity, padding, rung_budget, parallel).map(
                         |verdict| match verdict {
                             IdentityConsistency::Consistent { witness, .. } => ResilientCheck {
                                 engine: Engine::Signature,
@@ -346,18 +284,14 @@ fn check_ladder(
             }
         };
         obs.span_close(budget.elapsed_ns());
+        // Neither check engine takes the session, so the ladder records
+        // every trip, the last rung's included.
+        record_trip(obs, budget.elapsed_ns(), &outcome);
         match outcome {
             Ok(result) => return Ok(result),
             Err(e @ CoreError::BudgetExceeded { .. }) => {
-                // The trip is recorded whenever more of the *policy*
-                // remains (even if no later rung turns out applicable —
-                // the ladder observably gave up mid-policy), matching the
-                // historical event order.
                 if i + 1 == rungs.len() {
                     return Err(e);
-                }
-                if let CoreError::BudgetExceeded { phase, .. } = &e {
-                    record_trip(obs, budget.elapsed_ns(), phase);
                 }
                 match next_applicable(&applicable, rung) {
                     Some(next_rung) => {
@@ -504,8 +438,9 @@ impl ResilientConfidence {
 
 /// Computes tuple confidences under a budget, degrading gracefully.
 ///
-/// Strategy — a ladder of engines, each rung under a
-/// [renewed](Budget::renewed) budget:
+/// Strategy — a ladder of engines, the rungs of `policy.confidence` in
+/// order, each later rung under a [renewed](Budget::renewed) budget. By
+/// default:
 ///
 /// 1. the exact signature counter ([`Engine::Exact`]);
 /// 2. the memoized residual-state DP ([`Engine::Dp`]) — *still exact*; it
@@ -515,117 +450,50 @@ impl ResilientConfidence {
 ///    an estimate, clearly tagged as such). Without `approx` the DP's
 ///    budget error propagates: approximation is opt-in.
 ///
+/// The exact engines run their work-partitioned variants across
+/// `parallel.threads()` workers (bit-identical totals for every thread
+/// count); the Metropolis fallback is a single chain and stays serial.
+/// Budget trips, ladder degradations (with [`Engine`] provenance), the
+/// DP rung's chunk-level telemetry (via [`count_dp_observed`]), and the
+/// sampler's acceptance-rate counters are recorded into `obs` under a
+/// `resilient.confidence` span. A [disabled](ObsSession::disabled)
+/// session makes every hook a no-op.
+///
 /// # Errors
 /// [`CoreError::InconsistentCollection`] (from the sampler),
 /// [`CoreError::BudgetExceeded`] when the budget trips without `approx`
-/// (or the sampler trips too).
+/// (or the sampler trips too); a policy whose applicable rung list is
+/// empty (no rungs, or only `Sampled` rungs without `approx`) is
+/// rejected as [`CoreError::BadDomain`].
 pub fn confidence_resilient(
     collection: &IdentityCollection,
     padding: u64,
     budget: &Budget,
-    approx: bool,
-) -> Result<ResilientConfidence, CoreError> {
-    confidence_resilient_with(
-        collection,
-        padding,
-        budget,
-        &ParallelConfig::serial(),
-        approx,
-    )
-}
-
-/// [`confidence_resilient`] with an explicit [`ParallelConfig`]: the
-/// exact counter runs its work-partitioned parallel variant (bit-identical
-/// totals for every thread count); the Metropolis fallback is a single
-/// chain and stays serial. `config.threads() == 1` is exactly
-/// [`confidence_resilient`].
-///
-/// # Errors
-/// As [`confidence_resilient`].
-pub fn confidence_resilient_with(
-    collection: &IdentityCollection,
-    padding: u64,
-    budget: &Budget,
-    config: &ParallelConfig,
-    approx: bool,
-) -> Result<ResilientConfidence, CoreError> {
-    confidence_resilient_observed(
-        collection,
-        padding,
-        budget,
-        config,
-        approx,
-        &mut ObsSession::disabled(),
-    )
-}
-
-/// [`confidence_resilient_with`] with a [`pscds_obs`] session: budget
-/// trips, ladder degradations (with [`Engine`] provenance), the DP
-/// rung's full chunk-level telemetry (via
-/// [`count_dp_observed`]), and the sampler's acceptance-rate counters
-/// are all recorded under a `resilient.confidence` span. Each rung's
-/// span timestamps read that rung's own (renewed) budget clock. A
-/// [disabled](ObsSession::disabled) session makes every hook free, so
-/// this *is* [`confidence_resilient_with`] — one code path, not a twin.
-///
-/// # Errors
-/// As [`confidence_resilient`].
-pub fn confidence_resilient_observed(
-    collection: &IdentityCollection,
-    padding: u64,
-    budget: &Budget,
-    config: &ParallelConfig,
-    approx: bool,
-    obs: &mut ObsSession,
-) -> Result<ResilientConfidence, CoreError> {
-    confidence_resilient_policy(
-        collection,
-        padding,
-        budget,
-        config,
-        approx,
-        &LadderPolicy::default(),
-        obs,
-    )
-}
-
-/// [`confidence_resilient_observed`] with an explicit [`LadderPolicy`]:
-/// the rung order comes from `policy.confidence` instead of the built-in
-/// default. With `LadderPolicy::default()` this *is*
-/// [`confidence_resilient_observed`].
-///
-/// # Errors
-/// As [`confidence_resilient`]; a policy whose applicable rung list is
-/// empty (no rungs, or only `Sampled` rungs without `approx`) is
-/// rejected as [`CoreError::BadDomain`].
-pub fn confidence_resilient_policy(
-    collection: &IdentityCollection,
-    padding: u64,
-    budget: &Budget,
-    config: &ParallelConfig,
+    parallel: &ParallelConfig,
     approx: bool,
     policy: &LadderPolicy,
     obs: &mut ObsSession,
 ) -> Result<ResilientConfidence, CoreError> {
     obs.span_open(names::SPAN_RESILIENT_CONFIDENCE, budget.elapsed_ns());
     obs.span_attr("sources", &collection.sources.len().to_string());
-    let result = confidence_ladder(collection, padding, budget, config, approx, policy, obs);
+    let result = confidence_ladder(collection, padding, budget, parallel, approx, policy, obs);
     obs.span_close(budget.elapsed_ns());
     result
 }
 
-/// The engine ladder of [`confidence_resilient_observed`]: runs each
-/// rung of `policy.confidence` in order. Approximating rungs are skipped
-/// without the `approx` opt-in (approximation stays opt-in whatever the
-/// policy says). The first rung runs on the caller's budget; later rungs
-/// run under [renewed](Budget::renewed) slices. The DP rung records its
-/// own trips (inside [`count_dp_observed`]); the other rungs' trips are
-/// ladder-recorded. The final rung's trip propagates.
+/// The engine ladder of [`confidence_resilient`]: runs each rung of
+/// `policy.confidence` in order. Approximating rungs are skipped without
+/// the `approx` opt-in (approximation stays opt-in whatever the policy
+/// says). The first rung runs on the caller's budget; later rungs run
+/// under [renewed](Budget::renewed) slices. The DP records its own trips
+/// (it takes the session) and the circuit rung's compile and traversal
+/// run under [`observe_phase`], which records theirs; the ladder records
+/// the other rungs' trips. The final rung's trip propagates.
 fn confidence_ladder(
     collection: &IdentityCollection,
     padding: u64,
     budget: &Budget,
-    config: &ParallelConfig,
+    parallel: &ParallelConfig,
     approx: bool,
     policy: &LadderPolicy,
     obs: &mut ObsSession,
@@ -655,76 +523,72 @@ fn confidence_ladder(
         obs.span_open(names::SPAN_LADDER_RUNG, budget.elapsed_ns());
         let engine_name = rung.engine().to_string();
         obs.span_attr("engine", &engine_name);
+        let analysis = SignatureAnalysis::new(collection, padding);
         let outcome = match rung {
-            ConfidenceRung::ExactDfs => {
-                ConfidenceAnalysis::analyze_parallel(collection, padding, rung_budget, config)
-                    .map(ResilientConfidence::Exact)
-            }
+            ConfidenceRung::ExactDfs => ConfidenceAnalysis::from_signature_analysis_parallel(
+                analysis,
+                rung_budget,
+                parallel,
+            )
+            .map(ResilientConfidence::Exact),
             ConfidenceRung::Dp => {
                 // The residual-state DP, still exact, under its own time
-                // slice. The observed route records chunk lifecycle,
-                // cache statistics, and any trip of its own.
-                let analysis = SignatureAnalysis::new(collection, padding);
-                count_dp_observed(analysis, rung_budget, config, &DpConfig::default(), obs)
+                // slice: chunk lifecycle, cache statistics, and any trip.
+                count_dp_observed(analysis, rung_budget, parallel, &DpConfig::default(), obs)
                     .map(|(analysis, _stats)| ResilientConfidence::Dp(analysis))
             }
             ConfidenceRung::Circuit => {
                 // Compile the DP recursion into a shared-node circuit,
-                // then answer by a single traversal. The compile and the
-                // traversal tick the same budget slice; the observed
-                // routes record circuit-size counters, per-phase step
-                // charges, compile/traverse histograms, and any trip of
-                // their own.
-                let analysis = SignatureAnalysis::new(collection, padding);
-                compile_circuit_observed(analysis, rung_budget, &CircuitConfig::default(), obs)
-                    .and_then(|circuit| {
-                        analyze_circuit_observed(&circuit, rung_budget, config, obs)
-                            .map(ResilientConfidence::Circuit)
-                    })
+                // then answer by a single traversal. Both phases tick the
+                // same budget slice, each under its own span, step charge,
+                // histogram, and trip record; the compile also reports the
+                // circuit-size counters.
+                observe_phase(
+                    obs,
+                    rung_budget,
+                    Phase::CircuitCompile,
+                    ("engine", "circuit"),
+                    || compile_circuit(analysis, rung_budget, &CircuitConfig::default()),
+                )
+                .and_then(|circuit| {
+                    let mut metrics = MetricSet::new();
+                    circuit.stats().record_into(&mut metrics);
+                    obs.merge_metrics(&metrics);
+                    observe_phase(
+                        obs,
+                        rung_budget,
+                        Phase::CircuitTraverse,
+                        ("engine", "circuit"),
+                        || analyze_circuit_budgeted(&circuit, rung_budget),
+                    )
+                    .map(ResilientConfidence::Circuit)
+                })
             }
             ConfidenceRung::Sampled => {
-                let sampler_config = SamplerConfig::default();
-                match sample_confidences_budgeted(collection, padding, &sampler_config, rung_budget)
-                {
-                    Ok(estimate) => {
+                let config = SamplerConfig::default();
+                sample_confidences_budgeted(collection, padding, &config, rung_budget).map(
+                    |estimate| {
                         let mut metrics = MetricSet::new();
                         estimate.record_into(&mut metrics);
                         obs.merge_metrics(&metrics);
-                        let analysis = SignatureAnalysis::new(collection, padding);
-                        Ok(ResilientConfidence::Sampled {
+                        ResilientConfidence::Sampled {
                             analysis,
                             estimate,
-                            config: sampler_config,
-                        })
-                    }
-                    Err(e) => {
-                        // The sampler's trips are ladder-recorded on the
-                        // sampler's own clock even when it is the final
-                        // rung (there is no observed inner engine to do
-                        // it, unlike the DP).
-                        if let CoreError::BudgetExceeded { phase, .. } = &e {
-                            record_trip(obs, rung_budget.elapsed_ns(), phase);
+                            config,
                         }
-                        Err(e)
-                    }
-                }
+                    },
+                )
             }
         };
         obs.span_close(budget.elapsed_ns());
+        // The DP and the circuit phases take the session and record
+        // their own trips.
+        if !matches!(rung, ConfidenceRung::Dp | ConfidenceRung::Circuit) {
+            record_trip(obs, budget.elapsed_ns(), &outcome);
+        }
         match outcome {
             Ok(result) => return Ok(result),
-            Err(e @ CoreError::BudgetExceeded { .. }) => {
-                if i + 1 == rungs.len() {
-                    return Err(e);
-                }
-                // Ladder-record the trip for rungs that don't record
-                // their own (the DP and circuit routes do, inside their
-                // observed engines; the sampler just did, above).
-                if matches!(rung, ConfidenceRung::ExactDfs) {
-                    if let CoreError::BudgetExceeded { phase, .. } = &e {
-                        record_trip(obs, budget.elapsed_ns(), phase);
-                    }
-                }
+            Err(CoreError::BudgetExceeded { .. }) if i + 1 < rungs.len() => {
                 record_degradation(
                     obs,
                     budget.elapsed_ns(),
@@ -803,8 +667,8 @@ impl FaultAwareConfidence {
 /// # Errors
 /// Catalog-shape errors from [`SourceCollection::as_identity`],
 /// [`CoreError::SourceUnavailable`] as above, plus everything
-/// [`confidence_resilient_observed`] and
-/// [`crate::confidence::intervals::count_intervals_parallel`] raise.
+/// [`confidence_resilient`] and
+/// [`crate::confidence::intervals::count_intervals_observed`] raise.
 #[allow(clippy::too_many_arguments)]
 pub fn confidence_under_faults(
     provider: &mut dyn SourceProvider,
@@ -820,8 +684,7 @@ pub fn confidence_under_faults(
     let report = access.fetch_all(provider, budget, obs)?;
     let identity = report.catalog.as_identity()?;
     if report.all_available() {
-        let result =
-            confidence_resilient_policy(&identity, padding, budget, config, approx, policy, obs)?;
+        let result = confidence_resilient(&identity, padding, budget, config, approx, policy, obs)?;
         return Ok(FaultAwareConfidence::Complete {
             statuses: report.statuses,
             result,
@@ -915,19 +778,19 @@ pub fn confidence_over_stream(
             attempts: report.statuses[first].attempts(),
         });
     }
-    obs.span_open(names::SPAN_RESILIENT_STREAM, budget.elapsed_ns());
-    obs.span_attr("sources", &report.catalog.len().to_string());
     let before = session.stats();
-    let steps_before = budget.steps();
-    let outcome = session
-        .advance_to(&report.catalog)
-        .and_then(|()| analyze_incremental_budgeted(session, budget));
-    // The maintenance pass is serial, so the epoch's raw step delta is
-    // thread-invariant: charge it to the stream span and sample the
-    // per-epoch histogram.
-    let epoch_steps = budget.steps() - steps_before;
-    obs.charge_steps(epoch_steps);
-    obs.histogram_record(names::DELTA_EPOCH_STEPS, epoch_steps);
+    // The maintenance pass is serial: one observed phase per epoch.
+    let outcome = observe_phase(
+        obs,
+        budget,
+        Phase::DeltaEpoch,
+        ("sources", &report.catalog.len().to_string()),
+        || {
+            session
+                .advance_to(&report.catalog)
+                .and_then(|()| analyze_incremental_budgeted(session, budget))
+        },
+    );
     let after = session.stats();
     obs.counter_add(
         names::DELTA_BATCHES_APPLIED,
@@ -957,10 +820,6 @@ pub fn confidence_over_stream(
         names::DELTA_RESULTS_REUSED,
         after.results_reused - before.results_reused,
     );
-    if let Err(CoreError::BudgetExceeded { phase, .. }) = &outcome {
-        record_trip(obs, budget.elapsed_ns(), phase);
-    }
-    obs.span_close(budget.elapsed_ns());
     let analysis = outcome?;
     Ok((report.statuses, analysis))
 }
@@ -1009,10 +868,41 @@ mod tests {
     use crate::paper::{example_5_1, example_5_1_domain, example_5_1_scaled};
     use pscds_numeric::UBig;
 
+    /// The default check ladder, serial and unobserved.
+    fn check(
+        collection: &SourceCollection,
+        domain: &[Value],
+        budget: &Budget,
+    ) -> Result<ResilientCheck, CoreError> {
+        let (serial, policy) = (ParallelConfig::serial(), LadderPolicy::default());
+        check_resilient(
+            collection,
+            domain,
+            budget,
+            &serial,
+            &policy,
+            &mut ObsSession::disabled(),
+        )
+    }
+
+    /// The default confidence ladder, serial and unobserved.
+    fn confidence(
+        collection: &IdentityCollection,
+        padding: u64,
+        budget: &Budget,
+        approx: bool,
+    ) -> Result<ResilientConfidence, CoreError> {
+        let (serial, policy) = (ParallelConfig::serial(), LadderPolicy::default());
+        let mut obs = ObsSession::disabled();
+        confidence_resilient(
+            collection, padding, budget, &serial, approx, &policy, &mut obs,
+        )
+    }
+
     #[test]
     fn check_exact_under_unlimited_budget() {
         let c = example_5_1();
-        let r = check_resilient(&c, &example_5_1_domain(1), &Budget::unlimited()).unwrap();
+        let r = check(&c, &example_5_1_domain(1), &Budget::unlimited()).unwrap();
         assert_eq!(r.engine, Engine::Exact);
         assert!(r.consistent);
         assert!(r.witness.is_some());
@@ -1050,7 +940,7 @@ mod tests {
         let c = SourceCollection::from_sources([s1, s2]);
         let domain = domain_with_fresh(&c, 20);
         let budget = Budget::with_max_steps(50);
-        let r = check_resilient(&c, &domain, &budget).unwrap();
+        let r = check(&c, &domain, &budget).unwrap();
         assert_eq!(r.engine, Engine::Signature);
         assert!(!r.consistent);
         assert!(r.witness.is_none());
@@ -1071,14 +961,14 @@ mod tests {
         .unwrap();
         let c = SourceCollection::from_sources([src]);
         let domain = domain_with_fresh(&c, 1);
-        let err = check_resilient(&c, &domain, &Budget::with_max_steps(1)).unwrap_err();
+        let err = check(&c, &domain, &Budget::with_max_steps(1)).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { .. }));
     }
 
     #[test]
     fn confidence_exact_under_unlimited_budget() {
         let id = example_5_1().as_identity().unwrap();
-        let r = confidence_resilient(&id, 1, &Budget::unlimited(), false).unwrap();
+        let r = confidence(&id, 1, &Budget::unlimited(), false).unwrap();
         assert_eq!(r.engine(), Engine::Exact);
         let exact = r.exact().expect("exact analysis");
         assert_eq!(exact.world_count(), &UBig::from(7u64));
@@ -1089,7 +979,7 @@ mod tests {
     #[test]
     fn confidence_without_approx_propagates_budget_error() {
         let id = example_5_1().as_identity().unwrap();
-        let err = confidence_resilient(&id, 1, &Budget::with_max_steps(1), false).unwrap_err();
+        let err = confidence(&id, 1, &Budget::with_max_steps(1), false).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { .. }));
     }
 
@@ -1102,7 +992,7 @@ mod tests {
         // finishes in a few hundred nodes under its renewed allowance —
         // still an exact result, tagged with its provenance.
         let budget = Budget::with_max_steps(100_000);
-        let r = confidence_resilient(&id, 0, &budget, false).unwrap();
+        let r = confidence(&id, 0, &budget, false).unwrap();
         assert_eq!(r.engine(), Engine::Dp);
         assert!(r.is_consistent());
         let exact = r.exact().expect("the DP rung is exact");
@@ -1126,7 +1016,7 @@ mod tests {
         // comfortably in its renewed allowance.
         let id = example_5_1_scaled(64).as_identity().unwrap();
         let budget = Budget::with_max_steps(30_000);
-        let r = confidence_resilient(&id, 64, &budget, true).unwrap();
+        let r = confidence(&id, 64, &budget, true).unwrap();
         let Engine::Sampled { samples } = r.engine() else {
             panic!("expected the sampled fallback, got {}", r.engine());
         };
@@ -1146,8 +1036,7 @@ mod tests {
         // no approximation opt-in, every rung of the ladder trips and the
         // budget error surfaces.
         let id = example_5_1_scaled(64).as_identity().unwrap();
-        let err =
-            confidence_resilient(&id, 64, &Budget::with_max_steps(10_000), false).unwrap_err();
+        let err = confidence(&id, 64, &Budget::with_max_steps(10_000), false).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { .. }));
     }
 
@@ -1179,11 +1068,12 @@ mod tests {
         let c = SourceCollection::from_sources([s1, s2]);
         let domain = domain_with_fresh(&c, 20);
         let mut obs = ObsSession::in_memory();
-        let r = check_resilient_observed(
+        let r = check_resilient(
             &c,
             &domain,
             &Budget::with_max_steps(50),
             &ParallelConfig::serial(),
+            &LadderPolicy::default(),
             &mut obs,
         )
         .unwrap();
@@ -1212,12 +1102,13 @@ mod tests {
         let id = wide_slack_identity(8, 9);
         let budget = Budget::with_max_steps(100_000);
         let mut obs = ObsSession::in_memory();
-        let r = confidence_resilient_observed(
+        let r = confidence_resilient(
             &id,
             0,
             &budget,
             &ParallelConfig::serial(),
             false,
+            &LadderPolicy::default(),
             &mut obs,
         )
         .unwrap();
@@ -1246,20 +1137,21 @@ mod tests {
         let id = example_5_1_scaled(64).as_identity().unwrap();
         let budget = Budget::with_max_steps(30_000);
         let mut obs = ObsSession::in_memory();
-        let r = confidence_resilient_observed(
+        let r = confidence_resilient(
             &id,
             64,
             &budget,
             &ParallelConfig::serial(),
             true,
+            &LadderPolicy::default(),
             &mut obs,
         )
         .unwrap();
         assert!(matches!(r.engine(), Engine::Sampled { .. }));
         let report = obs.finish();
-        // Two drops: exact → dp (ladder) and dp → sampled; two trips: the
-        // DFS rung (ladder-recorded) and the DP rung (recorded by
-        // count_dp_observed itself).
+        // Two drops: exact → dp and dp → sampled; two trips: the DFS rung
+        // (ladder-recorded) and the DP rung (recorded by count_dp_observed
+        // itself).
         assert_eq!(report.metrics.counter(names::LADDER_DEGRADATIONS), 2);
         assert_eq!(report.metrics.counter(names::BUDGET_TRIPS), 2);
         let proposed = report.metrics.counter(names::SAMPLER_PROPOSED);
@@ -1277,27 +1169,58 @@ mod tests {
     }
 
     #[test]
-    fn observed_ladder_with_disabled_session_is_the_plain_ladder() {
-        let id = wide_slack_identity(8, 9);
-        let budget = Budget::with_max_steps(100_000);
-        let plain = confidence_resilient(&id, 0, &budget, false).unwrap();
-        let mut obs = ObsSession::disabled();
-        let observed = confidence_resilient_observed(
-            &id,
-            0,
-            &budget.renewed(),
+    fn confidence_ladder_records_the_last_rungs_trip() {
+        // A one-rung policy whose rung trips: the trip propagates and is
+        // recorded exactly once, whichever engine the rung runs.
+        let id = example_5_1_scaled(16).as_identity().unwrap();
+        for rung in [
+            ConfidenceRung::ExactDfs,
+            ConfidenceRung::Dp,
+            ConfidenceRung::Circuit,
+        ] {
+            let policy = LadderPolicy {
+                check: vec![CheckRung::Signature],
+                confidence: vec![rung],
+            };
+            let mut obs = ObsSession::in_memory();
+            let err = confidence_resilient(
+                &id,
+                16,
+                &Budget::with_max_steps(5),
+                &ParallelConfig::serial(),
+                false,
+                &policy,
+                &mut obs,
+            )
+            .unwrap_err();
+            assert!(matches!(err, CoreError::BudgetExceeded { .. }), "{rung:?}");
+            let report = obs.finish();
+            assert_eq!(report.metrics.counter(names::BUDGET_TRIPS), 1, "{rung:?}");
+            assert_eq!(report.events.len(), 1, "{rung:?}");
+            assert_eq!(report.events[0].name, names::EVENT_BUDGET_TRIP);
+        }
+    }
+
+    #[test]
+    fn check_ladder_records_every_tripped_rung() {
+        // Both default rungs trip a one-step allowance: two trips, one
+        // degradation between them.
+        let mut obs = ObsSession::in_memory();
+        let err = check_resilient(
+            &example_5_1(),
+            &example_5_1_domain(1),
+            &Budget::with_max_steps(1),
             &ParallelConfig::serial(),
-            false,
+            &LadderPolicy::default(),
             &mut obs,
         )
-        .unwrap();
-        assert_eq!(observed.engine(), plain.engine());
-        let (a, b) = (observed.exact().unwrap(), plain.exact().unwrap());
-        assert_eq!(a.world_count(), b.world_count());
+        .unwrap_err();
+        assert!(matches!(err, CoreError::BudgetExceeded { .. }));
         let report = obs.finish();
-        assert!(report.metrics.is_empty());
-        assert!(report.spans.is_empty());
-        assert!(report.events.is_empty());
+        assert_eq!(report.metrics.counter(names::BUDGET_TRIPS), 2);
+        assert_eq!(report.metrics.counter(names::LADDER_DEGRADATIONS), 1);
+        let kinds: Vec<&str> = report.events.iter().map(|e| e.name).collect();
+        assert_eq!(kinds, ["budget.trip", "ladder.degrade", "budget.trip"]);
     }
 
     #[test]
@@ -1331,7 +1254,7 @@ mod tests {
             confidence: vec![ConfidenceRung::Dp],
         };
         let mut obs = ObsSession::in_memory();
-        let r = confidence_resilient_policy(
+        let r = confidence_resilient(
             &id,
             1,
             &Budget::unlimited(),
@@ -1347,7 +1270,7 @@ mod tests {
         assert_eq!(report.metrics.counter(names::BUDGET_TRIPS), 0);
         // And the check ladder honours its rung list too.
         let c = example_5_1();
-        let r = check_resilient_policy(
+        let r = check_resilient(
             &c,
             &example_5_1_domain(1),
             &Budget::unlimited(),
@@ -1372,7 +1295,7 @@ mod tests {
             confidence: vec![ConfidenceRung::Circuit],
         };
         let mut obs = ObsSession::in_memory();
-        let r = confidence_resilient_policy(
+        let r = confidence_resilient(
             &id,
             3,
             &Budget::unlimited(),
@@ -1409,7 +1332,7 @@ mod tests {
             confidence: vec![ConfidenceRung::ExactDfs, ConfidenceRung::Circuit],
         };
         let mut obs = ObsSession::in_memory();
-        let r = confidence_resilient_policy(
+        let r = confidence_resilient(
             &id,
             0,
             &Budget::with_max_steps(5_000),
@@ -1443,7 +1366,7 @@ mod tests {
             confidence: vec![ConfidenceRung::Sampled],
         };
         // No check rungs at all.
-        let err = check_resilient_policy(
+        let err = check_resilient(
             &example_5_1(),
             &example_5_1_domain(1),
             &Budget::unlimited(),
@@ -1454,7 +1377,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CoreError::BadDomain { .. }));
         // Only a Sampled rung, and approximation not opted into.
-        let err = confidence_resilient_policy(
+        let err = confidence_resilient(
             &id,
             1,
             &Budget::unlimited(),
@@ -1674,10 +1597,18 @@ mod tests {
     fn check_with_parallel_config_matches_serial() {
         let c = example_5_1();
         let domain = example_5_1_domain(1);
-        let serial = check_resilient(&c, &domain, &Budget::unlimited()).unwrap();
+        let serial = check(&c, &domain, &Budget::unlimited()).unwrap();
         for threads in [1usize, 2, 8] {
             let config = ParallelConfig::with_threads(threads);
-            let par = check_resilient_with(&c, &domain, &Budget::unlimited(), &config).unwrap();
+            let par = check_resilient(
+                &c,
+                &domain,
+                &Budget::unlimited(),
+                &config,
+                &LadderPolicy::default(),
+                &mut ObsSession::disabled(),
+            )
+            .unwrap();
             assert_eq!(par.engine, serial.engine, "threads {threads}");
             assert_eq!(par.consistent, serial.consistent, "threads {threads}");
             assert_eq!(par.witness, serial.witness, "threads {threads}");
@@ -1687,12 +1618,20 @@ mod tests {
     #[test]
     fn confidence_with_parallel_config_matches_serial() {
         let id = example_5_1().as_identity().unwrap();
-        let serial = confidence_resilient(&id, 1, &Budget::unlimited(), false).unwrap();
+        let serial = confidence(&id, 1, &Budget::unlimited(), false).unwrap();
         let serial = serial.exact().expect("exact analysis");
         for threads in [1usize, 2, 8] {
             let config = ParallelConfig::with_threads(threads);
-            let par =
-                confidence_resilient_with(&id, 1, &Budget::unlimited(), &config, false).unwrap();
+            let par = confidence_resilient(
+                &id,
+                1,
+                &Budget::unlimited(),
+                &config,
+                false,
+                &LadderPolicy::default(),
+                &mut ObsSession::disabled(),
+            )
+            .unwrap();
             assert_eq!(par.engine(), Engine::Exact, "threads {threads}");
             let par = par.exact().expect("exact analysis");
             assert_eq!(par.world_count(), serial.world_count(), "threads {threads}");

@@ -121,12 +121,12 @@ pub fn generate(config: &SymmetricConfig) -> Result<SymmetricScenario, CoreError
 mod tests {
     use super::*;
     use pscds_core::confidence::{
-        analyze_circuit, compile_circuit, count_dp, CircuitConfig, ConfidenceAnalysis, DpConfig,
-        SignatureAnalysis,
+        analyze_circuit, compile_circuit, count_dp_observed, CircuitConfig, ConfidenceAnalysis,
+        DpConfig, SignatureAnalysis,
     };
     use pscds_core::govern::Budget;
-    use pscds_numeric::RowCache;
-    use pscds_obs::{names, MetricSet};
+    use pscds_core::ParallelConfig;
+    use pscds_obs::{names, MetricSet, ObsSession};
 
     #[test]
     fn deterministic_given_seed() {
@@ -192,12 +192,12 @@ mod tests {
             &CircuitConfig::default(),
         )
         .unwrap();
-        let mut rows = RowCache::new();
-        let (dp, dp_stats) = count_dp(
+        let (dp, dp_stats) = count_dp_observed(
             SignatureAnalysis::new(&identity, scenario.padding),
             &budget,
+            &ParallelConfig::serial(),
             &DpConfig::default(),
-            &mut rows,
+            &mut ObsSession::disabled(),
         )
         .unwrap();
 

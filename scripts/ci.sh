@@ -293,6 +293,99 @@ cargo test -q --release --test circuit_metamorphic
     bench_validate --history BENCH_history.jsonl > /dev/null
 )
 
+# Ladder gate (DESIGN.md §3.10): a catalog whose DFS rung trips a step
+# cap and whose DP rung rescues it, traced at two thread counts. Eight
+# sources with nine disjoint tuples each, completeness 0 and soundness
+# 1/4 give ~7^8 feasible count vectors; the DP collapses them to a few
+# hundred residual states. The answers and the counter totals must match
+# across thread counts, `pscds-trace diff` must see zero drift, and the
+# trace must record exactly one trip and one degradation.
+echo "==> ladder gate (traced DFS -> DP rescue at 2 thread counts)"
+cat > "$smoke_dir/wide.pscds" <<'EOT'
+source S0 {
+  view: V0(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V0(x0_0). V0(x0_1). V0(x0_2). V0(x0_3). V0(x0_4). V0(x0_5). V0(x0_6). V0(x0_7). V0(x0_8).
+}
+source S1 {
+  view: V1(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V1(x1_0). V1(x1_1). V1(x1_2). V1(x1_3). V1(x1_4). V1(x1_5). V1(x1_6). V1(x1_7). V1(x1_8).
+}
+source S2 {
+  view: V2(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V2(x2_0). V2(x2_1). V2(x2_2). V2(x2_3). V2(x2_4). V2(x2_5). V2(x2_6). V2(x2_7). V2(x2_8).
+}
+source S3 {
+  view: V3(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V3(x3_0). V3(x3_1). V3(x3_2). V3(x3_3). V3(x3_4). V3(x3_5). V3(x3_6). V3(x3_7). V3(x3_8).
+}
+source S4 {
+  view: V4(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V4(x4_0). V4(x4_1). V4(x4_2). V4(x4_3). V4(x4_4). V4(x4_5). V4(x4_6). V4(x4_7). V4(x4_8).
+}
+source S5 {
+  view: V5(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V5(x5_0). V5(x5_1). V5(x5_2). V5(x5_3). V5(x5_4). V5(x5_5). V5(x5_6). V5(x5_7). V5(x5_8).
+}
+source S6 {
+  view: V6(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V6(x6_0). V6(x6_1). V6(x6_2). V6(x6_3). V6(x6_4). V6(x6_5). V6(x6_6). V6(x6_7). V6(x6_8).
+}
+source S7 {
+  view: V7(x) <- R(x)
+  completeness: 0
+  soundness: 1/4
+  extension: V7(x7_0). V7(x7_1). V7(x7_2). V7(x7_3). V7(x7_4). V7(x7_5). V7(x7_6). V7(x7_7). V7(x7_8).
+}
+EOT
+(
+    cd "$smoke_dir"
+    for threads in 1 4; do
+        pscds_cli confidence wide.pscds --max-steps 100000 --threads "$threads" \
+            --trace-out "ladder-t$threads.jsonl" > "ladder-t$threads.txt"
+    done
+    grep -q '^engine: dp' ladder-t1.txt || {
+        echo "the DP rung did not rescue the tripped DFS rung" >&2
+        exit 1
+    }
+    diff -u ladder-t1.txt ladder-t4.txt || {
+        echo "ladder answers differ between --threads 1 and --threads 4" >&2
+        exit 1
+    }
+    bench_validate --counters ladder-t1.jsonl > ladder-counters-t1.txt
+    bench_validate --counters ladder-t4.jsonl > ladder-counters-t4.txt
+    diff -u ladder-counters-t1.txt ladder-counters-t4.txt || {
+        echo "ladder counter totals differ across thread counts" >&2
+        exit 1
+    }
+    pscds_trace diff ladder-t1.jsonl ladder-t4.jsonl --threshold 0 > ladder-drift.txt || {
+        echo "pscds-trace diff found ladder drift across thread counts:" >&2
+        cat ladder-drift.txt >&2
+        exit 1
+    }
+    grep -q '(no differences)' ladder-drift.txt
+    for counter in budget.trips ladder.degradations; do
+        value=$(awk -v c="$counter" '$1 == c { print $2 }' ladder-counters-t1.txt)
+        [ "${value:-0}" -eq 1 ] || {
+            echo "ladder trace recorded ${value:-no} $counter, expected 1" >&2
+            exit 1
+        }
+    done
+)
+
 # Delta gate (DESIGN.md §3.14): replay a seeded update stream through
 # the incremental maintenance session at two thread counts — the full
 # rendered replay (epoch lines, final confidence table, maintenance

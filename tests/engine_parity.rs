@@ -8,13 +8,10 @@
 use proptest::prelude::*;
 use pscds::core::confidence::{
     analyze_circuit, analyze_circuit_budgeted, analyze_circuit_conditional,
-    analyze_circuit_conditional_budgeted, analyze_circuit_conditional_parallel,
-    analyze_circuit_observed, analyze_circuit_parallel, analyze_circuit_topk,
-    analyze_circuit_topk_budgeted, analyze_circuit_topk_parallel, compile_circuit,
-    compile_circuit_observed, count_dp, count_dp_observed, count_dp_shared,
-    count_dp_shared_parallel, count_intervals, count_intervals_budgeted, count_intervals_observed,
-    count_intervals_parallel, CircuitConfig, ConfidenceAnalysis, DpConfig, LinearSystem,
-    PossibleWorlds, SharedDpCache, SignatureAnalysis,
+    analyze_circuit_conditional_budgeted, analyze_circuit_topk, analyze_circuit_topk_budgeted,
+    compile_circuit, count_dp_observed, count_dp_shared, count_intervals, count_intervals_observed,
+    CircuitConfig, ConfidenceAnalysis, DpConfig, LinearSystem, PossibleWorlds, SharedDpCache,
+    SignatureAnalysis,
 };
 use pscds::core::consensus::{maximal_consistent_subsets, maximal_consistent_subsets_parallel};
 use pscds::core::consistency::{
@@ -22,22 +19,40 @@ use pscds::core::consistency::{
     find_witness_budgeted, find_witness_parallel,
 };
 use pscds::core::delta::{
-    analyze_incremental, analyze_incremental_budgeted, analyze_incremental_parallel, DeltaBatch,
-    DeltaSession, SourceDelta,
+    analyze_incremental, analyze_incremental_budgeted, DeltaBatch, DeltaSession, SourceDelta,
 };
 use pscds::core::govern::Budget;
 use pscds::core::obs::ObsSession;
 use pscds::core::{
-    check_resilient, check_resilient_observed, check_resilient_policy, check_resilient_with,
-    CoreError, LadderPolicy, ParallelConfig, SourceCollection, SourceDescriptor,
+    check_resilient, confidence_resilient, ConfidenceRung, CoreError, LadderPolicy, ParallelConfig,
+    SourceCollection, SourceDescriptor,
 };
-use pscds::numeric::{Frac, RowCache, UBig};
+use pscds::numeric::{Frac, UBig};
 use pscds::relational::Value;
 
 const DOMAIN: usize = 5;
 /// Thread counts exercised for every instance: the serial legacy path,
 /// a modest pool, and heavy oversubscription.
 const THREADS: [usize; 3] = [1, 2, 8];
+
+/// A disabled session, then an enabled one: instrumentation must not
+/// change a single bit of any analysis.
+fn sessions() -> [ObsSession; 2] {
+    [ObsSession::disabled(), ObsSession::in_memory()]
+}
+
+/// The memoized DP at `threads` workers, recording into `obs`.
+fn dp(
+    identity: &pscds::core::collection::IdentityCollection,
+    padding: u64,
+    budget: &Budget,
+    threads: usize,
+    obs: &mut ObsSession,
+) -> Result<ConfidenceAnalysis, CoreError> {
+    let analysis = SignatureAnalysis::new(identity, padding);
+    let parallel = ParallelConfig::with_threads(threads);
+    count_dp_observed(analysis, budget, &parallel, &DpConfig::default(), obs).map(|(a, _)| a)
+}
 
 fn domain() -> Vec<Value> {
     (0..DOMAIN).map(|i| Value::sym(&format!("u{i}"))).collect()
@@ -124,22 +139,27 @@ proptest! {
 
         // The memoized residual-state DP: one more engine route, required
         // to be bit-identical on every aggregate.
-        let dp = ConfidenceAnalysis::analyze_dp(&identity, padding);
-        prop_assert_eq!(dp.world_count(), serial.world_count());
-        prop_assert_eq!(dp.feasible_vectors(), serial.feasible_vectors());
-        // The budgeted DP twin, called directly: an unlimited budget must
-        // be bit-identical to the unbudgeted route.
-        let dp_budgeted = ConfidenceAnalysis::analyze_dp_budgeted(&identity, padding, &unlimited)
+        let dp_run = dp(&identity, padding, &unlimited, 1, &mut ObsSession::disabled())
             .expect("unlimited budget");
-        prop_assert_eq!(dp_budgeted.world_count(), serial.world_count());
-        prop_assert_eq!(dp_budgeted.feasible_vectors(), serial.feasible_vectors());
+        prop_assert_eq!(dp_run.world_count(), serial.world_count());
+        prop_assert_eq!(dp_run.feasible_vectors(), serial.feasible_vectors());
+        // The consensus sweep's shared-cache DP: same aggregates.
+        let mut shared = SharedDpCache::new(&DpConfig::default());
+        let (shared_run, _) = count_dp_shared(
+            SignatureAnalysis::new(&identity, padding),
+            &unlimited,
+            &mut shared,
+        )
+        .expect("unlimited budget");
+        prop_assert_eq!(shared_run.world_count(), serial.world_count());
+        prop_assert_eq!(shared_run.feasible_vectors(), serial.feasible_vectors());
         if serial.is_consistent() {
             for tuple in identity.all_tuples() {
-                prop_assert_eq!(dp.confidence_of_tuple(&identity, &tuple).expect("consistent"),
+                prop_assert_eq!(dp_run.confidence_of_tuple(&identity, &tuple).expect("consistent"),
                     serial.confidence_of_tuple(&identity, &tuple).expect("consistent"));
             }
             if padding > 0 {
-                prop_assert_eq!(dp.padding_confidence().expect("padding exists"),
+                prop_assert_eq!(dp_run.padding_confidence().expect("padding exists"),
                     serial.padding_confidence().expect("padding exists"));
             }
         }
@@ -152,28 +172,40 @@ proptest! {
                     .expect("small universe");
             prop_assert_eq!(par_worlds.masks(), worlds.masks());
             // Signature counter: identical totals and per-tuple confidences.
-            let par = ConfidenceAnalysis::analyze_parallel(&identity, padding, &unlimited, &config)
-                .expect("unlimited budget");
+            let par = ConfidenceAnalysis::from_signature_analysis_parallel(
+                SignatureAnalysis::new(&identity, padding),
+                &unlimited,
+                &config,
+            )
+            .expect("unlimited budget");
             prop_assert_eq!(par.world_count(), serial.world_count());
             prop_assert_eq!(par.feasible_vectors(),
                 serial.feasible_vectors());
-            // Partitioned DP: same contract at every thread count.
-            let par_dp =
-                ConfidenceAnalysis::analyze_dp_parallel(&identity, padding, &unlimited, &config)
+            // Partitioned DP: same contract at every thread count, with
+            // the session disabled or enabled.
+            for mut obs in sessions() {
+                let par_dp = dp(&identity, padding, &unlimited, threads, &mut obs)
                     .expect("unlimited budget");
-            prop_assert_eq!(par_dp.world_count(), serial.world_count());
-            prop_assert_eq!(par_dp.feasible_vectors(), serial.feasible_vectors());
+                prop_assert_eq!(par_dp.world_count(), serial.world_count());
+                prop_assert_eq!(par_dp.feasible_vectors(), serial.feasible_vectors());
+                if serial.is_consistent() {
+                    for tuple in identity.all_tuples() {
+                        prop_assert_eq!(par_dp.confidence_of_tuple(&identity, &tuple).expect("consistent"),
+                            serial.confidence_of_tuple(&identity, &tuple).expect("consistent"));
+                    }
+                    if padding > 0 {
+                        prop_assert_eq!(par_dp.padding_confidence().expect("padding exists"),
+                            serial.padding_confidence().expect("padding exists"));
+                    }
+                }
+            }
             if serial.is_consistent() {
                 for tuple in identity.all_tuples() {
                     prop_assert_eq!(par.confidence_of_tuple(&identity, &tuple).expect("consistent"),
                         serial.confidence_of_tuple(&identity, &tuple).expect("consistent"));
-                    prop_assert_eq!(par_dp.confidence_of_tuple(&identity, &tuple).expect("consistent"),
-                        serial.confidence_of_tuple(&identity, &tuple).expect("consistent"));
                 }
                 if padding > 0 {
                     prop_assert_eq!(par.padding_confidence().expect("padding exists"),
-                        serial.padding_confidence().expect("padding exists"));
-                    prop_assert_eq!(par_dp.padding_confidence().expect("padding exists"),
                         serial.padding_confidence().expect("padding exists"));
                 }
             }
@@ -182,9 +214,8 @@ proptest! {
 
     /// Budget-interrupted runs resume cleanly: a tiny step allowance
     /// either completes (small instance) or trips with `BudgetExceeded`,
-    /// and a rerun under an unlimited budget — reusing whatever state
-    /// survives the interruption (the shared Pascal-row cache for the
-    /// DP) — produces the bit-exact serial result.
+    /// and a rerun under an unlimited budget produces the bit-exact
+    /// serial result.
     #[test]
     fn confidence_budget_interruption_is_clean(collection in collections(), max_steps in 1u64..200) {
         let identity = collection.as_identity().expect("identity views");
@@ -206,28 +237,16 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
         }
 
-        // The memoized DP, with the Pascal-row cache surviving the
-        // interruption into the retry.
-        let mut rows = RowCache::new();
-        let config = DpConfig::default();
-        match count_dp(
-            SignatureAnalysis::new(&identity, padding),
-            &Budget::with_max_steps(max_steps),
-            &config,
-            &mut rows,
-        ) {
-            Ok((done, _)) => {
+        // The memoized DP.
+        let mut obs = ObsSession::disabled();
+        match dp(&identity, padding, &Budget::with_max_steps(max_steps), 1, &mut obs) {
+            Ok(done) => {
                 prop_assert_eq!(done.world_count(), serial.world_count());
                 prop_assert_eq!(done.feasible_vectors(), serial.feasible_vectors());
             }
             Err(CoreError::BudgetExceeded { .. }) => {
-                let (redo, _) = count_dp(
-                    SignatureAnalysis::new(&identity, padding),
-                    &Budget::unlimited(),
-                    &config,
-                    &mut rows,
-                )
-                .expect("unlimited budget");
+                let redo = dp(&identity, padding, &Budget::unlimited(), 1, &mut obs)
+                    .expect("unlimited budget");
                 prop_assert_eq!(redo.world_count(), serial.world_count());
                 prop_assert_eq!(redo.feasible_vectors(), serial.feasible_vectors());
                 if serial.is_consistent() {
@@ -267,149 +286,55 @@ proptest! {
         }
     }
 
-    /// Graceful degradation: `check_resilient_with` must agree with the
-    /// serial `check_resilient` — same engine, same verdict, same witness
-    /// world — at every thread count.
+    /// Graceful degradation: `check_resilient` must return the serial
+    /// answer — same engine, same verdict, same witness world — at every
+    /// thread count, with the session disabled or enabled.
     #[test]
     fn resilient_parity_across_thread_counts(collection in collections()) {
         let dom = domain();
         let unlimited = Budget::unlimited();
-        let serial = check_resilient(&collection, &dom, &unlimited).expect("small universe");
+        let policy = LadderPolicy::default();
+        let serial = ParallelConfig::serial();
+        let reference =
+            check_resilient(&collection, &dom, &unlimited, &serial, &policy, &mut ObsSession::disabled())
+                .expect("small universe");
         for threads in THREADS {
             let config = ParallelConfig::with_threads(threads);
-            let par = check_resilient_with(&collection, &dom, &unlimited, &config)
-                .expect("small universe");
-            prop_assert_eq!(par.engine, serial.engine);
-            prop_assert_eq!(par.consistent, serial.consistent);
-            prop_assert_eq!(&par.witness, &serial.witness);
-        }
-    }
-
-    /// The observed entry points (`count_dp_observed`,
-    /// `check_resilient_observed`) and the shared-cache pair
-    /// (`count_dp_shared` / `count_dp_shared_parallel`) are the plain
-    /// engines plus telemetry: instrumentation must not change a single
-    /// bit of the analysis, at any thread count, with the session
-    /// enabled or disabled. (Determinism of the telemetry itself is
-    /// tests/obs_determinism.rs.)
-    #[test]
-    fn observed_and_shared_engines_match_their_plain_twins(collection in collections()) {
-        let dom = domain();
-        let identity = collection.as_identity().expect("identity views");
-        let padding = DOMAIN as u64 - identity.all_tuples().len() as u64;
-        let unlimited = Budget::unlimited();
-        let config = DpConfig::default();
-        let serial = ConfidenceAnalysis::analyze_dp(&identity, padding);
-        let serial_check = check_resilient(&collection, &dom, &unlimited).expect("small universe");
-
-        let mut shared = SharedDpCache::new(&config);
-        let (shared_run, _) = count_dp_shared(
-            SignatureAnalysis::new(&identity, padding),
-            &unlimited,
-            &config,
-            &mut shared,
-        )
-        .expect("unlimited budget");
-        prop_assert_eq!(shared_run.world_count(), serial.world_count());
-        prop_assert_eq!(shared_run.feasible_vectors(), serial.feasible_vectors());
-
-        for threads in THREADS {
-            let par = ParallelConfig::with_threads(threads);
-            for enabled in [false, true] {
-                let mut obs = if enabled {
-                    ObsSession::in_memory()
-                } else {
-                    ObsSession::disabled()
-                };
-                let (observed, _) = count_dp_observed(
-                    SignatureAnalysis::new(&identity, padding),
-                    &unlimited,
-                    &par,
-                    &config,
-                    &mut obs,
-                )
-                .expect("unlimited budget");
-                prop_assert_eq!(observed.world_count(), serial.world_count());
-                prop_assert_eq!(observed.feasible_vectors(), serial.feasible_vectors());
-
-                let mut obs = if enabled {
-                    ObsSession::in_memory()
-                } else {
-                    ObsSession::disabled()
-                };
-                let checked =
-                    check_resilient_observed(&collection, &dom, &unlimited, &par, &mut obs)
-                        .expect("small universe");
-                prop_assert_eq!(checked.engine, serial_check.engine);
-                prop_assert_eq!(checked.consistent, serial_check.consistent);
-                prop_assert_eq!(&checked.witness, &serial_check.witness);
+            for mut obs in sessions() {
+                let par = check_resilient(&collection, &dom, &unlimited, &config, &policy, &mut obs)
+                    .expect("small universe");
+                prop_assert_eq!(par.engine, reference.engine);
+                prop_assert_eq!(par.consistent, reference.consistent);
+                prop_assert_eq!(&par.witness, &reference.witness);
             }
-
-            let mut fresh = SharedDpCache::new(&config);
-            let (par_shared, _) = count_dp_shared_parallel(
-                SignatureAnalysis::new(&identity, padding),
-                &unlimited,
-                &par,
-                &config,
-                &mut fresh,
-            )
-            .expect("unlimited budget");
-            prop_assert_eq!(par_shared.world_count(), serial.world_count());
-            prop_assert_eq!(par_shared.feasible_vectors(), serial.feasible_vectors());
         }
     }
 
-    /// The partial-availability interval engine: `count_intervals`, the
-    /// `count_intervals_budgeted` twin, and `count_intervals_parallel`
-    /// must be bit-identical at every thread count, and — containment by
-    /// construction — every bracket contains the fault-free point
-    /// answer. `check_resilient_policy` with the default `LadderPolicy`
-    /// is the policy-hoisted spelling of the historical ladder and must
-    /// agree with `check_resilient_observed` bit-for-bit.
+    /// The partial-availability interval engine: `count_intervals` and
+    /// `count_intervals_observed` must be bit-identical at every thread
+    /// count, with the session disabled or enabled, and — containment by
+    /// construction — every bracket contains the fault-free point answer.
+    /// Every exact one-rung confidence policy (DFS, DP, circuit) must
+    /// answer through `confidence_resilient` bit-identically to the
+    /// serial counter, under the same grid.
     #[test]
     fn interval_and_ladder_policy_parity_across_thread_counts(
         collection in collections(),
         missing_seed in 0usize..8,
     ) {
-        let dom = domain();
         let identity = collection.as_identity().expect("identity views");
         let padding = DOMAIN as u64 - identity.all_tuples().len() as u64;
         let unlimited = Budget::unlimited();
         let missing = [missing_seed % collection.len()];
 
         let serial = count_intervals(&identity, padding, &missing);
-        let budgeted = count_intervals_budgeted(&identity, padding, &missing, &unlimited);
-        match (&serial, &budgeted) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a, b);
-                prop_assert!(a.all_contain_point());
-            }
-            (Err(CoreError::InconsistentCollection),
-             Err(CoreError::InconsistentCollection)) => {}
-            (a, b) => return Err(TestCaseError::fail(format!(
-                "twins disagree: {a:?} vs {b:?}"
-            ))),
+        if let Ok(a) = &serial {
+            prop_assert!(a.all_contain_point());
         }
+        let exact = ConfidenceAnalysis::analyze(&identity, padding);
         for threads in THREADS {
             let config = ParallelConfig::with_threads(threads);
-            let par = count_intervals_parallel(&identity, padding, &missing, &unlimited, &config);
-            match (&serial, &par) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(CoreError::InconsistentCollection),
-                 Err(CoreError::InconsistentCollection)) => {}
-                (a, b) => return Err(TestCaseError::fail(format!(
-                    "parallel twin disagrees at {threads} threads: {a:?} vs {b:?}"
-                ))),
-            }
-
-            // count_intervals_observed is the parallel engine plus
-            // telemetry: same brackets, session enabled or disabled.
-            for enabled in [false, true] {
-                let mut obs = if enabled {
-                    ObsSession::in_memory()
-                } else {
-                    ObsSession::disabled()
-                };
+            for mut obs in sessions() {
                 let watched = count_intervals_observed(
                     &identity, padding, &missing, &unlimited, &config, &mut obs,
                 );
@@ -418,28 +343,35 @@ proptest! {
                     (Err(CoreError::InconsistentCollection),
                      Err(CoreError::InconsistentCollection)) => {}
                     (a, b) => return Err(TestCaseError::fail(format!(
-                        "observed twin disagrees at {threads} threads \
-                         (enabled={enabled}): {a:?} vs {b:?}"
+                        "interval engine disagrees at {threads} threads: {a:?} vs {b:?}"
                     ))),
                 }
             }
 
-            let mut obs = ObsSession::disabled();
-            let observed = check_resilient_observed(&collection, &dom, &unlimited, &config, &mut obs)
-                .expect("small universe");
-            let mut obs = ObsSession::disabled();
-            let policied = check_resilient_policy(
-                &collection,
-                &dom,
-                &unlimited,
-                &config,
-                &LadderPolicy::default(),
-                &mut obs,
-            )
-            .expect("small universe");
-            prop_assert_eq!(policied.engine, observed.engine);
-            prop_assert_eq!(policied.consistent, observed.consistent);
-            prop_assert_eq!(&policied.witness, &observed.witness);
+            for rung in [ConfidenceRung::ExactDfs, ConfidenceRung::Dp, ConfidenceRung::Circuit] {
+                let policy = LadderPolicy {
+                    check: LadderPolicy::default().check,
+                    confidence: vec![rung],
+                };
+                for mut obs in sessions() {
+                    let answer = confidence_resilient(
+                        &identity, padding, &unlimited, &config, false, &policy, &mut obs,
+                    )
+                    .expect("unlimited budget");
+                    prop_assert_eq!(answer.engine(), rung.engine());
+                    let answer = answer.exact().expect("an exact rung");
+                    prop_assert_eq!(answer.world_count(), exact.world_count());
+                    prop_assert_eq!(answer.feasible_vectors(), exact.feasible_vectors());
+                    if exact.is_consistent() {
+                        for tuple in identity.all_tuples() {
+                            prop_assert_eq!(
+                                answer.confidence_of_tuple(&identity, &tuple).expect("consistent"),
+                                exact.confidence_of_tuple(&identity, &tuple).expect("consistent")
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -448,8 +380,9 @@ proptest! {
     /// maintained [`DeltaSession`] must answer bit-identically to
     /// building the analysis directly from the accumulated collection —
     /// verdict, world count, feasible-vector count, and every per-tuple
-    /// confidence — and `analyze_incremental` / `_budgeted` /
-    /// `_parallel` must agree at every thread count.
+    /// confidence — whether it is answered through
+    /// `analyze_incremental_budgeted` or `analyze_incremental`, after
+    /// different maintenance histories.
     #[test]
     fn incremental_parity_over_delta_streams(
         collection in collections(),
@@ -468,9 +401,9 @@ proptest! {
         let padding = DOMAIN as u64 - identity.all_tuples().len() as u64;
         let unlimited = Budget::unlimited();
 
-        // One maintained session per thread count, replaying in lockstep.
-        let mut sessions: Vec<DeltaSession> = THREADS
-            .iter()
+        // Two maintained sessions replaying in lockstep; only the first
+        // answers the initial state, so their maintenance tiers differ.
+        let mut sessions: Vec<DeltaSession> = (0..2)
             .map(|_| DeltaSession::new(&collection, padding).expect("identity views"))
             .collect();
         let _ = analyze_incremental(&mut sessions[0]);
@@ -508,24 +441,19 @@ proptest! {
             prop_assert_eq!(first.world_count(), scratch.world_count());
             prop_assert_eq!(first.feasible_vectors(), scratch.feasible_vectors());
             prop_assert_eq!(first.is_consistent(), scratch.is_consistent());
-            for (session, threads) in sessions.iter_mut().zip(THREADS).skip(1) {
-                let config = ParallelConfig::with_threads(threads);
-                let parallel =
-                    analyze_incremental_parallel(session, &unlimited, &config)
-                        .expect("unlimited budget");
-                prop_assert_eq!(parallel.world_count(), first.world_count());
-                prop_assert_eq!(parallel.feasible_vectors(), first.feasible_vectors());
-                if scratch.is_consistent() {
-                    for tuple in maintained.all_tuples() {
-                        prop_assert_eq!(
-                            parallel
-                                .confidence_of_tuple(&maintained, &tuple)
-                                .expect("consistent"),
-                            scratch
-                                .confidence_of_tuple(&maintained, &tuple)
-                                .expect("consistent")
-                        );
-                    }
+            let second = analyze_incremental(&mut sessions[1]);
+            prop_assert_eq!(second.world_count(), first.world_count());
+            prop_assert_eq!(second.feasible_vectors(), first.feasible_vectors());
+            if scratch.is_consistent() {
+                for tuple in maintained.all_tuples() {
+                    prop_assert_eq!(
+                        second
+                            .confidence_of_tuple(&maintained, &tuple)
+                            .expect("consistent"),
+                        scratch
+                            .confidence_of_tuple(&maintained, &tuple)
+                            .expect("consistent")
+                    );
                 }
             }
             if scratch.is_consistent() {
@@ -547,8 +475,9 @@ proptest! {
     /// semantics: `compile_circuit` once, then `analyze_circuit` (plus
     /// the conditional and top-k traversals) must be bit-identical to
     /// the uncompiled DFS and DP counters on every aggregate and every
-    /// per-tuple confidence, with `_budgeted` and `_parallel` twins
-    /// agreeing at every thread count.
+    /// per-tuple confidence, with the `_budgeted` forms agreeing. (The
+    /// circuit through the ladder, at every thread count and session
+    /// state, is in `interval_and_ladder_policy_parity_across_thread_counts`.)
     #[test]
     fn circuit_parity_across_engines_and_thread_counts(collection in collections()) {
         let identity = collection.as_identity().expect("identity views");
@@ -556,7 +485,8 @@ proptest! {
         let unlimited = Budget::unlimited();
 
         let serial = ConfidenceAnalysis::analyze(&identity, padding);
-        let dp = ConfidenceAnalysis::analyze_dp(&identity, padding);
+        let dp_run = dp(&identity, padding, &unlimited, 1, &mut ObsSession::disabled())
+            .expect("unlimited budget");
         let circuit = compile_circuit(
             SignatureAnalysis::new(&identity, padding),
             &unlimited,
@@ -568,7 +498,7 @@ proptest! {
         // engines bit-for-bit.
         let traversed = analyze_circuit(&circuit);
         prop_assert_eq!(traversed.world_count(), serial.world_count());
-        prop_assert_eq!(traversed.world_count(), dp.world_count());
+        prop_assert_eq!(traversed.world_count(), dp_run.world_count());
         prop_assert_eq!(traversed.feasible_vectors(), serial.feasible_vectors());
         prop_assert_eq!(traversed.is_consistent(), serial.is_consistent());
         let budgeted = analyze_circuit_budgeted(&circuit, &unlimited).expect("unlimited budget");
@@ -583,7 +513,7 @@ proptest! {
                     reference.clone()
                 );
                 prop_assert_eq!(
-                    dp.confidence_of_tuple(&identity, &tuple).expect("consistent"),
+                    dp_run.confidence_of_tuple(&identity, &tuple).expect("consistent"),
                     reference.clone()
                 );
                 // Conditioning on the empty event is the plain confidence.
@@ -622,60 +552,8 @@ proptest! {
             prop_assert_eq!(
                 analyze_circuit_topk_budgeted(&circuit, usize::MAX, &unlimited)
                     .expect("consistent"),
-                full.clone()
+                full
             );
-
-            for threads in THREADS {
-                let config = ParallelConfig::with_threads(threads);
-                let par = analyze_circuit_parallel(&circuit, &unlimited, &config)
-                    .expect("unlimited budget");
-                prop_assert_eq!(par.world_count(), serial.world_count());
-                prop_assert_eq!(par.feasible_vectors(), serial.feasible_vectors());
-                for tuple in identity.all_tuples() {
-                    prop_assert_eq!(
-                        par.confidence_of_tuple(&identity, &tuple).expect("consistent"),
-                        serial.confidence_of_tuple(&identity, &tuple).expect("consistent")
-                    );
-                    prop_assert_eq!(
-                        analyze_circuit_conditional_parallel(
-                            &circuit, &identity, &tuple, &[], &unlimited, &config
-                        )
-                        .expect("consistent"),
-                        analyze_circuit_conditional(&circuit, &identity, &tuple, &[])
-                            .expect("consistent")
-                    );
-                }
-                prop_assert_eq!(
-                    analyze_circuit_topk_parallel(&circuit, usize::MAX, &unlimited, &config)
-                        .expect("consistent"),
-                    full.clone()
-                );
-
-                // The observed pair (compile_circuit_observed +
-                // analyze_circuit_observed) is compile-then-traverse
-                // plus telemetry: bit-identical results, session
-                // enabled or disabled.
-                for enabled in [false, true] {
-                    let mut obs = if enabled {
-                        ObsSession::in_memory()
-                    } else {
-                        ObsSession::disabled()
-                    };
-                    let recompiled = compile_circuit_observed(
-                        SignatureAnalysis::new(&identity, padding),
-                        &unlimited,
-                        &CircuitConfig::default(),
-                        &mut obs,
-                    )
-                    .expect("unlimited budget");
-                    let watched = analyze_circuit_observed(
-                        &recompiled, &unlimited, &config, &mut obs,
-                    )
-                    .expect("unlimited budget");
-                    prop_assert_eq!(watched.world_count(), serial.world_count());
-                    prop_assert_eq!(watched.feasible_vectors(), serial.feasible_vectors());
-                }
-            }
         }
     }
 

@@ -8,7 +8,9 @@
 use pscds::core::confidence::closed_form::{
     derived_confidence, derived_world_count, Example51Fact,
 };
-use pscds::core::confidence::{ConfidenceAnalysis, LinearSystem, PossibleWorlds};
+use pscds::core::confidence::{
+    ConfidenceAnalysis, LinearSystem, PossibleWorlds, SignatureAnalysis,
+};
 use pscds::core::govern::Budget;
 use pscds::core::paper::{example_5_1, example_5_1_domain};
 use pscds::core::ParallelConfig;
@@ -87,9 +89,12 @@ fn parallel_counter_reproduces_the_golden_table() {
     for (m, a, b, d, count) in GOLDEN {
         for threads in [1usize, 2, 8] {
             let config = ParallelConfig::with_threads(threads);
-            let analysis =
-                ConfidenceAnalysis::analyze_parallel(&identity, m, &Budget::unlimited(), &config)
-                    .expect("unlimited budget");
+            let analysis = ConfidenceAnalysis::from_signature_analysis_parallel(
+                SignatureAnalysis::new(&identity, m),
+                &Budget::unlimited(),
+                &config,
+            )
+            .expect("unlimited budget");
             assert_eq!(
                 analysis.world_count(),
                 &UBig::from(count),
@@ -232,9 +237,9 @@ fn circuit_reproduces_the_golden_tables() {
 
 /// One golden step row: `(label, dfs, find_feasible, dp, circuit)` —
 /// the `Budget::steps()` charge of one call into each engine:
-/// the counting DFS (`from_signature_analysis_budgeted`), the consistency
-/// DFS (`find_feasible_budgeted`), the memoized DP (`count_dp`) and the
-/// circuit compile (`compile_circuit`).
+/// the serial counting DFS (`from_signature_analysis_parallel`), the
+/// consistency DFS (`find_feasible_budgeted`), the untraced serial DP
+/// (`count_dp_observed`) and the circuit compile (`compile_circuit`).
 ///
 /// Step counts decide where the engine ladder degrades under a step cap,
 /// so a refactor of the shared search tree must leave every one of these
@@ -253,12 +258,10 @@ const GOLDEN_STEPS: [GoldenStepRow; 5] = [
 
 #[test]
 fn engine_step_counts_reproduce_the_golden_table() {
-    use pscds::core::confidence::{
-        compile_circuit, count_dp, CircuitConfig, DpConfig, SignatureAnalysis,
-    };
+    use pscds::core::confidence::{compile_circuit, count_dp_observed, CircuitConfig, DpConfig};
+    use pscds::core::obs::ObsSession;
     use pscds::core::paper::example_5_1_scaled;
     use pscds::datagen::symmetric::{self, SymmetricConfig};
-    use pscds::numeric::RowCache;
 
     let symmetric = symmetric::generate(&SymmetricConfig::default()).expect("valid config");
     let mut catalogs: Vec<(String, _, u64)> = [1usize, 2, 8, 32]
@@ -266,6 +269,7 @@ fn engine_step_counts_reproduce_the_golden_table() {
         .map(|r| (format!("scaled{r}"), example_5_1_scaled(r), r as u64))
         .collect();
     catalogs.push(("symmetric".into(), symmetric.collection, symmetric.padding));
+    let serial = ParallelConfig::serial();
     let mut measured = Vec::new();
     for (label, collection, padding) in &catalogs {
         let identity = collection.as_identity().expect("identity views");
@@ -276,7 +280,7 @@ fn engine_step_counts_reproduce_the_golden_table() {
             budget.steps()
         };
         let dfs = steps(&|b| {
-            ConfidenceAnalysis::from_signature_analysis_budgeted(analysis.clone(), b)
+            ConfidenceAnalysis::from_signature_analysis_parallel(analysis.clone(), b, &serial)
                 .expect("unlimited budget");
         });
         let first = steps(&|b| {
@@ -285,13 +289,9 @@ fn engine_step_counts_reproduce_the_golden_table() {
                 .expect("unlimited budget");
         });
         let dp = steps(&|b| {
-            count_dp(
-                analysis.clone(),
-                b,
-                &DpConfig::default(),
-                &mut RowCache::new(),
-            )
-            .expect("unlimited budget");
+            let mut obs = ObsSession::disabled();
+            count_dp_observed(analysis.clone(), b, &serial, &DpConfig::default(), &mut obs)
+                .expect("unlimited budget");
         });
         let circuit = steps(&|b| {
             compile_circuit(analysis.clone(), b, &CircuitConfig::default())

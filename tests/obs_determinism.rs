@@ -21,7 +21,7 @@ use pscds::core::confidence::{count_dp_observed, DpConfig, SignatureAnalysis};
 use pscds::core::govern::Budget;
 use pscds::core::obs::{ObsReport, ObsSession};
 use pscds::core::resilient::{
-    check_resilient_observed, confidence_resilient_observed, confidence_under_faults, LadderPolicy,
+    check_resilient, confidence_resilient, confidence_under_faults, LadderPolicy,
 };
 use pscds::core::source::{AccessPolicy, SourceAccess};
 use pscds::core::{
@@ -174,7 +174,8 @@ proptest! {
             let config = ParallelConfig::with_threads(threads);
 
             let mut obs = ObsSession::in_memory();
-            let check = check_resilient_observed(&collection, &dom, &unlimited, &config, &mut obs)
+            let policy = LadderPolicy::default();
+            let check = check_resilient(&collection, &dom, &unlimited, &config, &policy, &mut obs)
                 .expect("small universe");
             let d = digest(&obs.finish());
             match &check_baseline {
@@ -188,7 +189,7 @@ proptest! {
             );
 
             let mut obs = ObsSession::in_memory();
-            confidence_resilient_observed(&identity, padding, &unlimited, &config, false, &mut obs)
+            confidence_resilient(&identity, padding, &unlimited, &config, false, &policy, &mut obs)
                 .expect("unlimited budget");
             let d = digest(&obs.finish());
             match &conf_baseline {
