@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn span_histogram_and_event_emissions_count_as_coverage() {
         let registry = "pub const SPAN_DP_RUN: &str = \"dp.run\";\n\
-                        pub const DP_CHUNK_STEPS: &str = \"dp.chunk_steps\";\n\
+                        pub const DP_LEVEL_STEPS: &str = \"dp.level_steps\";\n\
                         pub const EVENT_BUDGET_TRIP: &str = \"budget.trip\";\n";
         let ws = Workspace::from_sources(&[
             (NAMES_FILE, registry),
@@ -329,7 +329,7 @@ mod tests {
                 "pub fn f(obs: &mut ObsSession, spans: &mut SpanStack) {\n\
                      obs.span_open(names::SPAN_DP_RUN, 0);\n\
                      spans.span_open(names::SPAN_DP_RUN, 0);\n\
-                     obs.histogram_record(names::DP_CHUNK_STEPS, 1);\n\
+                     obs.histogram_record(names::DP_LEVEL_STEPS, 1);\n\
                      obs.event(names::EVENT_BUDGET_TRIP, 0, &[]);\n\
                  }\n",
             ),

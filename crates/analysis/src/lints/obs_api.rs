@@ -143,7 +143,7 @@ mod tests {
     fn string_literal_metric_names_are_flagged_in_consumers() {
         let ws = Workspace::from_sources(&[(
             "crates/core/src/engine.rs",
-            "pub fn f(obs: &mut ObsSession) {\n    obs.counter_add(\"dp.cache_hits\", 1);\n    obs.gauge_max(\"dp.cache_peak\", 2);\n    obs.histogram_record(\"dp.chunk_steps\", 3);\n    obs.span_open(\"dp.run\", 0);\n    obs.event(\"budget.trip\", 0, &[]);\n}\n",
+            "pub fn f(obs: &mut ObsSession) {\n    obs.counter_add(\"dp.cache_hits\", 1);\n    obs.gauge_max(\"dp.cache_peak\", 2);\n    obs.histogram_record(\"dp.level_steps\", 3);\n    obs.span_open(\"dp.run\", 0);\n    obs.event(\"budget.trip\", 0, &[]);\n}\n",
         )]);
         let v = run(&ws);
         assert_eq!(v.len(), 5, "{v:?}");

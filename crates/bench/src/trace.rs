@@ -58,7 +58,7 @@ impl fmt::Display for TraceError {
 
 /// Interns a span/event attribute key. Attribute keys in [`Span`] and
 /// event records are `&'static str`; trace files carry a small closed
-/// set of them ("engine", "chunk", "phase", …), so leaking each distinct
+/// set of them ("engine", "level", "phase", …), so leaking each distinct
 /// key once is bounded and keeps the parsed report type-identical to a
 /// live session's.
 fn intern(keys: &mut BTreeMap<String, &'static str>, key: &str) -> &'static str {
@@ -430,12 +430,12 @@ mod tests {
         let mut obs = ObsSession::in_memory();
         obs.span_open(names::SPAN_DP_RUN, 5);
         obs.span_attr("engine", "dp");
-        obs.span_open(names::SPAN_DP_CHUNK, 6);
-        obs.span_attr("chunk", "0");
+        obs.span_open(names::SPAN_DP_LEVEL, 6);
+        obs.span_attr("level", "0");
         obs.charge_steps(17);
         obs.span_close(8);
         obs.span_close(9);
-        obs.histogram_record(names::DP_CHUNK_STEPS, 17);
+        obs.histogram_record(names::DP_LEVEL_STEPS, 17);
         obs.exemplar(names::DP_FALLBACK_NODES, "l01.0000000000000002");
         obs.event(names::EVENT_BUDGET_TRIP, 7, &[("phase", "confidence::dp")]);
         let report = obs.finish();
@@ -479,7 +479,7 @@ mod tests {
         assert_eq!(report.spans[0].children[0].self_steps, 17);
         assert_eq!(report.metrics.counter(names::BUDGET_TICKS), 17);
         let (hname, hist) = report.metrics.histograms().next().expect("histogram");
-        assert_eq!(hname, names::DP_CHUNK_STEPS);
+        assert_eq!(hname, names::DP_LEVEL_STEPS);
         assert_eq!((hist.count(), hist.sum()), (1, 17));
         assert_eq!(report.events.len(), 1);
         assert_eq!(
@@ -533,7 +533,7 @@ mod tests {
     #[test]
     fn histograms_validate_their_declared_count() {
         let text = "{\"pscds_trace\":1}\n\
-                    {\"type\":\"histogram\",\"name\":\"dp.chunk_steps\",\
+                    {\"type\":\"histogram\",\"name\":\"dp.level_steps\",\
                      \"count\":5,\"sum\":6,\"buckets\":[[0,1],[2,2]]}\n";
         let err = parse_trace(text).unwrap_err();
         assert!(

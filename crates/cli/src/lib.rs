@@ -167,8 +167,8 @@ OBSERVABILITY (consensus / confidence):
                      --metrics. `pscds-trace summary` renders the same
                      table from a recorded trace file
 
-    consensus --engine dp runs the subset sweep over one shared
-    residual-DP cache (exact, same report; the banner counts the
+    consensus --engine dp runs the subset sweep over one shared DP
+    result cache (exact, same report; the banner counts the
     cross-subset cache hits).
 
 ROBUSTNESS (confidence with --engine auto; sources fetched through the
@@ -2056,7 +2056,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("profile:"), "{out}");
         assert!(out.contains("dp.run"), "{out}");
-        assert!(out.contains("dp.chunk"), "{out}");
+        assert!(out.contains("dp.level"), "{out}");
         // The attribution invariant is printed and must hold: span
         // self-steps sum exactly to the budget.ticks counter.
         assert!(out.contains("attributed steps:"), "{out}");

@@ -8,9 +8,10 @@
 //! only on the source collection and the padding, never on the question.
 //! This module splits the two concerns:
 //!
-//! * **Compile** ([`compile_circuit`]): run the memoized residual walk
-//!   (`residual.rs`) once — the same walk the DP folds into counts — and
-//!   fold every node into a d-DNNF-style arithmetic circuit instead.
+//! * **Compile** ([`compile_circuit`]): walk the DFS's tree once,
+//!   memoized on residual keys (`residual.rs`) — the same states the DP
+//!   sweeps level by level — and fold every node into a d-DNNF-style
+//!   arithmetic circuit instead of a count.
 //!   Every interior node is an Or over the count choices `k` of one
 //!   signature class; each disjunct is an And of the binomial leaf
 //!   `C(n_j, k)` and the child node; the single accepting leaf carries
@@ -37,7 +38,7 @@
 //! # Node identity and residual-key canonicalization
 //!
 //! The arena that answers queries is keyed on the **exact** residual key
-//! — the one key the DP memo uses too (`residual.rs` documents why equal
+//! — the one key the DP sweep uses too (`residual.rs` documents why equal
 //! clamped residuals have bit-identical suffix trees). That makes every
 //! circuit answer equal to the DFS and DP answers *by construction*: the
 //! traversals sum exactly the terms the DFS enumerates, in exact integer
@@ -62,13 +63,13 @@
 //! representative — the compile-time analogue of the DP's debug replay
 //! check.
 //!
-//! Unlike the DP, which drops what its memo cannot hold, the compiler
-//! keeps every node: the arena *is* the artifact, so exceeding
+//! Unlike the DP, which counts the states past its cap by an uncached
+//! walk, the compiler keeps every node: the arena *is* the artifact, so exceeding
 //! [`CircuitConfig::max_nodes`] is an error.
 
 use crate::collection::IdentityCollection;
 use crate::confidence::counting::ConfidenceAnalysis;
-use crate::confidence::residual::{Fold, Residual, ResidualKey};
+use crate::confidence::residual::{Residual, ResidualKey};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
@@ -357,25 +358,18 @@ pub(crate) fn invalidate_prefix(memo: &mut CircuitMemo, max_touched: usize) -> u
     (before - memo.exact.len() - memo.canonical.len()) as u64
 }
 
-/// The compiler's fold over the residual walk: every node becomes an
-/// arena node with weighted edges, memoized on the exact key and
-/// registered in the canonical sharing index.
+/// The compiler's memoized walk over the residual states: every node
+/// becomes an arena node with weighted edges, memoized on the exact key
+/// and registered in the canonical sharing index.
 struct Compiler<'a> {
     analysis: &'a SignatureAnalysis,
+    residual: Residual<'a>,
     rows: RowCache,
     /// Per level, the orbit label of each source.
     orbits: Vec<Vec<usize>>,
     arena: CircuitSkeleton,
     memo: CircuitMemo,
     max_nodes: usize,
-}
-
-/// One Or-node's edges and counts while its children are folded in.
-struct CircuitAcc {
-    edges: Vec<Edge>,
-    count: UBig,
-    vectors: u64,
-    scratch: UBig,
 }
 
 impl Compiler<'_> {
@@ -396,7 +390,7 @@ impl Compiler<'_> {
                 }
             }
         }
-        ResidualKey::pack(j, triples)
+        ResidualKey::from_packed(j, triples.as_flattened().into())
     }
 
     /// Interns the binomial `C(size, k)` and returns its weight slot.
@@ -412,44 +406,58 @@ impl Compiler<'_> {
         self.memo.binom_slots.insert((size, k), slot);
         slot
     }
-}
 
-impl Fold for Compiler<'_> {
-    /// An arena node id; empty subtrees get no node at all (the circuit
-    /// never stores zero-count structure, which is why `exact_nodes` can
-    /// undercut even the DP's distinct-state count).
-    type Node = u32;
-    type Acc = CircuitAcc;
-    const PHASE: &'static str = COMPILE_PHASE;
-
-    fn leaf(&mut self) -> u32 {
-        0
-    }
-
-    fn lookup(&mut self, key: &ResidualKey, _j: usize, _t: &[u64], _w: u64) -> Option<Option<u32>> {
-        self.memo.exact.get(key).copied()
-    }
-
-    fn open(&mut self, _j: usize) -> CircuitAcc {
-        CircuitAcc {
-            edges: Vec::new(),
-            count: UBig::zero(),
-            vectors: 0,
-            scratch: UBig::zero(),
+    /// The memoized recursion over the DFS's tree below level `j`, one
+    /// node per residual key: the node id (the accepting leaf is 0), or
+    /// `None` for an empty subtree — the circuit stores no zero-count
+    /// structure, so `exact_nodes` can undercut the DP's state count.
+    fn walk(
+        &mut self,
+        j: usize,
+        t: &mut [u64],
+        w: &mut u64,
+        budget: &Budget,
+    ) -> Result<Option<u32>, CoreError> {
+        budget.tick(COMPILE_PHASE)?;
+        let analysis = self.analysis;
+        if j == analysis.classes().len() {
+            return Ok(analysis.leaf_feasible(t, *w).then_some(0));
         }
+        if analysis.pruned(j, t, *w) {
+            return Ok(None);
+        }
+        let key = self.residual.key(j, t, *w);
+        if let Some(&hit) = self.memo.exact.get(&key) {
+            return Ok(hit);
+        }
+        let (mut edges, mut count, mut vectors, mut term) =
+            (Vec::new(), UBig::zero(), 0u64, UBig::zero());
+        for k in 0..=analysis.k_cap(j, t, *w) {
+            analysis.descend(j, k, t, w);
+            let child = self.walk(j + 1, t, w, budget);
+            analysis.restore(j, k, t, w);
+            if let Some(child) = child? {
+                let weight = self.weight_slot(analysis.classes()[j].size, k);
+                let node = &self.arena.nodes[child as usize];
+                vectors = vectors.saturating_add(node.vectors);
+                self.arena.binoms[weight as usize].mul_into(&node.count, &mut term);
+                count.add_assign(&term);
+                edges.push(Edge { k, weight, child });
+            }
+        }
+        let node = Node {
+            level: key.level(),
+            edges,
+            count,
+            vectors,
+        };
+        self.store(key, node)
     }
 
-    fn add(&mut self, acc: &mut CircuitAcc, j: usize, k: u64, &child: &u32) {
-        let weight = self.weight_slot(self.analysis.classes()[j].size, k);
-        let child_node = &self.arena.nodes[child as usize];
-        acc.vectors = acc.vectors.saturating_add(child_node.vectors);
-        self.arena.binoms[weight as usize].mul_into(&child_node.count, &mut acc.scratch);
-        acc.count.add_assign(&acc.scratch);
-        acc.edges.push(Edge { k, weight, child });
-    }
-
-    fn store(&mut self, key: ResidualKey, acc: CircuitAcc) -> Result<Option<u32>, CoreError> {
-        if acc.edges.is_empty() {
+    /// Memoizes `node` under `key` (as an empty subtree when it has no
+    /// edges) and registers it in the canonical index.
+    fn store(&mut self, key: ResidualKey, node: Node) -> Result<Option<u32>, CoreError> {
+        if node.edges.is_empty() {
             self.memo.exact.insert(key, None);
             return Ok(None);
         }
@@ -465,13 +473,8 @@ impl Fold for Compiler<'_> {
         // lint-allow(no-panic): the arena is capped at max_nodes, far below u32::MAX
         let id = u32::try_from(self.arena.nodes.len()).expect("node id fits u32");
         self.arena.stats.exact_nodes += 1;
-        self.arena.stats.edges += acc.edges.len() as u64;
-        self.arena.nodes.push(Node {
-            level: key.level(),
-            edges: acc.edges,
-            count: acc.count,
-            vectors: acc.vectors,
-        });
+        self.arena.stats.edges += node.edges.len() as u64;
+        self.arena.nodes.push(node);
         let canonical = self.canonical_key(&key);
         self.memo.exact.insert(key, Some(id));
         match self.memo.canonical.entry(canonical) {
@@ -600,6 +603,7 @@ fn compile_onto(
 ) -> Result<(CompiledCircuit, CircuitMemo), CoreError> {
     let mut compiler = Compiler {
         analysis: &analysis,
+        residual: Residual::new(&analysis),
         rows: RowCache::new(),
         orbits: source_orbits(&analysis),
         arena,
@@ -608,7 +612,7 @@ fn compile_onto(
     };
     let mut t = vec![0u64; analysis.source_count()];
     let mut w = 0u64;
-    let root = Residual::new(&analysis).walk(&mut compiler, 0, &mut t, &mut w, budget)?;
+    let root = compiler.walk(0, &mut t, &mut w, budget)?;
     let Compiler {
         mut arena, memo, ..
     } = compiler;
@@ -660,8 +664,8 @@ pub fn analyze_circuit_budgeted(
     // Top-down reach pass. Children carry smaller ids than parents, so
     // walking ids downward visits every parent before its children.
     // `reach[x]` accumulates Σ over root-to-x paths of the path's
-    // binomial product — exactly the prefix weight the DP's parallel
-    // splitter applies to its suffix sums. A class-`j` containment
+    // binomial product — the prefix weight the DFS tally keeps per
+    // level (`prefix[j]`). A class-`j` containment
     // numerator is then Σ over level-`j` nodes and edges with `k > 0`
     // of `reach · C(n_j, k) · k · count(child)`, the same terms the
     // DP's numerator shifting adds, in exact integer arithmetic.

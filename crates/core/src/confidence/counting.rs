@@ -102,7 +102,7 @@ impl ConfidenceAnalysis {
             // once more on entry.
             let mut tally = Tally::new(&analysis);
             analysis.try_for_each_feasible(budget, |counts| tally.add(counts))?;
-            vec![tally]
+            vec![tally.finish()]
         } else {
             let prefixes = analysis.prefix_plan(config.target_chunks());
             let outcomes =
@@ -111,7 +111,7 @@ impl ConfidenceAnalysis {
                     analysis.try_for_each_feasible_from(prefix, budget, |counts| {
                         tally.add(counts);
                     })?;
-                    Ok(tally)
+                    Ok(tally.finish())
                 })?;
             outcomes.into_iter().flatten().collect()
         };
@@ -120,12 +120,12 @@ impl ConfidenceAnalysis {
         let mut total = UBig::zero();
         let mut class_numerators = vec![UBig::zero(); analysis.classes().len()];
         let mut feasible_vectors = 0u64;
-        for tally in tallies {
-            total.add_assign(&tally.total);
-            for (acc, part) in class_numerators.iter_mut().zip(&tally.class_numerators) {
+        for (part_total, part_numerators, vectors) in tallies {
+            total.add_assign(&part_total);
+            for (acc, part) in class_numerators.iter_mut().zip(&part_numerators) {
                 acc.add_assign(part);
             }
-            feasible_vectors += tally.vectors;
+            feasible_vectors += vectors;
         }
         Ok(ConfidenceAnalysis {
             analysis,
@@ -314,7 +314,7 @@ impl ConfidenceAnalysis {
             });
         }
         let mut tally = Tally::new(&self.analysis);
-        let mut num = UBig::zero();
+        let (mut num, mut scaled) = (UBig::zero(), UBig::zero());
         self.analysis.for_each_feasible(|counts| {
             let weight = if class_i == class_j {
                 let k = counts[class_i];
@@ -329,9 +329,8 @@ impl ConfidenceAnalysis {
                 }
                 prod
             };
-            tally.weigh(counts);
-            tally.product.mul_u64_into(weight, &mut tally.scratch);
-            num.add_assign(&tally.scratch);
+            tally.advance(counts).mul_u64_into(weight, &mut scaled);
+            num.add_assign(&scaled);
         });
         let den = if class_i == class_j {
             self.total.mul_u64(ni).mul_u64(ni - 1)
@@ -388,17 +387,27 @@ impl ConfidenceAnalysis {
 /// One walk's share of the count: every feasible count vector's binomial
 /// product `Π_σ C(|σ|, k_σ)`, summed into the world total and, scaled by
 /// each class's count, into the class numerators.
-struct Tally {
+///
+/// The sums are amortized over the order the vectors arrive in — correct
+/// for any order, cheap for a DFS, whose consecutive vectors share long
+/// prefixes. `prefix[j] = Π_{l<j} C(n_l, k_l)` of the last vector, so a
+/// vector first differing at level `d` recomputes only `prefix[d+1..]`.
+/// `group[j]` sums the products of the run of vectors sharing the last
+/// vector's `counts[0..=j]`; those share `k_j`, so closing the run pays
+/// `k_j · group[j]` into `class_numerators[j]` once and hands `group[j]`
+/// up to `group[j−1]` (or `total`).
+pub(crate) struct Tally {
     /// Binomial rows are interned and extended lazily: the feasibility
     /// pruning often visits only a tiny prefix of each row (for Example
     /// 5.1 the million-fact padding class never needs k > 1), and a full
     /// Pascal row of a 10^6-sized class would be astronomically large.
     rows: RowCache,
     row_ids: Vec<RowId>,
-    /// One product and one scratch buffer reused across the whole walk:
-    /// the hot multiply loop allocates nothing once the buffers reach
-    /// their steady-state size.
-    product: UBig,
+    /// The last vector (all zero at first, which the all-one `prefix`
+    /// matches since `C(n, 0) = 1`).
+    counts: Vec<u64>,
+    prefix: Vec<UBig>,
+    group: Vec<UBig>,
     scratch: UBig,
     total: UBig,
     class_numerators: Vec<UBig>,
@@ -406,7 +415,8 @@ struct Tally {
 }
 
 impl Tally {
-    fn new(analysis: &SignatureAnalysis) -> Self {
+    pub(crate) fn new(analysis: &SignatureAnalysis) -> Self {
+        let m = analysis.classes().len();
         let mut rows = RowCache::new();
         let row_ids = analysis
             .classes()
@@ -416,39 +426,58 @@ impl Tally {
         Tally {
             rows,
             row_ids,
-            product: UBig::zero(),
+            counts: vec![0; m],
+            prefix: vec![UBig::one(); m + 1],
+            group: vec![UBig::zero(); m],
             scratch: UBig::zero(),
             total: UBig::zero(),
-            class_numerators: vec![UBig::zero(); analysis.classes().len()],
+            class_numerators: vec![UBig::zero(); m],
             vectors: 0,
         }
     }
 
-    /// Sets `product` to the binomial product of `counts`.
-    fn weigh(&mut self, counts: &[u64]) {
-        self.product.set_u64(1);
-        for (j, &k) in counts.iter().enumerate() {
-            if k > 0 {
-                // C(n, 0) = 1: skip the no-op factor.
-                self.rows
-                    .get(self.row_ids[j], k)
-                    .mul_into(&self.product, &mut self.scratch);
-                std::mem::swap(&mut self.product, &mut self.scratch);
+    /// Makes `counts` the last vector: closes the runs it leaves and
+    /// recomputes their prefix products. Returns its binomial product.
+    fn advance(&mut self, counts: &[u64]) -> &UBig {
+        let m = counts.len();
+        let d = (self.counts.iter().zip(counts)).position(|(old, new)| old != new);
+        let d = d.unwrap_or(m);
+        self.close(d);
+        for j in d..m {
+            self.counts[j] = counts[j];
+            let (head, tail) = self.prefix.split_at_mut(j + 1);
+            let binom = self.rows.get(self.row_ids[j], counts[j]);
+            binom.mul_into(&head[j], &mut tail[0]);
+        }
+        &self.prefix[m]
+    }
+
+    /// Closes the runs at levels `d..`, deepest first.
+    fn close(&mut self, d: usize) {
+        for j in (d..self.group.len()).rev() {
+            let (outer, inner) = self.group.split_at_mut(j);
+            let run = &mut inner[0];
+            if !run.is_zero() {
+                run.mul_u64_into(self.counts[j], &mut self.scratch);
+                self.class_numerators[j].add_assign(&self.scratch);
+                outer.last_mut().unwrap_or(&mut self.total).add_assign(run);
+                run.set_u64(0);
             }
         }
     }
 
     /// Adds one feasible count vector.
-    fn add(&mut self, counts: &[u64]) {
+    pub(crate) fn add(&mut self, counts: &[u64]) {
+        self.advance(counts);
         self.vectors += 1;
-        self.weigh(counts);
-        self.total.add_assign(&self.product);
-        for (j, &k) in counts.iter().enumerate() {
-            if k > 0 {
-                self.product.mul_u64_into(k, &mut self.scratch);
-                self.class_numerators[j].add_assign(&self.scratch);
-            }
-        }
+        let run = self.group.last_mut().unwrap_or(&mut self.total);
+        run.add_assign(&self.prefix[counts.len()]);
+    }
+
+    /// Closes every open run: `(total, class_numerators, vectors)`.
+    pub(crate) fn finish(mut self) -> (UBig, Vec<UBig>, u64) {
+        self.close(0);
+        (self.total, self.class_numerators, self.vectors)
     }
 }
 
@@ -650,18 +679,17 @@ mod tests {
     fn joint_confidence_matches_oracle() {
         use crate::confidence::worlds::PossibleWorlds;
         use pscds_relational::Fact;
-        let m = 2usize;
-        let c = example_5_1();
-        let worlds = PossibleWorlds::enumerate(&c, &example_5_1_domain(m)).unwrap();
-        let (id, a) = analyze(m as u64);
-        let pairs = [
-            ("a", "b"),
-            ("a", "c"),
-            ("b", "c"),
-            ("b", "d1"),
-            ("d1", "d2"),
-        ];
-        for (x, y) in pairs {
+        // Every pair of distinct facts: all class pairs, and two facts of
+        // the padding class.
+        let syms = ["a", "b", "c", "d1", "d2"];
+        let pairs = (0..syms.len()).flat_map(|i| (i + 1..syms.len()).map(move |j| (i, j)));
+        for (m, (x, y)) in [2usize, 3]
+            .into_iter()
+            .flat_map(|m| pairs.clone().map(move |p| (m, p)))
+        {
+            let (x, y) = (syms[x], syms[y]);
+            let worlds = PossibleWorlds::enumerate(&example_5_1(), &example_5_1_domain(m)).unwrap();
+            let (id, a) = analyze(m as u64);
             let fx = Fact::new("R", [Value::sym(x)]);
             let fy = Fact::new("R", [Value::sym(y)]);
             let both = worlds
@@ -677,7 +705,7 @@ mod tests {
             let fast = a
                 .joint_confidence_of(&id, &[Value::sym(x)], &[Value::sym(y)])
                 .unwrap();
-            assert_eq!(fast, exact, "joint({x},{y})");
+            assert_eq!(fast, exact, "joint({x},{y}) at m={m}");
         }
     }
 
@@ -766,6 +794,10 @@ mod tests {
         let id = example_5_1().as_identity().unwrap();
         for m in [0u64, 1, 3, 50] {
             let serial = ConfidenceAnalysis::analyze(&id, m);
+            let analysis = SignatureAnalysis::new(&id, m);
+            let mut vectors = Vec::new();
+            analysis.for_each_feasible(|c| vectors.push(c.to_vec()));
+            let (total, numerators, count) = naive_tally(&sizes(&analysis), &vectors);
             for threads in [1usize, 2, 8] {
                 let config = ParallelConfig::with_threads(threads);
                 let par = ConfidenceAnalysis::from_signature_analysis_parallel(
@@ -775,11 +807,8 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(par.world_count(), serial.world_count(), "m={m} t={threads}");
-                assert_eq!(
-                    par.feasible_vectors(),
-                    serial.feasible_vectors(),
-                    "m={m} t={threads}"
-                );
+                let naive = (&total, numerators.as_slice(), count);
+                assert_eq!(par.parts(), naive, "m={m} t={threads}");
                 for sym in ["a", "b", "c"] {
                     assert_eq!(
                         par.confidence_of_tuple(&id, &[Value::sym(sym)]).unwrap(),
@@ -806,6 +835,132 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { .. }));
+    }
+
+    /// The per-vector sums the amortized [`Tally`] must reproduce:
+    /// `(total, class_numerators, vectors)`.
+    fn naive_tally(sizes: &[u64], vectors: &[Vec<u64>]) -> (UBig, Vec<UBig>, u64) {
+        use pscds_numeric::binomial::binomial_ubig;
+        let mut total = UBig::zero();
+        let mut numerators = vec![UBig::zero(); sizes.len()];
+        for counts in vectors {
+            let mut product = UBig::one();
+            for (&n, &k) in sizes.iter().zip(counts) {
+                product = product.mul(&binomial_ubig(n, k));
+            }
+            total.add_assign(&product);
+            for (num, &k) in numerators.iter_mut().zip(counts) {
+                num.add_assign(&product.mul_u64(k));
+            }
+        }
+        (total, numerators, vectors.len() as u64)
+    }
+
+    /// The amortized tally over `vectors`, in the given order.
+    fn amortized_tally(
+        analysis: &SignatureAnalysis,
+        vectors: &[Vec<u64>],
+    ) -> (UBig, Vec<UBig>, u64) {
+        let mut tally = Tally::new(analysis);
+        for counts in vectors {
+            tally.add(counts);
+        }
+        tally.finish()
+    }
+
+    fn sizes(analysis: &SignatureAnalysis) -> Vec<u64> {
+        analysis.classes().iter().map(|c| c.size).collect()
+    }
+
+    #[test]
+    fn amortized_tally_matches_per_vector_products_in_dfs_order() {
+        let id = example_5_1().as_identity().unwrap();
+        for m in [0u64, 1, 2, 7, 40] {
+            let analysis = SignatureAnalysis::new(&id, m);
+            let mut vectors = Vec::new();
+            analysis.for_each_feasible(|c| vectors.push(c.to_vec()));
+            assert_eq!(
+                amortized_tally(&analysis, &vectors),
+                naive_tally(&sizes(&analysis), &vectors),
+                "m={m}"
+            );
+        }
+    }
+
+    #[test]
+    fn amortized_tally_matches_per_vector_products_in_any_order() {
+        // Every vector of the box (feasible or not — the tally does not
+        // care), shuffled and with repeats, so consecutive vectors share
+        // prefixes of every length, including the whole vector.
+        let id = example_5_1().as_identity().unwrap();
+        let analysis = SignatureAnalysis::new(&id, 3);
+        let sizes = sizes(&analysis);
+        let mut all: Vec<Vec<u64>> = vec![Vec::new()];
+        for &n in &sizes {
+            all = all
+                .into_iter()
+                .flat_map(|p| {
+                    (0..=n).map(move |k| {
+                        let mut q = p.clone();
+                        q.push(k);
+                        q
+                    })
+                })
+                .collect();
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..8 {
+            let mut vectors = all.clone();
+            vectors.extend(all.iter().step_by(3 + round).cloned());
+            for i in (1..vectors.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                vectors.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let run = vectors[0].clone();
+            vectors.splice(0..0, [run.clone(), run]);
+            assert_eq!(
+                amortized_tally(&analysis, &vectors),
+                naive_tally(&sizes, &vectors),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn amortized_tally_handles_zero_classes_and_zero_vectors() {
+        use crate::descriptor::SourceDescriptor;
+        // No classes at all: each (empty) vector weighs 1.
+        let s = SourceDescriptor::identity(
+            "S",
+            "V",
+            "R",
+            1,
+            std::iter::empty::<[Value; 1]>(),
+            Frac::ZERO,
+            Frac::ZERO,
+        )
+        .unwrap();
+        let empty = crate::collection::SourceCollection::from_sources([s])
+            .as_identity()
+            .unwrap();
+        let bare = SignatureAnalysis::new(&empty, 0);
+        assert!(bare.classes().is_empty());
+        let vectors = vec![Vec::new(); 3];
+        assert_eq!(
+            amortized_tally(&bare, &vectors),
+            (UBig::from(3u64), Vec::new(), 3)
+        );
+        // All-zero vectors, alone and between others.
+        let analysis = SignatureAnalysis::new(&example_5_1().as_identity().unwrap(), 2);
+        let zero = vec![0u64; analysis.classes().len()];
+        let vectors = vec![zero.clone(), zero.clone(), vec![1, 0, 1, 2], zero];
+        assert_eq!(
+            amortized_tally(&analysis, &vectors),
+            naive_tally(&sizes(&analysis), &vectors)
+        );
+        assert_eq!(amortized_tally(&analysis, &[]).0, UBig::zero());
     }
 
     #[test]

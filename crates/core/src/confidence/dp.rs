@@ -1,123 +1,115 @@
-//! Memoized suffix-count DP for the exact confidence counter.
+//! Level-synchronous suffix-count DP for the exact confidence counter.
 //!
 //! The exact counter (`counting.rs`) enumerates feasible count vectors
 //! `(k_σ)` by DFS, so its runtime grows with the number of *paths* into
 //! each suffix of the class order even though a suffix's contribution
-//! depends only on a small residual state. This engine is one of the two
-//! folds over the memoized residual walk (`residual.rs`, which also holds
-//! the argument why equal residual keys have identical suffixes): every
-//! interior node folds its children into the node's entire suffix
-//! aggregate — the suffix world count `N_suffix`, the per-class
-//! containment numerators `Σ Π C(n_σ,k_σ)·k_σ₀`, and the number of
-//! feasible suffix completions — and memoizes it. One sweep from the root
-//! therefore yields `total`, every `class_numerators[σ₀]`, and
-//! `feasible_vectors` exactly as the DFS does, while instances whose
-//! search trees re-enter the same residual states (disjoint extensions,
-//! wide slack classes) collapse from exponential to pseudo-polynomial in
-//! the class sizes. The numerators are built bottom-up per node — unlike
-//! the circuit, which keeps its arena and derives them in one top-down
-//! pass — so a node the memo cannot hold is simply dropped.
+//! depends only on a small residual state (`residual.rs` holds the
+//! argument why equal residual keys have identical suffixes). This
+//! engine visits each residual state once, in two sweeps over the class
+//! levels:
 //!
-//! Equality of clamped residuals is checked empirically in debug builds:
-//! on each first cache hit the engine replays the uncached DFS
-//! (`SignatureAnalysis::dfs`) from the current exact state under a
-//! small step allowance and `debug_assert`s that the number of feasible
-//! completions matches the cached node.
+//! 1. **Expand**, top-down: level `j+1`'s states are the distinct keys
+//!    of the children of level `j`'s states under the DFS's prune and
+//!    `k_cap` rules, sorted by key, each with one representative exact
+//!    state `(t, w)` — its first arrival in DFS order.
+//! 2. **Evaluate**, bottom-up: each state folds its children's suffix
+//!    aggregates — world count `N_suffix`, per-class containment
+//!    numerators `Σ Π C(n_σ,k_σ)·k_σ₀`, feasible completions — found by
+//!    key in the level below. A level's aggregates are dropped once its
+//!    parents have folded them in, so a run holds keys for every level
+//!    but aggregates for at most two.
 //!
-//! # Cache budget and degradation
+//! The root's aggregate yields `total`, every `class_numerators[σ₀]` and
+//! `feasible_vectors` exactly as the DFS does, while search trees that
+//! re-enter the same residual states (disjoint extensions, wide slack
+//! classes) collapse from exponential to pseudo-polynomial in the class
+//! sizes. Debug builds replay the uncached DFS from both exact states
+//! that first share a key and `debug_assert` equal aggregates.
 //!
-//! Search steps draw from the caller's [`Budget`] exactly like the DFS
-//! (one tick per node; deadline / step-allowance / cancellation all
-//! apply, unwinding with [`CoreError::BudgetExceeded`]). The memo *size*
-//! is governed separately by [`DpConfig::max_cache_entries`]: when the
-//! map is full, new nodes are computed but not inserted — the engine
-//! silently degrades to plain DFS for those subtrees (still exact, still
-//! budget-governed, memory still bounded), it never errors on cache
-//! exhaustion.
+//! # Budget, cap and threads
 //!
-//! Every run memoizes through a [`SharedDpCache`]: a private run is a run
-//! against a fresh cache, and the consensus sweep keeps one cache across
-//! all its runs.
+//! Search steps draw from the caller's [`Budget`] like a recursive walk
+//! over the same states: one tick for the root and one per child a state
+//! generates. [`DpConfig::max_cache_entries`] caps the resident states;
+//! each arrival at a state past the cap is counted by the uncached DFS
+//! from its exact state — still exact, never an error.
 //!
-//! # Chunks and telemetry
-//!
-//! [`count_dp_observed`] is the one entry over a private cache. It runs
-//! one DP per prefix chunk from [`SignatureAnalysis::prefix_plan`]
-//! through [`partition::run_chunks`], each with a fresh cache (caches are
-//! not shared across workers — `Rc` nodes are cheap, locks are not).
-//! Per-chunk results are exact integers merged in chunk order and
-//! per-chunk cache statistics are folded deterministically (sums, and
-//! the bookkeeping inherits `run_chunks`' lowest-chunk-wins error
-//! ordering), so the outcome is bit-identical to one whole-tree walk —
-//! and to the serial DFS — at every thread count. An untraced serial run
-//! plans just the empty prefix: one walk over the whole tree.
-//! [`count_dp_shared`] is the serial walk against a caller-owned
-//! [`SharedDpCache`].
+//! The evaluation, which does the bigint work, splits each level with
+//! [`partition::split_slice_ranges`] through [`partition::run_chunks`].
+//! The expansion, one hash lookup per arrival, stays on the calling
+//! thread: parts would each rediscover most of the level below (at
+//! `example_5_1_scaled(64)`, 32 parts hold 48k copies of 2,177 states).
+//! So the level sets, every counter and the result are the same at every
+//! thread count, traced or not. Each expanded level records a `dp.level`
+//! span (`level`, `states`) charged with its ticks, level 0's including
+//! the root's; the uncached walks are charged to `dp.run`.
 
-use crate::confidence::counting::ConfidenceAnalysis;
-use crate::confidence::residual::{Fold, Residual, ResidualKey};
-use crate::confidence::signature::SignatureAnalysis;
+use crate::confidence::counting::{ConfidenceAnalysis, Tally};
+use crate::confidence::residual::{Residual, ResidualKey};
+use crate::confidence::signature::{SignatureAnalysis, SourceBounds};
 use crate::error::CoreError;
 use crate::govern::{record_trip, Budget};
 use crate::partition::{self, ParallelConfig};
-use pscds_numeric::binomial::RowId;
 use pscds_numeric::{RowCache, UBig};
-use pscds_obs::{names, MetricSet, ObsSession, SpanStack, EXEMPLAR_KEYS};
+use pscds_obs::{names, MetricSet, ObsSession, EXEMPLAR_KEYS};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{ControlFlow, Range};
 
 /// Memoization limits for the DP engine (search *steps* are governed by
 /// the [`Budget`] passed at the call site; this bounds memory).
 #[derive(Clone, Copy, Debug)]
 pub struct DpConfig {
-    /// Maximum number of residual states kept in the memo hash map. When
-    /// the map is full, further subtrees are computed without caching
-    /// (exact DFS degradation — never an error).
+    /// Maximum number of residual states resident at once. States past
+    /// the cap are counted by the uncached DFS (exact degradation —
+    /// never an error).
     pub max_cache_entries: usize,
 }
 
 impl Default for DpConfig {
     fn default() -> Self {
         DpConfig {
-            // ~1M residual states; each node holds a handful of UBigs, so
-            // this caps the memo at a few hundred MB in the worst case
-            // while leaving every realistic instance fully cached.
+            // ~1M residual states; each holds a handful of UBigs, so this
+            // caps memory at a few hundred MB in the worst case while
+            // leaving every realistic instance fully resident.
             max_cache_entries: 1 << 20,
         }
     }
 }
 
-/// Cache-behaviour counters of one DP run (for benches and diagnostics).
+/// State counters of one DP run (for benches and diagnostics).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DpStats {
-    /// Interior nodes answered from the memo.
+    /// Arrivals at a residual key that already had a state (in this run,
+    /// or as a [`SharedDpCache`] result).
     pub cache_hits: u64,
-    /// Interior nodes computed (and inserted, capacity permitting).
+    /// Distinct residual states the sweep evaluated.
     pub cache_misses: u64,
-    /// Peak number of entries resident in the memo (summed across chunks
-    /// in the parallel driver).
+    /// Peak number of resident states: the run's, plus the results a
+    /// [`SharedDpCache`] holds (the largest run's, when
+    /// [absorbed](DpStats::absorb) across runs).
     pub peak_cache_entries: usize,
-    /// Interior nodes computed *without* insertion because the memo was
-    /// full (the DFS-degradation path).
+    /// Search-tree nodes the uncached DFS visited below states past the
+    /// cap (the degradation path).
     pub fallback_nodes: u64,
-    /// Hits on [`SharedDpCache`] nodes inserted by an *earlier* run (the
-    /// cross-subset sharing win of the consensus sweep; always 0 for
-    /// private-cache runs).
+    /// Runs answered by a [`SharedDpCache`] result of an *earlier* run
+    /// (the cross-subset sharing win of the consensus sweep; always 0 for
+    /// private runs).
     pub cross_subset_hits: u64,
-    /// The lexicographically smallest [`EXEMPLAR_KEYS`] canonical memo-key
-    /// renderings among the fallback nodes — the deterministic exemplar
-    /// payload attached to `dp.fallback_nodes`. Keep-smallest is a
-    /// semilattice, so chunk-order merges cannot reorder it.
+    /// The lexicographically smallest [`EXEMPLAR_KEYS`] canonical
+    /// residual-key renderings among the states past the cap — the
+    /// deterministic exemplar payload attached to `dp.fallback_nodes`.
+    /// Keep-smallest is a semilattice, so merge order cannot reorder it.
     pub fallback_keys: Vec<String>,
 }
 
 impl DpStats {
-    /// Folds another run's counters into this one (chunk-order merge in
-    /// the parallel driver and across the consensus sweep's subset runs).
+    /// Folds another run's counters into this one (across the consensus
+    /// sweep's subset runs).
     pub fn absorb(&mut self, other: &DpStats) {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.peak_cache_entries += other.peak_cache_entries;
+        self.peak_cache_entries = self.peak_cache_entries.max(other.peak_cache_entries);
         self.fallback_nodes += other.fallback_nodes;
         self.cross_subset_hits += other.cross_subset_hits;
         for key in &other.fallback_keys {
@@ -125,7 +117,7 @@ impl DpStats {
         }
     }
 
-    /// Records one uncacheable memo key, keeping only the
+    /// Records one state past the cap, keeping only the
     /// [`EXEMPLAR_KEYS`] smallest distinct renderings.
     fn note_fallback_key(&mut self, key: &str) {
         if let Err(pos) = self.fallback_keys.binary_search_by(|k| k.as_str().cmp(key)) {
@@ -151,82 +143,115 @@ impl DpStats {
     }
 }
 
-/// One cached suffix aggregate.
-struct DpNode {
-    /// `N_suffix` — the weighted world count of the suffix.
-    count: UBig,
-    /// Number of feasible suffix completions (saturating; `0` marks a
-    /// memoized empty subtree).
-    vectors: u64,
-    /// `numerators[l]` = `Σ_{feasible completions} Π C · k_{level+l}`.
-    numerators: Vec<UBig>,
-    /// The run that computed the node (for cross-subset hit attribution).
-    run: u32,
-    /// Debug-only: whether the replay check already ran for this node.
-    #[cfg(debug_assertions)]
-    replayed: std::cell::Cell<bool>,
+/// Suffix aggregates of a run of states, packed: per state its world
+/// count `N_suffix` then, for each class `l` of the suffix, the
+/// containment numerator `Σ_{feasible completions} Π C · k_l` — each a
+/// run of limbs — plus its number of feasible completions (saturating).
+#[derive(Default, PartialEq)]
+struct Sums {
+    limbs: Vec<u64>,
+    ends: Vec<usize>,
+    vectors: Vec<u64>,
 }
 
-impl DpNode {
-    fn new(count: UBig, vectors: u64, numerators: Vec<UBig>, run: u32) -> Self {
-        DpNode {
-            count,
-            vectors,
-            numerators,
-            run,
-            #[cfg(debug_assertions)]
-            replayed: std::cell::Cell::new(false),
+impl Sums {
+    /// The limbs of value `v` (entry `v % width` of state `v / width`).
+    fn value(&self, v: usize) -> &[u64] {
+        let start = v.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.limbs[start..self.ends[v]]
+    }
+
+    /// Appends one state's aggregate.
+    fn push(&mut self, values: &[UBig], vectors: u64) {
+        for value in values {
+            self.limbs.extend_from_slice(value.limbs());
+            self.ends.push(self.limbs.len());
+        }
+        self.vectors.push(vectors);
+    }
+
+    /// Folds state `c` of `self` (`acc.len() − 1` values per state),
+    /// reached by choosing `k` tuples of a class at weight `binom`, into
+    /// `acc` = `[count, the numerators of that class and the suffix]`.
+    fn fold_into(
+        &self,
+        (c, k, binom): (usize, u64, &UBig),
+        acc: &mut [UBig],
+        vectors: &mut u64,
+        scratch: &mut [UBig; 3],
+    ) {
+        let width = acc.len() - 1;
+        let [value, term, scaled] = scratch;
+        value.set_limbs(self.value(c * width));
+        if value.is_zero() {
+            return;
+        }
+        *vectors = vectors.saturating_add(self.vectors[c]);
+        binom.mul_into(value, term);
+        acc[0].add_assign(term);
+        if k > 0 {
+            term.mul_u64_into(k, scaled);
+            acc[1].add_assign(scaled);
+        }
+        for l in 1..width {
+            value.set_limbs(self.value(c * width + l));
+            binom.mul_into(value, term);
+            acc[l + 1].add_assign(term);
         }
     }
 }
 
-/// Node allowance for the debug replay of a cache hit: large enough to
-/// verify real collisions, small enough to keep debug test runs subexponential.
+/// Node allowance for each debug replay of a key collision: large enough
+/// to verify real collisions, small enough to keep debug test runs
+/// subexponential.
 #[cfg(debug_assertions)]
 const REPLAY_NODE_CAP: u64 = 10_000;
 
 /// Budget phase charged once per DP node.
 const DP_PHASE: &str = "confidence::dp";
 
-/// One context's residual memo.
-type Memo = HashMap<ResidualKey, Rc<DpNode>>;
+/// A multiply-rotate hasher for the per-arrival lookups of packed
+/// residual limbs, where SipHash would cost more than the rest of the
+/// lookup. The keys are computed, not adversarial.
+#[derive(Default)]
+struct LimbHasher(u64);
 
-/// A residual-node memo shared **across DP runs** — the consensus sweep's
-/// cache (ROADMAP "DP for consensus levels").
+impl Hasher for LimbHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut limb = [0u8; 8];
+            limb[..word.len()].copy_from_slice(word);
+            let limb = u64::from_le_bytes(limb);
+            self.0 = (self.0.rotate_left(5) ^ limb).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LimbMap<K, V> = HashMap<K, V, BuildHasherDefault<LimbHasher>>;
+
+/// DP results shared **across runs** — the consensus sweep's cache.
 ///
-/// Sharing is sound because the DP recursion is a pure function of the
-/// analysis's *projected structure*: the class list `(signature, size)`
-/// and the per-source bounds `(min_sound, completeness)` determine every
-/// prune, every `k_cap`, and every leaf verdict (`hurt` and `suffix_max`
-/// derive from them). The cache therefore folds that structure into the
-/// key — each run's analysis is interned to a context id, and nodes are
-/// keyed `(context, level, packed residuals)`. Two subsets of a source
-/// collection whose projected structures coincide (duplicate sources
-/// dropped, same padding) intern to the *same* context and share every
-/// node; structurally distinct subsets never collide.
-///
-/// Nodes remember the run that inserted them, so a hit on an earlier
-/// run's node is reported as [`DpStats::cross_subset_hits`] — the
-/// quantity the `dp.cross_subset_hits` counter tracks.
-///
-/// The memo is single-threaded (nodes are `Rc`), so
-/// [`count_dp_shared`] is a serial walk.
+/// A run's result is a pure function of its analysis's *projected
+/// structure* — the class list `(signature, size)` and the per-source
+/// bounds `(min_sound, completeness)` fix every prune, `k_cap` and leaf
+/// verdict from the root down — so the cache keys each root aggregate on
+/// it. Subsets of a collection with one projected structure (duplicate
+/// sources dropped, same padding) share the result: a later run stops at
+/// its root, a [`DpStats::cross_subset_hits`] hit.
 #[derive(Default)]
 pub struct SharedDpCache {
-    /// Structural encoding → interned context id (an index into `memos`).
-    contexts: HashMap<Box<[u64]>, usize>,
-    /// Per-context residual memos.
-    memos: Vec<Memo>,
-    /// Total nodes across contexts (the capacity the cap governs).
-    entries: usize,
-    /// Next run sequence number.
-    runs: u32,
+    /// Projected structure → the root aggregate of its DP.
+    roots: HashMap<Box<[u64]>, Sums>,
     max_entries: usize,
 }
 
 impl SharedDpCache {
-    /// An empty shared cache honoring `config.max_cache_entries` across
-    /// *all* contexts combined.
+    /// An empty shared cache; `config.max_cache_entries` caps the held
+    /// results and each run's states combined.
     #[must_use]
     pub fn new(config: &DpConfig) -> Self {
         SharedDpCache {
@@ -235,318 +260,337 @@ impl SharedDpCache {
         }
     }
 
-    /// Total cached nodes across all contexts.
+    /// Number of cached results: the distinct projected structures.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries
+        self.roots.len()
     }
 
     /// `true` when nothing is cached yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Number of distinct projected structures interned so far.
-    #[must_use]
-    pub fn context_count(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// The structural encoding a context id interns: class count, source
-    /// count, the `(signature, size)` class sequence, and the per-source
-    /// bounds.
-    fn encode(analysis: &SignatureAnalysis) -> Box<[u64]> {
-        let classes = analysis.classes();
-        let bounds = analysis.bounds();
-        let mut enc = Vec::with_capacity(2 + 2 * classes.len() + 3 * bounds.len());
-        enc.push(classes.len() as u64);
-        enc.push(bounds.len() as u64);
-        for class in classes {
-            enc.push(class.signature);
-            enc.push(class.size);
-        }
-        for b in bounds {
-            enc.push(b.min_sound);
-            enc.push(b.completeness.num());
-            enc.push(b.completeness.den());
-        }
-        enc.into_boxed_slice()
+        self.roots.is_empty()
     }
 }
 
-/// The DP's fold over the residual walk: children fold into a suffix
-/// aggregate, memoized in one context of a [`SharedDpCache`] (borrowed
-/// once, for the whole run).
-struct DpFold<'r> {
-    analysis: &'r SignatureAnalysis,
-    rows: RowCache,
-    memo: &'r mut Memo,
-    /// The cache's total node count, shared by all its contexts.
-    entries: &'r mut usize,
-    max_entries: usize,
-    /// This run's sequence number (for cross-subset hit attribution).
-    run: u32,
-    /// Shared feasible-leaf node (count 1, one completion).
-    leaf: Rc<DpNode>,
-    stats: DpStats,
+/// One level's states, flat: per state its packed residual key (`3n`
+/// limbs for `n` sources), then its representative exact state `t` (`n`
+/// limbs) and `w`.
+#[derive(Default)]
+struct Level {
+    sources: usize,
+    records: Vec<u64>,
 }
 
-/// One node's aggregate while its children are folded in.
-struct DpAcc {
-    /// The interned binomial row of the node's class.
-    row: RowId,
-    count: UBig,
-    vectors: u64,
-    numerators: Vec<UBig>,
-    scratch: UBig,
-    scaled: UBig,
+impl Level {
+    fn len(&self) -> usize {
+        self.records.len() / (4 * self.sources + 1)
+    }
+
+    /// The `(key, t, w)` of the states in `range`.
+    fn states(&self, range: Range<usize>) -> impl Iterator<Item = (&[u64], &[u64], u64)> {
+        let (n, stride) = (self.sources, 4 * self.sources + 1);
+        let records = &self.records[range.start * stride..range.end * stride];
+        records
+            .chunks_exact(stride)
+            .map(move |r| (&r[..3 * n], &r[3 * n..4 * n], r[4 * n]))
+    }
 }
 
-impl<'r> DpFold<'r> {
-    /// Interns the analysis's projected structure in `cache` and opens a
-    /// new run against that context.
-    fn begin(analysis: &'r SignatureAnalysis, cache: &'r mut SharedDpCache) -> Self {
-        let next = cache.memos.len();
-        let ctx = *cache
-            .contexts
-            .entry(SharedDpCache::encode(analysis))
-            .or_insert(next);
-        if ctx == next {
-            cache.memos.push(Memo::new());
-        }
-        let run = cache.runs;
-        cache.runs = cache.runs.saturating_add(1);
-        DpFold {
+/// One DP run over one decomposition.
+struct Sweep<'a> {
+    analysis: &'a SignatureAnalysis,
+    residual: Residual<'a>,
+    parallel: &'a ParallelConfig,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(analysis: &'a SignatureAnalysis, parallel: &'a ParallelConfig) -> Self {
+        let residual = Residual::new(analysis);
+        Sweep {
             analysis,
-            rows: RowCache::new(),
-            memo: &mut cache.memos[ctx],
-            entries: &mut cache.entries,
-            max_entries: cache.max_entries,
-            run,
-            leaf: Rc::new(DpNode::new(UBig::one(), 1, Vec::new(), run)),
-            stats: DpStats::default(),
-        }
-    }
-}
-
-impl Fold for DpFold<'_> {
-    type Node = Rc<DpNode>;
-    type Acc = DpAcc;
-    const PHASE: &'static str = DP_PHASE;
-
-    fn leaf(&mut self) -> Rc<DpNode> {
-        Rc::clone(&self.leaf)
-    }
-
-    fn lookup(
-        &mut self,
-        key: &ResidualKey,
-        j: usize,
-        t: &[u64],
-        w: u64,
-    ) -> Option<Option<Rc<DpNode>>> {
-        let node = self.memo.get(key)?;
-        self.stats.cache_hits += 1;
-        if node.run < self.run {
-            self.stats.cross_subset_hits += 1;
-        }
-        #[cfg(debug_assertions)]
-        replay_check(self.analysis, j, t, w, node);
-        #[cfg(not(debug_assertions))]
-        let _ = (j, t, w);
-        Some((node.vectors > 0).then(|| Rc::clone(node)))
-    }
-
-    fn open(&mut self, j: usize) -> DpAcc {
-        self.stats.cache_misses += 1;
-        let classes = self.analysis.classes();
-        DpAcc {
-            row: self.rows.intern(classes[j].size),
-            count: UBig::zero(),
-            vectors: 0,
-            numerators: vec![UBig::zero(); classes.len() - j],
-            scratch: UBig::zero(),
-            scaled: UBig::zero(),
+            residual,
+            parallel,
         }
     }
 
-    fn add(&mut self, acc: &mut DpAcc, _j: usize, k: u64, child: &Rc<DpNode>) {
-        acc.vectors = acc.vectors.saturating_add(child.vectors);
-        let binom = self.rows.get(acc.row, k);
-        binom.mul_into(&child.count, &mut acc.scratch);
-        if k > 0 {
-            acc.scratch.mul_u64_into(k, &mut acc.scaled);
-            acc.numerators[0].add_assign(&acc.scaled);
-        }
-        acc.count.add_assign(&acc.scratch);
-        for (l, child_num) in child.numerators.iter().enumerate() {
-            if !child_num.is_zero() {
-                binom.mul_into(child_num, &mut acc.scratch);
-                acc.numerators[l + 1].add_assign(&acc.scratch);
-            }
-        }
-    }
-
-    fn store(&mut self, key: ResidualKey, acc: DpAcc) -> Result<Option<Rc<DpNode>>, CoreError> {
-        let node = Rc::new(DpNode::new(
-            acc.count,
-            acc.vectors,
-            acc.numerators,
-            self.run,
-        ));
-        if *self.entries < self.max_entries {
-            if self.memo.insert(key, Rc::clone(&node)).is_none() {
-                *self.entries += 1;
-            }
-            self.stats.peak_cache_entries = self.stats.peak_cache_entries.max(*self.entries);
+    /// Counts from the root with at most `cap` resident states. `obs`
+    /// receives the `dp.level` spans, the chunk lifecycle and the
+    /// [`DpStats`] counters.
+    fn run(
+        &self,
+        budget: &Budget,
+        cap: usize,
+        obs: &mut ObsSession,
+    ) -> Result<(Sums, DpStats), CoreError> {
+        let analysis = self.analysis;
+        let steps_before = budget.steps();
+        let mut stats = DpStats::default();
+        let mut metrics = MetricSet::new();
+        let mut t = vec![0u64; analysis.source_count()];
+        let live = !analysis.classes().is_empty() && !analysis.pruned(0, &t, 0);
+        let (root, run_ticks) = if live && cap > 0 {
+            let mut records = Vec::new();
+            self.residual.pack_into(0, &t, 0, &mut records);
+            records.extend_from_slice(&t);
+            records.push(0);
+            let root = Level {
+                sources: t.len(),
+                records,
+            };
+            let levels = self.expand(root, budget, cap, &mut stats, obs)?;
+            let root = self.evaluate(levels, budget, &mut stats, &mut metrics)?;
+            (root, stats.fallback_nodes)
         } else {
-            // The memo is full: the node is computed but not kept.
-            self.stats.fallback_nodes += 1;
-            self.stats.note_fallback_key(&key.render());
+            // A leaf, an empty tree, or a root past the cap: the uncached
+            // walk, which ticks the root itself.
+            let root = self.fallback(0, &mut t, &mut 0, budget)?;
+            let ticks = budget.steps() - steps_before;
+            if live {
+                stats.note_fallback_key(&self.residual.key(0, &t, 0).render());
+                stats.fallback_nodes = ticks;
+            }
+            (root, ticks)
+        };
+        // The uncached walks belong to the run span.
+        obs.charge_steps(run_ticks);
+        stats.record_into(&mut metrics);
+        obs.merge_metrics(&metrics);
+        Ok((root, stats))
+    }
+
+    /// The expansion sweep from the root: every level's states, at most
+    /// `cap` in all, each level charged to its `dp.level` span.
+    fn expand(
+        &self,
+        root: Level,
+        budget: &Budget,
+        cap: usize,
+        stats: &mut DpStats,
+        obs: &mut ObsSession,
+    ) -> Result<Vec<Level>, CoreError> {
+        let analysis = self.analysis;
+        let (m, n) = (analysis.classes().len(), analysis.source_count());
+        let mut levels = vec![root];
+        let mut kept = 1;
+        let mut mark = budget.steps();
+        budget.tick(DP_PHASE)?;
+        let mut packed = Vec::new();
+        for j in 0..m {
+            let states = levels[j].len();
+            obs.span_open(names::SPAN_DP_LEVEL, budget.elapsed_ns());
+            obs.span_attr("level", &j.to_string());
+            obs.span_attr("states", &states.to_string());
+            // Child key → where its first arrival's `(t, w)` sits in
+            // `arrivals`, and whether the debug replay already checked a
+            // repeat against it.
+            let mut seen: LimbMap<Box<[u64]>, (usize, bool)> = LimbMap::default();
+            let mut arrivals = Vec::new();
+            let mut expand_level = || -> Result<(), CoreError> {
+                for (_, t0, w0) in levels[j].states(0..states) {
+                    let (mut t, mut w) = (t0.to_vec(), w0);
+                    for k in 0..=analysis.k_cap(j, &t, w) {
+                        budget.tick(DP_PHASE)?;
+                        if j + 1 == m {
+                            continue; // a leaf: the evaluation folds it in
+                        }
+                        analysis.descend(j, k, &mut t, &mut w);
+                        if !analysis.pruned(j + 1, &t, w) {
+                            self.residual.pack_into(j + 1, &t, w, &mut packed);
+                            if let Some(_rep) = seen.get_mut(packed.as_slice()) {
+                                #[cfg(debug_assertions)]
+                                if !std::mem::replace(&mut _rep.1, true) {
+                                    let rep = &arrivals[_rep.0..=_rep.0 + n];
+                                    self.replay_check(j + 1, (&rep[..n], rep[n]), (&t, w));
+                                }
+                                stats.cache_hits += 1;
+                            } else {
+                                seen.insert(packed.as_slice().into(), (arrivals.len(), false));
+                                arrivals.extend_from_slice(&t);
+                                arrivals.push(w);
+                            }
+                        }
+                        analysis.restore(j, k, &mut t, &mut w);
+                    }
+                }
+                Ok(())
+            };
+            let expanded = expand_level();
+            if expanded.is_ok() {
+                let ticks = budget.steps() - mark;
+                obs.charge_steps(ticks);
+                obs.histogram_record(names::DP_LEVEL_STEPS, ticks);
+                mark = budget.steps();
+            }
+            obs.span_close(budget.elapsed_ns());
+            expanded?;
+            let mut children: Vec<(Box<[u64]>, usize)> =
+                seen.into_iter().map(|(key, (at, _))| (key, at)).collect();
+            children.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let room = children.len().min(cap - kept);
+            for (key, _) in children[room..].iter().take(EXEMPLAR_KEYS) {
+                let key = ResidualKey::from_packed(j + 1, key.clone());
+                stats.note_fallback_key(&key.render());
+            }
+            if room == 0 {
+                break;
+            }
+            let mut next = Level {
+                sources: n,
+                records: Vec::with_capacity(room * (4 * n + 1)),
+            };
+            for (key, at) in &children[..room] {
+                next.records.extend_from_slice(key);
+                next.records.extend_from_slice(&arrivals[*at..=*at + n]);
+            }
+            kept += room;
+            levels.push(next);
         }
-        Ok((node.vectors > 0).then_some(node))
+        stats.cache_misses = kept as u64;
+        stats.peak_cache_entries = kept;
+        Ok(levels)
     }
-}
 
-/// Debug check of the residual-state equivalence argument: on the first
-/// hit of each cached node, recount the feasible completions from the
-/// *current* exact state with the uncached DFS and compare with the
-/// cached aggregate (two states mapping to one key must have identical
-/// suffix trees). Replays that outgrow [`REPLAY_NODE_CAP`] are skipped.
-#[cfg(debug_assertions)]
-fn replay_check(analysis: &SignatureAnalysis, j: usize, t: &[u64], w: u64, node: &DpNode) {
-    if node.replayed.replace(true) {
-        return;
+    /// The evaluation sweep, deepest level first, each level split across
+    /// `self.parallel`. Returns the root's aggregate.
+    fn evaluate(
+        &self,
+        mut levels: Vec<Level>,
+        budget: &Budget,
+        stats: &mut DpStats,
+        metrics: &mut MetricSet,
+    ) -> Result<Sums, CoreError> {
+        let analysis = self.analysis;
+        let m = analysis.classes().len();
+        let mut leaf = Sums::default();
+        leaf.push(&[UBig::one()], 1);
+        // The level below: its states, parts and the parts' aggregates.
+        let (mut below, mut below_parts, mut below_sums) =
+            (Level::default(), Vec::new(), Vec::new());
+        for j in (0..levels.len()).rev() {
+            let level = std::mem::take(&mut levels[j]);
+            // Key → (part, position) of each aggregate of the level below.
+            let index: LimbMap<&[u64], (usize, usize)> = (below_parts.iter().enumerate())
+                .flat_map(|(p, part): (usize, &Range<usize>)| {
+                    let states = below.states(part.clone()).enumerate();
+                    states.map(move |(i, (key, _, _))| (key, (p, i)))
+                })
+                .collect();
+            let evaluate_part = |part: &Range<usize>, budget: &Budget| -> Result<_, CoreError> {
+                budget.check(DP_PHASE)?;
+                let mut rows = RowCache::new();
+                let row = rows.intern(analysis.classes()[j].size);
+                let mut packed = Vec::new();
+                let mut scratch = [UBig::zero(), UBig::zero(), UBig::zero()];
+                let mut acc = vec![UBig::zero(); m - j + 1];
+                let mut sums = Sums::default();
+                for (_, t0, w0) in level.states(part.clone()) {
+                    acc.iter_mut().for_each(|value| value.set_u64(0));
+                    let mut vectors = 0;
+                    let (mut t, mut w) = (t0.to_vec(), w0);
+                    for k in 0..=analysis.k_cap(j, &t, w) {
+                        analysis.descend(j, k, &mut t, &mut w);
+                        let walked;
+                        let child = if j + 1 == m {
+                            analysis.leaf_feasible(&t, w).then_some((&leaf, 0))
+                        } else if analysis.pruned(j + 1, &t, w) {
+                            None
+                        } else {
+                            self.residual.pack_into(j + 1, &t, w, &mut packed);
+                            match index.get(packed.as_slice()) {
+                                Some(&(p, i)) => Some((&below_sums[p], i)),
+                                None => {
+                                    walked = self.fallback(j + 1, &mut t, &mut w, budget)?;
+                                    Some((&walked, 0))
+                                }
+                            }
+                        };
+                        if let Some((child, c)) = child {
+                            let binom = rows.get(row, k);
+                            child.fold_into((c, k, binom), &mut acc, &mut vectors, &mut scratch);
+                        }
+                        analysis.restore(j, k, &mut t, &mut w);
+                    }
+                    sums.push(&acc, vectors);
+                }
+                Ok(sums)
+            };
+            let parts = partition::split_slice_ranges(level.len(), self.parallel.target_chunks());
+            let outcomes =
+                partition::run_chunks(self.parallel, budget, &parts, |_, part, b, _| {
+                    let start = b.steps();
+                    let sums = evaluate_part(part, b)?;
+                    Ok((sums, b.steps() - start))
+                })?;
+            partition::record_chunk_lifecycle(metrics, self.parallel, &outcomes);
+            drop(index);
+            below_sums.clear();
+            for (sums, ticks) in outcomes.into_iter().flatten() {
+                below_sums.push(sums);
+                // Only the uncached walks tick here.
+                stats.fallback_nodes += ticks;
+            }
+            (below, below_parts) = (level, parts);
+        }
+        Ok(below_sums.swap_remove(0))
     }
-    let mut vectors = 0u64;
-    let mut counts = vec![0u64; analysis.classes().len()];
-    let replay = analysis.dfs(
-        j,
-        &mut counts,
-        &mut t.to_vec(),
-        &mut { w },
-        DP_PHASE,
-        &Budget::with_max_steps(REPLAY_NODE_CAP),
-        &mut |_: &[u64]| {
-            vectors = vectors.saturating_add(1);
-            std::ops::ControlFlow::<()>::Continue(())
-        },
-    );
-    if replay.is_ok() {
-        debug_assert_eq!(
-            vectors, node.vectors,
-            "residual-state collision at level {j}: cached suffix has \
-             {} completions, replay from the hitting state found {vectors}",
-            node.vectors
-        );
-    }
-}
 
-/// The one DP driver: advances the root state through `prefix` (a
-/// chunk's fixed classes; empty for a whole-tree walk), walks the suffix
-/// against `cache`, and scales the suffix aggregates by the prefix
-/// weight.
-fn run_dp(
-    analysis: &SignatureAnalysis,
-    cache: &mut SharedDpCache,
-    prefix: &[u64],
-    budget: &Budget,
-) -> Result<Partial, CoreError> {
-    let m = analysis.classes().len();
-    let mut partial = Partial {
-        total: UBig::zero(),
-        class_numerators: vec![UBig::zero(); m],
-        vectors: 0,
-        stats: DpStats::default(),
-    };
-    let mut counts = vec![0u64; m];
-    let mut t = vec![0u64; analysis.source_count()];
-    let mut w = 0u64;
-    if !analysis.apply_prefix(prefix, &mut counts, &mut t, &mut w) {
-        // The serial DFS never reaches this prefix; the chunk is empty.
-        return Ok(partial);
-    }
-    let mut fold = DpFold::begin(analysis, cache);
-    let root = Residual::new(analysis).walk(&mut fold, prefix.len(), &mut t, &mut w, budget)?;
-    partial.stats = fold.stats;
-    let Some(root) = root else {
-        return Ok(partial);
-    };
-    // Weight of the fixed prefix: Π_{j<d} C(size_j, k_j); every class
-    // numerator of a prefix class is its fixed k times the chunk total.
-    let mut weight = UBig::one();
-    for (j, &k) in prefix.iter().enumerate() {
-        let row = fold.rows.intern(analysis.classes()[j].size);
-        weight = weight.mul(fold.rows.get(row, k));
-    }
-    partial.total = weight.mul(&root.count);
-    for (j, &k) in prefix.iter().enumerate() {
-        if k > 0 {
-            partial.class_numerators[j] = partial.total.mul_u64(k);
+    /// Debug check of the residual-state equivalence argument: two exact
+    /// states with one key at level `j` have identical suffix trees, so
+    /// the uncached walk finds the same aggregate from both. Walks past
+    /// [`REPLAY_NODE_CAP`] nodes are skipped.
+    #[cfg(debug_assertions)]
+    fn replay_check(&self, j: usize, rep: (&[u64], u64), other: (&[u64], u64)) {
+        let walk = |(t, w): (&[u64], u64)| {
+            let cap = Budget::with_max_steps(REPLAY_NODE_CAP);
+            self.fallback(j, &mut t.to_vec(), &mut { w }, &cap).ok()
+        };
+        if rep != other {
+            let (a, b) = (walk(rep), walk(other));
+            let agree = a.is_none() || b.is_none() || a == b;
+            debug_assert!(agree, "residual-state collision at level {j}");
         }
     }
-    for (l, suffix_num) in root.numerators.iter().enumerate() {
-        partial.class_numerators[prefix.len() + l] = weight.mul(suffix_num);
+
+    /// The aggregate of the live state `(t, w)` at level `j` by the
+    /// uncached DFS.
+    fn fallback(
+        &self,
+        j: usize,
+        t: &mut [u64],
+        w: &mut u64,
+        budget: &Budget,
+    ) -> Result<Sums, CoreError> {
+        let analysis = self.analysis;
+        let mut tally = Tally::new(analysis);
+        let mut counts = vec![0u64; analysis.classes().len()];
+        let visit = &mut |counts: &[u64]| {
+            tally.add(counts);
+            ControlFlow::<()>::Continue(())
+        };
+        let _ = analysis.dfs(j, &mut counts, t, w, DP_PHASE, budget, visit)?;
+        let (count, numerators, vectors) = tally.finish();
+        let values: Vec<UBig> = std::iter::once(count)
+            .chain(numerators.into_iter().skip(j))
+            .collect();
+        let mut sums = Sums::default();
+        sums.push(&values, vectors);
+        Ok(sums)
     }
-    partial.vectors = root.vectors;
-    Ok(partial)
 }
 
-/// One prefix chunk's exact aggregates.
-struct Partial {
-    total: UBig,
-    class_numerators: Vec<UBig>,
-    vectors: u64,
-    stats: DpStats,
-}
-
-/// Chunk-order merge of [`Partial`]s into the final analysis (exact
-/// integer sums — associative and commutative, so scheduling cannot leak
-/// into the result).
-fn merge_partials(
-    analysis: SignatureAnalysis,
-    partials: impl Iterator<Item = Partial>,
-) -> (ConfidenceAnalysis, DpStats) {
-    let mut total = UBig::zero();
-    let mut class_numerators = vec![UBig::zero(); analysis.classes().len()];
-    let mut vectors = 0u64;
-    let mut stats = DpStats::default();
-    for partial in partials {
-        total.add_assign(&partial.total);
-        for (acc, part) in class_numerators.iter_mut().zip(&partial.class_numerators) {
-            acc.add_assign(part);
-        }
-        vectors = vectors.saturating_add(partial.vectors);
-        stats.absorb(&partial.stats);
-    }
-    (
-        ConfidenceAnalysis::from_parts(analysis, total, class_numerators, vectors),
-        stats,
-    )
-}
-
-/// Runs the memoized DP over a prebuilt decomposition with a private
-/// cache per chunk (see the module docs), recording per-chunk telemetry
-/// into `obs` under a `dp.run` span. Returns the same
-/// [`ConfidenceAnalysis`] the exact DFS produces (bit-identical `total`,
-/// per-class numerators, and feasible vector count) plus the run's cache
-/// statistics.
-///
-/// Determinism contract: an enabled session always runs the fixed chunk
-/// plan — even at one thread, where `run_chunks` processes the same
-/// chunk list serially in order — so per-chunk budget-tick and cache
-/// counters are identical at every thread count, and the merged counter
-/// totals (and span skeletons) are bit-identical between a serial and a
-/// `--threads 4` run. Only an untraced serial run walks the whole tree
-/// as one chunk.
+/// Runs the level-synchronous DP over a prebuilt decomposition (see the
+/// module docs), recording its telemetry into `obs` under a `dp.run`
+/// span. Returns the same [`ConfidenceAnalysis`] the exact DFS produces
+/// (bit-identical `total`, per-class numerators, and feasible vector
+/// count) plus the run's state counters, which — like the span
+/// skeletons — are the same at every thread count, traced or not.
 ///
 /// # Errors
 /// [`CoreError::BudgetExceeded`] when the budget runs out before the
-/// count completes (the lowest-indexed failing chunk's error wins; cache
-/// exhaustion, by contrast, degrades to DFS — see the module docs). A
-/// trip also records a `budget.trips` increment and a `budget.trip`
-/// event.
+/// count completes (the state cap, by contrast, degrades to the uncached
+/// DFS — see the module docs). A trip also records a `budget.trips`
+/// increment and a `budget.trip` event.
 pub fn count_dp_observed(
     analysis: SignatureAnalysis,
     budget: &Budget,
@@ -557,61 +601,27 @@ pub fn count_dp_observed(
     obs.span_open(names::SPAN_DP_RUN, budget.elapsed_ns());
     obs.span_attr("engine", "dp");
     obs.span_attr("classes", &analysis.classes().len().to_string());
-    let prefixes = if parallel.is_serial() && !obs.is_enabled() {
-        vec![Vec::new()]
-    } else {
-        analysis.prefix_plan(parallel.target_chunks())
-    };
-    let outcomes = partition::run_chunks(parallel, budget, &prefixes, |idx, prefix, budget, _| {
-        // Per-chunk telemetry: ticks as `steps()` deltas (works for both
-        // the serial pass-through budget and per-worker forks) and a
-        // chunk span on the shared budget clock. The tick delta is
-        // *charged* to the chunk span and recorded as a histogram sample,
-        // keeping the step-attribution pairing contract: the merged span
-        // self-steps sum to the merged `budget.ticks` counter.
-        let start_ns = budget.elapsed_ns();
-        let steps_before = budget.steps();
-        let partial = run_dp(&analysis, &mut SharedDpCache::new(config), prefix, budget)?;
-        let delta = budget.steps() - steps_before;
-        let mut metrics = MetricSet::new();
-        metrics.counter_add(names::BUDGET_TICKS, delta);
-        metrics.histogram_record(names::DP_CHUNK_STEPS, delta);
-        partial.stats.record_into(&mut metrics);
-        let mut spans = SpanStack::new();
-        spans.span_open(names::SPAN_DP_CHUNK, start_ns);
-        spans.attr("chunk", &idx.to_string());
-        spans.charge(delta);
-        spans.close(budget.elapsed_ns());
-        Ok((partial, metrics, spans.finish()))
-    });
-    record_trip(obs, budget.elapsed_ns(), &outcomes);
-    let result = outcomes.map(|outcomes| {
-        let mut lifecycle = MetricSet::new();
-        partition::record_chunk_lifecycle(&mut lifecycle, parallel, &outcomes);
-        // The join point: merge per-chunk telemetry in chunk order, then
-        // the exact aggregates the same way.
-        let mut partials = Vec::with_capacity(outcomes.len());
-        for (partial, metrics, spans) in outcomes.into_iter().flatten() {
-            obs.merge_metrics(&metrics);
-            obs.graft_spans(spans);
-            partials.push(partial);
-        }
-        obs.merge_metrics(&lifecycle);
-        merge_partials(analysis, partials.into_iter())
-    });
+    let swept = Sweep::new(&analysis, parallel).run(budget, config.max_cache_entries, obs);
+    record_trip(obs, budget.elapsed_ns(), &swept);
     obs.span_close(budget.elapsed_ns());
-    result
+    let (root, stats) = swept?;
+    Ok((assemble(analysis, &root), stats))
+}
+
+/// The run's result from the root aggregate.
+fn assemble(analysis: SignatureAnalysis, root: &Sums) -> ConfidenceAnalysis {
+    let m = analysis.classes().len();
+    let value = |v| UBig::from_limbs(root.value(v).to_vec());
+    let numerators = (1..=m).map(value).collect();
+    ConfidenceAnalysis::from_parts(analysis, value(0), numerators, root.vectors[0])
 }
 
 /// Runs the DP serially against a cross-run [`SharedDpCache`] — the
-/// consensus sweep's engine: overlapping source subsets whose projected
-/// structures coincide reuse each other's residual nodes, and the reuse
-/// is reported through [`DpStats::cross_subset_hits`].
-///
-/// Results are bit-identical to [`count_dp_observed`]: the cache changes
-/// *where* a suffix aggregate comes from, never its value (see the
-/// soundness argument on [`SharedDpCache`]). The shared cache's own
-/// capacity governs the memo.
+/// consensus sweep's engine: a subset whose projected structure an
+/// earlier run already counted is answered from the cache (see the
+/// soundness argument there), reported as a
+/// [`DpStats::cross_subset_hits`] hit. Results are bit-identical to
+/// [`count_dp_observed`].
 ///
 /// # Errors
 /// [`CoreError::BudgetExceeded`] when the budget runs out before the
@@ -621,8 +631,35 @@ pub fn count_dp_shared(
     budget: &Budget,
     shared: &mut SharedDpCache,
 ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    let partial = run_dp(&analysis, shared, &[], budget)?;
-    Ok(merge_partials(analysis, std::iter::once(partial)))
+    // The projected structure: class and source counts, the `(signature,
+    // size)` class sequence, and the per-source bounds.
+    let (classes, bounds) = (analysis.classes(), analysis.bounds());
+    let mut structure = vec![classes.len() as u64, bounds.len() as u64];
+    structure.extend(classes.iter().flat_map(|c| [c.signature, c.size]));
+    let bound = |b: &SourceBounds| [b.min_sound, b.completeness.num(), b.completeness.den()];
+    structure.extend(bounds.iter().flat_map(bound));
+    let structure = structure.into_boxed_slice();
+    let held = shared.roots.len();
+    if let Some(root) = shared.roots.get(&structure) {
+        budget.tick(DP_PHASE)?;
+        let stats = DpStats {
+            cache_hits: 1,
+            cross_subset_hits: 1,
+            peak_cache_entries: held,
+            ..DpStats::default()
+        };
+        return Ok((assemble(analysis, root), stats));
+    }
+    let room = shared.max_entries.saturating_sub(held);
+    let serial = ParallelConfig::serial();
+    let (root, mut stats) =
+        Sweep::new(&analysis, &serial).run(budget, room, &mut ObsSession::disabled())?;
+    stats.peak_cache_entries += held;
+    let result = assemble(analysis, &root);
+    if room > 0 {
+        shared.roots.insert(structure, root);
+    }
+    Ok((result, stats))
 }
 
 #[cfg(test)]
@@ -740,6 +777,38 @@ mod tests {
     }
 
     #[test]
+    fn states_past_a_partial_cap_are_counted_by_the_uncached_walk() {
+        let id = crate::paper::example_5_1_scaled(3).as_identity().unwrap();
+        let analysis = SignatureAnalysis::new(&id, 3);
+        let dfs = ConfidenceAnalysis::analyze(&id, 3);
+        let (_, full) =
+            count(analysis.clone(), &Budget::unlimited(), &DpConfig::default()).unwrap();
+        let states = full.cache_misses as usize;
+        for cap in [1, states / 2, states - 1] {
+            let mut reference = None;
+            for threads in [1usize, 2] {
+                let (dp, stats) = count_dp_observed(
+                    analysis.clone(),
+                    &Budget::unlimited(),
+                    &ParallelConfig::with_threads(threads),
+                    &DpConfig {
+                        max_cache_entries: cap,
+                    },
+                    &mut ObsSession::disabled(),
+                )
+                .unwrap();
+                assert_eq!(dp.parts(), dfs.parts(), "cap={cap} t={threads}");
+                assert!(stats.peak_cache_entries <= cap, "{stats:?}");
+                assert!(stats.fallback_nodes > 0, "{stats:?}");
+                match &reference {
+                    None => reference = Some(stats),
+                    Some(serial) => assert_eq!(&stats, serial, "cap={cap} t={threads}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn dp_respects_step_budget_and_reruns_cleanly() {
         let id = wide_slack_identity(4, 8);
         let analysis = SignatureAnalysis::new(&id, 0);
@@ -808,6 +877,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn level_sweep_does_the_serial_work_at_every_thread_count() {
+        // Splitting the tree into prefix chunks with one memo each
+        // computes 54,275 states here; the serial walk needs 6,468.
+        let id = crate::paper::example_5_1_scaled(64).as_identity().unwrap();
+        let analysis = SignatureAnalysis::new(&id, 64);
+        let run = |threads: usize, obs: &mut ObsSession| {
+            count_dp_observed(
+                analysis.clone(),
+                &Budget::unlimited(),
+                &ParallelConfig::with_threads(threads),
+                &DpConfig::default(),
+                obs,
+            )
+            .unwrap()
+        };
+        let (baseline, serial) = run(1, &mut ObsSession::disabled());
+        assert!(serial.cache_misses <= 6_468, "{serial:?}");
+        for threads in [2usize, 8] {
+            let (result, stats) = run(threads, &mut ObsSession::disabled());
+            assert_eq!(stats, serial, "untraced t={threads}");
+            assert_eq!(result.world_count(), baseline.world_count());
+        }
+        type Digest<'a> = (Vec<(&'a str, u64)>, Vec<String>);
+        let mut traced: Vec<Digest> = Vec::new();
+        for threads in [1usize, 2] {
+            let mut obs = ObsSession::in_memory();
+            let (_, stats) = run(threads, &mut obs);
+            assert_eq!(stats, serial, "traced t={threads}");
+            let report = obs.finish();
+            traced.push((
+                report.metrics.counters().collect(),
+                report.spans.iter().map(|s| s.skeleton()).collect(),
+            ));
+        }
+        assert_eq!(traced[0], traced[1], "counters and span skeletons");
     }
 
     #[test]
@@ -882,7 +989,7 @@ mod tests {
             count_dp_shared(analysis.clone(), &Budget::unlimited(), &mut shared).unwrap();
         assert_eq!(first_stats.cross_subset_hits, 0, "first run has no past");
         assert!(!shared.is_empty());
-        assert_eq!(shared.context_count(), 1);
+        assert_eq!(shared.len(), 1);
         // A second run over the identical projected structure reuses the
         // root node outright: everything is a cross-subset hit.
         let (second, second_stats) =
@@ -906,7 +1013,7 @@ mod tests {
             let (result, _) = count_dp_shared(analysis, &Budget::unlimited(), &mut shared).unwrap();
             let dfs = ConfidenceAnalysis::analyze(&id, padding);
             assert_eq!(result.world_count(), dfs.world_count(), "padding={padding}");
-            assert_eq!(shared.context_count(), expected_contexts);
+            assert_eq!(shared.len(), expected_contexts);
         }
     }
 

@@ -29,13 +29,13 @@
 //! * [`sampling`] — a Metropolis estimator over count vectors for
 //!   instances whose feasible region is too large to enumerate exactly
 //!   (exact counting is #P-hard); validated against the exact counter.
-//! * [`dp`] — a memoized variant of the signature counter keyed on
-//!   residual states: exact like the DFS, but pseudo-polynomial on
-//!   instances whose search trees re-enter the same residuals (padded
-//!   domains, wide slack classes).
-//! * [`circuit`] — the same memoized residual walk as the DP (the
-//!   private `residual` module) folded once into a shared-node
-//!   arithmetic circuit; per-tuple, conditional, and top-k confidences
+//! * [`dp`] — the signature counter swept level by level over residual
+//!   states, each visited once: exact like the DFS, but
+//!   pseudo-polynomial on instances whose search trees re-enter the same
+//!   residuals (padded domains, wide slack classes).
+//! * [`circuit`] — the same residual states (keyed by the private
+//!   `residual` module), walked once into a shared-node arithmetic
+//!   circuit; per-tuple, conditional, and top-k confidences
 //!   are then linear traversals, so one compile amortizes across many
 //!   queries.
 

@@ -1,16 +1,17 @@
-//! The memoized walk over residual states, shared by the DP counter
-//! (`dp.rs`) and the circuit compiler (`circuit.rs`).
+//! Residual states: the key under which the DP sweep (`dp.rs`) and the
+//! circuit compiler (`circuit.rs`) share the suffixes of the counting
+//! DFS's search tree.
 //!
-//! Both engines walk the search tree of the counting DFS
-//! ([`SignatureAnalysis::dfs`]) with the same rules — the tree's prune
-//! test, leaf test, `k_cap` and `(t, w)` descend/restore all live on
-//! [`SignatureAnalysis`] — but memoize every interior node on its
-//! **residual state**, so a suffix the DFS re-enters along exponentially
-//! many paths is computed once. They differ only in what a node *is*: the
-//! DP folds its children into a suffix aggregate (world count, feasible
-//! completions, per-class numerators) kept in a capped memo, the compiler
-//! folds them into an arena node with weighted edges. [`Residual::walk`]
-//! is the one recursion; a [`Fold`] supplies the rest.
+//! Both engines walk the tree of [`SignatureAnalysis::dfs`] under the
+//! DFS's rules — the prune test, leaf test, `k_cap` and `(t, w)`
+//! descend/restore all live on [`SignatureAnalysis`] — but identify every
+//! interior node by its **residual state**, so a suffix the DFS re-enters
+//! along exponentially many paths is computed once. The DP expands the
+//! tree level by level into sorted key sets and folds each level's
+//! suffix aggregates bottom-up; the compiler walks it depth-first into an
+//! arena of weighted edges. [`Residual`] builds the keys; this header is
+//! the argument that one key stands for one suffix, which is what lets
+//! the DP expand a key from any one exact state that reaches it.
 //!
 //! # The residual state, and why equal residuals have identical suffixes
 //!
@@ -64,8 +65,6 @@
 //! after a delta that only touched earlier classes (`core::delta`).
 
 use crate::confidence::signature::SignatureAnalysis;
-use crate::error::CoreError;
-use crate::govern::Budget;
 
 /// Packed residual state: the memo key. Three words per source — the
 /// exact soundness deficit and the clamped completeness margin (an
@@ -77,22 +76,13 @@ pub(crate) struct ResidualKey {
 }
 
 impl ResidualKey {
-    /// Packs per-source `(deficit, margin limb, margin limb)` triples at
-    /// class level `j`.
-    pub(crate) fn pack<I>(j: usize, triples: I) -> Self
-    where
-        I: IntoIterator<Item = [u64; 3]>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let triples = triples.into_iter();
-        let mut packed = Vec::with_capacity(3 * triples.len());
-        for triple in triples {
-            packed.extend_from_slice(&triple);
-        }
+    /// The key of level `j` with the given limbs: per source, the
+    /// `(deficit, margin limb, margin limb)` triple.
+    pub(crate) fn from_packed(j: usize, packed: Box<[u64]>) -> Self {
         ResidualKey {
             // lint-allow(no-panic): j indexes the signature classes, capped far below u32::MAX
             level: u32::try_from(j).expect("class count fits u32"),
-            packed: packed.into_boxed_slice(),
+            packed,
         }
     }
 
@@ -120,69 +110,39 @@ impl ResidualKey {
     }
 }
 
-/// What one engine makes of the walk: how subtrees are memoized and how
-/// a node folds its children. Empty subtrees are `None` throughout and
-/// never reach the fold.
-pub(crate) trait Fold {
-    /// A non-empty subtree's folded value.
-    type Node;
-    /// One interior node's partial fold over its children so far.
-    type Acc;
-    /// Budget phase charged once per visited node.
-    const PHASE: &'static str;
-
-    /// The feasible complete vector (weight 1, one completion).
-    fn leaf(&mut self) -> Self::Node;
-
-    /// A memoized subtree for `key` (`Some(None)` for a memoized empty
-    /// one), reached from the exact state `(t, w)` at level `j`.
-    fn lookup(
-        &mut self,
-        key: &ResidualKey,
-        j: usize,
-        t: &[u64],
-        w: u64,
-    ) -> Option<Option<Self::Node>>;
-
-    /// Starts folding an unmemoized node at level `j`.
-    fn open(&mut self, j: usize) -> Self::Acc;
-
-    /// Folds in the non-empty child reached by choosing `k` tuples of
-    /// class `j`.
-    fn add(&mut self, acc: &mut Self::Acc, j: usize, k: u64, child: &Self::Node);
-
-    /// Finishes the node (`None` when no child was added) and memoizes
-    /// it under `key`.
-    ///
-    /// # Errors
-    /// Whatever resource cap the engine enforces on its memo.
-    fn store(&mut self, key: ResidualKey, acc: Self::Acc) -> Result<Option<Self::Node>, CoreError>;
-}
-
-/// The memoized walk over one decomposition's residual states.
+/// Residual-key construction for one decomposition.
 pub(crate) struct Residual<'a> {
     analysis: &'a SignatureAnalysis,
-    /// `hurt[i][j]` — total size of classes `j..` with bit `i` unset (the
-    /// classes that erode source `i`'s completeness margin).
-    hurt: Vec<Vec<u64>>,
+    /// `saturation[i][j] = num(c_i)·hurt_i[j]`, the clamp on source `i`'s
+    /// margin at level `j`, with `hurt_i[j]` the total size of classes
+    /// `j..` with bit `i` unset (the classes that erode the margin).
+    saturation: Vec<Vec<i128>>,
 }
 
 impl<'a> Residual<'a> {
     pub(crate) fn new(analysis: &'a SignatureAnalysis) -> Self {
         let classes = analysis.classes();
         let m = classes.len();
-        let mut hurt = vec![vec![0u64; m + 1]; analysis.source_count()];
-        for (i, row) in hurt.iter_mut().enumerate() {
-            for j in (0..m).rev() {
-                let contrib = if classes[j].signature >> i & 1 == 1 {
-                    0
-                } else {
-                    classes[j].size
-                };
-                row[j] = row[j + 1].saturating_add(contrib);
-            }
+        let saturation = analysis
+            .bounds()
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                let mut hurt = 0u64;
+                let mut row = vec![0i128; m + 1];
+                for j in (0..m).rev() {
+                    if classes[j].signature >> i & 1 == 0 {
+                        hurt = hurt.saturating_add(classes[j].size);
+                    }
+                    row[j] = i128::from(b.completeness.num()).saturating_mul(i128::from(hurt));
+                }
+                row
+            })
+            .collect();
+        Residual {
+            analysis,
+            saturation,
         }
-        Residual { analysis, hurt }
     }
 
     /// Source `i`'s `(deficit, clamped-margin)` triple at level `j`, for a
@@ -195,57 +155,25 @@ impl<'a> Residual<'a> {
             deficit <= self.analysis.suffix_max(i, j),
             "pruning admits only reachable deficits"
         );
-        let num = i128::from(b.completeness.num());
-        let saturation = num.saturating_mul(i128::from(self.hurt[i][j]));
-        let clamped = b.margin(t[i], w).min(saturation) as u128;
+        let clamped = b.margin(t[i], w).min(self.saturation[i][j]) as u128;
         [deficit, clamped as u64, (clamped >> 64) as u64]
     }
 
     /// The exact residual key of a live state at level `j`.
     #[inline]
-    fn key(&self, j: usize, t: &[u64], w: u64) -> ResidualKey {
-        ResidualKey::pack(
-            j,
-            (0..self.analysis.source_count()).map(|i| self.triple(i, j, t, w)),
-        )
+    pub(crate) fn key(&self, j: usize, t: &[u64], w: u64) -> ResidualKey {
+        let mut packed = Vec::with_capacity(3 * self.analysis.source_count());
+        self.pack_into(j, t, w, &mut packed);
+        ResidualKey::from_packed(j, packed.into_boxed_slice())
     }
 
-    /// The memoized suffix recursion from level `j`. `t`/`w` are the
-    /// exact running sums, mutated in place and restored like the DFS;
-    /// `None` is an empty subtree.
-    ///
-    /// # Errors
-    /// [`CoreError::BudgetExceeded`] when the budget trips, or the fold's
-    /// own [`Fold::store`] error.
-    pub(crate) fn walk<F: Fold>(
-        &self,
-        fold: &mut F,
-        j: usize,
-        t: &mut [u64],
-        w: &mut u64,
-        budget: &Budget,
-    ) -> Result<Option<F::Node>, CoreError> {
-        budget.tick(F::PHASE)?;
-        let analysis = self.analysis;
-        if j == analysis.classes().len() {
-            return Ok(analysis.leaf_feasible(t, *w).then(|| fold.leaf()));
+    /// Writes the limbs of [`Residual::key`] into `out`, reusing its
+    /// allocation (for lookups that need no owned key).
+    #[inline]
+    pub(crate) fn pack_into(&self, j: usize, t: &[u64], w: u64, out: &mut Vec<u64>) {
+        out.clear();
+        for i in 0..self.analysis.source_count() {
+            out.extend_from_slice(&self.triple(i, j, t, w));
         }
-        if analysis.pruned(j, t, *w) {
-            return Ok(None);
-        }
-        let key = self.key(j, t, *w);
-        if let Some(hit) = fold.lookup(&key, j, t, *w) {
-            return Ok(hit);
-        }
-        let mut acc = fold.open(j);
-        for k in 0..=analysis.k_cap(j, t, *w) {
-            analysis.descend(j, k, t, w);
-            let child = self.walk(fold, j + 1, t, w, budget);
-            analysis.restore(j, k, t, w);
-            if let Some(child) = child? {
-                fold.add(&mut acc, j, k, &child);
-            }
-        }
-        fold.store(key, acc)
     }
 }

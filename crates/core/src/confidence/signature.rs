@@ -321,9 +321,9 @@ impl SignatureAnalysis {
         let target = target_chunks.max(1) as u64;
         let mut prefixes: Vec<Vec<u64>> = vec![Vec::new()];
         let mut depth = 0usize;
-        // lint-allow(budget-bypass): reachable from count_dp_observed but bounded
-        // without ticking — at most classes.len() iterations, and the prefix list
-        // is capped at 16 × target_chunks entries by the width check below
+        // lint-allow(budget-bypass): reachable from the parallel DFS counter and identity
+        // search but bounded without ticking — at most classes.len() iterations, and
+        // the width check below caps the prefix list at 16 × target_chunks entries
         while (prefixes.len() as u64) < target && depth < self.classes.len() {
             let width = self.classes[depth].size.saturating_add(1);
             if width.saturating_mul(prefixes.len() as u64) > 16 * target {

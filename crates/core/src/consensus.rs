@@ -204,14 +204,14 @@ pub fn maximal_consistent_subsets_parallel(
     Ok(report_from_masks(n, maximal))
 }
 
-/// DP-backed consensus sweep with a **shared residual cache** (ROADMAP
+/// DP-backed consensus sweep with a **shared result cache** (ROADMAP
 /// "DP for consensus levels"): the same largest-first enumeration as
 /// [`maximal_consistent_subsets_budgeted`], but each candidate subset is
-/// decided by the memoized residual DP ([`count_dp_shared`]) against one
+/// decided by the residual DP ([`count_dp_shared`]) against one
 /// [`SharedDpCache`] spanning the whole sweep. Subsets whose projected
 /// structures coincide — ubiquitous when sources repeat a claim shape,
 /// as consensus instances do by construction — reuse each other's
-/// residual nodes; the reuse shows up as
+/// results; the reuse shows up as
 /// [`DpStats::cross_subset_hits`] and, through `obs`, as the
 /// `dp.cross_subset_hits` counter.
 ///

@@ -454,7 +454,7 @@ impl ResilientConfidence {
 /// `parallel.threads()` workers (bit-identical totals for every thread
 /// count); the Metropolis fallback is a single chain and stays serial.
 /// Budget trips, ladder degradations (with [`Engine`] provenance), the
-/// DP rung's chunk-level telemetry (via [`count_dp_observed`]), and the
+/// DP rung's per-level telemetry (via [`count_dp_observed`]), and the
 /// sampler's acceptance-rate counters are recorded into `obs` under a
 /// `resilient.confidence` span. A [disabled](ObsSession::disabled)
 /// session makes every hook a no-op.
@@ -533,7 +533,7 @@ fn confidence_ladder(
             .map(ResilientConfidence::Exact),
             ConfidenceRung::Dp => {
                 // The residual-state DP, still exact, under its own time
-                // slice: chunk lifecycle, cache statistics, and any trip.
+                // slice: level spans, state counters, and any trip.
                 count_dp_observed(analysis, rung_budget, parallel, &DpConfig::default(), obs)
                     .map(|(analysis, _stats)| ResilientConfidence::Dp(analysis))
             }
@@ -1120,8 +1120,8 @@ mod tests {
             report.events[1].attrs,
             vec![("from", "exact".to_string()), ("to", "dp".to_string())]
         );
-        // The DP rung ran the observed chunked route: its cache and chunk
-        // telemetry land in the same session.
+        // The DP rung ran the observed route: its state counters and the
+        // evaluation's chunk lifecycle land in the same session.
         assert!(report.metrics.counter(names::DP_CACHE_MISSES) > 0);
         assert!(report.metrics.counter(names::CHUNKS_COMPLETED) > 0);
         let skel = report.spans[0].skeleton();

@@ -199,6 +199,17 @@ impl UBig {
         }
     }
 
+    /// Overwrites `self` with the little-endian `limbs`, reusing the limb
+    /// allocation (the inverse of [`UBig::limbs`]).
+    pub fn set_limbs(&mut self, limbs: &[u64]) {
+        let len = limbs
+            .iter()
+            .rposition(|&limb| limb != 0)
+            .map_or(0, |i| i + 1);
+        self.limbs.clear();
+        self.limbs.extend_from_slice(&limbs[..len]);
+    }
+
     /// Computes `self * rhs` into `out`, reusing `out`'s limb allocation.
     /// The borrow checker keeps `out` distinct from both operands, so the
     /// schoolbook accumulation never reads a partially written limb.
@@ -755,6 +766,15 @@ mod tests {
             let mut x = big(a);
             x.set_u64(v);
             prop_assert_eq!(x, UBig::from(v));
+        }
+
+        #[test]
+        fn prop_set_limbs_inverts_limbs(a in 0u128.., v in 0u128.., pad in 0usize..3) {
+            let mut x = big(a);
+            let mut limbs = big(v).limbs().to_vec();
+            limbs.resize(limbs.len() + pad, 0);
+            x.set_limbs(&limbs);
+            prop_assert_eq!(x, big(v));
         }
     }
 }

@@ -277,12 +277,12 @@ mod tests {
     #[test]
     fn histograms_sum_on_merge() {
         let mut a = MetricSet::new();
-        a.histogram_record(names::DP_CHUNK_STEPS, 3);
+        a.histogram_record(names::DP_LEVEL_STEPS, 3);
         let mut b = MetricSet::new();
-        b.histogram_record(names::DP_CHUNK_STEPS, 9);
+        b.histogram_record(names::DP_LEVEL_STEPS, 9);
         b.histogram_record(names::INTERVAL_SCENARIO_STEPS, 1);
         a.merge(&b);
-        let h = a.histogram(names::DP_CHUNK_STEPS).unwrap();
+        let h = a.histogram(names::DP_LEVEL_STEPS).unwrap();
         assert_eq!((h.count(), h.sum()), (2, 12));
         assert!(a.histogram(names::INTERVAL_SCENARIO_STEPS).is_some());
         assert!(!a.is_empty());
@@ -311,11 +311,11 @@ mod tests {
         assert!(!m.ingest_gauge("dp.cache_hits", 5));
         let mut h = crate::hist::StepHistogram::new();
         h.record(4);
-        assert!(m.ingest_histogram("dp.chunk_steps", h.clone()));
+        assert!(m.ingest_histogram("dp.level_steps", h.clone()));
         assert!(!m.ingest_histogram("dp.cache_hits", h));
         assert!(m.ingest_exemplars("breaker.trips", ["S1"]));
         assert!(!m.ingest_exemplars("made.up", ["S1"]));
         assert_eq!(m.counter(names::DP_CACHE_HITS), 2);
-        assert_eq!(m.histogram(names::DP_CHUNK_STEPS).unwrap().sum(), 4);
+        assert_eq!(m.histogram(names::DP_LEVEL_STEPS).unwrap().sum(), 4);
     }
 }

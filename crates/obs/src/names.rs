@@ -20,18 +20,18 @@ pub const BUDGET_TICKS: &str = "budget.ticks";
 /// Counter: budget trip events (`BudgetExceeded` raised by `govern`).
 pub const BUDGET_TRIPS: &str = "budget.trips";
 
-/// Counter: residual-DP cache hits.
+/// Counter: DP arrivals at an already known residual state.
 pub const DP_CACHE_HITS: &str = "dp.cache_hits";
 
-/// Counter: residual-DP cache misses (nodes computed).
+/// Counter: distinct residual states the DP evaluated.
 pub const DP_CACHE_MISSES: &str = "dp.cache_misses";
 
-/// Counter: residual-DP nodes recomputed without memoization after the
-/// cache hit its entry cap.
+/// Counter: search-tree nodes the DP counted by the uncached DFS below
+/// residual states past its state cap.
 pub const DP_FALLBACK_NODES: &str = "dp.fallback_nodes";
 
-/// Counter: shared-cache hits on nodes inserted by an *earlier* subset
-/// run of the consensus sweep (the cross-subset sharing win).
+/// Counter: consensus-sweep subset runs answered by the shared-cache
+/// result of an *earlier* run (the cross-subset sharing win).
 pub const DP_CROSS_SUBSET_HITS: &str = "dp.cross_subset_hits";
 
 /// Counter: chunks planned by the partitioner for one engine run.
@@ -147,8 +147,8 @@ pub const DELTA_RECOMPILES_FORCED: &str = "delta.recompiles_forced";
 /// projected structure was unchanged, so no compile or traversal ran).
 pub const DELTA_RESULTS_REUSED: &str = "delta.results_reused";
 
-/// Histogram: budget ticks charged by each DP chunk worker.
-pub const DP_CHUNK_STEPS: &str = "dp.chunk_steps";
+/// Histogram: budget ticks charged expanding each DP level.
+pub const DP_LEVEL_STEPS: &str = "dp.level_steps";
 
 /// Histogram: budget ticks charged by each consensus subset sweep.
 pub const CONSENSUS_SWEEP_STEPS: &str = "consensus.sweep_steps";
@@ -186,11 +186,11 @@ pub const SPAN_RESILIENT_STREAM: &str = "resilient.stream";
 /// Span: one ladder rung attempt (`engine` attribute carries the rung).
 pub const SPAN_LADDER_RUNG: &str = "ladder.rung";
 
-/// Span: one chunked DP engine run.
+/// Span: one DP engine run.
 pub const SPAN_DP_RUN: &str = "dp.run";
 
-/// Span: one DP chunk executed by a `run_chunks` worker.
-pub const SPAN_DP_CHUNK: &str = "dp.chunk";
+/// Span: expanding one level of a DP run (`level`, `states`).
+pub const SPAN_DP_LEVEL: &str = "dp.level";
 
 /// Span: compiling a confidence circuit.
 pub const SPAN_CIRCUIT_COMPILE: &str = "circuit.compile";
@@ -222,7 +222,7 @@ pub const EVENT_SOURCE_QUARANTINED: &str = "source.quarantined";
 /// Event: a circuit breaker tripped open.
 pub const EVENT_BREAKER_TRIP: &str = "breaker.trip";
 
-/// Gauge: residual-DP peak live cache entries (high-water mark).
+/// Gauge: peak residual states resident in a DP run (high-water mark).
 pub const DP_CACHE_PEAK: &str = "dp.cache_peak";
 
 /// Gauge: chunks executed on a worker other than the first — a
@@ -274,7 +274,7 @@ pub const GAUGES: [&str; 2] = [DP_CACHE_PEAK, CHUNKS_STOLEN];
 
 /// All registered histogram names, in stable reporting order.
 pub const HISTOGRAMS: [&str; 7] = [
-    DP_CHUNK_STEPS,
+    DP_LEVEL_STEPS,
     CONSENSUS_SWEEP_STEPS,
     CIRCUIT_COMPILE_STEPS,
     CIRCUIT_TRAVERSE_STEPS,
@@ -291,7 +291,7 @@ pub const SPANS: [&str; 13] = [
     SPAN_RESILIENT_STREAM,
     SPAN_LADDER_RUNG,
     SPAN_DP_RUN,
-    SPAN_DP_CHUNK,
+    SPAN_DP_LEVEL,
     SPAN_CIRCUIT_COMPILE,
     SPAN_CIRCUIT_TRAVERSE,
     SPAN_INTERVAL_RUN,

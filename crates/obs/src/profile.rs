@@ -196,17 +196,17 @@ mod tests {
     fn sample_report() -> ObsReport {
         let mut stack = SpanStack::new();
         stack.open(names::SPAN_DP_RUN, 0);
-        for chunk in 0..2u64 {
-            stack.open(names::SPAN_DP_CHUNK, chunk);
-            stack.charge(10 + chunk);
-            stack.close(chunk + 1);
+        for level in 0..2u64 {
+            stack.open(names::SPAN_DP_LEVEL, level);
+            stack.charge(10 + level);
+            stack.close(level + 1);
         }
         stack.charge(3);
         stack.close(9);
         let mut metrics = MetricSet::new();
         metrics.counter_add(names::BUDGET_TICKS, 24);
-        metrics.histogram_record(names::DP_CHUNK_STEPS, 10);
-        metrics.histogram_record(names::DP_CHUNK_STEPS, 11);
+        metrics.histogram_record(names::DP_LEVEL_STEPS, 10);
+        metrics.histogram_record(names::DP_LEVEL_STEPS, 11);
         metrics.exemplar_offer(names::DP_FALLBACK_NODES, "r2/0b01");
         metrics.exemplar_offer(names::DP_FALLBACK_NODES, "r1/0b10");
         ObsReport {
@@ -221,7 +221,7 @@ mod tests {
         let report = sample_report();
         let rows = phase_table(&report.spans);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].name, names::SPAN_DP_CHUNK);
+        assert_eq!(rows[0].name, names::SPAN_DP_LEVEL);
         assert_eq!((rows[0].count, rows[0].self_steps), (2, 21));
         assert_eq!(rows[1].name, names::SPAN_DP_RUN);
         assert_eq!((rows[1].self_steps, rows[1].total_steps), (3, 24));
@@ -232,8 +232,8 @@ mod tests {
         let report = sample_report();
         let path = critical_path(&report.spans);
         let chain: Vec<_> = path.iter().map(|s| s.name).collect();
-        assert_eq!(chain, [names::SPAN_DP_RUN, names::SPAN_DP_CHUNK]);
-        // The heavier chunk (11 self-steps) wins.
+        assert_eq!(chain, [names::SPAN_DP_RUN, names::SPAN_DP_LEVEL]);
+        // The heavier level (11 self-steps) wins.
         assert_eq!(path[1].self_steps, 11);
     }
 
@@ -241,9 +241,9 @@ mod tests {
     fn summary_is_steps_only_and_checks_attribution() {
         let report = sample_report();
         let text = render_summary(&report);
-        assert!(text.contains("dp.chunk"));
+        assert!(text.contains("dp.level"));
         assert!(text.contains("attributed steps: 24 (span self-steps) == 24 (budget.ticks)"));
-        assert!(text.contains("dp.chunk_steps"));
+        assert!(text.contains("dp.level_steps"));
         assert!(!text.contains("_ns"), "summaries never print timings");
         #[cfg(feature = "exemplars")]
         assert!(text.contains("r1/0b10 r2/0b01"));

@@ -326,7 +326,7 @@ mod tests {
         s.event("ladder.degrade", 2, &[("to", "dp")]);
         s.counter_add(names::BUDGET_TICKS, 7);
         s.gauge_max(names::DP_CACHE_PEAK, 2);
-        s.histogram_record(names::DP_CHUNK_STEPS, 7);
+        s.histogram_record(names::DP_LEVEL_STEPS, 7);
         let _ = s.finish();
         let lines = lines.borrow();
         assert_eq!(lines.len(), 6);
@@ -343,7 +343,7 @@ mod tests {
         let mut s = ObsSession::in_memory();
         s.span_open("dp.run", 0);
         s.charge_steps(4);
-        s.span_open("dp.chunk", 1);
+        s.span_open("dp.level", 1);
         s.charge_steps(9);
         s.span_close(2);
         s.charge_steps(0); // zero deltas record nothing
@@ -367,7 +367,7 @@ mod tests {
             m.counter_add(names::BUDGET_TICKS, chunk + 1);
             s.merge_metrics(&m);
             let mut stack = SpanStack::new();
-            stack.open("dp.chunk", chunk);
+            stack.open("dp.level", chunk);
             stack.close(chunk + 1);
             s.graft_spans(stack.finish());
         }
@@ -377,7 +377,7 @@ mod tests {
         assert_eq!(report.metrics.counter(names::BUDGET_TICKS), 6);
         assert_eq!(
             report.spans[0].skeleton(),
-            "dp.run[dp.chunk,dp.chunk,dp.chunk]"
+            "dp.run[dp.level,dp.level,dp.level]"
         );
     }
 }

@@ -290,17 +290,17 @@ mod tests {
     fn span_lines_nest_children() {
         let mut span = Span::new("dp.run", 5, 9);
         span.attrs.push(("engine", "dp".to_owned()));
-        let mut chunk = Span::new("dp.chunk", 6, 8);
-        chunk.attrs.push(("chunk", "0".to_owned()));
-        chunk.self_steps = 17;
-        span.children.push(chunk);
+        let mut level = Span::new("dp.level", 6, 8);
+        level.attrs.push(("level", "0".to_owned()));
+        level.self_steps = 17;
+        span.children.push(level);
         let line = render_record(&Record::Span(&span));
         assert_eq!(
             line,
             "{\"type\":\"span\",\"name\":\"dp.run\",\"start_ns\":5,\"end_ns\":9,\
              \"self_steps\":0,\"attrs\":{\"engine\":\"dp\"},\"children\":[{\"type\":\"span\",\
-             \"name\":\"dp.chunk\",\"start_ns\":6,\"end_ns\":8,\"self_steps\":17,\
-             \"attrs\":{\"chunk\":\"0\"},\"children\":[]}]}"
+             \"name\":\"dp.level\",\"start_ns\":6,\"end_ns\":8,\"self_steps\":17,\
+             \"attrs\":{\"level\":\"0\"},\"children\":[]}]}"
         );
     }
 
@@ -313,12 +313,12 @@ mod tests {
         hist.record(3);
         hist.record(3);
         let h = render_record(&Record::Histogram {
-            name: crate::names::DP_CHUNK_STEPS,
+            name: crate::names::DP_LEVEL_STEPS,
             hist: &hist,
         });
         assert_eq!(
             h,
-            "{\"type\":\"histogram\",\"name\":\"dp.chunk_steps\",\
+            "{\"type\":\"histogram\",\"name\":\"dp.level_steps\",\
              \"count\":3,\"sum\":6,\"buckets\":[[0,1],[2,2]]}"
         );
 

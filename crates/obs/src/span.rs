@@ -15,9 +15,9 @@
 /// One completed (or still-open) span.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Span {
-    /// Phase name, e.g. `"dp.chunk"` or `"ladder.rung"`.
+    /// Phase name, e.g. `"dp.level"` or `"ladder.rung"`.
     pub name: &'static str,
-    /// Attributes in recording order, e.g. `("chunk", "3")`.
+    /// Attributes in recording order, e.g. `("level", "3")`.
     pub attrs: Vec<(&'static str, String)>,
     /// Budget-clock nanoseconds at open.
     pub start_ns: u64,
@@ -202,11 +202,11 @@ mod tests {
         let mut s = SpanStack::new();
         s.open("ladder.rung", 10);
         s.attr("engine", "dp");
-        s.open("dp.chunk", 20);
-        s.attr("chunk", "0");
+        s.open("dp.level", 20);
+        s.attr("level", "0");
         s.close(30);
-        s.open("dp.chunk", 31);
-        s.attr("chunk", "1");
+        s.open("dp.level", 31);
+        s.attr("level", "1");
         s.close(44);
         s.close(50);
         let roots = s.finish();
@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(root.children.len(), 2);
         assert_eq!(
             root.skeleton(),
-            "ladder.rung{engine=dp}[dp.chunk{chunk=0},dp.chunk{chunk=1}]"
+            "ladder.rung{engine=dp}[dp.level{level=0},dp.level{level=1}]"
         );
     }
 
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn graft_splices_under_the_open_span() {
         let mut worker = SpanStack::new();
-        worker.open("dp.chunk", 3);
+        worker.open("dp.level", 3);
         worker.close(9);
         let chunk_spans = worker.finish();
 
@@ -243,7 +243,7 @@ mod tests {
         main.graft(chunk_spans);
         main.close(12);
         let roots = main.finish();
-        assert_eq!(roots[0].skeleton(), "dp.run[dp.chunk]");
+        assert_eq!(roots[0].skeleton(), "dp.run[dp.level]");
     }
 
     #[test]
@@ -269,7 +269,7 @@ mod tests {
         s.charge(99); // nothing open: dropped
         s.span_open("dp.run", 0);
         s.charge(2);
-        s.open("dp.chunk", 1);
+        s.open("dp.level", 1);
         s.charge(5);
         s.close(2);
         s.charge(3);
@@ -285,11 +285,11 @@ mod tests {
     fn skeleton_renders_self_steps_only_when_charged() {
         let mut s = SpanStack::new();
         s.open("dp.run", 0);
-        s.open("dp.chunk", 1);
+        s.open("dp.level", 1);
         s.charge(7);
         s.close(2);
         s.close(3);
-        assert_eq!(s.finish()[0].skeleton(), "dp.run[dp.chunk#7]");
+        assert_eq!(s.finish()[0].skeleton(), "dp.run[dp.level#7]");
 
         let mut plain = SpanStack::new();
         plain.open("dp.run", 0);

@@ -47,7 +47,7 @@ fn disabled_session_never_allocates() {
     for i in 0..1_000u64 {
         obs.counter_add(names::BUDGET_TICKS, i);
         obs.gauge_max(names::DP_CACHE_PEAK, i);
-        obs.histogram_record(names::DP_CHUNK_STEPS, i);
+        obs.histogram_record(names::DP_LEVEL_STEPS, i);
         obs.exemplar(names::DP_FALLBACK_NODES, "l00.0000000000000000");
         obs.charge_steps(i);
         obs.span_open("dp.run", i);

@@ -296,10 +296,11 @@ cargo test -q --release --test circuit_metamorphic
 # Ladder gate (DESIGN.md §3.10): a catalog whose DFS rung trips a step
 # cap and whose DP rung rescues it, traced at two thread counts. Eight
 # sources with nine disjoint tuples each, completeness 0 and soundness
-# 1/4 give ~7^8 feasible count vectors; the DP collapses them to a few
-# hundred residual states. The answers and the counter totals must match
-# across thread counts, `pscds-trace diff` must see zero drift, and the
-# trace must record exactly one trip and one degradation.
+# 1/4 give ~7^8 feasible count vectors; the DP collapses them to eight
+# residual states. The answers and the counter totals must match across
+# thread counts, `pscds-trace diff` must see zero drift, the trace must
+# record exactly one trip and one degradation, and the DP's state count
+# must be the untraced serial one.
 echo "==> ladder gate (traced DFS -> DP rescue at 2 thread counts)"
 cat > "$smoke_dir/wide.pscds" <<'EOT'
 source S0 {
@@ -381,6 +382,18 @@ EOT
         value=$(awk -v c="$counter" '$1 == c { print $2 }' ladder-counters-t1.txt)
         [ "${value:-0}" -eq 1 ] || {
             echo "ladder trace recorded ${value:-no} $counter, expected 1" >&2
+            exit 1
+        }
+    done
+    # The DP does the serial work at every thread count, traced or not:
+    # both traces must report the residual-state count that an untraced
+    # serial count_dp_observed run reports for this catalog.
+    serial_misses=8
+    for threads in 1 4; do
+        misses=$(awk '$1 == "dp.cache_misses" { print $2 }' "ladder-counters-t$threads.txt")
+        [ "${misses:-none}" = "$serial_misses" ] || {
+            echo "ladder DP at --threads $threads evaluated ${misses:-no} residual states," \
+                "the untraced serial run $serial_misses" >&2
             exit 1
         }
     done

@@ -70,7 +70,7 @@ fn collections() -> impl Strategy<Value = SourceCollection> {
 /// The deterministic portion of an [`ObsReport`]: counter totals in name
 /// order, span skeletons (which carry the `#self_steps` attribution
 /// suffix), events modulo timestamps, step histograms (count, sum, and
-/// sparse buckets — `dp.chunk_steps`, `interval.scenario_steps`,
+/// sparse buckets — `dp.level_steps`, `interval.scenario_steps`,
 /// `source.backoff_steps`, `delta.epoch_steps`, …), and exemplar key
 /// sets. Everything here must be bit-identical at every thread count.
 type Digest = (
@@ -119,7 +119,7 @@ fn skeleton_steps(skeleton: &str) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The chunked DP under observation: counters, span trees, events,
+    /// The level-synchronous DP under observation: counters, span trees, events,
     /// and the analysis itself agree at every thread count.
     #[test]
     fn observed_dp_is_identical_across_thread_counts(collection in collections()) {
@@ -140,8 +140,8 @@ proptest! {
             prop_assert!(!d.0.is_empty(), "observed run must record counters");
             prop_assert!(!d.1.is_empty(), "observed run must record a span tree");
             prop_assert!(
-                d.3.iter().any(|(name, ..)| *name == "dp.chunk_steps"),
-                "observed DP must record the per-chunk step histogram"
+                d.3.iter().any(|(name, ..)| *name == "dp.level_steps"),
+                "observed DP must record the per-level step histogram"
             );
             // The attribution contract: span self-steps sum exactly to
             // the budget.ticks counter, at every thread count.
