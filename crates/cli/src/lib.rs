@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pscds_core::collection::IdentityCollection;
 use pscds_core::confidence::{
     analyze_circuit_budgeted, compile_circuit, count_dp_observed, sample_confidences_budgeted,
     CircuitConfig, ConfidenceAnalysis, DpConfig, PossibleWorlds, SampledConfidence, SamplerConfig,
@@ -50,7 +49,7 @@ use pscds_core::textfmt::{format_interval, parse_collection};
 use pscds_core::{CatalogProvider, FaultPlan, FaultyProvider, SourceAccess, SourceProvider};
 use pscds_core::{CoreError, ParallelConfig, SourceCollection};
 use pscds_relational::parser::{parse_facts, parse_rule};
-use pscds_relational::{Database, Fact, Value};
+use pscds_relational::{Database, Fact, RelName, Value};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -792,10 +791,9 @@ fn confidence_under_faults_output(
     match result {
         FaultAwareConfidence::Complete { statuses, result } => {
             render_source_statuses(&mut out, collection, &statuses);
-            let identity = collection.as_identity()?;
             match &result {
                 ResilientConfidence::Exact(analysis) => {
-                    render_exact_confidence(&mut out, analysis, &identity, padding)?;
+                    render_exact_confidence(&mut out, analysis, padding)?;
                 }
                 ResilientConfidence::Dp(analysis) => {
                     let _ = writeln!(
@@ -803,7 +801,7 @@ fn confidence_under_faults_output(
                         "engine: dp — the DFS counter exceeded the budget; the memoized DP \
                          finished (still an exact result, padding {padding})"
                     );
-                    render_exact_confidence(&mut out, analysis, &identity, padding)?;
+                    render_exact_confidence(&mut out, analysis, padding)?;
                 }
                 ResilientConfidence::Circuit(analysis) => {
                     let _ = writeln!(
@@ -811,7 +809,7 @@ fn confidence_under_faults_output(
                         "engine: circuit — the compiled shared-node circuit answered (still \
                          an exact result, padding {padding})"
                     );
-                    render_exact_confidence(&mut out, analysis, &identity, padding)?;
+                    render_exact_confidence(&mut out, analysis, padding)?;
                 }
                 ResilientConfidence::Sampled {
                     analysis, estimate, ..
@@ -821,7 +819,7 @@ fn confidence_under_faults_output(
                         "engine: {} — exact counting exceeded the budget, estimates follow (padding {padding})",
                         result.engine()
                     );
-                    render_sampled_confidence(&mut out, analysis, estimate, &identity)?;
+                    render_sampled_confidence(&mut out, analysis, estimate);
                 }
             }
             Ok((out, 0))
@@ -941,8 +939,7 @@ fn confidence_deltas_output(
             &mut out,
         )?,
     };
-    let final_state = session.collection().clone();
-    render_exact_confidence(&mut out, &analysis, &final_state, padding)?;
+    render_exact_confidence(&mut out, &analysis, padding)?;
     let stats = session.stats();
     let _ = writeln!(
         out,
@@ -1067,7 +1064,7 @@ fn confidence_output(
             )?;
             match &result {
                 ResilientConfidence::Exact(analysis) => {
-                    render_exact_confidence(&mut out, analysis, &identity, padding)?;
+                    render_exact_confidence(&mut out, analysis, padding)?;
                 }
                 ResilientConfidence::Dp(analysis) => {
                     let _ = writeln!(
@@ -1075,7 +1072,7 @@ fn confidence_output(
                         "engine: dp — the DFS counter exceeded the budget; the memoized DP \
                          finished (still an exact result, padding {padding})"
                     );
-                    render_exact_confidence(&mut out, analysis, &identity, padding)?;
+                    render_exact_confidence(&mut out, analysis, padding)?;
                 }
                 ResilientConfidence::Circuit(analysis) => {
                     let _ = writeln!(
@@ -1083,7 +1080,7 @@ fn confidence_output(
                         "engine: circuit — the compiled shared-node circuit answered (still \
                          an exact result, padding {padding})"
                     );
-                    render_exact_confidence(&mut out, analysis, &identity, padding)?;
+                    render_exact_confidence(&mut out, analysis, padding)?;
                 }
                 ResilientConfidence::Sampled {
                     analysis, estimate, ..
@@ -1093,7 +1090,7 @@ fn confidence_output(
                         "engine: {} — exact counting exceeded the budget, estimates follow (padding {padding})",
                         result.engine()
                     );
-                    render_sampled_confidence(&mut out, analysis, estimate, &identity)?;
+                    render_sampled_confidence(&mut out, analysis, estimate);
                 }
             }
         }
@@ -1106,7 +1103,7 @@ fn confidence_output(
                 obs,
             )?;
             let _ = writeln!(out, "engine: dp (exact, padding {padding})");
-            render_exact_confidence(&mut out, &analysis, &identity, padding)?;
+            render_exact_confidence(&mut out, &analysis, padding)?;
         }
         EngineChoice::Circuit => {
             // Compile once, then answer by traversal. The compile-stats
@@ -1128,7 +1125,7 @@ fn confidence_output(
                 "compile stats: {} nodes ({} exact residual states, {} shared), {} edges",
                 stats.canonical_nodes, stats.exact_nodes, stats.shared_nodes, stats.edges
             );
-            render_exact_confidence(&mut out, &analysis, &identity, padding)?;
+            render_exact_confidence(&mut out, &analysis, padding)?;
         }
         EngineChoice::Signature => {
             let analysis = ConfidenceAnalysis::from_signature_analysis_parallel(
@@ -1137,7 +1134,7 @@ fn confidence_output(
                 &parallel,
             )?;
             let _ = writeln!(out, "engine: signature (exact, padding {padding})");
-            render_exact_confidence(&mut out, &analysis, &identity, padding)?;
+            render_exact_confidence(&mut out, &analysis, padding)?;
         }
         EngineChoice::Exact => {
             // The brute-force oracle: enumerate poss(S) over the mentioned
@@ -1206,17 +1203,17 @@ fn confidence_output(
                 "engine: sampled ({} samples) — estimates follow (padding {padding})",
                 config.samples
             );
-            render_sampled_confidence(&mut out, &analysis, &estimate, &identity)?;
+            render_sampled_confidence(&mut out, &analysis, &estimate);
         }
     }
     Ok((out, 0))
 }
 
-/// Renders the exact confidence table shared by the DFS and DP engines.
+/// Renders the exact confidence table shared by the DFS, DP and circuit
+/// engines: one confidence per class, rows in the ranked class order.
 fn render_exact_confidence(
     out: &mut String,
     analysis: &ConfidenceAnalysis,
-    identity: &IdentityCollection,
     padding: u64,
 ) -> Result<(), CliError> {
     if !analysis.is_consistent() {
@@ -1232,23 +1229,15 @@ fn render_exact_confidence(
         analysis.world_count(),
         analysis.feasible_vectors()
     );
-    let mut rows: Vec<(Vec<Value>, pscds_numeric::Rational)> = Vec::new();
-    for t in identity.all_tuples() {
-        let conf = analysis.confidence_of_tuple(identity, &t)?;
-        rows.push((t, conf));
-    }
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let confs = analysis.class_confidences()?;
+    let tails: Vec<String> = confs
+        .iter()
+        .map(|conf| format!("  {conf}  ≈{:.4}", conf.to_f64()))
+        .collect();
+    let classes = analysis.signature_analysis();
     let _ = writeln!(out, "tuple confidences (descending):");
-    for (tuple, conf) in rows {
-        let rendered: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-        let _ = writeln!(
-            out,
-            "  {}({})  {}  ≈{:.4}",
-            identity.relation,
-            rendered.join(", "),
-            conf,
-            conf.to_f64()
-        );
+    for (tuple, class) in classes.ranked_members(|a, b| confs[b].cmp(&confs[a])) {
+        write_row(out, classes.relation(), tuple, &tails[class]);
     }
     if padding > 0 {
         let pad = analysis.padding_confidence()?;
@@ -1267,35 +1256,37 @@ fn render_sampled_confidence(
     out: &mut String,
     analysis: &SignatureAnalysis,
     estimate: &SampledConfidence,
-    identity: &IdentityCollection,
-) -> Result<(), CliError> {
-    let mut rows: Vec<(Vec<Value>, f64)> = Vec::new();
-    for t in identity.all_tuples() {
-        let conf = estimate.confidence_of_tuple(analysis, identity, &t)?;
-        rows.push((t, conf));
-    }
-    rows.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
+) {
+    let confs = &estimate.class_confidence;
+    let tails: Vec<String> = confs.iter().map(|conf| format!("  ≈{conf:.4}")).collect();
     let _ = writeln!(out, "tuple confidences (sampled, descending):");
-    for (tuple, conf) in rows {
-        let rendered: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-        let _ = writeln!(
-            out,
-            "  {}({})  ≈{:.4}",
-            identity.relation,
-            rendered.join(", "),
-            conf
-        );
+    let ranked = analysis.ranked_members(|a, b| {
+        confs[b]
+            .partial_cmp(&confs[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    for (tuple, class) in ranked {
+        write_row(out, analysis.relation(), tuple, &tails[class]);
     }
     let _ = writeln!(
         out,
         "chain diagnostics: acceptance rate {:.3}, {} distinct count vectors visited",
         estimate.acceptance_rate, estimate.distinct_vectors
     );
-    Ok(())
+}
+
+/// Writes one table row: `  R(v1, v2)` and the class's rendered `tail`.
+fn write_row(out: &mut String, relation: RelName, tuple: &[Value], tail: &str) {
+    let _ = write!(out, "  {relation}(");
+    for (i, value) in tuple.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{value}");
+    }
+    out.push(')');
+    out.push_str(tail);
+    out.push('\n');
 }
 
 fn cmd_answers(opts: &Options) -> Result<String, CliError> {

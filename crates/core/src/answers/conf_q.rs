@@ -118,10 +118,12 @@ impl BaseTableProvider for IdentityBaseTables<'_> {
             });
         }
         let mut table = ConfTable::new();
-        for tuple in self.collection.all_tuples() {
-            let conf = self.analysis.confidence_of_tuple(self.collection, &tuple)?;
+        let confs = self.analysis.class_confidences()?;
+        let classes = self.analysis.signature_analysis();
+        for (tuple, sig) in self.collection.tuples_with_signatures() {
+            let conf = &confs[classes.class_of(tuple, sig)?];
             if !conf.is_zero() {
-                table.insert(tuple, conf);
+                table.insert(tuple.to_vec(), conf.clone());
             }
         }
         for tuple in &self.extra_tuples {

@@ -185,6 +185,8 @@ impl SourceCollection {
 
 impl IdentityCollection {
     /// The union of all extensions (distinct tuples claimed by any source).
+    /// Clones every tuple; [`tuples_with_signatures`](Self::tuples_with_signatures)
+    /// borrows them and classifies them in the same pass.
     #[must_use]
     pub fn all_tuples(&self) -> BTreeSet<Vec<Value>> {
         self.sources
@@ -204,6 +206,43 @@ impl IdentityCollection {
             }
         }
         sig
+    }
+
+    /// Every distinct extension tuple once, ascending, with its membership
+    /// signature: `all_tuples()` paired with `signature_of` per tuple, from
+    /// one n-way merge of the sorted extensions instead of `n` set probes
+    /// per tuple. The merge finds the smallest head by tuple order, then
+    /// advances every source whose head equals it (equality compares
+    /// symbol ids, not strings).
+    #[must_use]
+    pub fn tuples_with_signatures(&self) -> Vec<(&[Value], u64)> {
+        let mut heads: Vec<_> = self
+            .sources
+            .iter()
+            .map(|s| s.tuples.iter().peekable())
+            .collect();
+        let widest = self.sources.iter().map(|s| s.tuples.len()).max();
+        let mut out = Vec::with_capacity(widest.unwrap_or(0));
+        loop {
+            let mut least: Option<&Vec<Value>> = None;
+            for head in &mut heads {
+                if let Some(&t) = head.peek() {
+                    if least.is_none_or(|l| t < l) {
+                        least = Some(t);
+                    }
+                }
+            }
+            let Some(least) = least else {
+                return out;
+            };
+            let mut sig = 0u64;
+            for (i, head) in heads.iter_mut().enumerate() {
+                if head.next_if(|&t| t == least).is_some() {
+                    sig |= 1 << i;
+                }
+            }
+            out.push((least.as_slice(), sig));
+        }
     }
 }
 

@@ -842,19 +842,14 @@ pub fn analyze_circuit_topk_budgeted(
     if !analysis.is_consistent() {
         return Err(CoreError::InconsistentCollection);
     }
-    let mut rows: Vec<(Vec<Value>, Rational)> = Vec::new();
-    for (idx, class) in circuit.analysis.classes().iter().enumerate() {
-        if class.members.is_empty() {
-            continue; // padding class: unnamed tuples
-        }
-        let conf = analysis.class_confidence(idx)?;
-        for member in &class.members {
-            rows.push((member.clone(), conf.clone()));
-        }
-    }
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    rows.truncate(k);
-    Ok(rows)
+    let confs = analysis.class_confidences()?;
+    Ok(circuit
+        .analysis
+        .ranked_members(|a, b| confs[b].cmp(&confs[a]))
+        .into_iter()
+        .take(k)
+        .map(|(tuple, class)| (tuple.to_vec(), confs[class].clone()))
+        .collect())
 }
 
 /// A two-level cache of compiled circuits, so one compile amortizes

@@ -199,6 +199,17 @@ impl ConfidenceAnalysis {
         Ok(Rational::new(num, den))
     }
 
+    /// Every class's confidence, by class index: one exact division per
+    /// class, shared by all of the class's members.
+    ///
+    /// # Errors
+    /// [`CoreError::InconsistentCollection`] when `poss(S)` is empty.
+    pub fn class_confidences(&self) -> Result<Vec<Rational>, CoreError> {
+        (0..self.analysis.classes().len())
+            .map(|idx| self.class_confidence(idx))
+            .collect()
+    }
+
     /// Confidence of a specific tuple (`confidence(t_p)` of Section 5.1).
     /// `signature` must be the tuple's membership signature (see
     /// [`IdentityCollection::signature_of`]); use

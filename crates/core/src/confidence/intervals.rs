@@ -251,7 +251,7 @@ pub fn count_intervals_observed(
     let result = validate_unavailable(collection, unavailable).and_then(|missing| {
         let k = missing.len();
         obs.span_attr("unavailable", &k.to_string());
-        let full_tuples: Vec<Vec<Value>> = collection.all_tuples().into_iter().collect();
+        let full = collection.tuples_with_signatures();
         let masks: Vec<u64> = (0..(1u64 << k)).collect();
         let outcomes = run_chunks(config, budget, &masks, |_, mask, budget, _| {
             // Per-scenario telemetry on the worker's own accumulators; the
@@ -260,8 +260,7 @@ pub fn count_intervals_observed(
             // contract).
             let start_ns = budget.elapsed_ns();
             let steps_before = budget.steps();
-            let outcome =
-                scenario_outcome(collection, &full_tuples, &missing, *mask, padding, budget)?;
+            let outcome = scenario_outcome(collection, &full, &missing, *mask, padding, budget)?;
             let delta = budget.steps() - steps_before;
             let mut metrics = MetricSet::new();
             metrics.counter_add(names::BUDGET_TICKS, delta);
@@ -286,7 +285,7 @@ pub fn count_intervals_observed(
                 outcome.confidences
             }));
         }
-        merge_scenarios(&full_tuples, &scenarios, k)
+        merge_scenarios(&full, &scenarios, k)
     });
     record_trip(obs, budget.elapsed_ns(), &result);
     obs.span_close(budget.elapsed_ns());
@@ -319,35 +318,44 @@ fn validate_unavailable(
     Ok(missing)
 }
 
-/// Evaluates one availability scenario.
+/// Evaluates one availability scenario. `full` holds every catalog
+/// tuple with its full membership signature; a tuple's scenario
+/// signature keeps the bits of the present sources, compacted to the
+/// scenario's source order.
 fn scenario_outcome(
     collection: &IdentityCollection,
-    full_tuples: &[Vec<Value>],
+    full: &[(&[Value], u64)],
     missing: &[usize],
     mask: u64,
     padding: u64,
     budget: &Budget,
 ) -> Result<ScenarioOutcome, CoreError> {
-    let scenario = scenario_collection(collection, missing, mask);
-    let dropped = full_tuples.len() - scenario.all_tuples().len();
+    let present = present_sources(collection, missing, mask);
+    let sigs: Vec<u64> = full
+        .iter()
+        .map(|&(_, sig)| {
+            present
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (j, &i)| acc | (sig >> i & 1) << j)
+        })
+        .collect();
+    let scenario = scenario_collection(collection, &present);
+    let dropped = sigs.iter().filter(|&&sig| sig == 0).count();
     let padding_s = padding + dropped as u64;
     let analysis = ConfidenceAnalysis::analyze_budgeted(&scenario, padding_s, budget)?;
     if !analysis.is_consistent() {
         return Ok(ScenarioOutcome { confidences: None });
     }
-    let mut named = Vec::with_capacity(full_tuples.len());
-    for tuple in full_tuples {
-        let sig = scenario.signature_of(tuple);
-        let conf = if sig == 0 {
-            // The tuple is claimed only by absent sources: in this
-            // scenario it is an anonymous domain element, and the
-            // padding class exists because dropping it enlarged
-            // `padding_s` past zero.
-            analysis.padding_confidence()?
-        } else {
-            analysis.confidence_with_signature(tuple, sig)?
-        };
-        named.push(conf);
+    // A tuple claimed only by absent sources has signature 0: in this
+    // scenario it is an anonymous domain element, and `class_of` finds
+    // the padding class, which exists because dropping the tuple
+    // enlarged `padding_s` past zero.
+    let confs = analysis.class_confidences()?;
+    let classes = analysis.signature_analysis();
+    let mut named = Vec::with_capacity(full.len());
+    for (&(tuple, _), &sig) in full.iter().zip(&sigs) {
+        named.push(confs[classes.class_of(tuple, sig)?].clone());
     }
     let pad_conf = if padding_s > 0 {
         Some(analysis.padding_confidence()?)
@@ -366,7 +374,7 @@ fn scenario_outcome(
 /// (scenario-order min/max — associative and order-insensitive, so the
 /// join is independent of scheduling).
 fn merge_scenarios(
-    full_tuples: &[Vec<Value>],
+    catalog: &[(&[Value], u64)],
     scenarios: &[Option<ScenarioConfidences>],
     k: usize,
 ) -> Result<IntervalAnalysis, CoreError> {
@@ -378,8 +386,8 @@ fn merge_scenarios(
     };
 
     let consistent = scenarios.iter().flatten();
-    let mut tuples = Vec::with_capacity(full_tuples.len());
-    for (t_idx, tuple) in full_tuples.iter().enumerate() {
+    let mut tuples = Vec::with_capacity(catalog.len());
+    for (t_idx, &(tuple, _)) in catalog.iter().enumerate() {
         let mut lo = full.named[t_idx].clone();
         let mut hi = lo.clone();
         for s in consistent.clone() {
@@ -392,7 +400,7 @@ fn merge_scenarios(
             }
         }
         tuples.push(TupleInterval {
-            tuple: tuple.clone(),
+            tuple: tuple.to_vec(),
             point: full.named[t_idx].clone(),
             interval: ConfidenceInterval { lo, hi },
         });
@@ -427,28 +435,27 @@ fn merge_scenarios(
     })
 }
 
-/// The induced collection of one availability scenario: every reachable
-/// source, plus the unreachable sources whose bit is set in `mask`, in
-/// catalog order.
-fn scenario_collection(
-    collection: &IdentityCollection,
-    missing: &[usize],
-    mask: u64,
-) -> IdentityCollection {
-    let sources = collection
-        .sources
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| match missing.binary_search(i) {
+/// The sources present in one availability scenario, in catalog order:
+/// every reachable source, plus the unreachable sources whose bit is set
+/// in `mask`.
+fn present_sources(collection: &IdentityCollection, missing: &[usize], mask: u64) -> Vec<usize> {
+    (0..collection.sources.len())
+        .filter(|i| match missing.binary_search(i) {
             Ok(pos) => mask & (1 << pos) != 0,
             Err(_) => true,
         })
-        .map(|(_, s)| s.clone())
-        .collect();
+        .collect()
+}
+
+/// The induced collection over the `present` sources.
+fn scenario_collection(collection: &IdentityCollection, present: &[usize]) -> IdentityCollection {
     IdentityCollection {
         relation: collection.relation,
         arity: collection.arity,
-        sources,
+        sources: present
+            .iter()
+            .map(|&i| collection.sources[i].clone())
+            .collect(),
     }
 }
 

@@ -25,6 +25,7 @@ use crate::error::CoreError;
 use crate::govern::Budget;
 use pscds_numeric::Frac;
 use pscds_relational::{Fact, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
@@ -92,15 +93,15 @@ pub struct SignatureAnalysis {
 impl SignatureAnalysis {
     /// Builds the decomposition. `padding` is the number of potential
     /// facts in the finite domain that belong to **no** extension
-    /// (`|dom|^arity − |∪v_i|`).
+    /// (`|dom|^arity − |∪v_i|`). One merge of the sorted extensions
+    /// classifies every tuple, so each class's members come out
+    /// ascending.
     #[must_use]
     pub fn new(collection: &IdentityCollection, padding: u64) -> Self {
-        // Group extension tuples by signature.
         let mut by_sig: BTreeMap<u64, Vec<Vec<Value>>> = BTreeMap::new();
-        for tuple in collection.all_tuples() {
-            let sig = collection.signature_of(&tuple);
+        for (tuple, sig) in collection.tuples_with_signatures() {
             debug_assert_ne!(sig, 0, "extension tuples belong to some source");
-            by_sig.entry(sig).or_default().push(tuple);
+            by_sig.entry(sig).or_default().push(tuple.to_vec());
         }
         let mut classes: Vec<SignatureClass> = by_sig
             .into_iter()
@@ -125,24 +126,8 @@ impl SignatureAnalysis {
                 min_sound: s.soundness.ceil_mul(s.tuples.len() as u64),
             })
             .collect();
-        Self::from_parts(classes, bounds, collection.relation, collection.arity)
-    }
-
-    /// Rebuilds the decomposition from maintained parts: a class list
-    /// already in canonical order (ascending signature, padding class —
-    /// signature 0, no members — last if present) and the per-source
-    /// bounds. The suffix tables are recomputed; everything else is
-    /// taken as given. Used by `core::delta` to refresh an analysis
-    /// after applying a batch without re-scanning the collection.
-    pub(crate) fn from_parts(
-        classes: Vec<SignatureClass>,
-        bounds: Vec<SourceBounds>,
-        relation: pscds_relational::RelName,
-        arity: usize,
-    ) -> Self {
-        let n = bounds.len();
         let m = classes.len();
-        let mut suffix_max_t = vec![vec![0u64; m + 1]; n];
+        let mut suffix_max_t = vec![vec![0u64; m + 1]; bounds.len()];
         for (i, row) in suffix_max_t.iter_mut().enumerate() {
             for j in (0..m).rev() {
                 let contrib = if classes[j].signature >> i & 1 == 1 {
@@ -157,8 +142,8 @@ impl SignatureAnalysis {
             classes,
             bounds,
             suffix_max_t,
-            relation,
-            arity,
+            relation: collection.relation,
+            arity: collection.arity,
         }
     }
 
@@ -182,7 +167,7 @@ impl SignatureAnalysis {
                     "domain of {domain_size} constants at arity {arity} overflows u64"
                 ),
             })?;
-        let union = collection.all_tuples().len() as u64;
+        let union = collection.tuples_with_signatures().len() as u64;
         universe.checked_sub(union).ok_or_else(|| CoreError::BadDomain {
             message: format!(
                 "domain yields {universe} potential facts but extensions already hold {union} distinct tuples"
@@ -227,30 +212,74 @@ impl SignatureAnalysis {
     }
 
     /// Index of the class a tuple belongs to: its signature class, or the
-    /// padding class for extension-free tuples.
+    /// padding class for extension-free tuples. A binary search on the
+    /// signature: extension classes are ascending and the padding class
+    /// is last.
     ///
     /// # Errors
     /// Fails for extension-free tuples when no padding was declared (the
     /// tuple is outside the finite domain being modelled).
     pub fn class_of(&self, tuple: &[Value], signature: u64) -> Result<usize, CoreError> {
-        if let Some(idx) = self
+        let padded = self
             .classes
-            .iter()
-            .position(|c| c.signature == signature && (signature != 0 || c.members.is_empty()))
-        {
-            // For signature 0 this finds the padding class.
-            if signature != 0 {
-                // Confirm membership (two different tuples can share a signature
-                // only by both being in the same extensions).
-                debug_assert!(self.classes[idx].members.iter().any(|m| m == tuple));
-            }
-            Ok(idx)
+            .last()
+            .is_some_and(|c| c.signature == 0 && c.members.is_empty());
+        let named = self.classes.len() - usize::from(padded);
+        let found = if signature == 0 {
+            padded.then_some(named)
         } else {
-            Err(CoreError::BadDomain {
-                message: "tuple is outside every extension and the analysis has no padding class"
-                    .to_owned(),
-            })
+            self.classes[..named]
+                .binary_search_by_key(&signature, |c| c.signature)
+                .ok()
+        };
+        let idx = found.ok_or_else(|| CoreError::BadDomain {
+            message: "tuple is outside every extension and the analysis has no padding class"
+                .to_owned(),
+        })?;
+        // Two different tuples share a signature only by both being in
+        // the same extensions; confirm the tuple really is a member.
+        debug_assert!(
+            signature == 0
+                || self.classes[idx]
+                    .members
+                    .binary_search_by(|m| m.as_slice().cmp(tuple))
+                    .is_ok()
+        );
+        Ok(idx)
+    }
+
+    /// The named members in confidence-table order, each with its class
+    /// index. Every member of a class shares the class's confidence
+    /// (§5.1), so the table is built per class: the extension classes are
+    /// ranked once by `class_order` (`Less` puts the first class earlier,
+    /// and classes comparing `Equal` share a rank), each class's members
+    /// — already ascending — are laid out in rank order, and one stable
+    /// sort on `(rank, tuple)` merges the runs of tied classes. The
+    /// padding class has no members and yields no rows.
+    pub fn ranked_members(
+        &self,
+        mut class_order: impl FnMut(usize, usize) -> Ordering,
+    ) -> Vec<(&[Value], usize)> {
+        let mut order: Vec<usize> = (0..self.classes.len())
+            .filter(|&c| !self.classes[c].members.is_empty())
+            .collect();
+        order.sort_by(|&a, &b| class_order(a, b));
+        let len = order.iter().map(|&c| self.classes[c].members.len()).sum();
+        let mut rows: Vec<(usize, &[Value], usize)> = Vec::with_capacity(len);
+        let mut rank = 0usize;
+        for (pos, &c) in order.iter().enumerate() {
+            if pos > 0 && class_order(order[pos - 1], c) != Ordering::Equal {
+                rank += 1;
+            }
+            rows.extend(
+                self.classes[c]
+                    .members
+                    .iter()
+                    .map(|m| (rank, m.as_slice(), c)),
+            );
         }
+        rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+        rows.into_iter().map(|(_, tuple, c)| (tuple, c)).collect()
     }
 
     /// Tests feasibility of a complete count vector (one entry per class).

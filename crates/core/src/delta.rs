@@ -465,7 +465,7 @@ impl DeltaSession {
     pub fn new(catalog: &SourceCollection, padding: u64) -> Result<Self, CoreError> {
         let collection = catalog.as_identity()?;
         let universe = padding
-            .checked_add(collection.all_tuples().len() as u64)
+            .checked_add(collection.tuples_with_signatures().len() as u64)
             .ok_or_else(|| CoreError::BadDomain {
                 message: "padding + extension union overflows the u64 fact universe".into(),
             })?;
@@ -637,7 +637,7 @@ impl DeltaSession {
         }
         self.stats.batches_applied += 1;
         self.stats.ops_applied += effective;
-        let union = self.collection.all_tuples().len() as u64;
+        let union = self.collection.tuples_with_signatures().len() as u64;
         let padding = self
             .universe
             .checked_sub(union)

@@ -293,6 +293,50 @@ cargo test -q --release --test circuit_metamorphic
     bench_validate --history BENCH_history.jsonl > /dev/null
 )
 
+# Catalog table gate (DESIGN.md §3.2): a generated 4-source catalog of
+# ~2.3k distinct R/2 tuples (3.5k extension tuples), whose table has
+# ~2k rows tied at confidence 1 and three classes below it. The output
+# must be byte-identical at 1 and 4 threads and hash to the value the
+# per-tuple table printed before the per-class ranking replaced it.
+echo "==> catalog table gate (generated 4-source catalog, pinned sha256)"
+seq 0 2999 | awk '
+    function member(i, k) {
+        if (i == 1) return k % 2 == 0
+        if (i == 2) return k % 3 == 0
+        if (i == 3) return k % 5 == 0
+        return k % 7 == 0
+    }
+    function src(i, c, s,    k) {
+        printf "source S%d {\n  view: V%d(x, y) <- R(x, y)\n", i, i
+        printf "  completeness: %s\n  soundness: %s\n  extension:", c, s
+        for (k = 0; k < n; k++) if (member(i, k)) printf " V%d(n%d, %d).", i, k, k % 10
+        printf "\n}\n"
+    }
+    { n++ }
+    END {
+        src(1, "0", "1")
+        src(2, "0", "1")
+        src(3, "1/10", "597/600")
+        src(4, "1/8", "427/429")
+    }' > "$smoke_dir/catalog.pscds"
+(
+    cd "$smoke_dir"
+    for threads in 1 4; do
+        pscds_cli confidence catalog.pscds --padding 4 --threads "$threads" \
+            > "catalog-t$threads.txt"
+    done
+    diff -u catalog-t1.txt catalog-t4.txt || {
+        echo "catalog tables differ between --threads 1 and --threads 4" >&2
+        exit 1
+    }
+    pinned=535d698fba851e6b66074c4678e0be34c3a2a5e0dcf3f800792fd0f35ba37218
+    actual=$(sha256sum catalog-t1.txt | cut -d' ' -f1)
+    [ "$actual" = "$pinned" ] || {
+        echo "catalog table hash $actual differs from the pinned $pinned" >&2
+        exit 1
+    }
+)
+
 # Ladder gate (DESIGN.md §3.10): a catalog whose DFS rung trips a step
 # cap and whose DP rung rescues it, traced at two thread counts. Eight
 # sources with nine disjoint tuples each, completeness 0 and soundness
