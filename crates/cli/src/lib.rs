@@ -139,7 +139,11 @@ GOVERNANCE (every analysis is super-polynomial in the worst case):
                      exceeds the budget (confidence only; output is
                      clearly labelled)
     --engine E       confidence counting engine (confidence only):
-                       auto       exact DFS, then the memoized DP, then —
+                       auto       expand the memoized DP's residual
+                                  states once, which predicts the exact
+                                  DFS's steps; run the DFS when they are
+                                  at most the DP's folds and fit the
+                                  budget, else finish the DP; then —
                                   with --approx — the sampler (default)
                        exact      possible-world oracle (2^N enumeration;
                                   tiny instances / cross-checks only)
@@ -211,8 +215,9 @@ The collection file format (see pscds_core::textfmt):
 /// The counting engine selected with `--engine` (confidence only).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum EngineChoice {
-    /// The resilient ladder: exact DFS, then the memoized DP, then (with
-    /// `--approx`) the Metropolis sampler.
+    /// The resilient ladder: the exact DFS or the memoized DP, whichever
+    /// the DP's expansion predicts cheaper, then (with `--approx`) the
+    /// Metropolis sampler.
     #[default]
     Auto,
     /// The possible-world oracle: `2^N` enumeration over the mentioned
@@ -791,37 +796,7 @@ fn confidence_under_faults_output(
     match result {
         FaultAwareConfidence::Complete { statuses, result } => {
             render_source_statuses(&mut out, collection, &statuses);
-            match &result {
-                ResilientConfidence::Exact(analysis) => {
-                    render_exact_confidence(&mut out, analysis, padding)?;
-                }
-                ResilientConfidence::Dp(analysis) => {
-                    let _ = writeln!(
-                        out,
-                        "engine: dp — the DFS counter exceeded the budget; the memoized DP \
-                         finished (still an exact result, padding {padding})"
-                    );
-                    render_exact_confidence(&mut out, analysis, padding)?;
-                }
-                ResilientConfidence::Circuit(analysis) => {
-                    let _ = writeln!(
-                        out,
-                        "engine: circuit — the compiled shared-node circuit answered (still \
-                         an exact result, padding {padding})"
-                    );
-                    render_exact_confidence(&mut out, analysis, padding)?;
-                }
-                ResilientConfidence::Sampled {
-                    analysis, estimate, ..
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "engine: {} — exact counting exceeded the budget, estimates follow (padding {padding})",
-                        result.engine()
-                    );
-                    render_sampled_confidence(&mut out, analysis, estimate);
-                }
-            }
+            render_resilient_confidence(&mut out, &result, padding)?;
             Ok((out, 0))
         }
         FaultAwareConfidence::Partial {
@@ -1062,37 +1037,7 @@ fn confidence_output(
                 &LadderPolicy::default(),
                 obs,
             )?;
-            match &result {
-                ResilientConfidence::Exact(analysis) => {
-                    render_exact_confidence(&mut out, analysis, padding)?;
-                }
-                ResilientConfidence::Dp(analysis) => {
-                    let _ = writeln!(
-                        out,
-                        "engine: dp — the DFS counter exceeded the budget; the memoized DP \
-                         finished (still an exact result, padding {padding})"
-                    );
-                    render_exact_confidence(&mut out, analysis, padding)?;
-                }
-                ResilientConfidence::Circuit(analysis) => {
-                    let _ = writeln!(
-                        out,
-                        "engine: circuit — the compiled shared-node circuit answered (still \
-                         an exact result, padding {padding})"
-                    );
-                    render_exact_confidence(&mut out, analysis, padding)?;
-                }
-                ResilientConfidence::Sampled {
-                    analysis, estimate, ..
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "engine: {} — exact counting exceeded the budget, estimates follow (padding {padding})",
-                        result.engine()
-                    );
-                    render_sampled_confidence(&mut out, analysis, estimate);
-                }
-            }
+            render_resilient_confidence(&mut out, &result, padding)?;
         }
         EngineChoice::Dp => {
             let (analysis, _stats) = count_dp_observed(
@@ -1207,6 +1152,46 @@ fn confidence_output(
         }
     }
     Ok((out, 0))
+}
+
+/// The confidence ladder's answer under its `engine:` banner: an exact
+/// DFS answer needs none; every other route names its engine and why it
+/// answered.
+fn render_resilient_confidence(
+    out: &mut String,
+    result: &ResilientConfidence,
+    padding: u64,
+) -> Result<(), CliError> {
+    let (banner, analysis) = match result {
+        ResilientConfidence::Exact(analysis) => {
+            return render_exact_confidence(out, analysis, padding);
+        }
+        ResilientConfidence::PlannedDp(analysis) => (
+            "engine: dp — the plan predicted the memoized DP cheaper than the DFS counter",
+            analysis,
+        ),
+        ResilientConfidence::Dp(analysis) => (
+            "engine: dp — the DFS counter exceeded the budget; the memoized DP finished",
+            analysis,
+        ),
+        ResilientConfidence::Circuit(analysis) => (
+            "engine: circuit — the compiled shared-node circuit answered",
+            analysis,
+        ),
+        ResilientConfidence::Sampled {
+            analysis, estimate, ..
+        } => {
+            let _ = writeln!(
+                out,
+                "engine: {} — exact counting exceeded the budget, estimates follow (padding {padding})",
+                result.engine()
+            );
+            render_sampled_confidence(out, analysis, estimate);
+            return Ok(());
+        }
+    };
+    let _ = writeln!(out, "{banner} (still an exact result, padding {padding})");
+    render_exact_confidence(out, analysis, padding)
 }
 
 /// Renders the exact confidence table shared by the DFS, DP and circuit
@@ -1663,14 +1648,20 @@ mod tests {
     }
 
     #[test]
-    fn budget_tripped_dfs_is_rescued_by_the_dp_rung() {
-        let dir = tmpdir("gov-dp-rescue");
-        // ~7^8 feasible vectors: the DFS burns through 100k steps, but
-        // the DP collapses the search to a few hundred nodes and finishes
-        // exactly under the renewed allowance.
+    fn budget_heavy_dfs_is_planned_onto_the_dp() {
+        let dir = tmpdir("gov-dp-plan");
+        // ~7^8 feasible vectors: the DFS would burn through 100k steps,
+        // but the DP's expansion collapses the search to eight residual
+        // states, predicts the DFS's 9.6M steps and answers exactly
+        // without starting the DFS.
         let file = wide_slack_file(&dir, 8, 9);
         let out = run(&args(&["confidence", &file, "--max-steps", "100000"])).unwrap();
-        assert!(out.starts_with("engine: dp"), "{out}");
+        let banner = out.lines().next().unwrap_or_default();
+        assert!(
+            banner.starts_with("engine: dp — the plan predicted"),
+            "{out}"
+        );
+        assert!(!banner.contains("exceeded the budget"), "{out}");
         assert!(out.contains("|poss(S)|"), "exact result: {out}");
         assert!(out.contains("R(x0_0)"), "{out}");
     }

@@ -43,12 +43,32 @@
 //! thread count, traced or not. Each expanded level records a `dp.level`
 //! span (`level`, `states`) charged with its ticks, level 0's including
 //! the root's; the uncached walks are charged to `dp.run`.
+//!
+//! # The expansion as a planner
+//!
+//! The expansion visits every residual state the DFS would visit, so it
+//! can also count the DFS's paths into each: the root has one, and each
+//! arrival adds its parent's count. One sweep then yields, exactly and
+//! with no extra walk, the costs of both exact engines ([`Plan`]):
+//!
+//! * `dfs_steps = 1 + Σ_s paths(s)·(k_cap(s)+1)` — the serial DFS's
+//!   `Budget::steps()`, since the DFS ticks its root and, on every path
+//!   into a state, each child the state generates;
+//! * `dp_steps = 1 + Σ_s (k_cap(s)+1)` — the expansion's own ticks;
+//! * `folds = Σ_s (k_cap(s)+1)·(m−j+1)` — the evaluation's `UBig` folds
+//!   at level `j`.
+//!
+//! The resilient ladder's planned rung (`plan_exact`) runs the DFS when
+//! `dfs_steps ≤ folds` and the DFS fits the remaining step allowance, and
+//! otherwise evaluates the levels it already expanded. The decision is an
+//! integer comparison of thread-independent counts, so the engine chosen
+//! is the same at every thread count.
 
 use crate::confidence::counting::{ConfidenceAnalysis, Tally};
 use crate::confidence::residual::{Residual, ResidualKey};
 use crate::confidence::signature::{SignatureAnalysis, SourceBounds};
 use crate::error::CoreError;
-use crate::govern::{record_trip, Budget};
+use crate::govern::{record_trip, Budget, Engine};
 use crate::partition::{self, ParallelConfig};
 use pscds_numeric::{RowCache, UBig};
 use pscds_obs::{names, MetricSet, ObsSession, EXEMPLAR_KEYS};
@@ -143,6 +163,40 @@ impl DpStats {
     }
 }
 
+/// What one expansion sweep predicts for the two exact engines (see the
+/// module docs). Every count saturates at `u64::MAX`.
+#[derive(Clone, Copy, Debug)]
+struct Plan {
+    /// The serial DFS's `Budget::steps()`.
+    dfs_steps: u64,
+    /// The expansion's ticks: the DP's steps when no state passes the cap.
+    dp_steps: u64,
+    /// The evaluation's `UBig` folds.
+    folds: u64,
+    /// `false` when the state cap cut the expansion short, so the paths
+    /// into the states past it are unknown.
+    complete: bool,
+}
+
+impl Plan {
+    /// The plan of a tree with no internal state (the root is a leaf or
+    /// pruned): both engines are the same one-tick walk.
+    const SINGLE_NODE: Plan = Plan {
+        dfs_steps: 1,
+        dp_steps: 1,
+        folds: 0,
+        complete: true,
+    };
+
+    /// `true` iff the planned rung should run the DFS: the prediction is
+    /// complete, the DFS takes no more steps than the DP has folds left
+    /// (a single-node tree has none, and its DFS is the one tick), and it
+    /// fits `allowance` steps.
+    fn prefers_dfs(&self, allowance: u64) -> bool {
+        self.complete && self.dfs_steps <= self.folds.max(1) && self.dfs_steps <= allowance
+    }
+}
+
 /// Suffix aggregates of a run of states, packed: per state its world
 /// count `N_suffix` then, for each class `l` of the suffix, the
 /// containment numerator `Σ_{feasible completions} Π C · k_l` — each a
@@ -232,6 +286,11 @@ impl Hasher for LimbHasher {
 }
 
 type LimbMap<K, V> = HashMap<K, V, BuildHasherDefault<LimbHasher>>;
+
+/// A child state's first arrival during the expansion: where its `(t, w)`
+/// sits in the level's arrival records, whether the debug replay already
+/// checked a repeat against it, and the DFS's paths into it.
+type Arrival = (usize, bool, u64);
 
 /// DP results shared **across runs** — the consensus sweep's cache.
 ///
@@ -323,34 +382,78 @@ impl<'a> Sweep<'a> {
         cap: usize,
         obs: &mut ObsSession,
     ) -> Result<(Sums, DpStats), CoreError> {
-        let analysis = self.analysis;
-        let steps_before = budget.steps();
         let mut stats = DpStats::default();
-        let mut metrics = MetricSet::new();
-        let mut t = vec![0u64; analysis.source_count()];
-        let live = !analysis.classes().is_empty() && !analysis.pruned(0, &t, 0);
-        let (root, run_ticks) = if live && cap > 0 {
-            let mut records = Vec::new();
-            self.residual.pack_into(0, &t, 0, &mut records);
-            records.extend_from_slice(&t);
-            records.push(0);
-            let root = Level {
-                sources: t.len(),
-                records,
+        let (levels, _) = self.expand_root(budget, cap, &mut stats, obs)?;
+        self.finish(levels, budget, stats, obs)
+    }
+
+    /// `true` iff the root has children to expand: there are classes and
+    /// the root is not pruned.
+    fn live_root(&self) -> bool {
+        let analysis = self.analysis;
+        let t = vec![0u64; analysis.source_count()];
+        !analysis.classes().is_empty() && !analysis.pruned(0, &t, 0)
+    }
+
+    /// The expansion sweep from the root with its [`Plan`]. No levels
+    /// come back when the root is a leaf, pruned or past a zero cap: the
+    /// uncached walk then counts the tree.
+    fn expand_root(
+        &self,
+        budget: &Budget,
+        cap: usize,
+        stats: &mut DpStats,
+        obs: &mut ObsSession,
+    ) -> Result<(Option<Vec<Level>>, Plan), CoreError> {
+        let live = self.live_root();
+        if !live || cap == 0 {
+            // Past a zero cap, the paths below a live root are unknown.
+            let plan = Plan {
+                complete: !live,
+                ..Plan::SINGLE_NODE
             };
-            let levels = self.expand(root, budget, cap, &mut stats, obs)?;
-            let root = self.evaluate(levels, budget, &mut stats, &mut metrics)?;
-            (root, stats.fallback_nodes)
-        } else {
-            // A leaf, an empty tree, or a root past the cap: the uncached
-            // walk, which ticks the root itself.
-            let root = self.fallback(0, &mut t, &mut 0, budget)?;
-            let ticks = budget.steps() - steps_before;
-            if live {
-                stats.note_fallback_key(&self.residual.key(0, &t, 0).render());
-                stats.fallback_nodes = ticks;
+            return Ok((None, plan));
+        }
+        let t = vec![0u64; self.analysis.source_count()];
+        let mut records = Vec::new();
+        self.residual.pack_into(0, &t, 0, &mut records);
+        records.extend_from_slice(&t);
+        records.push(0);
+        let root = Level {
+            sources: t.len(),
+            records,
+        };
+        let (levels, plan) = self.expand(root, budget, cap, stats, obs)?;
+        Ok((Some(levels), plan))
+    }
+
+    /// Evaluates expanded `levels` — or, without them, counts the tree by
+    /// the uncached walk, which ticks the root itself — and records the
+    /// run's counters into `obs`.
+    fn finish(
+        &self,
+        levels: Option<Vec<Level>>,
+        budget: &Budget,
+        mut stats: DpStats,
+        obs: &mut ObsSession,
+    ) -> Result<(Sums, DpStats), CoreError> {
+        let mut metrics = MetricSet::new();
+        let (root, run_ticks) = match levels {
+            Some(levels) => {
+                let root = self.evaluate(levels, budget, &mut stats, &mut metrics)?;
+                (root, stats.fallback_nodes)
             }
-            (root, ticks)
+            None => {
+                let steps_before = budget.steps();
+                let mut t = vec![0u64; self.analysis.source_count()];
+                let root = self.fallback(0, &mut t, &mut 0, budget)?;
+                let ticks = budget.steps() - steps_before;
+                if self.live_root() {
+                    stats.note_fallback_key(&self.residual.key(0, &t, 0).render());
+                    stats.fallback_nodes = ticks;
+                }
+                (root, ticks)
+            }
         };
         // The uncached walks belong to the run span.
         obs.charge_steps(run_ticks);
@@ -360,7 +463,8 @@ impl<'a> Sweep<'a> {
     }
 
     /// The expansion sweep from the root: every level's states, at most
-    /// `cap` in all, each level charged to its `dp.level` span.
+    /// `cap` in all, each level charged to its `dp.level` span, and the
+    /// [`Plan`] the sweep predicts.
     fn expand(
         &self,
         root: Level,
@@ -368,10 +472,14 @@ impl<'a> Sweep<'a> {
         cap: usize,
         stats: &mut DpStats,
         obs: &mut ObsSession,
-    ) -> Result<Vec<Level>, CoreError> {
+    ) -> Result<(Vec<Level>, Plan), CoreError> {
         let analysis = self.analysis;
         let (m, n) = (analysis.classes().len(), analysis.source_count());
         let mut levels = vec![root];
+        // The DFS's paths into each state of the current level.
+        let mut paths = vec![1u64];
+        // The root's tick, before any state's children.
+        let mut plan = Plan::SINGLE_NODE;
         let mut kept = 1;
         let mut mark = budget.steps();
         budget.tick(DP_PHASE)?;
@@ -381,15 +489,18 @@ impl<'a> Sweep<'a> {
             obs.span_open(names::SPAN_DP_LEVEL, budget.elapsed_ns());
             obs.span_attr("level", &j.to_string());
             obs.span_attr("states", &states.to_string());
-            // Child key → where its first arrival's `(t, w)` sits in
-            // `arrivals`, and whether the debug replay already checked a
-            // repeat against it.
-            let mut seen: LimbMap<Box<[u64]>, (usize, bool)> = LimbMap::default();
+            let mut seen: LimbMap<Box<[u64]>, Arrival> = LimbMap::default();
             let mut arrivals = Vec::new();
+            let width = (m - j + 1) as u64;
             let mut expand_level = || -> Result<(), CoreError> {
-                for (_, t0, w0) in levels[j].states(0..states) {
+                for ((_, t0, w0), &into) in levels[j].states(0..states).zip(&paths) {
                     let (mut t, mut w) = (t0.to_vec(), w0);
-                    for k in 0..=analysis.k_cap(j, &t, w) {
+                    let k_max = analysis.k_cap(j, &t, w);
+                    let children = k_max.saturating_add(1);
+                    plan.dfs_steps = plan.dfs_steps.saturating_add(into.saturating_mul(children));
+                    plan.dp_steps = plan.dp_steps.saturating_add(children);
+                    plan.folds = plan.folds.saturating_add(children.saturating_mul(width));
+                    for k in 0..=k_max {
                         budget.tick(DP_PHASE)?;
                         if j + 1 == m {
                             continue; // a leaf: the evaluation folds it in
@@ -397,15 +508,19 @@ impl<'a> Sweep<'a> {
                         analysis.descend(j, k, &mut t, &mut w);
                         if !analysis.pruned(j + 1, &t, w) {
                             self.residual.pack_into(j + 1, &t, w, &mut packed);
-                            if let Some(_rep) = seen.get_mut(packed.as_slice()) {
+                            if let Some(rep) = seen.get_mut(packed.as_slice()) {
                                 #[cfg(debug_assertions)]
-                                if !std::mem::replace(&mut _rep.1, true) {
-                                    let rep = &arrivals[_rep.0..=_rep.0 + n];
+                                if !std::mem::replace(&mut rep.1, true) {
+                                    let rep = &arrivals[rep.0..=rep.0 + n];
                                     self.replay_check(j + 1, (&rep[..n], rep[n]), (&t, w));
                                 }
+                                rep.2 = rep.2.saturating_add(into);
                                 stats.cache_hits += 1;
                             } else {
-                                seen.insert(packed.as_slice().into(), (arrivals.len(), false));
+                                seen.insert(
+                                    packed.as_slice().into(),
+                                    (arrivals.len(), false, into),
+                                );
                                 arrivals.extend_from_slice(&t);
                                 arrivals.push(w);
                             }
@@ -424,10 +539,10 @@ impl<'a> Sweep<'a> {
             }
             obs.span_close(budget.elapsed_ns());
             expanded?;
-            let mut children: Vec<(Box<[u64]>, usize)> =
-                seen.into_iter().map(|(key, (at, _))| (key, at)).collect();
+            let mut children: Vec<(Box<[u64]>, Arrival)> = seen.into_iter().collect();
             children.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             let room = children.len().min(cap - kept);
+            plan.complete &= room == children.len();
             for (key, _) in children[room..].iter().take(EXEMPLAR_KEYS) {
                 let key = ResidualKey::from_packed(j + 1, key.clone());
                 stats.note_fallback_key(&key.render());
@@ -439,16 +554,18 @@ impl<'a> Sweep<'a> {
                 sources: n,
                 records: Vec::with_capacity(room * (4 * n + 1)),
             };
-            for (key, at) in &children[..room] {
+            paths.clear();
+            for (key, (at, _, into)) in &children[..room] {
                 next.records.extend_from_slice(key);
                 next.records.extend_from_slice(&arrivals[*at..=*at + n]);
+                paths.push(*into);
             }
             kept += room;
             levels.push(next);
         }
         stats.cache_misses = kept as u64;
         stats.peak_cache_entries = kept;
-        Ok(levels)
+        Ok((levels, plan))
     }
 
     /// The evaluation sweep, deepest level first, each level split across
@@ -606,6 +723,73 @@ pub fn count_dp_observed(
     obs.span_close(budget.elapsed_ns());
     let (root, stats) = swept?;
     Ok((assemble(analysis, &root), stats))
+}
+
+/// What the planned rung runs (see [`plan_exact`]).
+pub(crate) enum Planned {
+    /// The plan prefers the DFS: the decomposition goes back to the
+    /// caller to run it.
+    Dfs(SignatureAnalysis),
+    /// The DP evaluated the levels its expansion planned.
+    Dp(ConfidenceAnalysis),
+}
+
+/// The planned rung's DP half: expands the DP's levels under `budget`,
+/// which predicts both exact engines ([`Plan`]), records the prediction
+/// into `obs` — a `ladder.plan` event (`dfs_steps`, `dp_steps`, `folds`
+/// and the chosen `engine`) and a `predicted_steps` attribute on the
+/// innermost open span, the caller's rung span — and then either hands
+/// the decomposition back for the DFS ([`Plan::prefers_dfs`] under the
+/// remaining step allowance) or evaluates the levels already expanded.
+/// It never expands twice. Counters and spans are those of
+/// [`count_dp_observed`] without the `dp.run` span; the `dp.*` counters
+/// are recorded only when the DP answers.
+///
+/// # Errors
+/// [`CoreError::BudgetExceeded`] when the budget trips during the
+/// expansion or the evaluation, recorded as one trip.
+pub(crate) fn plan_exact(
+    analysis: SignatureAnalysis,
+    budget: &Budget,
+    parallel: &ParallelConfig,
+    config: &DpConfig,
+    obs: &mut ObsSession,
+) -> Result<Planned, CoreError> {
+    let sweep = Sweep::new(&analysis, parallel);
+    let mut stats = DpStats::default();
+    let planned = sweep
+        .expand_root(budget, config.max_cache_entries, &mut stats, obs)
+        .and_then(|(levels, plan)| {
+            let dfs = plan.prefers_dfs(budget.remaining_steps());
+            let (engine, predicted) = if dfs {
+                (Engine::Exact, plan.dfs_steps)
+            } else {
+                (Engine::Dp, plan.dp_steps)
+            };
+            let counts = [plan.dfs_steps, plan.dp_steps, plan.folds].map(|c| c.to_string());
+            let engine = engine.to_string();
+            obs.event(
+                names::EVENT_LADDER_PLAN,
+                budget.elapsed_ns(),
+                &[
+                    ("dfs_steps", &counts[0]),
+                    ("dp_steps", &counts[1]),
+                    ("folds", &counts[2]),
+                    ("engine", &engine),
+                ],
+            );
+            obs.span_attr("predicted_steps", &predicted.to_string());
+            if dfs {
+                return Ok(None);
+            }
+            let (root, _) = sweep.finish(levels, budget, stats, obs)?;
+            Ok(Some(root))
+        });
+    record_trip(obs, budget.elapsed_ns(), &planned);
+    Ok(match planned? {
+        None => Planned::Dfs(analysis),
+        Some(root) => Planned::Dp(assemble(analysis, &root)),
+    })
 }
 
 /// The run's result from the root aggregate.
@@ -803,6 +987,31 @@ mod tests {
                 match &reference {
                     None => reference = Some(stats),
                     Some(serial) => assert_eq!(&stats, serial, "cap={cap} t={threads}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_cut_short_by_the_cap_evaluates() {
+        // Example 5.1 scaled to r = 3 plans the DFS with every state
+        // resident, but a cap leaves the paths past it unknown: the
+        // planned rung then evaluates, exactly.
+        let id = crate::paper::example_5_1_scaled(3).as_identity().unwrap();
+        let dfs = ConfidenceAnalysis::analyze(&id, 3);
+        let serial = ParallelConfig::serial();
+        for (cap, runs_dfs) in [(1 << 20, true), (4, false), (0, false)] {
+            let analysis = SignatureAnalysis::new(&id, 3);
+            let config = DpConfig {
+                max_cache_entries: cap,
+            };
+            let mut obs = ObsSession::disabled();
+            let planned = plan_exact(analysis, &Budget::unlimited(), &serial, &config, &mut obs);
+            match planned.unwrap() {
+                Planned::Dfs(_) => assert!(runs_dfs, "cap={cap}"),
+                Planned::Dp(dp) => {
+                    assert!(!runs_dfs, "cap={cap}");
+                    assert_eq!(dp.parts(), dfs.parts(), "cap={cap}");
                 }
             }
         }

@@ -152,6 +152,13 @@ impl Budget {
         self.steps.get()
     }
 
+    /// Steps left before the step allowance trips (`u64::MAX` less the
+    /// steps taken, for a budget without one).
+    #[must_use]
+    pub fn remaining_steps(&self) -> u64 {
+        self.max_steps.saturating_sub(self.steps.get())
+    }
+
     /// Wall-clock time since the budget was created (or last
     /// [renewed](Budget::renewed)).
     #[must_use]
@@ -411,6 +418,11 @@ mod tests {
         };
         assert_eq!(phase, "steps-test");
         assert_eq!(steps, 11);
+        assert_eq!(b.remaining_steps(), 0);
+        let fresh = b.renewed();
+        fresh.tick("test").unwrap();
+        assert_eq!(fresh.remaining_steps(), 9);
+        assert_eq!(Budget::unlimited().remaining_steps(), u64::MAX);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   falling back to the signature-decomposition solver for identity-view
 //!   collections (still exact, but exponential only in the source count).
 //! * [`confidence_resilient`] — confidence, a ladder of engines: the
-//!   exact signature counter; then the memoized residual-state DP under a
-//!   renewed budget (still exact — it merely collapses redundant search);
-//!   finally the Metropolis sampler (an *estimate*; opt-in via `approx`).
+//!   planned exact rung, which expands the memoized residual-state DP's
+//!   levels once and runs whichever exact engine — the signature DFS or
+//!   the DP's evaluation — that expansion predicts is cheaper; then the
+//!   Metropolis sampler (an *estimate*; opt-in via `approx`).
 //!
 //! Each ladder is one entry taking the budget, the [`ParallelConfig`],
 //! the [`LadderPolicy`] and the [`ObsSession`] as plain parameters. Every
@@ -29,7 +30,7 @@
 use crate::collection::IdentityCollection;
 use crate::confidence::circuit::{analyze_circuit_budgeted, compile_circuit, CircuitConfig};
 use crate::confidence::counting::ConfidenceAnalysis;
-use crate::confidence::dp::{count_dp_observed, DpConfig};
+use crate::confidence::dp::{count_dp_observed, plan_exact, DpConfig, Planned};
 use crate::confidence::intervals::{count_intervals_observed, IntervalAnalysis};
 use crate::confidence::sampling::{sample_confidences_budgeted, SampledConfidence, SamplerConfig};
 use crate::confidence::signature::SignatureAnalysis;
@@ -81,6 +82,15 @@ pub enum ConfidenceRung {
     /// The Metropolis sampler — an estimate, gated behind the `approx`
     /// opt-in ([`Engine::Sampled`]).
     Sampled,
+    /// The planned exact rung: one expansion sweep of the DP predicts the
+    /// DFS's steps exactly and the DP's folds, then the DFS runs when it
+    /// is no dearer and fits the remaining step allowance, and the DP
+    /// evaluates the levels already expanded otherwise (see
+    /// `confidence::dp`). A DFS that trips anyway (deadline,
+    /// cancellation) degrades to a fresh DP under a renewed budget. It
+    /// answers as [`Engine::Exact`] or [`Engine::Dp`]; when it trips, the
+    /// DP tripped.
+    Planned,
 }
 
 impl ConfidenceRung {
@@ -94,17 +104,17 @@ impl ConfidenceRung {
             ConfidenceRung::Sampled => Engine::Sampled {
                 samples: SamplerConfig::default().samples,
             },
+            ConfidenceRung::Planned => Engine::Dp,
         }
     }
 }
 
 /// The rung order of the degradation ladders — pure data, no behavior.
 ///
-/// The default policy reproduces the historical hard-coded order
-/// bit-for-bit (same engines, same trip/degradation events in the same
-/// order). Custom policies let callers drop, reorder, or truncate rungs
-/// — the slot the fault rung and a future cost-model `--engine auto`
-/// plug into — without touching the ladder call sites.
+/// The default policy runs the planned exact rung, then the sampler.
+/// Custom policies let callers drop, reorder, or truncate rungs — e.g.
+/// the fixed `[ExactDfs, Dp, Sampled]` order, whose DP rescues a tripped
+/// DFS — without touching the ladder call sites.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LadderPolicy {
     /// Consistency rungs, tried in order.
@@ -118,11 +128,7 @@ impl Default for LadderPolicy {
     fn default() -> Self {
         LadderPolicy {
             check: vec![CheckRung::Exhaustive, CheckRung::Signature],
-            confidence: vec![
-                ConfidenceRung::ExactDfs,
-                ConfidenceRung::Dp,
-                ConfidenceRung::Sampled,
-            ],
+            confidence: vec![ConfidenceRung::Planned, ConfidenceRung::Sampled],
         }
     }
 }
@@ -337,6 +343,10 @@ pub enum ResilientConfidence {
     /// finished under a renewed one. Still an exact result — only the
     /// route differs.
     Dp(ConfidenceAnalysis),
+    /// The planned rung predicted the memoized residual-state DP cheaper
+    /// than the DFS (or the DFS past the step allowance), and the DP
+    /// evaluated its expansion. Still an exact result.
+    PlannedDp(ConfidenceAnalysis),
     /// The compiled circuit answered: the DP recursion materialized once
     /// as a shared-node arithmetic circuit and traversed. Still an exact
     /// result — only the route differs.
@@ -360,7 +370,7 @@ impl ResilientConfidence {
     pub fn engine(&self) -> Engine {
         match self {
             ResilientConfidence::Exact(_) => Engine::Exact,
-            ResilientConfidence::Dp(_) => Engine::Dp,
+            ResilientConfidence::Dp(_) | ResilientConfidence::PlannedDp(_) => Engine::Dp,
             ResilientConfidence::Circuit(_) => Engine::Circuit,
             ResilientConfidence::Sampled { config, .. } => Engine::Sampled {
                 samples: config.samples,
@@ -381,6 +391,7 @@ impl ResilientConfidence {
         match self {
             ResilientConfidence::Exact(a)
             | ResilientConfidence::Dp(a)
+            | ResilientConfidence::PlannedDp(a)
             | ResilientConfidence::Circuit(a) => {
                 Ok(a.confidence_of_tuple(collection, tuple)?.to_f64())
             }
@@ -404,6 +415,7 @@ impl ResilientConfidence {
         match self {
             ResilientConfidence::Exact(a)
             | ResilientConfidence::Dp(a)
+            | ResilientConfidence::PlannedDp(a)
             | ResilientConfidence::Circuit(a) => {
                 Ok(Some(a.confidence_of_tuple(collection, tuple)?))
             }
@@ -417,6 +429,7 @@ impl ResilientConfidence {
         match self {
             ResilientConfidence::Exact(a)
             | ResilientConfidence::Dp(a)
+            | ResilientConfidence::PlannedDp(a)
             | ResilientConfidence::Circuit(a) => Some(a),
             ResilientConfidence::Sampled { .. } => None,
         }
@@ -429,6 +442,7 @@ impl ResilientConfidence {
         match self {
             ResilientConfidence::Exact(a)
             | ResilientConfidence::Dp(a)
+            | ResilientConfidence::PlannedDp(a)
             | ResilientConfidence::Circuit(a) => a.is_consistent(),
             // The sampler only runs after finding a feasible vector.
             ResilientConfidence::Sampled { .. } => true,
@@ -442,19 +456,20 @@ impl ResilientConfidence {
 /// order, each later rung under a [renewed](Budget::renewed) budget. By
 /// default:
 ///
-/// 1. the exact signature counter ([`Engine::Exact`]);
-/// 2. the memoized residual-state DP ([`Engine::Dp`]) — *still exact*; it
-///    collapses search trees that re-enter the same residual states, so
-///    it often finishes where the DFS tripped;
-/// 3. if `approx` is set, the Metropolis sampler ([`Engine::Sampled`] —
-///    an estimate, clearly tagged as such). Without `approx` the DP's
-///    budget error propagates: approximation is opt-in.
+/// 1. the planned exact rung ([`ConfidenceRung::Planned`]): one
+///    expansion sweep of the memoized residual-state DP predicts the
+///    exact signature counter's steps ([`Engine::Exact`]) and the DP's
+///    folds ([`Engine::Dp`]), and the cheaper one answers — *exact*
+///    either way;
+/// 2. if `approx` is set, the Metropolis sampler ([`Engine::Sampled`] —
+///    an estimate, clearly tagged as such). Without `approx` the exact
+///    rung's budget error propagates: approximation is opt-in.
 ///
 /// The exact engines run their work-partitioned variants across
 /// `parallel.threads()` workers (bit-identical totals for every thread
 /// count); the Metropolis fallback is a single chain and stays serial.
 /// Budget trips, ladder degradations (with [`Engine`] provenance), the
-/// DP rung's per-level telemetry (via [`count_dp_observed`]), and the
+/// plan (a `ladder.plan` event), the DP's per-level telemetry, and the
 /// sampler's acceptance-rate counters are recorded into `obs` under a
 /// `resilient.confidence` span. A [disabled](ObsSession::disabled)
 /// session makes every hook a no-op.
@@ -485,10 +500,12 @@ pub fn confidence_resilient(
 /// `policy.confidence` in order. Approximating rungs are skipped without
 /// the `approx` opt-in (approximation stays opt-in whatever the policy
 /// says). The first rung runs on the caller's budget; later rungs run
-/// under [renewed](Budget::renewed) slices. The DP records its own trips
-/// (it takes the session) and the circuit rung's compile and traversal
-/// run under [`observe_phase`], which records theirs; the ladder records
-/// the other rungs' trips. The final rung's trip propagates.
+/// under [renewed](Budget::renewed) slices. The DP and the planned rung
+/// record their own trips (they take the session) and the circuit rung's
+/// compile and traversal run under [`observe_phase`], which records
+/// theirs; the ladder records the other rungs' trips. The final rung's
+/// trip propagates. Each rung span's `engine` attribute names the engine
+/// that answered, or the rung's own when it tripped.
 fn confidence_ladder(
     collection: &IdentityCollection,
     padding: u64,
@@ -521,8 +538,6 @@ fn confidence_ladder(
         ran_any = true;
         // Rung spans sit on the ladder's clock, like `check_ladder`'s.
         obs.span_open(names::SPAN_LADDER_RUNG, budget.elapsed_ns());
-        let engine_name = rung.engine().to_string();
-        obs.span_attr("engine", &engine_name);
         let analysis = SignatureAnalysis::new(collection, padding);
         let outcome = match rung {
             ConfidenceRung::ExactDfs => ConfidenceAnalysis::from_signature_analysis_parallel(
@@ -564,6 +579,33 @@ fn confidence_ladder(
                     .map(ResilientConfidence::Circuit)
                 })
             }
+            ConfidenceRung::Planned => {
+                let dp = DpConfig::default();
+                plan_exact(analysis, rung_budget, parallel, &dp, obs).and_then(|planned| {
+                    let analysis = match planned {
+                        Planned::Dp(analysis) => {
+                            return Ok(ResilientConfidence::PlannedDp(analysis))
+                        }
+                        Planned::Dfs(analysis) => analysis,
+                    };
+                    let dfs = ConfidenceAnalysis::from_signature_analysis_parallel(
+                        analysis,
+                        rung_budget,
+                        parallel,
+                    );
+                    record_trip(obs, budget.elapsed_ns(), &dfs);
+                    let Err(CoreError::BudgetExceeded { .. }) = dfs else {
+                        return dfs.map(ResilientConfidence::Exact);
+                    };
+                    // Only a deadline or a cancellation trips a DFS the
+                    // plan fitted to the step allowance: a fresh DP gets
+                    // its own slice.
+                    record_degradation(obs, budget.elapsed_ns(), Engine::Exact, Engine::Dp);
+                    let analysis = SignatureAnalysis::new(collection, padding);
+                    count_dp_observed(analysis, &rung_budget.renewed(), parallel, &dp, obs)
+                        .map(|(analysis, _stats)| ResilientConfidence::Dp(analysis))
+                })
+            }
             ConfidenceRung::Sampled => {
                 let config = SamplerConfig::default();
                 sample_confidences_budgeted(collection, padding, &config, rung_budget).map(
@@ -580,10 +622,17 @@ fn confidence_ladder(
                 )
             }
         };
+        let engine = outcome
+            .as_ref()
+            .map_or(rung.engine(), ResilientConfidence::engine);
+        obs.span_attr("engine", &engine.to_string());
         obs.span_close(budget.elapsed_ns());
-        // The DP and the circuit phases take the session and record
-        // their own trips.
-        if !matches!(rung, ConfidenceRung::Dp | ConfidenceRung::Circuit) {
+        // The DP, the planned rung and the circuit phases take the
+        // session and record their own trips.
+        if !matches!(
+            rung,
+            ConfidenceRung::Dp | ConfidenceRung::Planned | ConfidenceRung::Circuit
+        ) {
             record_trip(obs, budget.elapsed_ns(), &outcome);
         }
         match outcome {
@@ -892,11 +941,54 @@ mod tests {
         budget: &Budget,
         approx: bool,
     ) -> Result<ResilientConfidence, CoreError> {
-        let (serial, policy) = (ParallelConfig::serial(), LadderPolicy::default());
+        confidence_with(
+            collection,
+            padding,
+            budget,
+            approx,
+            &LadderPolicy::default(),
+        )
+    }
+
+    /// The confidence ladder under `policy`, serial and unobserved.
+    fn confidence_with(
+        collection: &IdentityCollection,
+        padding: u64,
+        budget: &Budget,
+        approx: bool,
+        policy: &LadderPolicy,
+    ) -> Result<ResilientConfidence, CoreError> {
+        let serial = ParallelConfig::serial();
         let mut obs = ObsSession::disabled();
         confidence_resilient(
-            collection, padding, budget, &serial, approx, &policy, &mut obs,
+            collection, padding, budget, &serial, approx, policy, &mut obs,
         )
+    }
+
+    /// The fixed rung order that runs the DFS first and rescues its trip
+    /// with the DP.
+    fn dfs_then_dp() -> LadderPolicy {
+        LadderPolicy {
+            confidence: vec![
+                ConfidenceRung::ExactDfs,
+                ConfidenceRung::Dp,
+                ConfidenceRung::Sampled,
+            ],
+            ..LadderPolicy::default()
+        }
+    }
+
+    /// The `ladder.plan` events of a finished session, as
+    /// `(dfs_steps, dp_steps, folds, engine)`.
+    fn plans(report: &pscds_obs::ObsReport) -> Vec<(u64, u64, u64, String)> {
+        let events = report.events.iter();
+        let plans = events.filter(|e| e.name == names::EVENT_LADDER_PLAN);
+        plans
+            .map(|e| {
+                let count = |i: usize| e.attrs[i].1.parse::<u64>().unwrap();
+                (count(0), count(1), count(2), e.attrs[3].1.clone())
+            })
+            .collect()
     }
 
     #[test]
@@ -992,7 +1084,7 @@ mod tests {
         // finishes in a few hundred nodes under its renewed allowance —
         // still an exact result, tagged with its provenance.
         let budget = Budget::with_max_steps(100_000);
-        let r = confidence(&id, 0, &budget, false).unwrap();
+        let r = confidence_with(&id, 0, &budget, false, &dfs_then_dp()).unwrap();
         assert_eq!(r.engine(), Engine::Dp);
         assert!(r.is_consistent());
         let exact = r.exact().expect("the DP rung is exact");
@@ -1005,6 +1097,111 @@ mod tests {
             .unwrap()
             .to_f64();
         assert!((conf - reference).abs() < 1e-12);
+    }
+
+    #[test]
+    fn planned_rung_runs_the_dp_where_the_dfs_would_trip() {
+        // The rescue instance above: the plan predicts the DFS's millions
+        // of steps from the DP's eight residual states and never starts
+        // the DFS, so the DP answers inside the caller's allowance.
+        let id = wide_slack_identity(8, 9);
+        let budget = Budget::with_max_steps(100_000);
+        let r = confidence(&id, 0, &budget, false).unwrap();
+        assert!(matches!(r, ResilientConfidence::PlannedDp(_)));
+        assert_eq!(r.engine(), Engine::Dp);
+        let exact = r.exact().expect("the planned DP is exact");
+        let serial = ConfidenceAnalysis::analyze(&id, 0);
+        assert_eq!(exact.parts(), serial.parts());
+        assert!(budget.steps() < 1_000, "{} steps", budget.steps());
+    }
+
+    #[test]
+    fn planned_rung_runs_the_dfs_it_predicts_cheaper() {
+        // Example 5.1 shares few residual states: the plan runs the DFS,
+        // whose steps it predicted exactly.
+        let id = example_5_1().as_identity().unwrap();
+        let dfs_budget = Budget::unlimited();
+        let serial = ConfidenceAnalysis::analyze_budgeted(&id, 3, &dfs_budget).unwrap();
+        let policy = LadderPolicy {
+            confidence: vec![ConfidenceRung::Planned],
+            ..LadderPolicy::default()
+        };
+        let mut obs = ObsSession::in_memory();
+        let r = confidence_resilient(
+            &id,
+            3,
+            &Budget::unlimited(),
+            &ParallelConfig::serial(),
+            false,
+            &policy,
+            &mut obs,
+        )
+        .unwrap();
+        assert_eq!(r.engine(), Engine::Exact);
+        assert_eq!(r.exact().unwrap().parts(), serial.parts());
+        let report = obs.finish();
+        let [(dfs_steps, _, folds, engine)] = plans(&report)[..].to_owned().try_into().unwrap();
+        assert_eq!(dfs_steps, dfs_budget.steps());
+        assert!(dfs_steps <= folds, "{dfs_steps} > {folds}");
+        assert_eq!(engine, "exact");
+        // No `dp.*` counters: the DP's expansion planned, the DFS answered.
+        assert_eq!(report.metrics.counter(names::DP_CACHE_MISSES), 0);
+        let skel = report.spans[0].skeleton();
+        let predicted = format!("ladder.rung{{predicted_steps={dfs_steps},engine=exact}}[dp.level");
+        assert!(skel.contains(&predicted), "{skel}");
+    }
+
+    #[test]
+    fn planned_rung_prefers_the_dp_when_the_dfs_would_not_fit() {
+        // The DFS is predicted cheaper, but not inside the allowance left
+        // after the expansion: the DP evaluates what it expanded.
+        let id = example_5_1().as_identity().unwrap();
+        let dfs_budget = Budget::unlimited();
+        let serial = ConfidenceAnalysis::analyze_budgeted(&id, 3, &dfs_budget).unwrap();
+        let budget = Budget::with_max_steps(dfs_budget.steps());
+        let r = confidence(&id, 3, &budget, false).unwrap();
+        assert!(matches!(r, ResilientConfidence::PlannedDp(_)));
+        assert_eq!(r.exact().unwrap().parts(), serial.parts());
+    }
+
+    #[test]
+    fn planned_dfs_that_trips_degrades_to_a_fresh_dp() {
+        // A cancelled budget trips the DFS the plan chose: the expansion's
+        // 1,005 ticks stay short of the first cancellation check, the
+        // DFS's 2,185 cross it. The fresh DP under the renewed slice
+        // shares the flag, so it trips too.
+        let id = example_5_1_scaled(8).as_identity().unwrap();
+        let budget = Budget::unlimited();
+        budget
+            .cancel_handle()
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        let mut obs = ObsSession::in_memory();
+        let err = confidence_resilient(
+            &id,
+            8,
+            &budget,
+            &ParallelConfig::serial(),
+            false,
+            &LadderPolicy::default(),
+            &mut obs,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::BudgetExceeded { .. }));
+        let report = obs.finish();
+        let kinds: Vec<&str> = report.events.iter().map(|e| e.name).collect();
+        assert_eq!(
+            kinds,
+            [
+                "ladder.plan",
+                "budget.trip",
+                "ladder.degrade",
+                "budget.trip"
+            ]
+        );
+        assert_eq!(
+            report.events[2].attrs,
+            vec![("from", "exact".to_string()), ("to", "dp".to_string())]
+        );
     }
 
     #[test]
@@ -1108,7 +1305,7 @@ mod tests {
             &budget,
             &ParallelConfig::serial(),
             false,
-            &LadderPolicy::default(),
+            &dfs_then_dp(),
             &mut obs,
         )
         .unwrap();
@@ -1133,6 +1330,40 @@ mod tests {
     }
 
     #[test]
+    fn observed_planned_ladder_records_the_plan() {
+        // The rescue instance under the default ladder: no trip, no
+        // degradation, one plan event, and the DP's counters and level
+        // spans under the planned rung.
+        let id = wide_slack_identity(8, 9);
+        let budget = Budget::with_max_steps(100_000);
+        let mut obs = ObsSession::in_memory();
+        let r = confidence_resilient(
+            &id,
+            0,
+            &budget,
+            &ParallelConfig::serial(),
+            false,
+            &LadderPolicy::default(),
+            &mut obs,
+        )
+        .unwrap();
+        assert_eq!(r.engine(), Engine::Dp);
+        let report = obs.finish();
+        assert_eq!(report.metrics.counter(names::BUDGET_TRIPS), 0);
+        assert_eq!(report.metrics.counter(names::LADDER_DEGRADATIONS), 0);
+        let [(dfs_steps, dp_steps, folds, engine)] =
+            plans(&report)[..].to_owned().try_into().unwrap();
+        assert_eq!(engine, "dp");
+        assert!(dfs_steps > folds, "{dfs_steps} <= {folds}");
+        assert_eq!(dp_steps, budget.steps());
+        assert_eq!(report.metrics.counter(names::BUDGET_TICKS), dp_steps);
+        assert_eq!(report.metrics.counter(names::DP_CACHE_MISSES), 8);
+        let skel = report.spans[0].skeleton();
+        let predicted = format!("ladder.rung{{predicted_steps={dp_steps},engine=dp}}[dp.level");
+        assert!(skel.contains(&predicted), "{skel}");
+    }
+
+    #[test]
     fn observed_confidence_ladder_records_sampler_acceptance() {
         let id = example_5_1_scaled(64).as_identity().unwrap();
         let budget = Budget::with_max_steps(30_000);
@@ -1143,7 +1374,7 @@ mod tests {
             &budget,
             &ParallelConfig::serial(),
             true,
-            &LadderPolicy::default(),
+            &dfs_then_dp(),
             &mut obs,
         )
         .unwrap();
@@ -1224,17 +1455,14 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_the_historical_rung_order() {
+    fn default_policy_plans_the_exact_rung() {
         let p = LadderPolicy::default();
         assert_eq!(p.check, vec![CheckRung::Exhaustive, CheckRung::Signature]);
         assert_eq!(
             p.confidence,
-            vec![
-                ConfidenceRung::ExactDfs,
-                ConfidenceRung::Dp,
-                ConfidenceRung::Sampled
-            ]
+            vec![ConfidenceRung::Planned, ConfidenceRung::Sampled]
         );
+        assert_eq!(ConfidenceRung::Planned.engine(), Engine::Dp);
         assert_eq!(CheckRung::Signature.engine(), Engine::Signature);
         assert_eq!(
             ConfidenceRung::Sampled.engine(),

@@ -183,7 +183,10 @@ pub const SPAN_RESILIENT_PARTIAL: &str = "resilient.partial";
 /// Span: one delta-stream maintenance replay.
 pub const SPAN_RESILIENT_STREAM: &str = "resilient.stream";
 
-/// Span: one ladder rung attempt (`engine` attribute carries the rung).
+/// Span: one ladder rung attempt. The `engine` attribute names the
+/// engine that answered (or, when the rung trips, the one that tripped);
+/// a planned rung first adds `predicted_steps`, the steps its plan
+/// predicts for the engine it chose (see [`EVENT_LADDER_PLAN`]).
 pub const SPAN_LADDER_RUNG: &str = "ladder.rung";
 
 /// Span: one DP engine run.
@@ -212,6 +215,12 @@ pub const SPAN_CONSENSUS_SWEEP: &str = "consensus.dp_sweep";
 
 /// Event: a resilient ladder degraded to a lower rung.
 pub const EVENT_LADDER_DEGRADE: &str = "ladder.degrade";
+
+/// Event: a planned ladder rung chose its exact engine from one DP
+/// expansion sweep: `dfs_steps` (the serial DFS's exact steps),
+/// `dp_steps` (the expansion's ticks), `folds` (the DP evaluation's
+/// bigint folds) and the chosen `engine`.
+pub const EVENT_LADDER_PLAN: &str = "ladder.plan";
 
 /// Event: a budget trip observed by an instrumented phase.
 pub const EVENT_BUDGET_TRIP: &str = "budget.trip";
@@ -301,8 +310,9 @@ pub const SPANS: [&str; 13] = [
 ];
 
 /// All registered event names, in stable reporting order.
-pub const EVENTS: [&str; 4] = [
+pub const EVENTS: [&str; 5] = [
     EVENT_LADDER_DEGRADE,
+    EVENT_LADDER_PLAN,
     EVENT_BUDGET_TRIP,
     EVENT_SOURCE_QUARANTINED,
     EVENT_BREAKER_TRIP,

@@ -337,15 +337,16 @@ seq 0 2999 | awk '
     }
 )
 
-# Ladder gate (DESIGN.md §3.10): a catalog whose DFS rung trips a step
-# cap and whose DP rung rescues it, traced at two thread counts. Eight
-# sources with nine disjoint tuples each, completeness 0 and soundness
-# 1/4 give ~7^8 feasible count vectors; the DP collapses them to eight
-# residual states. The answers and the counter totals must match across
-# thread counts, `pscds-trace diff` must see zero drift, the trace must
-# record exactly one trip and one degradation, and the DP's state count
-# must be the untraced serial one.
-echo "==> ladder gate (traced DFS -> DP rescue at 2 thread counts)"
+# Ladder gate (DESIGN.md §3.10): a catalog whose planned exact rung
+# picks the DP, traced at two thread counts. Eight sources with nine
+# disjoint tuples each, completeness 0 and soundness 1/4 give ~7^8
+# feasible count vectors, 9,608,001 DFS steps under a 100k-step cap; the
+# DP collapses them to eight residual states. The answers and the
+# counter totals must match across thread counts, `pscds-trace diff`
+# must see zero drift, the trace must record no trip, no degradation and
+# the plan event with the DFS's exact predicted steps, and the DP's
+# state count must be the untraced serial one.
+echo "==> ladder gate (traced planned DP at 2 thread counts)"
 cat > "$smoke_dir/wide.pscds" <<'EOT'
 source S0 {
   view: V0(x) <- R(x)
@@ -402,8 +403,8 @@ EOT
         pscds_cli confidence wide.pscds --max-steps 100000 --threads "$threads" \
             --trace-out "ladder-t$threads.jsonl" > "ladder-t$threads.txt"
     done
-    grep -q '^engine: dp' ladder-t1.txt || {
-        echo "the DP rung did not rescue the tripped DFS rung" >&2
+    grep -q '^engine: dp — the plan predicted' ladder-t1.txt || {
+        echo "the planned rung did not pick the DP" >&2
         exit 1
     }
     diff -u ladder-t1.txt ladder-t4.txt || {
@@ -424,8 +425,16 @@ EOT
     grep -q '(no differences)' ladder-drift.txt
     for counter in budget.trips ladder.degradations; do
         value=$(awk -v c="$counter" '$1 == c { print $2 }' ladder-counters-t1.txt)
-        [ "${value:-0}" -eq 1 ] || {
-            echo "ladder trace recorded ${value:-no} $counter, expected 1" >&2
+        [ "${value:-0}" -eq 0 ] || {
+            echo "ladder trace recorded ${value:-no} $counter, expected 0" >&2
+            exit 1
+        }
+    done
+    for threads in 1 4; do
+        grep -q '"name":"ladder.plan".*"dfs_steps":"9608001".*"engine":"dp"' \
+            "ladder-t$threads.jsonl" || {
+            echo "ladder trace at --threads $threads lacks the plan event predicting" \
+                "9608001 DFS steps" >&2
             exit 1
         }
     done
@@ -441,6 +450,58 @@ EOT
             exit 1
         }
     done
+)
+
+# Second ladder gate catalog: scaled Example 5.1 at r = 8 (padding 8),
+# where the plan picks the DFS (2,185 predicted steps against 2,926 DP
+# folds). The prediction must be exact: the plain DFS finishes under
+# exactly that step cap and trips one step below it, and the planned
+# answer matches the DFS's table at both thread counts.
+echo "==> ladder gate (planned DFS with an exact step prediction)"
+{
+    printf 'source S1 {\n  view: V1(x) <- R(x)\n  completeness: 1/2\n  soundness: 1/2\n  extension:'
+    for i in 1 2 3 4 5 6 7 8; do printf ' V1(a%d).' "$i"; done
+    for i in 1 2 3 4 5 6 7 8; do printf ' V1(b%d).' "$i"; done
+    printf '\n}\nsource S2 {\n  view: V2(x) <- R(x)\n  completeness: 1/2\n  soundness: 1/2\n  extension:'
+    for i in 1 2 3 4 5 6 7 8; do printf ' V2(b%d).' "$i"; done
+    for i in 1 2 3 4 5 6 7 8; do printf ' V2(c%d).' "$i"; done
+    printf '\n}\n'
+} > "$smoke_dir/scaled8.pscds"
+(
+    cd "$smoke_dir"
+    for threads in 1 4; do
+        pscds_cli confidence scaled8.pscds --padding 8 --threads "$threads" \
+            --trace-out "plan-t$threads.jsonl" > "plan-t$threads.txt"
+    done
+    diff -u plan-t1.txt plan-t4.txt || {
+        echo "planned answers differ between --threads 1 and --threads 4" >&2
+        exit 1
+    }
+    pscds_trace diff plan-t1.jsonl plan-t4.jsonl --threshold 0 > plan-drift.txt || {
+        echo "pscds-trace diff found planned-rung drift across thread counts:" >&2
+        cat plan-drift.txt >&2
+        exit 1
+    }
+    grep -q '(no differences)' plan-drift.txt
+    predicted=$(grep -o '"name":"ladder.plan".*"dfs_steps":"[0-9]*".*"engine":"exact"' \
+        plan-t1.jsonl | grep -o '"dfs_steps":"[0-9]*"' | grep -o '[0-9]*')
+    [ "${predicted:-none}" = 2185 ] || {
+        echo "the plan predicted ${predicted:-no} DFS steps for the DFS, expected 2185" >&2
+        exit 1
+    }
+    pscds_cli confidence scaled8.pscds --padding 8 --threads 1 --engine signature \
+        --max-steps "$predicted" > plan-dfs.txt
+    diff -u plan-t1.txt <(tail -n +2 plan-dfs.txt) || {
+        echo "the planned DFS answer differs from the plain DFS's" >&2
+        exit 1
+    }
+    status=0
+    pscds_cli confidence scaled8.pscds --padding 8 --threads 1 --engine signature \
+        --max-steps "$((predicted - 1))" > /dev/null 2>&1 || status=$?
+    [ "$status" -eq 3 ] || {
+        echo "the DFS finished under $((predicted - 1)) steps: the prediction is not exact" >&2
+        exit 1
+    }
 )
 
 # Delta gate (DESIGN.md §3.14): replay a seeded update stream through

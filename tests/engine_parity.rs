@@ -22,10 +22,10 @@ use pscds::core::delta::{
     analyze_incremental, analyze_incremental_budgeted, DeltaBatch, DeltaSession, SourceDelta,
 };
 use pscds::core::govern::Budget;
-use pscds::core::obs::ObsSession;
+use pscds::core::obs::{names, ObsReport, ObsSession};
 use pscds::core::{
-    check_resilient, confidence_resilient, ConfidenceRung, CoreError, LadderPolicy, ParallelConfig,
-    SourceCollection, SourceDescriptor,
+    check_resilient, confidence_resilient, ConfidenceRung, CoreError, Engine, LadderPolicy,
+    ParallelConfig, SourceCollection, SourceDescriptor,
 };
 use pscds::numeric::{Frac, UBig};
 use pscds::relational::Value;
@@ -87,8 +87,78 @@ fn collections() -> impl Strategy<Value = SourceCollection> {
     })
 }
 
+/// Strategy: a random identity-view collection of 1–6 sources over a
+/// 6-constant domain, with a padding of 0, 1 or 40 extension-free facts.
+fn padded_collections() -> impl Strategy<Value = (SourceCollection, u64)> {
+    let consts: Vec<Value> = (0..6).map(|i| Value::sym(&format!("w{i}"))).collect();
+    let source = (
+        proptest::collection::btree_set(0usize..consts.len(), 0..=consts.len()),
+        0u64..=4,
+        0u64..=4,
+    );
+    let sources = proptest::collection::vec(source, 1..=6);
+    (sources, 0usize..3).prop_map(move |(specs, pad)| {
+        let sources = specs.into_iter().enumerate().map(|(i, (ext, c, s))| {
+            SourceDescriptor::identity(
+                format!("S{i}"),
+                &format!("V{i}"),
+                "R",
+                1,
+                ext.into_iter().map(|e| [consts[e]]),
+                Frac::new(c, 4),
+                Frac::new(s, 4),
+            )
+            .expect("valid descriptor")
+        });
+        let collection = SourceCollection::from_sources(sources.collect::<Vec<_>>());
+        (collection, [0, 1, 40][pad])
+    })
+}
+
+/// The one `ladder.plan` event of a planned run, as `(dfs_steps,
+/// dp_steps, folds, engine)`.
+fn plan_of(report: &ObsReport) -> (u64, u64, u64, String) {
+    let mut plans = report
+        .events
+        .iter()
+        .filter(|e| e.name == names::EVENT_LADDER_PLAN);
+    let plan = plans.next().expect("a ladder.plan event");
+    assert!(plans.next().is_none(), "one plan per planned rung");
+    let count = |i: usize| plan.attrs[i].1.parse::<u64>().expect("a step count");
+    (count(0), count(1), count(2), plan.attrs[3].1.clone())
+}
+
+/// A one-rung policy running the planned exact rung.
+fn planned() -> LadderPolicy {
+    LadderPolicy {
+        check: LadderPolicy::default().check,
+        confidence: vec![ConfidenceRung::Planned],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The planned rung's one expansion sweep predicts both exact
+    /// engines' step counts exactly: `dfs_steps` is the serial DFS's
+    /// `Budget::steps()` and `dp_steps` is `count_dp_observed`'s.
+    #[test]
+    fn planned_rung_predicts_both_engines_steps_exactly((collection, padding) in padded_collections()) {
+        let identity = collection.as_identity().expect("identity views");
+        let serial = ParallelConfig::serial();
+        let dfs_budget = Budget::unlimited();
+        let analysis = SignatureAnalysis::new(&identity, padding);
+        ConfidenceAnalysis::from_signature_analysis_parallel(analysis, &dfs_budget, &serial)
+            .expect("unlimited budget");
+        let dp_budget = Budget::unlimited();
+        dp(&identity, padding, &dp_budget, 1, &mut ObsSession::disabled()).expect("unlimited budget");
+        let mut obs = ObsSession::in_memory();
+        confidence_resilient(&identity, padding, &Budget::unlimited(), &serial, false, &planned(), &mut obs)
+            .expect("unlimited budget");
+        let (dfs_steps, dp_steps, _, _) = plan_of(&obs.finish());
+        prop_assert_eq!(dfs_steps, dfs_budget.steps());
+        prop_assert_eq!(dp_steps, dp_budget.steps());
+    }
 
     #[test]
     fn consistency_parity_across_engines_and_thread_counts(collection in collections()) {
@@ -314,9 +384,10 @@ proptest! {
     /// `count_intervals_observed` must be bit-identical at every thread
     /// count, with the session disabled or enabled, and — containment by
     /// construction — every bracket contains the fault-free point answer.
-    /// Every exact one-rung confidence policy (DFS, DP, circuit) must
-    /// answer through `confidence_resilient` bit-identically to the
-    /// serial counter, under the same grid.
+    /// Every exact one-rung confidence policy (DFS, DP, circuit, planned)
+    /// must answer through `confidence_resilient` bit-identically to the
+    /// serial counter, under the same grid, and the planned rung must
+    /// pick the same engine at every thread count.
     #[test]
     fn interval_and_ladder_policy_parity_across_thread_counts(
         collection in collections(),
@@ -332,6 +403,9 @@ proptest! {
             prop_assert!(a.all_contain_point());
         }
         let exact = ConfidenceAnalysis::analyze(&identity, padding);
+        // The engine the planned rung picks, which must not depend on the
+        // thread count or the session.
+        let mut planned_engine: Option<Engine> = None;
         for threads in THREADS {
             let config = ParallelConfig::with_threads(threads);
             for mut obs in sessions() {
@@ -348,7 +422,12 @@ proptest! {
                 }
             }
 
-            for rung in [ConfidenceRung::ExactDfs, ConfidenceRung::Dp, ConfidenceRung::Circuit] {
+            for rung in [
+                ConfidenceRung::ExactDfs,
+                ConfidenceRung::Dp,
+                ConfidenceRung::Circuit,
+                ConfidenceRung::Planned,
+            ] {
                 let policy = LadderPolicy {
                     check: LadderPolicy::default().check,
                     confidence: vec![rung],
@@ -358,7 +437,12 @@ proptest! {
                         &identity, padding, &unlimited, &config, false, &policy, &mut obs,
                     )
                     .expect("unlimited budget");
-                    prop_assert_eq!(answer.engine(), rung.engine());
+                    if rung == ConfidenceRung::Planned {
+                        let engine = *planned_engine.get_or_insert(answer.engine());
+                        prop_assert_eq!(answer.engine(), engine);
+                    } else {
+                        prop_assert_eq!(answer.engine(), rung.engine());
+                    }
                     let answer = answer.exact().expect("an exact rung");
                     prop_assert_eq!(answer.world_count(), exact.world_count());
                     prop_assert_eq!(answer.feasible_vectors(), exact.feasible_vectors());

@@ -259,8 +259,9 @@ const GOLDEN_STEPS: [GoldenStepRow; 5] = [
 #[test]
 fn engine_step_counts_reproduce_the_golden_table() {
     use pscds::core::confidence::{compile_circuit, count_dp_observed, CircuitConfig, DpConfig};
-    use pscds::core::obs::ObsSession;
+    use pscds::core::obs::{names, ObsSession};
     use pscds::core::paper::example_5_1_scaled;
+    use pscds::core::{confidence_resilient, ConfidenceRung, LadderPolicy};
     use pscds::datagen::symmetric::{self, SymmetricConfig};
 
     let symmetric = symmetric::generate(&SymmetricConfig::default()).expect("valid config");
@@ -298,6 +299,37 @@ fn engine_step_counts_reproduce_the_golden_table() {
                 .expect("unlimited budget");
         });
         measured.push((label.clone(), dfs, first, dp, circuit));
+        // The planned rung's expansion predicts the DFS and DP columns.
+        let planned = LadderPolicy {
+            confidence: vec![ConfidenceRung::Planned],
+            ..LadderPolicy::default()
+        };
+        let mut obs = ObsSession::in_memory();
+        let unlimited = Budget::unlimited();
+        confidence_resilient(
+            &identity, *padding, &unlimited, &serial, false, &planned, &mut obs,
+        )
+        .expect("unlimited budget");
+        let report = obs.finish();
+        let plan = report
+            .events
+            .iter()
+            .find(|e| e.name == names::EVENT_LADDER_PLAN)
+            .expect("a ladder.plan event");
+        let predicted = |key: &str| {
+            let attr = plan.attrs.iter().find(|(k, _)| *k == key);
+            attr.and_then(|(_, v)| v.parse::<u64>().ok())
+        };
+        assert_eq!(
+            predicted("dfs_steps"),
+            Some(dfs),
+            "{label}: predicted DFS steps"
+        );
+        assert_eq!(
+            predicted("dp_steps"),
+            Some(dp),
+            "{label}: predicted DP steps"
+        );
     }
     let expected: Vec<(String, u64, u64, u64, u64)> = GOLDEN_STEPS
         .iter()

@@ -123,20 +123,16 @@ fn point_answers(
     result: &ResilientConfidence,
 ) -> Vec<(Vec<Value>, Result<Rational, String>)> {
     let identity = collection.as_identity().expect("identity views");
+    let exact = result
+        .exact()
+        .expect("unlimited budgets never reach the sampler");
     identity
         .all_tuples()
         .iter()
         .map(|t| {
-            let conf = match result {
-                ResilientConfidence::Exact(a)
-                | ResilientConfidence::Dp(a)
-                | ResilientConfidence::Circuit(a) => a
-                    .confidence_of_tuple(&identity, t)
-                    .map_err(|e| e.to_string()),
-                ResilientConfidence::Sampled { .. } => {
-                    unreachable!("unlimited budgets never reach the sampler")
-                }
-            };
+            let conf = exact
+                .confidence_of_tuple(&identity, t)
+                .map_err(|e| e.to_string());
             (t.clone(), conf)
         })
         .collect()
