@@ -8,16 +8,25 @@
 //! only on the source collection and the padding, never on the question.
 //! This module splits the two concerns:
 //!
-//! * **Compile** ([`compile_circuit`]): walk the DFS's tree once,
-//!   memoized on residual keys (`residual.rs`) — the same states the DP
-//!   sweeps level by level — and fold every node into a d-DNNF-style
-//!   arithmetic circuit instead of a count.
-//!   Every interior node is an Or over the count choices `k` of one
-//!   signature class; each disjunct is an And of the binomial leaf
-//!   `C(n_j, k)` and the child node; the single accepting leaf carries
-//!   weight 1. Node identity is the walk's packed residual-state key, so
-//!   the circuit has exactly one node per distinct live residual state —
-//!   subtrees the DFS re-enters exponentially often appear once.
+//! * **Compile** ([`compile_circuit`]): the DP's two sweeps, folding
+//!   into a d-DNNF-style arithmetic circuit instead of a count. The DP's
+//!   expansion (`dp.rs`) builds each level's sorted, deduplicated
+//!   residual states (`residual.rs`) from the root down; a bottom-up
+//!   append sweep then turns each level's states, deepest first, into
+//!   arena nodes. Every interior node is an Or over the count choices `k`
+//!   of one signature class; each disjunct is an And of the binomial leaf
+//!   `C(n_j, k)` and the child node, found by key in the level below; the
+//!   single accepting leaf carries weight 1. So the circuit has exactly
+//!   one node per distinct live residual state — subtrees the DFS
+//!   re-enters exponentially often appear once — and the compile ticks
+//!   the budget exactly as the DP's expansion does.
+//! * **The arena** is flat, in the compressed-sparse-row shape: one node
+//!   array of `(level, first edge, count limb range, vectors)`, one edge
+//!   array of `u32` `(k, weight, child)` triples — a node's edges run up
+//!   to the next node's first edge — and one limb array holding every
+//!   node's count back to back. Nodes come level by level, deepest
+//!   first, so children carry smaller ids than their parents. A compile
+//!   allocates per level, never per node or per edge.
 //! * **Query** ([`analyze_circuit`], [`analyze_circuit_conditional`],
 //!   [`analyze_circuit_topk`]): every question becomes one or two linear
 //!   passes over the node arena. All per-tuple confidences come from the
@@ -44,10 +53,10 @@
 //! traversals sum exactly the terms the DFS enumerates, in exact integer
 //! arithmetic.
 //!
-//! On top of the exact arena the compiler maintains a **canonical**
-//! index: within each *orbit* of interchangeable sources, the exact
-//! key's per-source `(deficit, margin)` triples are sorted before
-//! packing. Two sources `a`, `b` are interchangeable at level `j` when
+//! On top of the exact arena the compiler builds a **canonical**
+//! index, one level at a time from the level's flat keys: within each
+//! *orbit* of interchangeable sources, the exact key's per-source
+//! `(deficit, margin)` triples are sorted in place. Two sources `a`, `b` are interchangeable at level `j` when
 //! they claim identical bounds `(min_sound, c)` and the multiset of
 //! suffix classes `(signature, size)` from `j` on is invariant under
 //! swapping their signature bits — then swapping their residuals relabels the suffix
@@ -64,19 +73,19 @@
 //! check.
 //!
 //! Unlike the DP, which counts the states past its cap by an uncached
-//! walk, the compiler keeps every node: the arena *is* the artifact, so exceeding
-//! [`CircuitConfig::max_nodes`] is an error.
+//! walk, the compiler keeps every node: the arena *is* the artifact, so
+//! expanding more than [`CircuitConfig::max_nodes`] states is an error.
 
 use crate::collection::IdentityCollection;
 use crate::confidence::counting::ConfidenceAnalysis;
-use crate::confidence::residual::{Residual, ResidualKey};
+use crate::confidence::dp::{DpStats, Level, LimbMap, Sweep};
 use crate::confidence::signature::SignatureAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
+use crate::partition::ParallelConfig;
 use pscds_numeric::{Rational, RowCache, UBig};
-use pscds_obs::{names, MetricSet};
+use pscds_obs::{names, MetricSet, ObsSession};
 use pscds_relational::Value;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -90,10 +99,11 @@ const QUERY_PHASE: &str = "confidence::circuit";
 /// the [`Budget`] passed at the call site; this bounds the arena).
 #[derive(Clone, Copy, Debug)]
 pub struct CircuitConfig {
-    /// Maximum number of materialized circuit nodes. Unlike the DP's
-    /// cache cap there is no DFS degradation to fall back on — the whole
-    /// point of the artifact is the complete shared structure — so
-    /// exceeding the cap is an error, not a slowdown.
+    /// Maximum number of residual states a compile expands, each of
+    /// which becomes at most one circuit node. Unlike the DP's cache cap
+    /// there is no DFS degradation to fall back on — the whole point of
+    /// the artifact is the complete shared structure — so exceeding the
+    /// cap is an error, not a slowdown.
     pub max_nodes: usize,
 }
 
@@ -138,45 +148,78 @@ impl CircuitStats {
 
 /// One Or-disjunct: choose `k` tuples of the node's class, weighted by
 /// the interned binomial in slot `weight` and continued in `child`.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct Edge {
-    k: u64,
+    k: u32,
     weight: u32,
     child: u32,
 }
 
-/// One circuit node. `nodes[0]` is the accepting leaf (no edges, count
-/// 1); every other node is an Or over the `k` choices of class `level`.
-/// Children always carry smaller ids than their parents (post-order
-/// construction), which is what makes single-direction passes correct.
-#[derive(Clone)]
+/// One circuit node: an Or over the `k` choices of class `level`, whose
+/// edges run from `first_edge` to the next node's. `nodes[0]` is the
+/// accepting leaf (no edges, count 1). Children always carry smaller ids
+/// than their parents (levels are appended deepest first), which is what
+/// makes single-direction passes correct.
+#[derive(Clone, Copy)]
 struct Node {
     level: u32,
-    edges: Vec<Edge>,
-    /// Weighted world count of the suffix (`N_suffix`), fixed bottom-up
-    /// at compile time.
-    count: UBig,
+    first_edge: u32,
+    /// The limb range of the weighted world count of the suffix
+    /// (`N_suffix`), fixed bottom-up at compile time.
+    limbs: [u32; 2],
     /// Number of feasible suffix count vectors (saturating, exactly the
     /// DP's aggregation).
     vectors: u64,
 }
 
-/// The member-free half of a compiled circuit: the node arena (children
-/// before parents, accepting leaf first), the interned binomial
-/// weights, and the compile counters. A skeleton is a pure function of
-/// the collection's *projected structure* — the per-source bounds and
-/// the `(signature, size)` class sequence — never of which tuples the
-/// classes hold, so structurally identical collections can share one
-/// (see [`CompiledCollection`]) and the delta engine can patch one in
-/// place (see `core::delta`).
-#[derive(Clone)]
+/// The node id of a residual state with no feasible completion: such a
+/// state gets no node, so `exact_nodes` can undercut the DP's state count.
+const NO_NODE: u32 = u32::MAX;
+
+/// The member-free half of a compiled circuit: a flat arena of nodes
+/// (children before parents, accepting leaf first), their edges and
+/// their counts' limbs, the interned binomial weights, and the compile
+/// counters. A skeleton is a pure function of the collection's
+/// *projected structure* — the per-source bounds and the `(signature,
+/// size)` class sequence — never of which tuples the classes hold, so
+/// structurally identical collections can share one (see
+/// [`CompiledCollection`]) and the delta engine can patch one in place
+/// (see `core::delta`).
+#[derive(Clone, Default)]
 pub(crate) struct CircuitSkeleton {
     nodes: Vec<Node>,
+    edges: Vec<Edge>,
+    /// Every node's count, limb runs back to back.
+    limbs: Vec<u64>,
     /// The root node, or `None` when the collection admits no possible
     /// world over this domain (the circuit computes the zero constant).
     root: Option<u32>,
     binoms: Vec<UBig>,
     stats: CircuitStats,
+}
+
+impl CircuitSkeleton {
+    /// The edges of node `id`.
+    fn edges(&self, id: usize) -> &[Edge] {
+        let end = self
+            .nodes
+            .get(id + 1)
+            .map_or(self.edges.len(), |next| next.first_edge as usize);
+        &self.edges[self.nodes[id].first_edge as usize..end]
+    }
+
+    /// The limbs of node `id`'s count.
+    fn count(&self, id: usize) -> &[u64] {
+        let [start, end] = self.nodes[id].limbs;
+        &self.limbs[start as usize..end as usize]
+    }
+}
+
+/// `value` as an arena index.
+fn to_u32(value: impl TryInto<u32>) -> Result<u32, CoreError> {
+    value.try_into().map_err(|_| CoreError::BadDomain {
+        message: "the circuit arena outgrew its u32 indices".to_owned(),
+    })
 }
 
 /// A source collection's confidence semantics, compiled once.
@@ -222,12 +265,11 @@ impl CompiledCircuit {
 
     /// A structural digest of the circuit skeleton: node levels, edge
     /// `k`s, the interned binomial weight table, and child wiring
-    /// (FNV-1a over the construction order). Two compiles of
-    /// structurally identical collections — e.g. a collection and its
-    /// textfmt round trip — digest equal; node counts and numerators
-    /// are deliberately excluded so the digest pins the *shape* (the
-    /// wiring plus the leaf weights), which the golden tests guard
-    /// separately from the values.
+    /// (FNV-1a over the arena order). Two compiles of structurally
+    /// identical collections — e.g. a collection and its textfmt round
+    /// trip — digest equal; node counts and numerators are deliberately
+    /// excluded so the digest pins the *shape* (the wiring plus the leaf
+    /// weights), which the golden tests guard separately from the values.
     #[must_use]
     pub fn skeleton_digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -237,19 +279,21 @@ impl CompiledCircuit {
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         };
-        mix(self.skeleton.nodes.len() as u64);
-        mix(u64::from(self.skeleton.root.map_or(u32::MAX, |r| r)));
-        for binom in &self.skeleton.binoms {
+        let skeleton = &self.skeleton;
+        mix(skeleton.nodes.len() as u64);
+        mix(u64::from(skeleton.root.map_or(u32::MAX, |r| r)));
+        for binom in &skeleton.binoms {
             mix(binom.limbs().len() as u64);
             for &limb in binom.limbs() {
                 mix(limb);
             }
         }
-        for node in &self.skeleton.nodes {
+        for (id, node) in skeleton.nodes.iter().enumerate() {
             mix(u64::from(node.level));
-            mix(node.edges.len() as u64);
-            for edge in &node.edges {
-                mix(edge.k);
+            let edges = skeleton.edges(id);
+            mix(edges.len() as u64);
+            for edge in edges {
+                mix(u64::from(edge.k));
                 mix(u64::from(edge.weight));
                 mix(u64::from(edge.child));
             }
@@ -324,187 +368,218 @@ fn source_orbits(analysis: &SignatureAnalysis) -> Vec<Vec<usize>> {
     orbits
 }
 
-/// The compile-time memo, kept *outside* [`CompiledCircuit`] so the
-/// delta engine can resume a compile: the residual-key maps from exact
-/// node ids plus the binomial interning table. Valid only against the
-/// skeleton the same compile (or patch) produced.
+/// Turns an exact residual key into its canonical key, in place: each
+/// orbit's per-source `(deficit, margin)` triples are sorted (an
+/// insertion sort over the orbit's positions), so residual permutations
+/// within an orbit collapse.
+fn canonicalize(key: &mut [u64], labels: &[usize]) {
+    for i in 1..labels.len() {
+        let mut at = i;
+        for prev in (0..i).rev().filter(|&prev| labels[prev] == labels[i]) {
+            if key[3 * prev..3 * prev + 3] <= key[3 * at..3 * at + 3] {
+                break;
+            }
+            for limb in 0..3 {
+                key.swap(3 * prev + limb, 3 * at + limb);
+            }
+            at = prev;
+        }
+    }
+}
+
+/// One level's residual states, flat: `3n` key limbs each, and the node
+/// each got ([`NO_NODE`] for none).
+#[derive(Default)]
+struct KeyLevel {
+    keys: Vec<u64>,
+    ids: Vec<u32>,
+}
+
+impl KeyLevel {
+    /// A borrowed-slice index from each state's key (`width` limbs) to
+    /// its node.
+    fn index(&self, width: usize) -> LimbMap<&[u64], u32> {
+        let key = |i: usize| &self.keys[i * width..(i + 1) * width];
+        (0..self.ids.len()).map(|i| (key(i), self.ids[i])).collect()
+    }
+}
+
+/// The residual states a compile leaves behind, kept *outside*
+/// [`CompiledCircuit`] so the delta engine can resume it: per class
+/// level, every state compiled so far and its node. Valid only against
+/// the skeleton the same compile (or patch) produced.
+#[derive(Default)]
 pub(crate) struct CircuitMemo {
-    exact: HashMap<ResidualKey, Option<u32>>,
-    canonical: HashMap<ResidualKey, u32>,
-    binom_slots: HashMap<(u64, u64), u32>,
+    levels: Vec<KeyLevel>,
     /// Arena length right after the last from-scratch compile. Patches
     /// strand the old prefix nodes as unreachable garbage; once the
     /// arena exceeds twice this, callers should recompile.
-    compiled_len: usize,
+    pub(crate) compiled_len: usize,
 }
 
-impl CircuitMemo {
-    /// Arena length right after the last from-scratch compile.
-    pub(crate) fn compiled_len(&self) -> usize {
-        self.compiled_len
-    }
-}
-
-/// Drops every memo entry a delta touching classes `..=max_touched` can
+/// Drops every level a delta touching classes `..=max_touched` can
 /// invalidate — all residual states at those levels; states at deeper
 /// levels only read the untouched suffix classes — and returns how many
-/// were dropped (the `delta.states_invalidated` quantity).
+/// states were dropped (the `delta.states_invalidated` quantity).
 pub(crate) fn invalidate_prefix(memo: &mut CircuitMemo, max_touched: usize) -> u64 {
-    let before = memo.exact.len() + memo.canonical.len();
-    memo.exact
-        .retain(|key, _| key.level() as usize > max_touched);
-    memo.canonical
-        .retain(|key, _| key.level() as usize > max_touched);
-    (before - memo.exact.len() - memo.canonical.len()) as u64
+    let dropped = memo.levels.iter_mut().take(max_touched + 1);
+    dropped
+        .map(|level| std::mem::take(level).ids.len() as u64)
+        .sum()
 }
 
-/// The compiler's memoized walk over the residual states: every node
-/// becomes an arena node with weighted edges, memoized on the exact key
-/// and registered in the canonical sharing index.
-struct Compiler<'a> {
-    analysis: &'a SignatureAnalysis,
-    residual: Residual<'a>,
-    rows: RowCache,
-    /// Per level, the orbit label of each source.
-    orbits: Vec<Vec<usize>>,
-    arena: CircuitSkeleton,
-    memo: CircuitMemo,
-    max_nodes: usize,
-}
-
-impl Compiler<'_> {
-    /// The canonical key: the exact key's triples with each orbit's
-    /// triples sorted, so residual permutations within an orbit collapse.
-    fn canonical_key(&self, exact: &ResidualKey) -> ResidualKey {
-        let j = exact.level() as usize;
-        let labels = &self.orbits[j];
-        let mut triples: Vec<[u64; 3]> = exact.triples().collect();
-        let n = triples.len();
-        for root in 0..n {
-            let members: Vec<usize> = (0..n).filter(|&i| labels[i] == root).collect();
-            if members.len() > 1 {
-                let mut vals: Vec<[u64; 3]> = members.iter().map(|&i| triples[i]).collect();
-                vals.sort_unstable();
-                for (&i, v) in members.iter().zip(vals) {
-                    triples[i] = v;
-                }
-            }
-        }
-        ResidualKey::from_packed(j, triples.as_flattened().into())
-    }
-
-    /// Interns the binomial `C(size, k)` and returns its weight slot.
-    fn weight_slot(&mut self, size: u64, k: u64) -> u32 {
-        if let Some(&slot) = self.memo.binom_slots.get(&(size, k)) {
-            return slot;
-        }
-        let row = self.rows.intern(size);
-        let value = self.rows.get(row, k).clone();
-        // lint-allow(no-panic): one slot per (size, k) pair actually used, far below u32::MAX
-        let slot = u32::try_from(self.arena.binoms.len()).expect("weight slot fits u32");
-        self.arena.binoms.push(value);
-        self.memo.binom_slots.insert((size, k), slot);
-        slot
-    }
-
-    /// The memoized recursion over the DFS's tree below level `j`, one
-    /// node per residual key: the node id (the accepting leaf is 0), or
-    /// `None` for an empty subtree — the circuit stores no zero-count
-    /// structure, so `exact_nodes` can undercut the DP's state count.
-    fn walk(
+impl CircuitSkeleton {
+    /// The bottom-up sweep over the levels the expansion produced,
+    /// deepest first: each state folds its children — found by key in
+    /// `memo`'s level below, which holds the states appended just before
+    /// and those a patch kept — into a node with one edge per live child
+    /// (none when no child is live), registers the level in the canonical
+    /// index, and joins `memo`'s level (the level below is dropped unless
+    /// `keep`). Returns the root node.
+    ///
+    /// Every state gets at most one node, and every arrival at an inner
+    /// state (`inner` in all) or feasible leaf at most one edge; reserving
+    /// them — the edges once the deepest level's leaf edges are in —
+    /// keeps the arena from reallocating (and copying) as it grows.
+    fn append(
         &mut self,
-        j: usize,
-        t: &mut [u64],
-        w: &mut u64,
+        sweep: &Sweep,
+        mut levels: Vec<Level>,
+        mut inner: usize,
+        memo: &mut CircuitMemo,
+        keep: bool,
         budget: &Budget,
     ) -> Result<Option<u32>, CoreError> {
-        budget.tick(COMPILE_PHASE)?;
-        let analysis = self.analysis;
-        if j == analysis.classes().len() {
-            return Ok(analysis.leaf_feasible(t, *w).then_some(0));
-        }
-        if analysis.pruned(j, t, *w) {
-            return Ok(None);
-        }
-        let key = self.residual.key(j, t, *w);
-        if let Some(&hit) = self.memo.exact.get(&key) {
-            return Ok(hit);
-        }
-        let (mut edges, mut count, mut vectors, mut term) =
-            (Vec::new(), UBig::zero(), 0u64, UBig::zero());
-        for k in 0..=analysis.k_cap(j, t, *w) {
-            analysis.descend(j, k, t, w);
-            let child = self.walk(j + 1, t, w, budget);
-            analysis.restore(j, k, t, w);
-            if let Some(child) = child? {
-                let weight = self.weight_slot(analysis.classes()[j].size, k);
-                let node = &self.arena.nodes[child as usize];
-                vectors = vectors.saturating_add(node.vectors);
-                self.arena.binoms[weight as usize].mul_into(&node.count, &mut term);
-                count.add_assign(&term);
-                edges.push(Edge { k, weight, child });
+        let analysis = sweep.analysis;
+        let (m, width) = (analysis.classes().len(), 3 * analysis.source_count());
+        let orbits = source_orbits(analysis);
+        self.nodes
+            .reserve_exact(levels.iter().map(Level::len).sum());
+        let mut rows = RowCache::new();
+        let (mut count, mut value, mut term) = (UBig::zero(), UBig::zero(), UBig::zero());
+        let (mut t, mut packed, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+        for j in (0..levels.len()).rev() {
+            budget.check(COMPILE_PHASE)?;
+            if j + 1 < m {
+                self.edges.reserve_exact(std::mem::take(&mut inner));
+            }
+            let level = std::mem::take(&mut levels[j]);
+            let row = rows.intern(analysis.classes()[j].size);
+            let (upper, lower) = memo.levels.split_at_mut(j + 1);
+            let (states, below) = (&mut upper[j], lower.first().map(|b| b.index(width)));
+            let first = states.ids.len();
+            states.keys.reserve_exact(level.len() * width);
+            states.ids.reserve_exact(level.len());
+            // Binomial weight slots of this level, by `k`.
+            slots.clear();
+            for (key, t0, mut w) in level.states(0..level.len()) {
+                t.clear();
+                t.extend_from_slice(t0);
+                let first_edge = to_u32(self.edges.len())?;
+                count.set_u64(0);
+                let mut vectors = 0u64;
+                for k in 0..=analysis.k_cap(j, &t, w) {
+                    analysis.descend(j, k, &mut t, &mut w);
+                    let child = if j + 1 == m {
+                        analysis.leaf_feasible(&t, w).then_some(0)
+                    } else if analysis.pruned(j + 1, &t, w) {
+                        None
+                    } else {
+                        sweep.residual.pack_into(j + 1, &t, w, &mut packed);
+                        let found = below.as_ref().and_then(|b| b.get(packed.as_slice()));
+                        debug_assert!(found.is_some(), "the expansion kept every live child");
+                        found.copied().filter(|&id| id != NO_NODE)
+                    };
+                    analysis.restore(j, k, &mut t, &mut w);
+                    let Some(child) = child else { continue };
+                    let k = to_u32(k)?;
+                    if slots.len() <= k as usize {
+                        slots.resize(k as usize + 1, NO_NODE);
+                    }
+                    if slots[k as usize] == NO_NODE {
+                        slots[k as usize] = to_u32(self.binoms.len())?;
+                        self.binoms.push(rows.get(row, u64::from(k)).clone());
+                    }
+                    let weight = slots[k as usize];
+                    value.set_limbs(self.count(child as usize));
+                    self.binoms[weight as usize].mul_into(&value, &mut term);
+                    count.add_assign(&term);
+                    vectors = vectors.saturating_add(self.nodes[child as usize].vectors);
+                    self.edges.push(Edge { k, weight, child });
+                }
+                let edges = self.edges.len() - first_edge as usize;
+                let id = if edges == 0 {
+                    NO_NODE
+                } else {
+                    let start = to_u32(self.limbs.len())?;
+                    self.limbs.extend_from_slice(count.limbs());
+                    let limbs = [start, to_u32(self.limbs.len())?];
+                    let (level, id) = (to_u32(j)?, to_u32(self.nodes.len())?);
+                    self.nodes.push(Node {
+                        level,
+                        first_edge,
+                        limbs,
+                        vectors,
+                    });
+                    self.stats.exact_nodes += 1;
+                    self.stats.edges += edges as u64;
+                    id
+                };
+                states.keys.extend_from_slice(key);
+                states.ids.push(id);
+            }
+            drop(below);
+            self.share(&level, &states.ids[first..], &orbits[j]);
+            if let (false, Some(below)) = (keep, lower.first_mut()) {
+                *below = KeyLevel::default();
             }
         }
-        let node = Node {
-            level: key.level(),
-            edges,
-            count,
-            vectors,
-        };
-        self.store(key, node)
+        self.nodes.shrink_to_fit();
+        self.edges.shrink_to_fit();
+        self.limbs.shrink_to_fit();
+        let root = memo.levels[0].ids.first().copied();
+        Ok(root.filter(|&id| id != NO_NODE))
     }
 
-    /// Memoizes `node` under `key` (as an empty subtree when it has no
-    /// edges) and registers it in the canonical index.
-    fn store(&mut self, key: ResidualKey, node: Node) -> Result<Option<u32>, CoreError> {
-        if node.edges.is_empty() {
-            self.memo.exact.insert(key, None);
-            return Ok(None);
-        }
-        if self.arena.nodes.len() > self.max_nodes {
-            return Err(CoreError::BadDomain {
-                message: format!(
-                    "circuit compilation exceeded the {} node cap (raise \
-                     CircuitConfig::max_nodes or use the DP engine)",
-                    self.max_nodes
-                ),
-            });
-        }
-        // lint-allow(no-panic): the arena is capped at max_nodes, far below u32::MAX
-        let id = u32::try_from(self.arena.nodes.len()).expect("node id fits u32");
-        self.arena.stats.exact_nodes += 1;
-        self.arena.stats.edges += node.edges.len() as u64;
-        self.arena.nodes.push(node);
-        let canonical = self.canonical_key(&key);
-        self.memo.exact.insert(key, Some(id));
-        match self.memo.canonical.entry(canonical) {
-            Entry::Occupied(rep) => {
-                self.arena.stats.shared_nodes += 1;
-                // The canonicalization soundness check: canonical-equal
-                // states must agree on the count aggregates. They need
-                // NOT agree on per-class numerators — that is exactly
-                // why the answering arena stays exact.
-                let (rep, node) = (
-                    &self.arena.nodes[*rep.get() as usize],
-                    &self.arena.nodes[id as usize],
-                );
-                debug_assert_eq!(
-                    rep.vectors, node.vectors,
-                    "canonical residual collision at level {}: completion counts differ",
-                    node.level
-                );
-                debug_assert_eq!(
-                    rep.count, node.count,
-                    "canonical residual collision at level {}: world counts differ",
-                    node.level
-                );
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(id);
-                self.arena.stats.canonical_nodes += 1;
+    /// Registers one appended level's nodes in the canonical index: sorts
+    /// their canonical keys, flat in one buffer, and counts the distinct
+    /// ones. Canonical-equal nodes must agree on the count aggregates —
+    /// the canonicalization soundness check. They need NOT agree on
+    /// per-class numerators, which is exactly why the answering arena
+    /// stays exact.
+    fn share(&mut self, level: &Level, ids: &[u32], labels: &[usize]) {
+        let (mut canon, mut order) = (Vec::new(), Vec::new());
+        for ((key, _, _), &id) in level.states(0..level.len()).zip(ids) {
+            if id != NO_NODE {
+                let at = canon.len();
+                canon.extend_from_slice(key);
+                canonicalize(&mut canon[at..], labels);
+                order.push((at, id));
             }
         }
-        Ok(Some(id))
+        let width = 3 * labels.len();
+        let key = |at: usize| &canon[at..at + width];
+        order.sort_unstable_by(|a, b| key(a.0).cmp(key(b.0)));
+        let mut shared = 0;
+        for pair in order
+            .windows(2)
+            .filter(|pair| key(pair[0].0) == key(pair[1].0))
+        {
+            shared += 1;
+            let (rep, node) = (pair[0].1 as usize, pair[1].1 as usize);
+            let level = self.nodes[node].level;
+            debug_assert_eq!(
+                self.nodes[rep].vectors, self.nodes[node].vectors,
+                "canonical residual collision at level {level}: completion counts differ"
+            );
+            debug_assert_eq!(
+                self.count(rep),
+                self.count(node),
+                "canonical residual collision at level {level}: world counts differ"
+            );
+        }
+        self.stats.shared_nodes += shared;
+        self.stats.canonical_nodes += order.len() as u64 - shared;
     }
 }
 
@@ -515,19 +590,19 @@ impl Compiler<'_> {
 ///
 /// # Errors
 /// [`CoreError::BudgetExceeded`] when the budget runs out mid-compile;
-/// [`CoreError::BadDomain`] when the arena would exceed
-/// [`CircuitConfig::max_nodes`].
+/// [`CoreError::BadDomain`] when the compile would expand more than
+/// [`CircuitConfig::max_nodes`] states.
 pub fn compile_circuit(
     analysis: SignatureAnalysis,
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<CompiledCircuit, CoreError> {
-    let (circuit, _memo) = compile_with_memo(analysis, budget, config)?;
-    Ok(circuit)
+    Ok(compile_onto(analysis, None, false, budget, config)?.0)
 }
 
-/// [`compile_circuit`] plus the compile-time memo, so the caller (the
-/// delta engine) can later resume the compile with [`patch_compile`].
+/// [`compile_circuit`] plus the compile's residual states, so the
+/// caller (the delta engine) can later resume the compile with
+/// [`patch_compile`].
 ///
 /// # Errors
 /// As [`compile_circuit`].
@@ -536,39 +611,19 @@ pub(crate) fn compile_with_memo(
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<(CompiledCircuit, CircuitMemo), CoreError> {
-    let leaf = Node {
-        // lint-allow(no-panic): the class count is capped far below u32::MAX
-        level: u32::try_from(analysis.classes().len()).expect("class count fits u32"),
-        edges: Vec::new(),
-        count: UBig::one(),
-        vectors: 1,
-    };
-    let arena = CircuitSkeleton {
-        nodes: vec![leaf],
-        root: None,
-        binoms: Vec::new(),
-        stats: CircuitStats::default(),
-    };
-    let memo = CircuitMemo {
-        exact: HashMap::new(),
-        canonical: HashMap::new(),
-        binom_slots: HashMap::new(),
-        compiled_len: 0,
-    };
-    let (circuit, mut memo) = compile_onto(analysis, arena, memo, budget, config)?;
-    memo.compiled_len = circuit.node_count();
-    Ok((circuit, memo))
+    compile_onto(analysis, None, true, budget, config)
 }
 
 /// Resumes a compile after a delta changed the sizes of classes
 /// `..=max_touched` (bounds and the class signature sequence must be
 /// unchanged — the delta engine recompiles from scratch otherwise). The
-/// caller has already pruned `memo` with [`invalidate_prefix`]; every
-/// retained suffix entry answers instantly, the recomputed prefix nodes
-/// append after the old arena, and the stale prefix becomes unreachable
-/// garbage (bounded by the recompile threshold on
-/// [`CircuitMemo::compiled_len`]). Returns the patched circuit and the
-/// number of freshly materialized nodes (`delta.nodes_patched`).
+/// caller has already dropped `memo`'s levels `..=max_touched` with
+/// [`invalidate_prefix`]; the expansion stops at every state a kept
+/// level holds, the new nodes append after the old arena, and the stale
+/// prefix becomes unreachable garbage (bounded by the recompile
+/// threshold on `CircuitMemo::compiled_len`). Returns the patched
+/// circuit and the number of freshly materialized nodes
+/// (`delta.nodes_patched`).
 ///
 /// # Errors
 /// As [`compile_circuit`].
@@ -586,44 +641,79 @@ pub(crate) fn patch_compile(
     );
     let arena = Rc::try_unwrap(circuit.skeleton).unwrap_or_else(|shared| (*shared).clone());
     let old_len = arena.nodes.len();
-    let (circuit, memo) = compile_onto(analysis, arena, memo, budget, config)?;
+    let (circuit, memo) = compile_onto(analysis, Some((arena, memo)), true, budget, config)?;
     let patched = (circuit.node_count() - old_len) as u64;
     Ok((circuit, memo, patched))
 }
 
-/// The one compile driver: walks the residual states from the root,
-/// appending new nodes to `arena` (children always get smaller ids than
-/// their parents) and answering retained states from `memo`.
+/// The one compile driver: the DP's expansion of every state the memo of
+/// a `resumed` compile lacks (one tick for the root and one per child a
+/// state generates — the ticks of a memoized walk), then the bottom-up
+/// append of their nodes onto its arena, or onto a fresh one.
 fn compile_onto(
     analysis: SignatureAnalysis,
-    arena: CircuitSkeleton,
-    memo: CircuitMemo,
+    resumed: Option<(CircuitSkeleton, CircuitMemo)>,
+    keep: bool,
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<(CompiledCircuit, CircuitMemo), CoreError> {
-    let mut compiler = Compiler {
-        analysis: &analysis,
-        residual: Residual::new(&analysis),
-        rows: RowCache::new(),
-        orbits: source_orbits(&analysis),
-        arena,
-        memo,
-        max_nodes: config.max_nodes,
+    let (m, width) = (analysis.classes().len(), 3 * analysis.source_count());
+    let fresh = resumed.is_none();
+    let (mut arena, mut memo) = match resumed {
+        Some(resumed) => resumed,
+        None => {
+            // The accepting leaf: no edges, count 1.
+            let leaf = Node {
+                level: to_u32(m)?,
+                first_edge: 0,
+                limbs: [0, 1],
+                vectors: 1,
+            };
+            let arena = CircuitSkeleton {
+                nodes: vec![leaf],
+                limbs: vec![1],
+                ..CircuitSkeleton::default()
+            };
+            (arena, CircuitMemo::default())
+        }
     };
-    let mut t = vec![0u64; analysis.source_count()];
-    let mut w = 0u64;
-    let root = compiler.walk(0, &mut t, &mut w, budget)?;
-    let Compiler {
-        mut arena, memo, ..
-    } = compiler;
-    arena.root = root;
-    Ok((
-        CompiledCircuit {
-            analysis,
-            skeleton: Rc::new(arena),
-        },
-        memo,
-    ))
+    memo.levels.resize_with(m, KeyLevel::default);
+    let serial = ParallelConfig::serial();
+    let sweep = Sweep::new(&analysis, &serial, COMPILE_PHASE);
+    let kept: Vec<_> = memo.levels.iter().map(|level| level.index(width)).collect();
+    let retained = |j: usize, key: &[u64]| kept[j].contains_key(key);
+    let mut arrivals = DpStats::default();
+    let no_obs = &mut ObsSession::disabled();
+    let (levels, plan) =
+        sweep.expand_root(budget, config.max_nodes, retained, &mut arrivals, no_obs)?;
+    drop(kept);
+    arena.root = match levels {
+        _ if !plan.complete => {
+            return Err(CoreError::BadDomain {
+                message: format!(
+                    "circuit compilation exceeded the {} node cap (raise \
+                     CircuitConfig::max_nodes or use the DP engine)",
+                    config.max_nodes
+                ),
+            })
+        }
+        Some(levels) => {
+            let inner = arrivals.cache_hits + arrivals.cache_misses - 1;
+            let inner = usize::try_from(inner).unwrap_or(0);
+            arena.append(&sweep, levels, inner, &mut memo, keep, budget)?
+        }
+        None => {
+            // The root is a leaf or pruned: the one tick of its walk.
+            budget.tick(COMPILE_PHASE)?;
+            let t = vec![0u64; analysis.source_count()];
+            (m == 0 && analysis.leaf_feasible(&t, 0)).then_some(0)
+        }
+    };
+    if fresh {
+        memo.compiled_len = arena.nodes.len();
+    }
+    let skeleton = Rc::new(arena);
+    Ok((CompiledCircuit { analysis, skeleton }, memo))
 }
 
 /// All tuple confidences from a compiled circuit: the bottom-up counts
@@ -661,39 +751,44 @@ pub fn analyze_circuit_budgeted(
         ));
     };
     let root = root as usize;
+    let skeleton = &circuit.skeleton;
     // Top-down reach pass. Children carry smaller ids than parents, so
     // walking ids downward visits every parent before its children.
     // `reach[x]` accumulates Σ over root-to-x paths of the path's
     // binomial product — the prefix weight the DFS tally keeps per
-    // level (`prefix[j]`). A class-`j` containment
-    // numerator is then Σ over level-`j` nodes and edges with `k > 0`
-    // of `reach · C(n_j, k) · k · count(child)`, the same terms the
-    // DP's numerator shifting adds, in exact integer arithmetic.
+    // level (`prefix[j]`). A class-`j` containment numerator is then
+    // Σ over level-`j` nodes of `reach · Σ_edges C(n_j, k) · k ·
+    // count(child)`, the same terms the DP's numerator shifting adds, in
+    // exact integer arithmetic.
     let mut reach = vec![UBig::zero(); root + 1];
     reach[root] = UBig::one();
-    let mut path = UBig::zero();
-    let mut scaled = UBig::zero();
-    let mut term = UBig::zero();
+    let [mut path, mut child, mut term, mut scaled, mut contained] =
+        std::array::from_fn(|_| UBig::zero());
     for id in (1..=root).rev() {
         budget.tick(QUERY_PHASE)?;
-        let node = &circuit.skeleton.nodes[id];
-        for edge in &node.edges {
-            reach[id].mul_into(&circuit.skeleton.binoms[edge.weight as usize], &mut path);
-            if edge.k > 0 {
-                let child_count = &circuit.skeleton.nodes[edge.child as usize].count;
-                path.mul_into(child_count, &mut scaled);
-                scaled.mul_u64_into(edge.k, &mut term);
-                class_numerators[node.level as usize].add_assign(&term);
-            }
-            reach[edge.child as usize].add_assign(&path);
+        if reach[id].is_zero() {
+            continue; // garbage a patch stranded
         }
+        contained.set_u64(0);
+        for edge in skeleton.edges(id) {
+            let binom = &skeleton.binoms[edge.weight as usize];
+            reach[id].mul_into(binom, &mut path);
+            reach[edge.child as usize].add_assign(&path);
+            if edge.k > 0 {
+                child.set_limbs(skeleton.count(edge.child as usize));
+                binom.mul_into(&child, &mut term);
+                term.mul_u64_into(u64::from(edge.k), &mut scaled);
+                contained.add_assign(&scaled);
+            }
+        }
+        reach[id].mul_into(&contained, &mut term);
+        class_numerators[skeleton.nodes[id].level as usize].add_assign(&term);
     }
-    let root_node = &circuit.skeleton.nodes[root];
     Ok(ConfidenceAnalysis::from_parts(
         circuit.analysis.clone(),
-        root_node.count.clone(),
+        UBig::from_limbs(skeleton.count(root).to_vec()),
         class_numerators,
-        root_node.vectors,
+        skeleton.nodes[root].vectors,
     ))
 }
 
@@ -708,23 +803,24 @@ fn moment_pass(circuit: &CompiledCircuit, e: &[u64], budget: &Budget) -> Result<
         return Ok(UBig::zero());
     };
     let root = root as usize;
+    let skeleton = &circuit.skeleton;
     let mut value = vec![UBig::zero(); root + 1];
     value[0] = UBig::one();
     let mut scratch = UBig::zero();
     for id in 1..=root {
         budget.tick(QUERY_PHASE)?;
-        let node = &circuit.skeleton.nodes[id];
-        let e_level = e[node.level as usize];
+        let e_level = e[skeleton.nodes[id].level as usize];
         let mut acc = UBig::zero();
-        for edge in &node.edges {
-            if edge.k < e_level {
+        for edge in skeleton.edges(id) {
+            let k = u64::from(edge.k);
+            if k < e_level {
                 continue; // falling factorial is zero
             }
             value[edge.child as usize]
-                .mul_into(&circuit.skeleton.binoms[edge.weight as usize], &mut scratch);
+                .mul_into(&skeleton.binoms[edge.weight as usize], &mut scratch);
             let mut term = scratch.clone();
             for step in 0..e_level {
-                term = term.mul_u64(edge.k - step);
+                term = term.mul_u64(k - step);
             }
             acc.add_assign(&term);
         }
@@ -852,11 +948,25 @@ pub fn analyze_circuit_topk_budgeted(
         .collect())
 }
 
+/// What an instance-level cache entry keys on: the relation, the arity,
+/// the projected structure ([`CompiledCollection::skeleton_key`]) and
+/// every class's member tuples, flattened in class order. The structure
+/// fixes each class's member count and the arity each tuple's width, so
+/// two different member lists never flatten alike — unlike a rendering,
+/// which cannot tell `("a,", "b")` from `("a", ",b")`, or `1` from `"1"`.
+#[derive(PartialEq, Eq, Hash)]
+struct InstanceKey {
+    relation: pscds_relational::RelName,
+    arity: usize,
+    shape: String,
+    members: Vec<Value>,
+}
+
 /// A two-level cache of compiled circuits, so one compile amortizes
 /// across many queries *and* across structurally identical collections.
 ///
 /// * The **instance** level keys on everything a query resolves against
-///   — relation, arity, padding, per-source bounds, and the full class
+///   — relation, arity, per-source bounds, and the full class
 ///   decomposition including member tuples. An instance hit returns the
 ///   very same [`CompiledCircuit`].
 /// * The **skeleton** level keys on the member-free projection — the
@@ -869,7 +979,7 @@ pub fn analyze_circuit_topk_budgeted(
 ///   hit* (`circuit.cross_hits`).
 #[derive(Default)]
 pub struct CompiledCollection {
-    circuits: HashMap<String, Rc<CompiledCircuit>>,
+    circuits: HashMap<InstanceKey, Rc<CompiledCircuit>>,
     skeletons: HashMap<String, Rc<CircuitSkeleton>>,
     hits: u64,
     misses: u64,
@@ -898,12 +1008,19 @@ impl CompiledCollection {
         config: &CircuitConfig,
     ) -> Result<Rc<CompiledCircuit>, CoreError> {
         let analysis = SignatureAnalysis::new(collection, padding);
-        let key = Self::instance_key(&analysis, padding);
+        let shape = Self::skeleton_key(&analysis);
+        let key = InstanceKey {
+            relation: analysis.relation(),
+            arity: analysis.arity(),
+            shape: shape.clone(),
+            members: (analysis.classes().iter())
+                .flat_map(|class| class.members.iter().flatten().copied())
+                .collect(),
+        };
         if let Some(circuit) = self.circuits.get(&key) {
             self.hits += 1;
             return Ok(Rc::clone(circuit));
         }
-        let shape = Self::skeleton_key(&analysis);
         if let Some(skeleton) = self.skeletons.get(&shape) {
             self.cross_hits += 1;
             let circuit = Rc::new(CompiledCircuit::rebind(Rc::clone(skeleton), analysis));
@@ -935,36 +1052,6 @@ impl CompiledCollection {
         }
         for class in analysis.classes() {
             let _ = write!(key, "|c:{:x},{}", class.signature, class.size);
-        }
-        key
-    }
-
-    fn instance_key(analysis: &SignatureAnalysis, padding: u64) -> String {
-        let mut key = String::new();
-        let _ = write!(
-            key,
-            "{}/{}|pad={padding}",
-            analysis.relation(),
-            analysis.arity()
-        );
-        for b in analysis.bounds() {
-            let _ = write!(
-                key,
-                "|b:{},{}/{}",
-                b.min_sound,
-                b.completeness.num(),
-                b.completeness.den()
-            );
-        }
-        for class in analysis.classes() {
-            let _ = write!(key, "|c:{:x},{}", class.signature, class.size);
-            for member in &class.members {
-                key.push('(');
-                for value in member {
-                    let _ = write!(key, "{value},");
-                }
-                key.push(')');
-            }
         }
         key
     }
@@ -1418,6 +1505,75 @@ mod tests {
             .unwrap();
         assert!(!Rc::ptr_eq(first.skeleton(), fourth.skeleton()));
         assert_eq!(cache.cross_hits(), 1);
+    }
+
+    #[test]
+    fn compiled_collection_keys_instances_on_the_member_values() {
+        // Two one-source R/2 collections whose member tuples render alike
+        // when each value is written as `value,`: ("a,", "b") and
+        // ("a", ",b"). They share a skeleton but not an instance.
+        let one = |tuple: [&str; 2]| {
+            let source = SourceDescriptor::identity(
+                "S",
+                "V",
+                "R",
+                2,
+                [tuple.map(Value::sym)],
+                Frac::HALF,
+                Frac::HALF,
+            )
+            .unwrap();
+            SourceCollection::from_sources([source])
+                .as_identity()
+                .unwrap()
+        };
+        let (first, second) = (one(["a,", "b"]), one(["a", ",b"]));
+        let mut cache = CompiledCollection::new();
+        let (budget, config) = (Budget::unlimited(), CircuitConfig::default());
+        let a = cache.get_or_compile(&first, 1, &budget, &config).unwrap();
+        let b = cache.get_or_compile(&second, 1, &budget, &config).unwrap();
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.cross_hits()),
+            (0, 1, 1)
+        );
+        assert!(!Rc::ptr_eq(&a, &b));
+        let top = analyze_circuit_topk(&b, 1).unwrap();
+        assert_eq!(top[0].0, vec![Value::sym("a"), Value::sym(",b")]);
+        // A symbol and an integer that print alike are different values.
+        let int = {
+            let source = SourceDescriptor::identity(
+                "S",
+                "V",
+                "R",
+                1,
+                [[Value::int(1)]],
+                Frac::HALF,
+                Frac::HALF,
+            )
+            .unwrap();
+            SourceCollection::from_sources([source])
+                .as_identity()
+                .unwrap()
+        };
+        let sym = {
+            let source = SourceDescriptor::identity(
+                "S",
+                "V",
+                "R",
+                1,
+                [[Value::sym("1")]],
+                Frac::HALF,
+                Frac::HALF,
+            )
+            .unwrap();
+            SourceCollection::from_sources([source])
+                .as_identity()
+                .unwrap()
+        };
+        let i = cache.get_or_compile(&int, 1, &budget, &config).unwrap();
+        let y = cache.get_or_compile(&sym, 1, &budget, &config).unwrap();
+        assert!(!Rc::ptr_eq(&i, &y));
+        assert_eq!(analyze_circuit_topk(&y, 1).unwrap()[0].0, [Value::sym("1")]);
     }
 
     #[test]

@@ -63,9 +63,16 @@
 //! otherwise evaluates the levels it already expanded. The decision is an
 //! integer comparison of thread-independent counts, so the engine chosen
 //! is the same at every thread count.
+//!
+//! # The expansion as the circuit compiler's first sweep
+//!
+//! The circuit compiler (`circuit.rs`) runs this same expansion, charged
+//! to its own budget phase, then appends each level's nodes to its arena
+//! bottom-up where the DP evaluates. A delta patch passes the states its
+//! kept levels already hold as `retained`, so the expansion stops there.
 
 use crate::confidence::counting::{ConfidenceAnalysis, Tally};
-use crate::confidence::residual::{Residual, ResidualKey};
+use crate::confidence::residual::{render_key, Residual};
 use crate::confidence::signature::{SignatureAnalysis, SourceBounds};
 use crate::error::CoreError;
 use crate::govern::{record_trip, Budget, Engine};
@@ -166,7 +173,7 @@ impl DpStats {
 /// What one expansion sweep predicts for the two exact engines (see the
 /// module docs). Every count saturates at `u64::MAX`.
 #[derive(Clone, Copy, Debug)]
-struct Plan {
+pub(crate) struct Plan {
     /// The serial DFS's `Budget::steps()`.
     dfs_steps: u64,
     /// The expansion's ticks: the DP's steps when no state passes the cap.
@@ -175,7 +182,7 @@ struct Plan {
     folds: u64,
     /// `false` when the state cap cut the expansion short, so the paths
     /// into the states past it are unknown.
-    complete: bool,
+    pub(crate) complete: bool,
 }
 
 impl Plan {
@@ -268,7 +275,7 @@ const DP_PHASE: &str = "confidence::dp";
 /// residual limbs, where SipHash would cost more than the rest of the
 /// lookup. The keys are computed, not adversarial.
 #[derive(Default)]
-struct LimbHasher(u64);
+pub(crate) struct LimbHasher(u64);
 
 impl Hasher for LimbHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -285,7 +292,7 @@ impl Hasher for LimbHasher {
     }
 }
 
-type LimbMap<K, V> = HashMap<K, V, BuildHasherDefault<LimbHasher>>;
+pub(crate) type LimbMap<K, V> = HashMap<K, V, BuildHasherDefault<LimbHasher>>;
 
 /// A child state's first arrival during the expansion: where its `(t, w)`
 /// sits in the level's arrival records, whether the debug replay already
@@ -336,18 +343,21 @@ impl SharedDpCache {
 /// limbs for `n` sources), then its representative exact state `t` (`n`
 /// limbs) and `w`.
 #[derive(Default)]
-struct Level {
+pub(crate) struct Level {
     sources: usize,
     records: Vec<u64>,
 }
 
 impl Level {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len() / (4 * self.sources + 1)
     }
 
     /// The `(key, t, w)` of the states in `range`.
-    fn states(&self, range: Range<usize>) -> impl Iterator<Item = (&[u64], &[u64], u64)> {
+    pub(crate) fn states(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (&[u64], &[u64], u64)> {
         let (n, stride) = (self.sources, 4 * self.sources + 1);
         let records = &self.records[range.start * stride..range.end * stride];
         records
@@ -356,20 +366,28 @@ impl Level {
     }
 }
 
-/// One DP run over one decomposition.
-struct Sweep<'a> {
-    analysis: &'a SignatureAnalysis,
-    residual: Residual<'a>,
+/// One sweep over one decomposition: the DP's run, or the expansion the
+/// circuit compiler appends its arena from (`circuit.rs`).
+pub(crate) struct Sweep<'a> {
+    pub(crate) analysis: &'a SignatureAnalysis,
+    pub(crate) residual: Residual<'a>,
     parallel: &'a ParallelConfig,
+    /// The budget phase the expansion's ticks charge.
+    phase: &'static str,
 }
 
 impl<'a> Sweep<'a> {
-    fn new(analysis: &'a SignatureAnalysis, parallel: &'a ParallelConfig) -> Self {
+    pub(crate) fn new(
+        analysis: &'a SignatureAnalysis,
+        parallel: &'a ParallelConfig,
+        phase: &'static str,
+    ) -> Self {
         let residual = Residual::new(analysis);
         Sweep {
             analysis,
             residual,
             parallel,
+            phase,
         }
     }
 
@@ -383,7 +401,7 @@ impl<'a> Sweep<'a> {
         obs: &mut ObsSession,
     ) -> Result<(Sums, DpStats), CoreError> {
         let mut stats = DpStats::default();
-        let (levels, _) = self.expand_root(budget, cap, &mut stats, obs)?;
+        let (levels, _) = self.expand_root(budget, cap, |_, _| false, &mut stats, obs)?;
         self.finish(levels, budget, stats, obs)
     }
 
@@ -397,11 +415,14 @@ impl<'a> Sweep<'a> {
 
     /// The expansion sweep from the root with its [`Plan`]. No levels
     /// come back when the root is a leaf, pruned or past a zero cap: the
-    /// uncached walk then counts the tree.
-    fn expand_root(
+    /// uncached walk then counts the tree. A child state for which
+    /// `retained(level, key)` holds is neither kept nor expanded, only
+    /// counted as a hit: the caller already has its suffix.
+    pub(crate) fn expand_root(
         &self,
         budget: &Budget,
         cap: usize,
+        retained: impl Fn(usize, &[u64]) -> bool,
         stats: &mut DpStats,
         obs: &mut ObsSession,
     ) -> Result<(Option<Vec<Level>>, Plan), CoreError> {
@@ -423,7 +444,7 @@ impl<'a> Sweep<'a> {
             sources: t.len(),
             records,
         };
-        let (levels, plan) = self.expand(root, budget, cap, stats, obs)?;
+        let (levels, plan) = self.expand(root, budget, cap, retained, stats, obs)?;
         Ok((Some(levels), plan))
     }
 
@@ -449,7 +470,9 @@ impl<'a> Sweep<'a> {
                 let root = self.fallback(0, &mut t, &mut 0, budget)?;
                 let ticks = budget.steps() - steps_before;
                 if self.live_root() {
-                    stats.note_fallback_key(&self.residual.key(0, &t, 0).render());
+                    let mut packed = Vec::new();
+                    self.residual.pack_into(0, &t, 0, &mut packed);
+                    stats.note_fallback_key(&render_key(0, &packed));
                     stats.fallback_nodes = ticks;
                 }
                 (root, ticks)
@@ -462,14 +485,15 @@ impl<'a> Sweep<'a> {
         Ok((root, stats))
     }
 
-    /// The expansion sweep from the root: every level's states, at most
-    /// `cap` in all, each level charged to its `dp.level` span, and the
-    /// [`Plan`] the sweep predicts.
+    /// The expansion sweep from the root: every level's states but the
+    /// `retained` ones, at most `cap` in all, each level charged to its
+    /// `dp.level` span, and the [`Plan`] the sweep predicts.
     fn expand(
         &self,
         root: Level,
         budget: &Budget,
         cap: usize,
+        retained: impl Fn(usize, &[u64]) -> bool,
         stats: &mut DpStats,
         obs: &mut ObsSession,
     ) -> Result<(Vec<Level>, Plan), CoreError> {
@@ -482,7 +506,7 @@ impl<'a> Sweep<'a> {
         let mut plan = Plan::SINGLE_NODE;
         let mut kept = 1;
         let mut mark = budget.steps();
-        budget.tick(DP_PHASE)?;
+        budget.tick(self.phase)?;
         let mut packed = Vec::new();
         for j in 0..m {
             let states = levels[j].len();
@@ -501,7 +525,7 @@ impl<'a> Sweep<'a> {
                     plan.dp_steps = plan.dp_steps.saturating_add(children);
                     plan.folds = plan.folds.saturating_add(children.saturating_mul(width));
                     for k in 0..=k_max {
-                        budget.tick(DP_PHASE)?;
+                        budget.tick(self.phase)?;
                         if j + 1 == m {
                             continue; // a leaf: the evaluation folds it in
                         }
@@ -515,6 +539,8 @@ impl<'a> Sweep<'a> {
                                     self.replay_check(j + 1, (&rep[..n], rep[n]), (&t, w));
                                 }
                                 rep.2 = rep.2.saturating_add(into);
+                                stats.cache_hits += 1;
+                            } else if retained(j + 1, &packed) {
                                 stats.cache_hits += 1;
                             } else {
                                 seen.insert(
@@ -544,8 +570,7 @@ impl<'a> Sweep<'a> {
             let room = children.len().min(cap - kept);
             plan.complete &= room == children.len();
             for (key, _) in children[room..].iter().take(EXEMPLAR_KEYS) {
-                let key = ResidualKey::from_packed(j + 1, key.clone());
-                stats.note_fallback_key(&key.render());
+                stats.note_fallback_key(&render_key(j + 1, key));
             }
             if room == 0 {
                 break;
@@ -718,7 +743,8 @@ pub fn count_dp_observed(
     obs.span_open(names::SPAN_DP_RUN, budget.elapsed_ns());
     obs.span_attr("engine", "dp");
     obs.span_attr("classes", &analysis.classes().len().to_string());
-    let swept = Sweep::new(&analysis, parallel).run(budget, config.max_cache_entries, obs);
+    let sweep = Sweep::new(&analysis, parallel, DP_PHASE);
+    let swept = sweep.run(budget, config.max_cache_entries, obs);
     record_trip(obs, budget.elapsed_ns(), &swept);
     obs.span_close(budget.elapsed_ns());
     let (root, stats) = swept?;
@@ -755,10 +781,16 @@ pub(crate) fn plan_exact(
     config: &DpConfig,
     obs: &mut ObsSession,
 ) -> Result<Planned, CoreError> {
-    let sweep = Sweep::new(&analysis, parallel);
+    let sweep = Sweep::new(&analysis, parallel, DP_PHASE);
     let mut stats = DpStats::default();
     let planned = sweep
-        .expand_root(budget, config.max_cache_entries, &mut stats, obs)
+        .expand_root(
+            budget,
+            config.max_cache_entries,
+            |_, _| false,
+            &mut stats,
+            obs,
+        )
         .and_then(|(levels, plan)| {
             let dfs = plan.prefers_dfs(budget.remaining_steps());
             let (engine, predicted) = if dfs {
@@ -836,8 +868,8 @@ pub fn count_dp_shared(
     }
     let room = shared.max_entries.saturating_sub(held);
     let serial = ParallelConfig::serial();
-    let (root, mut stats) =
-        Sweep::new(&analysis, &serial).run(budget, room, &mut ObsSession::disabled())?;
+    let sweep = Sweep::new(&analysis, &serial, DP_PHASE);
+    let (root, mut stats) = sweep.run(budget, room, &mut ObsSession::disabled())?;
     stats.peak_cache_entries += held;
     let result = assemble(analysis, &root);
     if room > 0 {

@@ -6,12 +6,13 @@
 //! DFS's rules — the prune test, leaf test, `k_cap` and `(t, w)`
 //! descend/restore all live on [`SignatureAnalysis`] — but identify every
 //! interior node by its **residual state**, so a suffix the DFS re-enters
-//! along exponentially many paths is computed once. The DP expands the
-//! tree level by level into sorted key sets and folds each level's
-//! suffix aggregates bottom-up; the compiler walks it depth-first into an
-//! arena of weighted edges. [`Residual`] builds the keys; this header is
-//! the argument that one key stands for one suffix, which is what lets
-//! the DP expand a key from any one exact state that reaches it.
+//! along exponentially many paths is computed once. Both share one
+//! expansion, which builds the tree level by level into sorted key sets;
+//! the DP then folds each level's suffix aggregates bottom-up, and the
+//! compiler appends each level's nodes bottom-up to an arena of weighted
+//! edges. [`Residual`] builds the keys; this header is the argument that
+//! one key stands for one suffix, which is what lets the expansion
+//! expand a key from any one exact state that reaches it.
 //!
 //! # The residual state, and why equal residuals have identical suffixes
 //!
@@ -62,52 +63,22 @@
 //!
 //! A node at level `l` is a pure function of `classes[l..]` and the
 //! bounds, which is what lets the circuit compiler resume a compile
-//! after a delta that only touched earlier classes (`core::delta`).
+//! after a delta that only touched earlier classes (`core::delta`): it
+//! drops the touched levels whole and expands only the states the kept
+//! levels lack.
 
 use crate::confidence::signature::SignatureAnalysis;
 
-/// Packed residual state: the memo key. Three words per source — the
-/// exact soundness deficit and the clamped completeness margin (an
-/// `i128` split into two limbs).
-#[derive(PartialEq, Eq, Hash)]
-pub(crate) struct ResidualKey {
-    level: u32,
-    packed: Box<[u64]>,
-}
-
-impl ResidualKey {
-    /// The key of level `j` with the given limbs: per source, the
-    /// `(deficit, margin limb, margin limb)` triple.
-    pub(crate) fn from_packed(j: usize, packed: Box<[u64]>) -> Self {
-        ResidualKey {
-            // lint-allow(no-panic): j indexes the signature classes, capped far below u32::MAX
-            level: u32::try_from(j).expect("class count fits u32"),
-            packed,
-        }
+/// Canonical fixed-width rendering of the packed residual key `packed`
+/// at level `j` (`l<level>.<limb>.<limb>…`, all hex), so the string order
+/// is the `(level, limbs)` order and a keep-smallest exemplar rule is
+/// deterministic.
+pub(crate) fn render_key(j: usize, packed: &[u64]) -> String {
+    let mut out = format!("l{j:02x}");
+    for limb in packed {
+        out.push_str(&format!(".{limb:016x}"));
     }
-
-    /// The class level the state sits at.
-    pub(crate) fn level(&self) -> u32 {
-        self.level
-    }
-
-    /// The per-source triples, in source order.
-    pub(crate) fn triples(&self) -> impl ExactSizeIterator<Item = [u64; 3]> + '_ {
-        self.packed
-            .chunks_exact(3)
-            .map(|limbs| [limbs[0], limbs[1], limbs[2]])
-    }
-
-    /// Canonical fixed-width rendering (`l<level>.<limb>.<limb>…`, all
-    /// hex), so the string order is the `(level, limbs)` order and a
-    /// keep-smallest exemplar rule is deterministic.
-    pub(crate) fn render(&self) -> String {
-        let mut out = format!("l{:02x}", self.level);
-        for limb in &self.packed {
-            out.push_str(&format!(".{limb:016x}"));
-        }
-        out
-    }
+    out
 }
 
 /// Residual-key construction for one decomposition.
@@ -159,16 +130,10 @@ impl<'a> Residual<'a> {
         [deficit, clamped as u64, (clamped >> 64) as u64]
     }
 
-    /// The exact residual key of a live state at level `j`.
-    #[inline]
-    pub(crate) fn key(&self, j: usize, t: &[u64], w: u64) -> ResidualKey {
-        let mut packed = Vec::with_capacity(3 * self.analysis.source_count());
-        self.pack_into(j, t, w, &mut packed);
-        ResidualKey::from_packed(j, packed.into_boxed_slice())
-    }
-
-    /// Writes the limbs of [`Residual::key`] into `out`, reusing its
-    /// allocation (for lookups that need no owned key).
+    /// Writes the packed residual key of a live state at level `j` into
+    /// `out`, reusing its allocation: three words per source — the exact
+    /// soundness deficit and the clamped completeness margin (an `i128`
+    /// split into two limbs).
     #[inline]
     pub(crate) fn pack_into(&self, j: usize, t: &[u64], w: u64, out: &mut Vec<u64>) {
         out.clear();

@@ -16,8 +16,9 @@
 //!   and circuit breakers compose with streaming unchanged.
 //! * [`DeltaSession`] — the maintained state: the identity collection,
 //!   its signature decomposition, the compiled confidence circuit with
-//!   its compile-time memo, and the last answer's aggregates. Applying a
-//!   batch classifies the damage instead of recomputing:
+//!   its residual states per class level (flat keys and node ids), and
+//!   the last answer's aggregates. Applying a batch classifies the damage
+//!   instead of recomputing:
 //!
 //!   1. **Reuse** — the *projected structure* (per-source bounds plus
 //!      the ordered `(signature, size)` class sequence) is unchanged;
@@ -27,26 +28,33 @@
 //!      cached numerators to the refreshed decomposition — no compile,
 //!      no traversal (`delta.results_reused`).
 //!   2. **Patch** — class *sizes* changed at indices `..=max_touched`,
-//!      but the bounds and the signature sequence survived. A memoized
-//!      residual state at `level` depends only on `classes[level..]`
-//!      and the bounds (see the soundness argument below), so the
-//!      session drops the memo's prefix ([`delta.states_invalidated`](
-//!      pscds_obs::names::DELTA_STATES_INVALIDATED)), recompiles onto
-//!      the retained arena (fresh nodes append; stale prefix nodes
-//!      become unreachable garbage with reach weight zero), and counts
-//!      the freshly materialized nodes (`delta.nodes_patched`).
+//!      but the bounds and the signature sequence survived. A residual
+//!      state at `level` depends only on `classes[level..]` and the
+//!      bounds (see the soundness argument below), so the session drops
+//!      the levels `..=max_touched` whole, counting their states once
+//!      ([`delta.states_invalidated`](
+//!      pscds_obs::names::DELTA_STATES_INVALIDATED)); the expansion then
+//!      stops at every state a kept level holds, and only the new states'
+//!      nodes append to the kept arena (stale prefix nodes become
+//!      unreachable garbage with reach weight zero), counted as
+//!      `delta.nodes_patched`.
 //!   3. **Recompile** — a bound changed (a source's `(c, s)` claim, or
 //!      `⌈s·|v|⌉` through an extension-size change), the class
 //!      signature sequence changed, or patched garbage outgrew twice
 //!      the last clean compile. Incremental reuse would be unsound or
-//!      uneconomical; the session falls back to a from-scratch compile
-//!      (`delta.recompiles_forced`).
+//!      uneconomical; the session drops the old circuit, then compiles
+//!      from scratch (`delta.recompiles_forced`).
+//!
+//! The padding class comes last, so a batch that changes the extension
+//! union's size touches the last level and its patch re-materializes
+//! every node: on cache-replacement traffic the gain comes from
+//! compiling and holding circuits cheaply more than from patch reuse.
 //!
 //! # Invalidation-key soundness
 //!
 //! Why is `max_touched` — the deepest class index whose size changed —
-//! a sound invalidation key? Every memoized quantity at level `l`
-//! (circuit memo entries and arena nodes) is produced
+//! a sound invalidation key? Every kept quantity at level `l`
+//! (residual states and arena nodes) is produced
 //! by a recursion whose tests and loop caps touch only *suffix*
 //! quantities: `suffix_max_t[i][l..]`, `hurt[i][l..]`, the class sizes
 //! `classes[l..]`, the source orbits at level `l` (computed from the
@@ -63,8 +71,8 @@
 //! The answering entry points are [`analyze_incremental`] and its
 //! governed form [`analyze_incremental_budgeted`], bit-identical to a
 //! from-scratch recompute. Maintenance is a single sequenced pass over
-//! shared mutable state (the arena and the memo) with no independent
-//! work to partition, so it takes no thread count.
+//! shared mutable state (the arena and its residual states) with no
+//! independent work to partition, so it takes no thread count.
 
 use crate::collection::{IdentityCollection, SourceCollection};
 use crate::confidence::circuit::{
@@ -381,7 +389,8 @@ pub struct DeltaStats {
     pub ops_applied: u64,
     /// Signature classes whose size changed, appeared, or vanished.
     pub classes_touched: u64,
-    /// Memoized residual states dropped by prefix invalidation.
+    /// Residual states of the levels prefix invalidation dropped, each
+    /// counted once.
     pub states_invalidated: u64,
     /// Circuit nodes freshly materialized by patch compiles.
     pub nodes_patched: u64,
@@ -416,8 +425,8 @@ enum Maintenance {
     /// Projected structure unchanged, members churned: rebind the
     /// skeleton and cached aggregates to the refreshed decomposition.
     Rebind,
-    /// Class sizes changed at indices `..=max_touched`: prefix-invalidate
-    /// the memo and patch-compile onto the retained arena.
+    /// Class sizes changed at indices `..=max_touched`: drop those
+    /// levels' residual states and patch-compile onto the kept arena.
     Patch {
         /// Deepest class index whose size changed.
         max_touched: usize,
@@ -436,8 +445,8 @@ struct CachedResult {
 }
 
 /// Maintained incremental state across a delta stream: the collection,
-/// its decomposition, the compiled circuit plus compile memo, and the
-/// last answer. See the module docs for the
+/// its decomposition, the compiled circuit plus its residual states per
+/// level, and the last answer. See the module docs for the
 /// three-tier maintenance scheme.
 pub struct DeltaSession {
     collection: IdentityCollection,
@@ -740,7 +749,7 @@ impl DeltaSession {
         }
         if let Maintenance::Patch { max_touched } = self.maintenance {
             if let Some((circuit, mut memo)) = self.circuit.take() {
-                if circuit.node_count() > 2 * memo.compiled_len() {
+                if circuit.node_count() > 2 * memo.compiled_len {
                     // Patched garbage outgrew the last clean compile:
                     // cheaper to rebuild than to keep dragging dead
                     // prefix nodes through every traversal.
@@ -768,6 +777,8 @@ impl DeltaSession {
             }
         }
         if self.circuit.is_none() || self.maintenance == Maintenance::Recompile {
+            // Never hold the old arena and the new one at once.
+            self.circuit = None;
             match compile_with_memo(self.analysis.clone(), budget, &self.config) {
                 Ok((circuit, memo)) => self.circuit = Some((circuit, memo)),
                 Err(e) => {
@@ -1072,6 +1083,20 @@ mod tests {
         assert!(session.stats().states_invalidated > 0);
         let scratch = from_scratch(session.collection(), session.padding());
         assert_answers_match(&incremental, &scratch, session.collection());
+    }
+
+    #[test]
+    fn a_patch_invalidates_each_dropped_state_once() {
+        // The batch touches classes {S1} and {S2}, levels 0 and 1: the
+        // root and the four states choosing 0..=3 tuples of {S1} drop.
+        let catalog = patch_catalog();
+        let mut session = DeltaSession::new(&catalog, 3).unwrap();
+        let _ = analyze_incremental(&mut session);
+        session.apply_batch(&patch_batch()).unwrap();
+        let _ = analyze_incremental(&mut session);
+        let stats = session.stats();
+        assert_eq!(stats.recompiles_forced, 0);
+        assert_eq!(stats.states_invalidated, 5);
     }
 
     #[test]

@@ -273,8 +273,12 @@ cargo test -q --release --test circuit_metamorphic
         echo "circuit answers differ between --threads 1 and --threads 4" >&2
         exit 1
     }
-    grep -q '^compile stats:' circuit-t1.txt || {
-        echo "--engine circuit printed no compile stats" >&2
+    # The compile structure of Example 5.1 at padding 1 is pinned: a
+    # change in any of these sizes is a compile regression even when
+    # every confidence still comes out right.
+    stats_line='compile stats: 9 nodes (11 exact residual states, 2 shared), 16 edges'
+    grep -qx "$stats_line" circuit-t1.txt || {
+        echo "--engine circuit did not print '$stats_line'" >&2
         exit 1
     }
     pscds_cli confidence example51.pscds --padding 1 --engine dp > dp.txt
@@ -508,7 +512,12 @@ echo "==> ladder gate (planned DFS with an exact step prediction)"
 # the incremental maintenance session at two thread counts — the full
 # rendered replay (epoch lines, final confidence table, maintenance
 # summary) must be byte-identical, and the traced counter totals
-# (including the delta.* maintenance counters) must match. The E10
+# (including the delta.* maintenance counters) must match. A second
+# stream patches: two sources whose soundness claims sit on a ceiling
+# plateau, and one batch moving a1 from S1 to S2, which changes two
+# class sizes but no bound. Its replay must patch nodes without a
+# recompile, match at two thread counts, and end on the table the
+# circuit engine prints for the hand-applied catalog. The E10
 # smoke run then checks the incremental route against per-epoch
 # recompute (the binary asserts bit-identical verdicts, world counts,
 # and confidences at every epoch) and must append schema-valid
@@ -558,6 +567,41 @@ EOT
     applied=$(awk '$1 == "delta.batches_applied" { print $2 }' delta-counters-t1.txt)
     [ -n "$applied" ] && [ "$applied" -eq 4 ] || {
         echo "delta replay recorded ${applied:-no} applied batches, expected 4" >&2
+        exit 1
+    }
+
+    plateau() {
+        printf 'source S1 {\n  view: V1(x) <- R(x)\n  completeness: 1/2\n'
+        printf '  soundness: 1/4\n  extension:%s\n}\n' "$1"
+        printf 'source S2 {\n  view: V2(x) <- R(x)\n  completeness: 1/2\n'
+        printf '  soundness: 1/4\n  extension:%s\n}\n' "$2"
+    }
+    plateau ' V1(a1). V1(a2). V1(a3). V1(b1). V1(b2). V1(b3).' \
+        ' V2(b1). V2(b2). V2(b3). V2(c1). V2(c2). V2(c3).' > plateau.pscds
+    plateau ' V1(a2). V1(a3). V1(b1). V1(b2). V1(b3).' \
+        ' V2(a1). V2(b1). V2(b2). V2(b3). V2(c1). V2(c2). V2(c3).' > plateau-moved.pscds
+    printf 'batch {\n  source S1 {\n    delete: V1(a1).\n  }\n' > move.deltas
+    printf '  source S2 {\n    insert: V2(a1).\n  }\n}\n' >> move.deltas
+    for threads in 1 4; do
+        pscds_cli confidence plateau.pscds --padding 3 \
+            --deltas move.deltas --threads "$threads" > "patch-t$threads.txt"
+    done
+    diff -u patch-t1.txt patch-t4.txt || {
+        echo "patching delta replays differ between --threads 1 and --threads 4" >&2
+        exit 1
+    }
+    summary=$(grep '^delta maintenance:' patch-t1.txt)
+    patched=$(echo "$summary" | grep -o '[0-9]* node(s) patched' | grep -o '^[0-9]*')
+    [ "${patched:-0}" -gt 0 ] && echo "$summary" | grep -q ' 0 recompile(s)' || {
+        echo "the plateau stream did not patch without a recompile: $summary" >&2
+        exit 1
+    }
+    pscds_cli confidence plateau-moved.pscds --padding 3 --engine circuit > moved.txt
+    grep -v -e '^delta replay:' -e '^epoch ' -e '^delta maintenance:' patch-t1.txt \
+        > patch-answer.txt
+    grep -v -e '^engine:' -e '^compile stats:' moved.txt > moved-answer.txt
+    diff -u patch-answer.txt moved-answer.txt || {
+        echo "the patched table differs from the circuit engine's on the moved catalog" >&2
         exit 1
     }
     cargo run -q --manifest-path "$OLDPWD/Cargo.toml" \
