@@ -914,7 +914,7 @@ fn confidence_deltas_output(
             &mut out,
         )?,
     };
-    render_exact_confidence(&mut out, &analysis, padding)?;
+    render_exact_confidence(&mut out, &analysis, session.padding())?;
     let stats = session.stats();
     let _ = writeln!(
         out,
@@ -2150,6 +2150,27 @@ mod tests {
             .split("tuple confidences (descending):")
             .nth(1)
             .expect("plain run renders the table");
+        assert!(
+            out.contains(table),
+            "replay table diverged:\n{out}\nvs\n{plain}"
+        );
+    }
+
+    #[test]
+    fn deltas_replay_renders_the_final_padding() {
+        // A fresh d grows the union inside the universe fixed at the
+        // start, so the padding falls from 2 to 1: the final table is the
+        // plain run's at padding 1, padding line included.
+        let dir = tmpdir("deltas-padding");
+        let file = write_file(&dir, "c.pscds", EXAMPLE);
+        let batch = "batch {\n  source S1 {\n    insert: V1(d).\n  }\n}\n";
+        let stream = write_file(&dir, "s.deltas", batch);
+        let replay = ["confidence", &file, "--padding", "2", "--deltas", &stream];
+        let out = run(&args(&replay)).unwrap();
+        let grown = EXAMPLE.replace("V1(b).", "V1(b). V1(d).");
+        let final_file = write_file(&dir, "final.pscds", &grown);
+        let plain = run(&args(&["confidence", &final_file, "--padding", "1"])).unwrap();
+        let (_, table) = plain.split_once("|poss(S)|").expect("a table");
         assert!(
             out.contains(table),
             "replay table diverged:\n{out}\nvs\n{plain}"

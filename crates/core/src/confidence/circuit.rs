@@ -12,14 +12,15 @@
 //!   into a d-DNNF-style arithmetic circuit instead of a count. The DP's
 //!   expansion (`dp.rs`) builds each level's sorted, deduplicated
 //!   residual states (`residual.rs`) from the root down; a bottom-up
-//!   append sweep then turns each level's states, deepest first, into
-//!   arena nodes. Every interior node is an Or over the count choices `k`
-//!   of one signature class; each disjunct is an And of the binomial leaf
-//!   `C(n_j, k)` and the child node, found by key in the level below; the
-//!   single accepting leaf carries weight 1. So the circuit has exactly
-//!   one node per distinct live residual state — subtrees the DFS
-//!   re-enters exponentially often appear once — and the compile ticks
-//!   the budget exactly as the DP's expansion does.
+//!   append sweep — the child kernel's fourth sink, after the DFS and the
+//!   DP's two sweeps — then turns each level's states, deepest first,
+//!   into arena nodes. Every interior node is an Or over the count
+//!   choices `k` of one signature class; each disjunct is an And of the
+//!   binomial leaf `C(n_j, k)` and the child node, found by key in the
+//!   level below; the single accepting leaf carries weight 1. So the
+//!   circuit has exactly one node per distinct live residual state —
+//!   subtrees the DFS re-enters exponentially often appear once — and
+//!   the compile ticks the budget exactly as the DP's expansion does.
 //! * **The arena** is flat, in the compressed-sparse-row shape: one node
 //!   array of `(level, first edge, count limb range, vectors)`, one edge
 //!   array of `u32` `(k, weight, child)` triples — a node's edges run up
@@ -78,8 +79,8 @@
 
 use crate::collection::IdentityCollection;
 use crate::confidence::counting::ConfidenceAnalysis;
-use crate::confidence::dp::{DpStats, Level, LimbMap, Sweep};
-use crate::confidence::signature::SignatureAnalysis;
+use crate::confidence::dp::{index_keys, DpStats, Level, LimbMap, Sweep};
+use crate::confidence::signature::{SignatureAnalysis, Subtree};
 use crate::error::CoreError;
 use crate::govern::Budget;
 use crate::partition::ParallelConfig;
@@ -87,7 +88,6 @@ use pscds_numeric::{Rational, RowCache, UBig};
 use pscds_obs::{names, MetricSet, ObsSession};
 use pscds_relational::Value;
 use std::collections::{BTreeSet, HashMap};
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Budget phase charged once per residual state during compilation.
@@ -346,11 +346,7 @@ fn source_orbits(analysis: &SignatureAnalysis) -> Vec<Vec<usize>> {
                 if labels[b] != b {
                     continue;
                 }
-                let (ba, bb) = (&bounds[a], &bounds[b]);
-                if ba.min_sound != bb.min_sound
-                    || ba.completeness.num() != bb.completeness.num()
-                    || ba.completeness.den() != bb.completeness.den()
-                {
+                if bounds[a] != bounds[b] {
                     continue;
                 }
                 let mut swapped: Vec<(u64, u64)> = classes[j..]
@@ -396,11 +392,9 @@ struct KeyLevel {
 }
 
 impl KeyLevel {
-    /// A borrowed-slice index from each state's key (`width` limbs) to
-    /// its node.
-    fn index(&self, width: usize) -> LimbMap<&[u64], u32> {
-        let key = |i: usize| &self.keys[i * width..(i + 1) * width];
-        (0..self.ids.len()).map(|i| (key(i), self.ids[i])).collect()
+    /// Key (`width` limbs) → position of each state.
+    fn index(&self, width: usize) -> LimbMap<&[u64], usize> {
+        index_keys(&self.keys, self.ids.len(), width, width)
     }
 }
 
@@ -457,7 +451,8 @@ impl CircuitSkeleton {
             .reserve_exact(levels.iter().map(Level::len).sum());
         let mut rows = RowCache::new();
         let (mut count, mut value, mut term) = (UBig::zero(), UBig::zero(), UBig::zero());
-        let (mut t, mut packed, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+        let mut t = vec![0u64; analysis.source_count()];
+        let (mut packed, mut slots) = (Vec::new(), Vec::new());
         for j in (0..levels.len()).rev() {
             budget.check(COMPILE_PHASE)?;
             if j + 1 < m {
@@ -472,26 +467,25 @@ impl CircuitSkeleton {
             states.ids.reserve_exact(level.len());
             // Binomial weight slots of this level, by `k`.
             slots.clear();
-            for (key, t0, mut w) in level.states(0..level.len()) {
-                t.clear();
-                t.extend_from_slice(t0);
+            for (key, t0, w0) in level.states(0..level.len()) {
+                t.copy_from_slice(t0);
                 let first_edge = to_u32(self.edges.len())?;
                 count.set_u64(0);
                 let mut vectors = 0u64;
-                for k in 0..=analysis.k_cap(j, &t, w) {
-                    analysis.descend(j, k, &mut t, &mut w);
-                    let child = if j + 1 == m {
-                        analysis.leaf_feasible(&t, w).then_some(0)
-                    } else if analysis.pruned(j + 1, &t, w) {
-                        None
-                    } else {
-                        sweep.residual.pack_into(j + 1, &t, w, &mut packed);
-                        let found = below.as_ref().and_then(|b| b.get(packed.as_slice()));
-                        debug_assert!(found.is_some(), "the expansion kept every live child");
-                        found.copied().filter(|&id| id != NO_NODE)
+                analysis.children::<CoreError>(j, &mut t, &mut { w0 }, |k, child, t, w| {
+                    let child = match child {
+                        Subtree::Leaf { feasible } => feasible.then_some(0),
+                        Subtree::Pruned => None,
+                        Subtree::Inner => {
+                            sweep.residual.pack_into(j + 1, t, *w, &mut packed);
+                            let found = below.as_ref().and_then(|b| b.get(packed.as_slice()));
+                            debug_assert!(found.is_some(), "the expansion kept every live child");
+                            found
+                                .map(|&at| lower[0].ids[at])
+                                .filter(|&id| id != NO_NODE)
+                        }
                     };
-                    analysis.restore(j, k, &mut t, &mut w);
-                    let Some(child) = child else { continue };
+                    let Some(child) = child else { return Ok(()) };
                     let k = to_u32(k)?;
                     if slots.len() <= k as usize {
                         slots.resize(k as usize + 1, NO_NODE);
@@ -506,7 +500,8 @@ impl CircuitSkeleton {
                     count.add_assign(&term);
                     vectors = vectors.saturating_add(self.nodes[child as usize].vectors);
                     self.edges.push(Edge { k, weight, child });
-                }
+                    Ok(())
+                })?;
                 let edges = self.edges.len() - first_edge as usize;
                 let id = if edges == 0 {
                     NO_NODE
@@ -684,8 +679,7 @@ fn compile_onto(
     let retained = |j: usize, key: &[u64]| kept[j].contains_key(key);
     let mut arrivals = DpStats::default();
     let no_obs = &mut ObsSession::disabled();
-    let (levels, plan) =
-        sweep.expand_root(budget, config.max_nodes, retained, &mut arrivals, no_obs)?;
+    let (levels, plan) = sweep.expand(budget, config.max_nodes, retained, &mut arrivals, no_obs)?;
     drop(kept);
     arena.root = match levels {
         _ if !plan.complete => {
@@ -705,8 +699,8 @@ fn compile_onto(
         None => {
             // The root is a leaf or pruned: the one tick of its walk.
             budget.tick(COMPILE_PHASE)?;
-            let t = vec![0u64; analysis.source_count()];
-            (m == 0 && analysis.leaf_feasible(&t, 0)).then_some(0)
+            let root = analysis.subtree(0, &vec![0; analysis.source_count()], 0);
+            (root == Subtree::Leaf { feasible: true }).then_some(0)
         }
     };
     if fresh {
@@ -949,7 +943,7 @@ pub fn analyze_circuit_topk_budgeted(
 }
 
 /// What an instance-level cache entry keys on: the relation, the arity,
-/// the projected structure ([`CompiledCollection::skeleton_key`]) and
+/// the projected structure (`SignatureAnalysis::structure`) and
 /// every class's member tuples, flattened in class order. The structure
 /// fixes each class's member count and the arity each tuple's width, so
 /// two different member lists never flatten alike — unlike a rendering,
@@ -958,7 +952,7 @@ pub fn analyze_circuit_topk_budgeted(
 struct InstanceKey {
     relation: pscds_relational::RelName,
     arity: usize,
-    shape: String,
+    shape: Box<[u64]>,
     members: Vec<Value>,
 }
 
@@ -980,7 +974,7 @@ struct InstanceKey {
 #[derive(Default)]
 pub struct CompiledCollection {
     circuits: HashMap<InstanceKey, Rc<CompiledCircuit>>,
-    skeletons: HashMap<String, Rc<CircuitSkeleton>>,
+    skeletons: HashMap<Box<[u64]>, Rc<CircuitSkeleton>>,
     hits: u64,
     misses: u64,
     cross_hits: u64,
@@ -1008,7 +1002,7 @@ impl CompiledCollection {
         config: &CircuitConfig,
     ) -> Result<Rc<CompiledCircuit>, CoreError> {
         let analysis = SignatureAnalysis::new(collection, padding);
-        let shape = Self::skeleton_key(&analysis);
+        let shape = analysis.structure();
         let key = InstanceKey {
             relation: analysis.relation(),
             arity: analysis.arity(),
@@ -1032,28 +1026,6 @@ impl CompiledCollection {
         self.skeletons.insert(shape, Rc::clone(circuit.skeleton()));
         self.circuits.insert(key, Rc::clone(&circuit));
         Ok(circuit)
-    }
-
-    /// The member-free projection the compiled arena is a function of:
-    /// per-source bounds plus the ordered `(signature, size)` class
-    /// sequence. Padding needs no separate component — it is the
-    /// signature-0 class's size. Relation and arity are deliberately
-    /// excluded: the skeleton never mentions tuples.
-    fn skeleton_key(analysis: &SignatureAnalysis) -> String {
-        let mut key = String::new();
-        for b in analysis.bounds() {
-            let _ = write!(
-                key,
-                "|b:{},{}/{}",
-                b.min_sound,
-                b.completeness.num(),
-                b.completeness.den()
-            );
-        }
-        for class in analysis.classes() {
-            let _ = write!(key, "|c:{:x},{}", class.signature, class.size);
-        }
-        key
     }
 
     /// Instance-level cache hits so far.

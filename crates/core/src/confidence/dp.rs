@@ -6,12 +6,14 @@
 //! depends only on a small residual state (`residual.rs` holds the
 //! argument why equal residual keys have identical suffixes). This
 //! engine visits each residual state once, in two sweeps over the class
-//! levels:
+//! levels, both sinks of the one child kernel
+//! (`SignatureAnalysis::children`), which owns the DFS's prune, leaf and
+//! `k_cap` rules:
 //!
 //! 1. **Expand**, top-down: level `j+1`'s states are the distinct keys
-//!    of the children of level `j`'s states under the DFS's prune and
-//!    `k_cap` rules, sorted by key, each with one representative exact
-//!    state `(t, w)` — its first arrival in DFS order.
+//!    of the children of level `j`'s states, sorted by key, each with one
+//!    representative exact state `(t, w)` — its first arrival in DFS
+//!    order.
 //! 2. **Evaluate**, bottom-up: each state folds its children's suffix
 //!    aggregates — world count `N_suffix`, per-class containment
 //!    numerators `Σ Π C(n_σ,k_σ)·k_σ₀`, feasible completions — found by
@@ -73,7 +75,7 @@
 
 use crate::confidence::counting::{ConfidenceAnalysis, Tally};
 use crate::confidence::residual::{render_key, Residual};
-use crate::confidence::signature::{SignatureAnalysis, SourceBounds};
+use crate::confidence::signature::{SignatureAnalysis, Subtree};
 use crate::error::CoreError;
 use crate::govern::{record_trip, Budget, Engine};
 use crate::partition::{self, ParallelConfig};
@@ -81,7 +83,7 @@ use pscds_numeric::{RowCache, UBig};
 use pscds_obs::{names, MetricSet, ObsSession, EXEMPLAR_KEYS};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 
 /// Memoization limits for the DP engine (search *steps* are governed by
 /// the [`Budget`] passed at the call site; this bounds memory).
@@ -294,6 +296,18 @@ impl Hasher for LimbHasher {
 
 pub(crate) type LimbMap<K, V> = HashMap<K, V, BuildHasherDefault<LimbHasher>>;
 
+/// Indexes `len` flat records of `stride` limbs each by their leading
+/// `width` limbs, a packed residual key: key → record position.
+pub(crate) fn index_keys(
+    records: &[u64],
+    len: usize,
+    stride: usize,
+    width: usize,
+) -> LimbMap<&[u64], usize> {
+    let key = |at: usize| &records[at * stride..at * stride + width];
+    (0..len).map(|at| (key(at), at)).collect()
+}
+
 /// A child state's first arrival during the expansion: where its `(t, w)`
 /// sits in the level's arrival records, whether the debug replay already
 /// checked a repeat against it, and the DFS's paths into it.
@@ -401,51 +415,15 @@ impl<'a> Sweep<'a> {
         obs: &mut ObsSession,
     ) -> Result<(Sums, DpStats), CoreError> {
         let mut stats = DpStats::default();
-        let (levels, _) = self.expand_root(budget, cap, |_, _| false, &mut stats, obs)?;
+        let (levels, _) = self.expand(budget, cap, |_, _| false, &mut stats, obs)?;
         self.finish(levels, budget, stats, obs)
     }
 
     /// `true` iff the root has children to expand: there are classes and
     /// the root is not pruned.
     fn live_root(&self) -> bool {
-        let analysis = self.analysis;
-        let t = vec![0u64; analysis.source_count()];
-        !analysis.classes().is_empty() && !analysis.pruned(0, &t, 0)
-    }
-
-    /// The expansion sweep from the root with its [`Plan`]. No levels
-    /// come back when the root is a leaf, pruned or past a zero cap: the
-    /// uncached walk then counts the tree. A child state for which
-    /// `retained(level, key)` holds is neither kept nor expanded, only
-    /// counted as a hit: the caller already has its suffix.
-    pub(crate) fn expand_root(
-        &self,
-        budget: &Budget,
-        cap: usize,
-        retained: impl Fn(usize, &[u64]) -> bool,
-        stats: &mut DpStats,
-        obs: &mut ObsSession,
-    ) -> Result<(Option<Vec<Level>>, Plan), CoreError> {
-        let live = self.live_root();
-        if !live || cap == 0 {
-            // Past a zero cap, the paths below a live root are unknown.
-            let plan = Plan {
-                complete: !live,
-                ..Plan::SINGLE_NODE
-            };
-            return Ok((None, plan));
-        }
         let t = vec![0u64; self.analysis.source_count()];
-        let mut records = Vec::new();
-        self.residual.pack_into(0, &t, 0, &mut records);
-        records.extend_from_slice(&t);
-        records.push(0);
-        let root = Level {
-            sources: t.len(),
-            records,
-        };
-        let (levels, plan) = self.expand(root, budget, cap, retained, stats, obs)?;
-        Ok((Some(levels), plan))
+        self.analysis.subtree(0, &t, 0) == Subtree::Inner
     }
 
     /// Evaluates expanded `levels` — or, without them, counts the tree by
@@ -487,19 +465,39 @@ impl<'a> Sweep<'a> {
 
     /// The expansion sweep from the root: every level's states but the
     /// `retained` ones, at most `cap` in all, each level charged to its
-    /// `dp.level` span, and the [`Plan`] the sweep predicts.
-    fn expand(
+    /// `dp.level` span, and the [`Plan`] the sweep predicts. A child state
+    /// for which `retained(level, key)` holds is neither kept nor
+    /// expanded, only counted as a hit: the caller already has its
+    /// suffix. No levels come back when the root is a leaf, pruned or
+    /// past a zero cap: the uncached walk then counts the tree.
+    pub(crate) fn expand(
         &self,
-        root: Level,
         budget: &Budget,
         cap: usize,
         retained: impl Fn(usize, &[u64]) -> bool,
         stats: &mut DpStats,
         obs: &mut ObsSession,
-    ) -> Result<(Vec<Level>, Plan), CoreError> {
+    ) -> Result<(Option<Vec<Level>>, Plan), CoreError> {
+        let live = self.live_root();
+        if !live || cap == 0 {
+            // Past a zero cap, the paths below a live root are unknown.
+            let plan = Plan {
+                complete: !live,
+                ..Plan::SINGLE_NODE
+            };
+            return Ok((None, plan));
+        }
         let analysis = self.analysis;
         let (m, n) = (analysis.classes().len(), analysis.source_count());
-        let mut levels = vec![root];
+        let (mut t, mut packed) = (vec![0u64; n], Vec::new());
+        // The root: its key, then its exact state, all zeros.
+        let mut records = Vec::new();
+        self.residual.pack_into(0, &t, 0, &mut records);
+        records.resize(4 * n + 1, 0);
+        let mut levels = vec![Level {
+            sources: n,
+            records,
+        }];
         // The DFS's paths into each state of the current level.
         let mut paths = vec![1u64];
         // The root's tick, before any state's children.
@@ -507,7 +505,6 @@ impl<'a> Sweep<'a> {
         let mut kept = 1;
         let mut mark = budget.steps();
         budget.tick(self.phase)?;
-        let mut packed = Vec::new();
         for j in 0..m {
             let states = levels[j].len();
             obs.span_open(names::SPAN_DP_LEVEL, budget.elapsed_ns());
@@ -518,41 +515,33 @@ impl<'a> Sweep<'a> {
             let width = (m - j + 1) as u64;
             let mut expand_level = || -> Result<(), CoreError> {
                 for ((_, t0, w0), &into) in levels[j].states(0..states).zip(&paths) {
-                    let (mut t, mut w) = (t0.to_vec(), w0);
-                    let k_max = analysis.k_cap(j, &t, w);
-                    let children = k_max.saturating_add(1);
-                    plan.dfs_steps = plan.dfs_steps.saturating_add(into.saturating_mul(children));
-                    plan.dp_steps = plan.dp_steps.saturating_add(children);
-                    plan.folds = plan.folds.saturating_add(children.saturating_mul(width));
-                    for k in 0..=k_max {
+                    t.copy_from_slice(t0);
+                    analysis.children::<CoreError>(j, &mut t, &mut { w0 }, |_, child, t, w| {
+                        plan.dfs_steps = plan.dfs_steps.saturating_add(into);
+                        plan.dp_steps = plan.dp_steps.saturating_add(1);
+                        plan.folds = plan.folds.saturating_add(width);
                         budget.tick(self.phase)?;
-                        if j + 1 == m {
-                            continue; // a leaf: the evaluation folds it in
+                        if child != Subtree::Inner {
+                            return Ok(()); // the evaluation folds leaves in
                         }
-                        analysis.descend(j, k, &mut t, &mut w);
-                        if !analysis.pruned(j + 1, &t, w) {
-                            self.residual.pack_into(j + 1, &t, w, &mut packed);
-                            if let Some(rep) = seen.get_mut(packed.as_slice()) {
-                                #[cfg(debug_assertions)]
-                                if !std::mem::replace(&mut rep.1, true) {
-                                    let rep = &arrivals[rep.0..=rep.0 + n];
-                                    self.replay_check(j + 1, (&rep[..n], rep[n]), (&t, w));
-                                }
-                                rep.2 = rep.2.saturating_add(into);
-                                stats.cache_hits += 1;
-                            } else if retained(j + 1, &packed) {
-                                stats.cache_hits += 1;
-                            } else {
-                                seen.insert(
-                                    packed.as_slice().into(),
-                                    (arrivals.len(), false, into),
-                                );
-                                arrivals.extend_from_slice(&t);
-                                arrivals.push(w);
+                        self.residual.pack_into(j + 1, t, *w, &mut packed);
+                        if let Some(rep) = seen.get_mut(packed.as_slice()) {
+                            #[cfg(debug_assertions)]
+                            if !std::mem::replace(&mut rep.1, true) {
+                                let rep = &arrivals[rep.0..=rep.0 + n];
+                                self.replay_check(j + 1, (&rep[..n], rep[n]), (t, *w));
                             }
+                            rep.2 = rep.2.saturating_add(into);
+                            stats.cache_hits += 1;
+                        } else if retained(j + 1, &packed) {
+                            stats.cache_hits += 1;
+                        } else {
+                            seen.insert(packed.as_slice().into(), (arrivals.len(), false, into));
+                            arrivals.extend_from_slice(t);
+                            arrivals.push(*w);
                         }
-                        analysis.restore(j, k, &mut t, &mut w);
-                    }
+                        Ok(())
+                    })?;
                 }
                 Ok(())
             };
@@ -590,7 +579,7 @@ impl<'a> Sweep<'a> {
         }
         stats.cache_misses = kept as u64;
         stats.peak_cache_entries = kept;
-        Ok((levels, plan))
+        Ok((Some(levels), plan))
     }
 
     /// The evaluation sweep, deepest level first, each level split across
@@ -608,51 +597,49 @@ impl<'a> Sweep<'a> {
         leaf.push(&[UBig::one()], 1);
         // The level below: its states, parts and the parts' aggregates.
         let (mut below, mut below_parts, mut below_sums) =
-            (Level::default(), Vec::new(), Vec::new());
+            (Level::default(), Vec::<Range<usize>>::new(), Vec::new());
         for j in (0..levels.len()).rev() {
             let level = std::mem::take(&mut levels[j]);
-            // Key → (part, position) of each aggregate of the level below.
-            let index: LimbMap<&[u64], (usize, usize)> = (below_parts.iter().enumerate())
-                .flat_map(|(p, part): (usize, &Range<usize>)| {
-                    let states = below.states(part.clone()).enumerate();
-                    states.map(move |(i, (key, _, _))| (key, (p, i)))
-                })
-                .collect();
+            // Key → position of each aggregate of the level below.
+            let (stride, width) = (4 * below.sources + 1, 3 * below.sources);
+            let index = index_keys(&below.records, below.len(), stride, width);
             let evaluate_part = |part: &Range<usize>, budget: &Budget| -> Result<_, CoreError> {
                 budget.check(DP_PHASE)?;
                 let mut rows = RowCache::new();
                 let row = rows.intern(analysis.classes()[j].size);
-                let mut packed = Vec::new();
+                let (mut t, mut packed) = (vec![0u64; analysis.source_count()], Vec::new());
                 let mut scratch = [UBig::zero(), UBig::zero(), UBig::zero()];
                 let mut acc = vec![UBig::zero(); m - j + 1];
                 let mut sums = Sums::default();
                 for (_, t0, w0) in level.states(part.clone()) {
                     acc.iter_mut().for_each(|value| value.set_u64(0));
                     let mut vectors = 0;
-                    let (mut t, mut w) = (t0.to_vec(), w0);
-                    for k in 0..=analysis.k_cap(j, &t, w) {
-                        analysis.descend(j, k, &mut t, &mut w);
+                    t.copy_from_slice(t0);
+                    analysis.children::<CoreError>(j, &mut t, &mut { w0 }, |k, child, t, w| {
                         let walked;
-                        let child = if j + 1 == m {
-                            analysis.leaf_feasible(&t, w).then_some((&leaf, 0))
-                        } else if analysis.pruned(j + 1, &t, w) {
-                            None
-                        } else {
-                            self.residual.pack_into(j + 1, &t, w, &mut packed);
-                            match index.get(packed.as_slice()) {
-                                Some(&(p, i)) => Some((&below_sums[p], i)),
-                                None => {
-                                    walked = self.fallback(j + 1, &mut t, &mut w, budget)?;
-                                    Some((&walked, 0))
-                                }
+                        let child = match child {
+                            Subtree::Leaf { feasible } => feasible.then_some((&leaf, 0)),
+                            Subtree::Pruned => None,
+                            Subtree::Inner => {
+                                self.residual.pack_into(j + 1, t, *w, &mut packed);
+                                Some(match index.get(packed.as_slice()) {
+                                    Some(&i) => {
+                                        let p = below_parts.partition_point(|r| r.end <= i);
+                                        (&below_sums[p], i - below_parts[p].start)
+                                    }
+                                    None => {
+                                        walked = self.fallback(j + 1, t, w, budget)?;
+                                        (&walked, 0)
+                                    }
+                                })
                             }
                         };
                         if let Some((child, c)) = child {
                             let binom = rows.get(row, k);
                             child.fold_into((c, k, binom), &mut acc, &mut vectors, &mut scratch);
                         }
-                        analysis.restore(j, k, &mut t, &mut w);
-                    }
+                        Ok(())
+                    })?;
                     sums.push(&acc, vectors);
                 }
                 Ok(sums)
@@ -708,9 +695,12 @@ impl<'a> Sweep<'a> {
         let mut counts = vec![0u64; analysis.classes().len()];
         let visit = &mut |counts: &[u64]| {
             tally.add(counts);
-            ControlFlow::<()>::Continue(())
+            Ok(())
         };
-        let _ = analysis.dfs(j, &mut counts, t, w, DP_PHASE, budget, visit)?;
+        let tick = || budget.tick(DP_PHASE);
+        let node = analysis.subtree(j, t, *w);
+        let walked = analysis.dfs(j, node, &mut counts, t, w, &tick, visit);
+        walked.or_else(|halt| halt)?;
         let (count, numerators, vectors) = tally.finish();
         let values: Vec<UBig> = std::iter::once(count)
             .chain(numerators.into_iter().skip(j))
@@ -784,7 +774,7 @@ pub(crate) fn plan_exact(
     let sweep = Sweep::new(&analysis, parallel, DP_PHASE);
     let mut stats = DpStats::default();
     let planned = sweep
-        .expand_root(
+        .expand(
             budget,
             config.max_cache_entries,
             |_, _| false,
@@ -847,14 +837,7 @@ pub fn count_dp_shared(
     budget: &Budget,
     shared: &mut SharedDpCache,
 ) -> Result<(ConfidenceAnalysis, DpStats), CoreError> {
-    // The projected structure: class and source counts, the `(signature,
-    // size)` class sequence, and the per-source bounds.
-    let (classes, bounds) = (analysis.classes(), analysis.bounds());
-    let mut structure = vec![classes.len() as u64, bounds.len() as u64];
-    structure.extend(classes.iter().flat_map(|c| [c.signature, c.size]));
-    let bound = |b: &SourceBounds| [b.min_sound, b.completeness.num(), b.completeness.den()];
-    structure.extend(bounds.iter().flat_map(bound));
-    let structure = structure.into_boxed_slice();
+    let structure = analysis.structure();
     let held = shared.roots.len();
     if let Some(root) = shared.roots.get(&structure) {
         budget.tick(DP_PHASE)?;

@@ -2,13 +2,14 @@
 //! circuit compiler (`circuit.rs`) share the suffixes of the counting
 //! DFS's search tree.
 //!
-//! Both engines walk the tree of [`SignatureAnalysis::dfs`] under the
-//! DFS's rules — the prune test, leaf test, `k_cap` and `(t, w)`
-//! descend/restore all live on [`SignatureAnalysis`] — but identify every
-//! interior node by its **residual state**, so a suffix the DFS re-enters
-//! along exponentially many paths is computed once. Both share one
-//! expansion, which builds the tree level by level into sorted key sets;
-//! the DP then folds each level's suffix aggregates bottom-up, and the
+//! One kernel, four sinks: [`SignatureAnalysis::children`] enumerates a
+//! state's children under the one set of rules (the prune, the leaf
+//! test, `k_cap`, `(t, w)` descend/restore), for the uncached DFS, the
+//! DP's expansion and evaluation, and the circuit's append. The last
+//! three identify every interior node by its **residual state**, so a
+//! suffix the DFS re-enters along exponentially many paths is computed
+//! once: the expansion builds the tree level by level into sorted key
+//! sets; the DP folds each level's suffix aggregates bottom-up, and the
 //! compiler appends each level's nodes bottom-up to an arena of weighted
 //! edges. [`Residual`] builds the keys; this header is the argument that
 //! one key stands for one suffix, which is what lets the expansion
@@ -116,20 +117,6 @@ impl<'a> Residual<'a> {
         }
     }
 
-    /// Source `i`'s `(deficit, clamped-margin)` triple at level `j`, for a
-    /// live (unpruned) state.
-    #[inline]
-    fn triple(&self, i: usize, j: usize, t: &[u64], w: u64) -> [u64; 3] {
-        let b = &self.analysis.bounds()[i];
-        let deficit = b.min_sound.saturating_sub(t[i]);
-        debug_assert!(
-            deficit <= self.analysis.suffix_max(i, j),
-            "pruning admits only reachable deficits"
-        );
-        let clamped = b.margin(t[i], w).min(self.saturation[i][j]) as u128;
-        [deficit, clamped as u64, (clamped >> 64) as u64]
-    }
-
     /// Writes the packed residual key of a live state at level `j` into
     /// `out`, reusing its allocation: three words per source — the exact
     /// soundness deficit and the clamped completeness margin (an `i128`
@@ -137,8 +124,14 @@ impl<'a> Residual<'a> {
     #[inline]
     pub(crate) fn pack_into(&self, j: usize, t: &[u64], w: u64, out: &mut Vec<u64>) {
         out.clear();
-        for i in 0..self.analysis.source_count() {
-            out.extend_from_slice(&self.triple(i, j, t, w));
+        for (i, b) in self.analysis.bounds().iter().enumerate() {
+            let deficit = b.min_sound.saturating_sub(t[i]);
+            debug_assert!(
+                deficit <= self.analysis.suffix_max(i, j),
+                "pruning admits only reachable deficits"
+            );
+            let clamped = b.margin(t[i], w).min(self.saturation[i][j]) as u128;
+            out.extend_from_slice(&[deficit, clamped as u64, (clamped >> 64) as u64]);
         }
     }
 }

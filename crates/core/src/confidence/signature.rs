@@ -19,6 +19,14 @@
 //! `Π_σ C(|class σ|, k_σ)`. This module builds the classes and enumerates
 //! the feasible count vectors with sound pruning; `counting` adds the
 //! binomial weights.
+//!
+//! One kernel, four sinks: every exact engine walks the same tree of
+//! count vectors, and the rules of that walk live here once.
+//! [`SignatureAnalysis::subtree`] is the leaf test and the prune;
+//! [`SignatureAnalysis::children`] visits a state's children `k` under
+//! the `k_cap` rule, descending into and restoring `(t, w)`. Its sinks
+//! are the uncached DFS here, the DP's expansion and evaluation
+//! (`dp.rs`) and the circuit's append (`circuit.rs`).
 
 use crate::collection::IdentityCollection;
 use crate::error::CoreError;
@@ -27,7 +35,6 @@ use pscds_numeric::Frac;
 use pscds_relational::{Fact, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::ops::ControlFlow;
 
 /// Budget phase of the counting DFS (one tick per node).
 const COUNT_PHASE: &str = "confidence::signature";
@@ -76,6 +83,22 @@ impl SourceBounds {
         i128::from(self.completeness.den()) - i128::from(self.completeness.num())
     }
 }
+
+/// What a state of the count-vector tree roots (see
+/// [`SignatureAnalysis::subtree`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Subtree {
+    /// Every class is counted: a complete vector, `feasible` or not.
+    Leaf { feasible: bool },
+    /// Provably no feasible completion.
+    Pruned,
+    /// A live interior state.
+    Inner,
+}
+
+/// Why the DFS stopped short: `Ok` with the visitor's stop value, `Err`
+/// when the budget tripped.
+type Halt<B> = Result<B, CoreError>;
 
 /// The signature decomposition of an identity-view collection over a
 /// finite domain with `padding` extension-free facts.
@@ -185,6 +208,18 @@ impl SignatureAnalysis {
     #[must_use]
     pub fn source_count(&self) -> usize {
         self.bounds.len()
+    }
+
+    /// The projected structure every count aggregate is a function of,
+    /// flat: the class and source counts, the `(signature, size)` class
+    /// sequence and the per-source bounds. The padding is the
+    /// signature-0 class's size; the members are left out.
+    pub(crate) fn structure(&self) -> Box<[u64]> {
+        let mut key = vec![self.classes.len() as u64, self.bounds.len() as u64];
+        key.extend(self.classes.iter().flat_map(|c| [c.signature, c.size]));
+        let bound = |b: &SourceBounds| [b.min_sound, b.completeness.num(), b.completeness.den()];
+        key.extend(self.bounds.iter().flat_map(bound));
+        key.into_boxed_slice()
     }
 
     /// The per-source feasibility bounds (for the sibling engines in this
@@ -378,13 +413,7 @@ impl SignatureAnalysis {
     /// prefix count exceeds the serial loop's `k_cap`) — in which case
     /// the chunk contributes nothing, exactly like the pruned serial
     /// subtree.
-    pub(crate) fn apply_prefix(
-        &self,
-        prefix: &[u64],
-        counts: &mut [u64],
-        t: &mut [u64],
-        w: &mut u64,
-    ) -> bool {
+    fn apply_prefix(&self, prefix: &[u64], counts: &mut [u64], t: &mut [u64], w: &mut u64) -> bool {
         for (j, &k) in prefix.iter().enumerate() {
             if self.pruned(j, t, *w) || k > self.k_cap(j, t, *w) {
                 return false;
@@ -436,20 +465,17 @@ impl SignatureAnalysis {
     ) -> Result<(), CoreError> {
         self.search_from(prefix, COUNT_PHASE, budget, &mut |counts: &[u64]| {
             visit(counts);
-            ControlFlow::<()>::Continue(())
+            Ok(())
         })
-        .map(|_| ())
+        .or_else(|halt| halt)
     }
 
     /// The first feasible vector below `prefix`, charging [`FIND_PHASE`].
     fn first_from(&self, prefix: &[u64], budget: &Budget) -> Result<Option<Vec<u64>>, CoreError> {
-        let flow = self.search_from(prefix, FIND_PHASE, budget, &mut |counts: &[u64]| {
-            ControlFlow::Break(counts.to_vec())
-        })?;
-        Ok(match flow {
-            ControlFlow::Break(found) => Some(found),
-            ControlFlow::Continue(()) => None,
-        })
+        let found = self.search_from(prefix, FIND_PHASE, budget, &mut |counts: &[u64]| {
+            Err(counts.to_vec())
+        });
+        found.map_or_else(|halt| halt.map(Some), |()| Ok(None))
     }
 
     /// Runs [`dfs`](SignatureAnalysis::dfs) from the root state advanced
@@ -459,23 +485,18 @@ impl SignatureAnalysis {
         prefix: &[u64],
         phase: &'static str,
         budget: &Budget,
-        visit: &mut impl FnMut(&[u64]) -> ControlFlow<B>,
-    ) -> Result<ControlFlow<B>, CoreError> {
+        visit: &mut impl FnMut(&[u64]) -> Result<(), B>,
+    ) -> Result<(), Halt<B>> {
         let mut counts = vec![0u64; self.classes.len()];
         let mut t = vec![0u64; self.bounds.len()];
         let mut w = 0u64;
         if !self.apply_prefix(prefix, &mut counts, &mut t, &mut w) {
-            return Ok(ControlFlow::Continue(()));
+            return Ok(());
         }
-        self.dfs(
-            prefix.len(),
-            &mut counts,
-            &mut t,
-            &mut w,
-            phase,
-            budget,
-            visit,
-        )
+        let j = prefix.len();
+        let tick = || budget.tick(phase);
+        let node = self.subtree(j, &t, w);
+        self.dfs(j, node, &mut counts, &mut t, &mut w, &tick, visit)
     }
 
     /// `true` iff the subtree at level `j` with running sums `(t, w)` is
@@ -484,7 +505,7 @@ impl SignatureAnalysis {
     /// future class with the source's bit is taken whole and every other
     /// class is left empty.
     #[inline]
-    pub(crate) fn pruned(&self, j: usize, t: &[u64], w: u64) -> bool {
+    fn pruned(&self, j: usize, t: &[u64], w: u64) -> bool {
         self.bounds.iter().enumerate().any(|(i, b)| {
             let max_future = self.suffix_max_t[i][j];
             t[i] + max_future < b.min_sound
@@ -495,7 +516,7 @@ impl SignatureAnalysis {
     /// `true` iff the complete count vector behind `(t, w)` satisfies
     /// every source's soundness and completeness constraint.
     #[inline]
-    pub(crate) fn leaf_feasible(&self, t: &[u64], w: u64) -> bool {
+    fn leaf_feasible(&self, t: &[u64], w: u64) -> bool {
         self.bounds
             .iter()
             .zip(t)
@@ -504,7 +525,7 @@ impl SignatureAnalysis {
 
     /// Adds `k` tuples of class `j` to the running sums.
     #[inline]
-    pub(crate) fn descend(&self, j: usize, k: u64, t: &mut [u64], w: &mut u64) {
+    fn descend(&self, j: usize, k: u64, t: &mut [u64], w: &mut u64) {
         let sig = self.classes[j].signature;
         *w += k;
         for (i, t_i) in t.iter_mut().enumerate() {
@@ -516,7 +537,7 @@ impl SignatureAnalysis {
 
     /// Undoes [`descend`](SignatureAnalysis::descend).
     #[inline]
-    pub(crate) fn restore(&self, j: usize, k: u64, t: &mut [u64], w: &mut u64) {
+    fn restore(&self, j: usize, k: u64, t: &mut [u64], w: &mut u64) {
         let sig = self.classes[j].signature;
         *w -= k;
         for (i, t_i) in t.iter_mut().enumerate() {
@@ -534,7 +555,7 @@ impl SignatureAnalysis {
     /// what keeps the padding-class loop bounded by the feasible region
     /// instead of the (possibly enormous) class size.
     #[inline]
-    pub(crate) fn k_cap(&self, j: usize, t: &[u64], w: u64) -> u64 {
+    fn k_cap(&self, j: usize, t: &[u64], w: u64) -> u64 {
         let class = &self.classes[j];
         let mut cap = class.size;
         for (i, b) in self.bounds.iter().enumerate() {
@@ -558,47 +579,77 @@ impl SignatureAnalysis {
         cap
     }
 
-    /// The one uncached search of the count-vector tree: walks the
-    /// subtree below level `j` of the state `(counts, t, w)`, charging
-    /// `phase` once per node, and calls `visit` on every feasible
-    /// complete vector until it breaks. `counts`, `t` and `w` are
+    /// What the state `(t, w)` entering level `j` roots: a complete
+    /// vector past the last class, a provably empty subtree, or a live
+    /// interior state. The one leaf test and prune of every engine.
+    #[inline]
+    pub(crate) fn subtree(&self, j: usize, t: &[u64], w: u64) -> Subtree {
+        if j == self.classes.len() {
+            Subtree::Leaf {
+                feasible: self.leaf_feasible(t, w),
+            }
+        } else if self.pruned(j, t, w) {
+            Subtree::Pruned
+        } else {
+            Subtree::Inner
+        }
+    }
+
+    /// The one child-enumeration kernel of the count-vector tree: visits
+    /// the children `k = 0..=k_cap` of the live state `(t, w)` at level
+    /// `j` in ascending `k`, handing `sink` each `k`, the child's
+    /// [`Subtree`] and the sums already descended into it, and restores
+    /// `(t, w)` after every child. It stops at the first `Err` the sink
+    /// returns, with `(t, w)` restored. The DFS, the DP's expansion and
+    /// evaluation, and the circuit's append are its sinks.
+    ///
+    /// # Errors
+    /// The first error `sink` returns.
+    pub(crate) fn children<E>(
+        &self,
+        j: usize,
+        t: &mut [u64],
+        w: &mut u64,
+        mut sink: impl FnMut(u64, Subtree, &mut [u64], &mut u64) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for k in 0..=self.k_cap(j, t, *w) {
+            self.descend(j, k, t, w);
+            let done = sink(k, self.subtree(j + 1, t, *w), t, w);
+            self.restore(j, k, t, w);
+            done?;
+        }
+        Ok(())
+    }
+
+    /// The one uncached search of the count-vector tree: ticks the
+    /// `node` that the state `(counts, t, w)` roots at level `j`, then
+    /// walks its subtree, one tick per node, calling `visit` on every
+    /// feasible complete vector until it returns `Err`. `t` and `w` are
     /// restored on return.
     ///
     /// # Errors
-    /// [`CoreError::BudgetExceeded`] when the budget trips mid-walk.
+    /// `Err(Ok(b))` when `visit` stops the walk with `b`; `Err(Err(e))`
+    /// when `tick` trips.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn dfs<B>(
         &self,
         j: usize,
+        node: Subtree,
         counts: &mut [u64],
         t: &mut [u64],
         w: &mut u64,
-        phase: &'static str,
-        budget: &Budget,
-        visit: &mut impl FnMut(&[u64]) -> ControlFlow<B>,
-    ) -> Result<ControlFlow<B>, CoreError> {
-        budget.tick(phase)?;
-        if j == self.classes.len() {
-            return Ok(if self.leaf_feasible(t, *w) {
-                visit(counts)
-            } else {
-                ControlFlow::Continue(())
-            });
+        tick: &impl Fn() -> Result<(), CoreError>,
+        visit: &mut impl FnMut(&[u64]) -> Result<(), B>,
+    ) -> Result<(), Halt<B>> {
+        tick().map_err(Err)?;
+        match node {
+            Subtree::Leaf { feasible: true } => visit(counts).map_err(Ok),
+            Subtree::Leaf { .. } | Subtree::Pruned => Ok(()),
+            Subtree::Inner => self.children(j, t, w, |k, child, t, w| {
+                counts[j] = k;
+                self.dfs(j + 1, child, counts, t, w, tick, visit)
+            }),
         }
-        if self.pruned(j, t, *w) {
-            return Ok(ControlFlow::Continue(()));
-        }
-        for k in 0..=self.k_cap(j, t, *w) {
-            counts[j] = k;
-            self.descend(j, k, t, w);
-            let flow = self.dfs(j + 1, counts, t, w, phase, budget, visit);
-            self.restore(j, k, t, w);
-            if let ControlFlow::Break(b) = flow? {
-                return Ok(ControlFlow::Break(b));
-            }
-        }
-        counts[j] = 0;
-        Ok(ControlFlow::Continue(()))
     }
 
     /// Finds one feasible count vector, if any (early-exit DFS).

@@ -40,15 +40,18 @@
 //!      `delta.nodes_patched`.
 //!   3. **Recompile** — a bound changed (a source's `(c, s)` claim, or
 //!      `⌈s·|v|⌉` through an extension-size change), the class
-//!      signature sequence changed, or patched garbage outgrew twice
-//!      the last clean compile. Incremental reuse would be unsound or
-//!      uneconomical; the session drops the old circuit, then compiles
-//!      from scratch (`delta.recompiles_forced`).
+//!      signature sequence changed, the last class's size changed, or
+//!      patched garbage outgrew twice the last clean compile.
+//!      Incremental reuse would be unsound or uneconomical; the session
+//!      drops the old circuit, then compiles from scratch
+//!      (`delta.recompiles_forced`).
 //!
 //! The padding class comes last, so a batch that changes the extension
-//! union's size touches the last level and its patch re-materializes
-//! every node: on cache-replacement traffic the gain comes from
-//! compiling and holding circuits cheaply more than from patch reuse.
+//! union's size touches the last level. Such a batch would drop every
+//! level, and its patch would append a whole second circuit behind the
+//! old arena, so the session recompiles it instead: on cache-replacement
+//! traffic the gain comes from compiling and holding circuits cheaply
+//! more than from patch reuse.
 //!
 //! # Invalidation-key soundness
 //!
@@ -65,8 +68,8 @@
 //! wholesale, never consulted. The padding class sits *last* in the
 //! class order, so universe-size churn (net growth or shrinkage of the
 //! extension union changes the padding size) makes `max_touched` the
-//! final index and invalidates everything — automatically, with no
-//! special case.
+//! final index, which would invalidate everything: that batch is a
+//! recompile.
 //!
 //! The answering entry points are [`analyze_incremental`] and its
 //! governed form [`analyze_incremental_budgeted`], bit-identical to a
@@ -394,8 +397,9 @@ pub struct DeltaStats {
     pub states_invalidated: u64,
     /// Circuit nodes freshly materialized by patch compiles.
     pub nodes_patched: u64,
-    /// Full recompiles forced (bounds/signature-sequence change, garbage
-    /// overflow, or state lost to a budget trip).
+    /// Full recompiles forced (bounds/signature-sequence change, a
+    /// last-class size change, garbage overflow, or state lost to a
+    /// budget trip).
     pub recompiles_forced: u64,
     /// Analyses answered from maintained state with no compile and no
     /// traversal.
@@ -425,14 +429,15 @@ enum Maintenance {
     /// Projected structure unchanged, members churned: rebind the
     /// skeleton and cached aggregates to the refreshed decomposition.
     Rebind,
-    /// Class sizes changed at indices `..=max_touched`: drop those
-    /// levels' residual states and patch-compile onto the kept arena.
+    /// Class sizes changed at indices `..=max_touched`, short of the
+    /// last class: drop those levels' residual states and patch-compile
+    /// onto the kept arena.
     Patch {
         /// Deepest class index whose size changed.
         max_touched: usize,
     },
-    /// Bounds or the signature sequence changed (or state was lost):
-    /// compile from scratch.
+    /// Bounds, the signature sequence or the last class's size changed
+    /// (or state was lost): compile from scratch.
     Recompile,
 }
 
@@ -675,9 +680,6 @@ impl DeltaSession {
                 .zip(fresh.classes())
                 .all(|(a, b)| a.signature == b.signature);
         let need = if !(same_bounds && same_signatures) {
-            if self.circuit.is_some() {
-                self.stats.recompiles_forced += 1;
-            }
             Maintenance::Recompile
         } else {
             let touched: Vec<usize> = old
@@ -690,7 +692,13 @@ impl DeltaSession {
                 .collect();
             self.stats.classes_touched += touched.len() as u64;
             match touched.last() {
-                Some(&max_touched) => Maintenance::Patch { max_touched },
+                // Touching the last class (usually the padding) drops
+                // every level: a patch would only append a whole second
+                // circuit behind the old arena.
+                Some(&max_touched) if max_touched + 1 < fresh.classes().len() => {
+                    Maintenance::Patch { max_touched }
+                }
+                Some(_) => Maintenance::Recompile,
                 None => {
                     let members_changed = old
                         .classes()
@@ -705,6 +713,9 @@ impl DeltaSession {
                 }
             }
         };
+        if need == Maintenance::Recompile && self.circuit.is_some() {
+            self.stats.recompiles_forced += 1;
+        }
         self.maintenance = merge(self.maintenance, need);
         if matches!(
             self.maintenance,
@@ -776,20 +787,21 @@ impl DeltaSession {
                 self.maintenance = Maintenance::Recompile;
             }
         }
-        if self.circuit.is_none() || self.maintenance == Maintenance::Recompile {
-            // Never hold the old arena and the new one at once.
-            self.circuit = None;
-            match compile_with_memo(self.analysis.clone(), budget, &self.config) {
-                Ok((circuit, memo)) => self.circuit = Some((circuit, memo)),
-                Err(e) => {
-                    self.circuit = None;
-                    self.maintenance = Maintenance::Recompile;
-                    return Err(e);
+        let compiled = match self.circuit.take() {
+            Some(held) if self.maintenance != Maintenance::Recompile => held,
+            stale => {
+                // Never hold the old arena and the new one at once.
+                drop(stale);
+                match compile_with_memo(self.analysis.clone(), budget, &self.config) {
+                    Ok(compiled) => compiled,
+                    Err(e) => {
+                        self.maintenance = Maintenance::Recompile;
+                        return Err(e);
+                    }
                 }
             }
-        }
-        // lint-allow(no-panic): the branch above either set self.circuit or returned Err
-        let (circuit, _) = self.circuit.as_ref().expect("compiled above");
+        };
+        let (circuit, _) = self.circuit.insert(compiled);
         let result = analyze_circuit_budgeted(circuit, budget)?;
         let (total, numerators, vectors) = result.parts();
         self.cached = Some(CachedResult {
@@ -1049,9 +1061,7 @@ mod tests {
     #[test]
     fn growth_patches_and_matches_scratch() {
         // Insert a brand-new tuple into S1 only: the {S1} class grows and
-        // the padding class shrinks — a patch with max_touched = last
-        // index (padding moves), which still beats recompute on larger
-        // instances and must stay bit-identical on this one.
+        // the padding class shrinks, and |v1| moves min_sound too.
         let catalog = example_5_1();
         let mut session = DeltaSession::new(&catalog, 3).unwrap();
         let _ = analyze_incremental(&mut session);
@@ -1068,6 +1078,36 @@ mod tests {
         // change and must force a recompile, not a patch.
         assert_eq!(session.stats().recompiles_forced, 1);
         let scratch = from_scratch(session.collection(), session.padding());
+        assert_answers_match(&incremental, &scratch, session.collection());
+    }
+
+    #[test]
+    fn a_batch_touching_the_last_class_recompiles() {
+        // A fresh a4 in S1 keeps min_sound = ceil(7/4) = 2 and the class
+        // sequence, but grows {S1} and shrinks the padding (the last
+        // class) from 3 to 2: every level drops, so the session compiles
+        // afresh instead of appending a second circuit behind the old.
+        let catalog = patch_catalog();
+        let mut session = DeltaSession::new(&catalog, 3).unwrap();
+        let _ = analyze_incremental(&mut session);
+        let batch = DeltaBatch {
+            deltas: vec![SourceDelta {
+                source: "S1".into(),
+                delete: vec![],
+                insert: vec![fact("V1(a4)")],
+            }],
+        };
+        session.apply_batch(&batch).unwrap();
+        assert_eq!(session.padding(), 2);
+        let incremental = analyze_incremental(&mut session);
+        assert_eq!(session.stats().recompiles_forced, 1);
+        assert_eq!(session.stats().nodes_patched, 0);
+        let analysis = SignatureAnalysis::new(session.collection(), session.padding());
+        let fresh =
+            compile_circuit(analysis, &Budget::unlimited(), &CircuitConfig::default()).unwrap();
+        let (held, _) = session.circuit.as_ref().unwrap();
+        assert_eq!(held.node_count(), fresh.node_count());
+        let scratch = analyze_circuit(&fresh);
         assert_answers_match(&incremental, &scratch, session.collection());
     }
 

@@ -517,7 +517,11 @@ echo "==> ladder gate (planned DFS with an exact step prediction)"
 # plateau, and one batch moving a1 from S1 to S2, which changes two
 # class sizes but no bound. Its replay must patch nodes without a
 # recompile, match at two thread counts, and end on the table the
-# circuit engine prints for the hand-applied catalog. The E10
+# circuit engine prints for the hand-applied catalog. A third stream
+# gives S1 a fresh a4: its ceiling stays at 2, but the session's fixed
+# universe shrinks the padding (the last class) from 3 to 2, so the
+# batch must recompile with no node patched and end on the circuit
+# engine's table at padding 2. The E10
 # smoke run then checks the incremental route against per-epoch
 # recompute (the binary asserts bit-identical verdicts, world counts,
 # and confidences at every epoch) and must append schema-valid
@@ -602,6 +606,32 @@ EOT
     grep -v -e '^engine:' -e '^compile stats:' moved.txt > moved-answer.txt
     diff -u patch-answer.txt moved-answer.txt || {
         echo "the patched table differs from the circuit engine's on the moved catalog" >&2
+        exit 1
+    }
+
+    printf 'batch {\n  source S1 {\n    insert: V1(a4).\n  }\n}\n' > grow.deltas
+    for threads in 1 4; do
+        pscds_cli confidence plateau.pscds --padding 3 \
+            --deltas grow.deltas --threads "$threads" > "grow-t$threads.txt"
+    done
+    diff -u grow-t1.txt grow-t4.txt || {
+        echo "growing delta replays differ between --threads 1 and --threads 4" >&2
+        exit 1
+    }
+    summary=$(grep '^delta maintenance:' grow-t1.txt)
+    echo "$summary" | grep -q ' 0 node(s) patched' \
+        && echo "$summary" | grep -q ' 1 recompile(s)' || {
+        echo "the last-class batch did not recompile without patching: $summary" >&2
+        exit 1
+    }
+    plateau ' V1(a1). V1(a2). V1(a3). V1(a4). V1(b1). V1(b2). V1(b3).' \
+        ' V2(b1). V2(b2). V2(b3). V2(c1). V2(c2). V2(c3).' > plateau-grown.pscds
+    pscds_cli confidence plateau-grown.pscds --padding 2 --engine circuit > grown.txt
+    grep -v -e '^delta replay:' -e '^epoch ' -e '^delta maintenance:' grow-t1.txt \
+        > grow-answer.txt
+    grep -v -e '^engine:' -e '^compile stats:' grown.txt > grown-answer.txt
+    diff -u grow-answer.txt grown-answer.txt || {
+        echo "the recompiled table differs from the circuit engine's on the grown catalog" >&2
         exit 1
     }
     cargo run -q --manifest-path "$OLDPWD/Cargo.toml" \

@@ -235,6 +235,48 @@ fn circuit_reproduces_the_golden_tables() {
     }
 }
 
+/// The `skeleton_digest` of the circuit compiled from Example 5.1 at
+/// `m = 1..=6` padding constants. The digest hashes the arena in node
+/// order, so these pin the order in which the compile appends nodes and
+/// edges, not just the sizes `GOLDEN_CIRCUIT` checks.
+const GOLDEN_DIGESTS: [(u64, u64); 6] = [
+    (1, 0x5d70_450d_25e0_8d29),
+    (2, 0x7c87_6e64_8eb8_da4d),
+    (3, 0x43cd_5acd_d6ee_d46c),
+    (4, 0x837d_9f61_62cb_d70b),
+    (5, 0x4ac3_8bca_ab01_d12a),
+    (6, 0x7573_fb2b_fe5d_cdc9),
+];
+
+/// The digest of scaled Example 5.1 at `r = 16` with padding 16: 469
+/// arena nodes over four classes, still cheap in debug builds.
+const GOLDEN_SCALED16_DIGEST: u64 = 0xefd5_62d7_c952_38a0;
+
+#[test]
+fn circuit_skeleton_digests_reproduce_the_golden_values() {
+    use pscds::core::confidence::{compile_circuit, CircuitConfig};
+    use pscds::core::paper::example_5_1_scaled;
+
+    let digest = |collection: &pscds::core::SourceCollection, padding: u64| {
+        let identity = collection.as_identity().expect("identity views");
+        compile_circuit(
+            SignatureAnalysis::new(&identity, padding),
+            &Budget::unlimited(),
+            &CircuitConfig::default(),
+        )
+        .expect("unlimited budget")
+        .skeleton_digest()
+    };
+    for (m, expected) in GOLDEN_DIGESTS {
+        assert_eq!(digest(&example_5_1(), m), expected, "digest at m={m}");
+    }
+    assert_eq!(
+        digest(&example_5_1_scaled(16), 16),
+        GOLDEN_SCALED16_DIGEST,
+        "digest of scaled16"
+    );
+}
+
 /// One golden step row: `(label, dfs, find_feasible, dp, circuit)` —
 /// the `Budget::steps()` charge of one call into each engine:
 /// the serial counting DFS (`from_signature_analysis_parallel`), the
