@@ -720,7 +720,7 @@ fn render_consensus_report(
 fn cmd_confidence(opts: &Options) -> Result<(String, i32), CliError> {
     let collection = load_collection(the_file(opts)?)?;
     let mut obs = obs_session_from(opts)?;
-    let result = confidence_output(opts, &collection, &mut obs);
+    let result = confidence_output(opts, collection, &mut obs);
     match result {
         Ok((mut out, status)) => {
             finish_obs(obs, opts, &mut out);
@@ -993,9 +993,12 @@ fn render_source_statuses(
     }
 }
 
+/// Answers `pscds confidence`. Every engine but the exact oracle reads
+/// only the identity view, which takes the parsed tuples over instead of
+/// cloning them.
 fn confidence_output(
     opts: &Options,
-    collection: &SourceCollection,
+    collection: SourceCollection,
     obs: &mut ObsSession,
 ) -> Result<(String, i32), CliError> {
     let padding = opts.padding.unwrap_or_default();
@@ -1014,7 +1017,7 @@ fn confidence_output(
                     .into(),
             ));
         }
-        return confidence_deltas_output(opts, collection, padding, &budget, obs);
+        return confidence_deltas_output(opts, &collection, padding, &budget, obs);
     }
     if let Some(flag) = opts.fault_flag_used() {
         if opts.engine != EngineChoice::Auto {
@@ -1022,12 +1025,12 @@ fn confidence_output(
                 "{flag} requires --engine auto (the resilient ladder)"
             )));
         }
-        return confidence_under_faults_output(opts, collection, padding, &budget, &parallel, obs);
+        return confidence_under_faults_output(opts, &collection, padding, &budget, &parallel, obs);
     }
-    let identity = collection.as_identity()?;
     let mut out = String::new();
     match opts.engine {
         EngineChoice::Auto => {
+            let identity = collection.into_identity()?;
             let result = confidence_resilient(
                 &identity,
                 padding,
@@ -1040,6 +1043,7 @@ fn confidence_output(
             render_resilient_confidence(&mut out, &result, padding)?;
         }
         EngineChoice::Dp => {
+            let identity = collection.into_identity()?;
             let (analysis, _stats) = count_dp_observed(
                 SignatureAnalysis::new(&identity, padding),
                 &budget,
@@ -1054,6 +1058,7 @@ fn confidence_output(
             // Compile once, then answer by traversal. The compile-stats
             // line is deterministic (sizes, no wall time), so CI can diff
             // the full output across thread counts and against the DP.
+            let identity = collection.into_identity()?;
             let circuit = compile_circuit(
                 SignatureAnalysis::new(&identity, padding),
                 &budget,
@@ -1073,6 +1078,7 @@ fn confidence_output(
             render_exact_confidence(&mut out, &analysis, padding)?;
         }
         EngineChoice::Signature => {
+            let identity = collection.into_identity()?;
             let analysis = ConfidenceAnalysis::from_signature_analysis_parallel(
                 SignatureAnalysis::new(&identity, padding),
                 &budget,
@@ -1085,14 +1091,15 @@ fn confidence_output(
             // The brute-force oracle: enumerate poss(S) over the mentioned
             // constants plus `padding` fresh ones. Exponential in the
             // domain — the cross-check engine, not a production path.
+            let identity = collection.as_identity()?;
             let domain = domain_with_fresh(
-                collection,
+                &collection,
                 usize::try_from(padding).map_err(|_| {
                     CliError::Usage(format!("--padding {padding} too large for --engine exact"))
                 })?,
             );
             let worlds =
-                PossibleWorlds::enumerate_parallel(collection, &domain, &budget, &parallel)?;
+                PossibleWorlds::enumerate_parallel(&collection, &domain, &budget, &parallel)?;
             let _ = writeln!(
                 out,
                 "engine: exact possible-world oracle over {} constants (padding {padding})",
@@ -1140,6 +1147,7 @@ fn confidence_output(
             }
         }
         EngineChoice::Sampled => {
+            let identity = collection.into_identity()?;
             let config = SamplerConfig::default();
             let estimate = sample_confidences_budgeted(&identity, padding, &config, &budget)?;
             let analysis = SignatureAnalysis::new(&identity, padding);

@@ -140,8 +140,40 @@ impl SourceCollection {
     /// Returns [`CoreError::NotIdentityCollection`] if any view is not an
     /// identity, or the views cover more than one global relation.
     pub fn as_identity(&self) -> Result<IdentityCollection, CoreError> {
+        let (relation, arity) = self.identity_relation()?;
+        Ok(IdentityCollection {
+            relation,
+            arity,
+            sources: self
+                .sources
+                .iter()
+                .map(SourceDescriptor::identity_source)
+                .collect(),
+        })
+    }
+
+    /// [`as_identity`](Self::as_identity), taking the extension tuples
+    /// over instead of cloning them.
+    ///
+    /// # Errors
+    /// As [`as_identity`](Self::as_identity).
+    pub fn into_identity(self) -> Result<IdentityCollection, CoreError> {
+        let (relation, arity) = self.identity_relation()?;
+        Ok(IdentityCollection {
+            relation,
+            arity,
+            sources: self
+                .sources
+                .into_iter()
+                .map(SourceDescriptor::into_identity_source)
+                .collect(),
+        })
+    }
+
+    /// The one global relation, with its arity, that every view is the
+    /// identity over.
+    fn identity_relation(&self) -> Result<(RelName, usize), CoreError> {
         let mut relation: Option<(RelName, usize)> = None;
-        let mut sources = Vec::with_capacity(self.sources.len());
         for s in &self.sources {
             let rel = s
                 .view()
@@ -163,22 +195,9 @@ impl SourceCollection {
                     }
                 }
             }
-            sources.push(IdentitySource {
-                name: s.name().to_owned(),
-                // lint-allow(source-provider): identity-view reinterpretation
-                // is a catalog-snapshot constructor, below the provider
-                tuples: s.extension().iter().map(|f| f.args.clone()).collect(),
-                completeness: s.completeness(),
-                soundness: s.soundness(),
-            });
         }
-        let (relation, arity) = relation.ok_or_else(|| CoreError::NotIdentityCollection {
+        relation.ok_or_else(|| CoreError::NotIdentityCollection {
             message: "empty collection has no distinguished relation".into(),
-        })?;
-        Ok(IdentityCollection {
-            relation,
-            arity,
-            sources,
         })
     }
 }

@@ -143,7 +143,9 @@ fn parse_error(line_no: usize, message: impl Into<String>) -> CoreError {
 /// Parses a delta-stream document: ordered `batch { ... }` blocks, each
 /// holding `source <name> { insert: ... delete: ... }` blocks whose
 /// facts use the same syntax as `extension:` lines in catalog documents.
-/// `#` and `//` comments and blank lines are ignored.
+/// `#` and `//` comments and blank lines are ignored; as in catalogs, a
+/// comment in an `insert:`/`delete:` value starts only outside a quoted
+/// constant.
 ///
 /// # Examples
 ///
@@ -232,6 +234,9 @@ pub fn parse_delta_stream(text: &str) -> Result<Vec<DeltaBatch>, CoreError> {
                     .and_then(|b| b.deltas.last_mut())
                     // lint-allow(no-panic): State::InSource is only entered after pushing a delta
                     .expect("inside a source block");
+                // The facts go to the lexer uncut: it skips comments
+                // itself, and only outside quoted constants.
+                let value = raw.split_once(':').map_or(value, |(_, v)| v);
                 let facts = parse_facts(value.trim())?;
                 match key.trim() {
                     "insert" => delta.insert.extend(facts),
@@ -957,7 +962,7 @@ mod tests {
                 deltas: vec![SourceDelta {
                     source: "S1".into(),
                     delete: vec![fact("V1(a)")],
-                    insert: vec![fact("V1(d)"), fact("V1(e)")],
+                    insert: vec![fact("V1(d)"), fact("V1('e#1')"), fact("V1(\"it's\")")],
                 }],
             },
             DeltaBatch { deltas: vec![] },

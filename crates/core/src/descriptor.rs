@@ -1,5 +1,6 @@
 //! Source descriptors `⟨φ, v, c, s⟩` (Section 2.3).
 
+use crate::collection::IdentitySource;
 use crate::error::CoreError;
 use pscds_numeric::Frac;
 use pscds_relational::{ConjunctiveQuery, Fact, RelName};
@@ -192,6 +193,28 @@ impl SourceDescriptor {
     #[must_use]
     pub fn is_identity(&self) -> bool {
         self.view.identity_over().is_some()
+    }
+
+    /// The source as an identity-view source: its extension's argument
+    /// tuples, cloned.
+    pub(crate) fn identity_source(&self) -> IdentitySource {
+        IdentitySource {
+            name: self.name.clone(),
+            tuples: self.extension.iter().map(|f| f.args.clone()).collect(),
+            completeness: self.completeness,
+            soundness: self.soundness,
+        }
+    }
+
+    /// [`identity_source`](Self::identity_source), moving the tuples
+    /// out of the facts.
+    pub(crate) fn into_identity_source(self) -> IdentitySource {
+        IdentitySource {
+            name: self.name,
+            tuples: self.extension.into_iter().map(|f| f.args).collect(),
+            completeness: self.completeness,
+            soundness: self.soundness,
+        }
     }
 }
 

@@ -16,26 +16,57 @@
 //!   completeness: 1/2
 //!   soundness: 1/2
 //!   extension: V2(b).
-//!   extension: V2(c).            # may repeat / span lines
+//!   extension: V2('c#1').        # may repeat / span lines
 //! }
 //! ```
 //!
-//! Bounds accept `n/d`, decimals (`0.25`, converted exactly) and integers.
-//! Lines starting with `#` (or `//`) are comments.
+//! The grammar is line-based: one item per line.
+//!
+//! ```text
+//! document  :=  (block | blank)*
+//! block     :=  "source" NAME "{"  entry*  "}"
+//! entry     :=  "view:" rule  |  "extension:" facts
+//!            |  "completeness:" bound  |  "soundness:" bound
+//! ```
+//!
+//! `rule` and `facts` are the syntax of [`pscds_relational::parser`]:
+//! constants are identifiers, integers, or quoted with `'` or `"` (no
+//! escapes). `view`, `completeness` and `soundness` may appear once per
+//! block; `extension:` may repeat, and the bounds default to 0. Bounds
+//! accept `n/d`, decimals (`0.25`, converted exactly) and integers.
+//!
+//! **Comments.** `#` or `//` starts a comment that runs to the end of the
+//! line. Inside a `view:` or `extension:` value a comment starts only
+//! outside a quoted constant, so `'a#b'` is one symbol, and `%` starts
+//! one there too. A source name is a plain word: on the other lines the
+//! first `#` or `//` starts the comment.
+//!
+//! **Errors** are [`CoreError::InvalidDescriptor`] whose `source` reads
+//! `line L, column C`: 1-based, with the column counted in characters
+//! of the raw line. A syntax error inside a view or an extension points
+//! at the offending token; a descriptor that fails validation (a bound
+//! above 1, a fact that does not match the view head) at its block's
+//! closing `}`; a block left open at its `source` keyword.
+//!
+//! [`format_collection`] writes what [`parse_collection`] reads back,
+//! except for a symbol holding both quote kinds or a line break, which
+//! the format cannot represent.
 
 use crate::collection::SourceCollection;
 use crate::descriptor::SourceDescriptor;
 use crate::error::CoreError;
 use pscds_numeric::{Frac, Rational, UBig};
 use pscds_relational::parser::{parse_facts, parse_rule};
-use pscds_relational::Fact;
+use pscds_relational::{Fact, RelError};
 use std::fmt::Write as _;
 
-fn parse_error(line_no: usize, message: impl Into<String>) -> CoreError {
-    CoreError::InvalidDescriptor {
-        source: format!("line {line_no}"),
-        message: message.into(),
-    }
+/// Splits `line`, which starts at byte `at` of its raw line, at its
+/// first `:` into the trimmed key, the trimmed value, and the value's
+/// byte offset in the raw line.
+fn key_value(line: &str, at: usize) -> Option<(&str, &str, usize)> {
+    let (key, after) = line.split_once(':')?;
+    let value = after.trim_start();
+    Some((key.trim(), value.trim_end(), at + line.len() - value.len()))
 }
 
 /// Parses a source-collection document.
@@ -54,12 +85,14 @@ fn parse_error(line_no: usize, message: impl Into<String>) -> CoreError {
 /// ```
 ///
 /// # Errors
-/// Returns [`CoreError::InvalidDescriptor`] with a line reference for any
-/// structural problem, and propagates view/fact parse errors.
+/// Returns [`CoreError::InvalidDescriptor`] naming the line and column
+/// of any syntax error, including one inside a view or an extension, and
+/// of the closing `}` of a source whose descriptor fails validation.
 pub fn parse_collection(text: &str) -> Result<SourceCollection, CoreError> {
     struct Partial {
         name: String,
-        opened_at: usize,
+        /// Where the block opened, for a missing `}`.
+        opened: CoreError,
         view: Option<pscds_relational::ConjunctiveQuery>,
         completeness: Option<Frac>,
         soundness: Option<Frac>,
@@ -70,9 +103,40 @@ pub fn parse_collection(text: &str) -> Result<SourceCollection, CoreError> {
     let mut current: Option<Partial> = None;
 
     for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        // Strip comments (outside of quoted constants this is unambiguous;
-        // quoted symbols containing '#' are not supported in this format).
+        // An error at byte `byte` of this line; its column counts the
+        // characters before it, from 1.
+        let at = |byte: usize, message: String| CoreError::InvalidDescriptor {
+            source: format!(
+                "line {}, column {}",
+                idx + 1,
+                raw[..byte].chars().count() + 1
+            ),
+            message,
+        };
+        let indent = raw.len() - raw.trim_start().len();
+        if let (Some(partial), Some((key @ ("view" | "extension"), value, start))) =
+            (current.as_mut(), key_value(raw, 0))
+        {
+            // The value goes to the lexer whole: it skips comments
+            // itself, and only outside quoted constants. A parse error
+            // points at its token, any other error at the value.
+            let in_value = |e: RelError| match e {
+                RelError::Parse { message, offset } => at(start + offset, message),
+                other => at(start, other.to_string()),
+            };
+            if key == "extension" {
+                partial
+                    .extension
+                    .extend(parse_facts(value).map_err(in_value)?);
+            } else if partial.view.is_some() {
+                return Err(at(indent, "duplicate `view:`".into()));
+            } else {
+                partial.view = Some(parse_rule(value).map_err(in_value)?);
+            }
+            continue;
+        }
+        // Every other line holds no quoted text: a comment starts at the
+        // first `#` or `//`.
         let without_hash = raw.find('#').map_or(raw, |i| &raw[..i]);
         let line = without_hash
             .find("//")
@@ -85,14 +149,14 @@ pub fn parse_collection(text: &str) -> Result<SourceCollection, CoreError> {
             (None, l) if l.starts_with("source") => {
                 let rest = l["source".len()..].trim();
                 let Some(name) = rest.strip_suffix('{').map(str::trim) else {
-                    return Err(parse_error(line_no, "expected `source <name> {`"));
+                    return Err(at(indent, "expected `source <name> {`".into()));
                 };
                 if name.is_empty() {
-                    return Err(parse_error(line_no, "source name missing"));
+                    return Err(at(indent, "source name missing".into()));
                 }
                 current = Some(Partial {
                     name: name.to_owned(),
-                    opened_at: line_no,
+                    opened: at(indent, format!("source {name} is missing its closing `}}`")),
                     view: None,
                     completeness: None,
                     soundness: None,
@@ -100,75 +164,52 @@ pub fn parse_collection(text: &str) -> Result<SourceCollection, CoreError> {
                 });
             }
             (None, other) => {
-                return Err(parse_error(
-                    line_no,
+                return Err(at(
+                    indent,
                     format!("unexpected {other:?} outside a source block"),
                 ));
             }
             (Some(partial), "}") => {
-                let view = partial.view.take().ok_or_else(|| {
-                    parse_error(line_no, format!("source {} has no `view:`", partial.name))
-                })?;
+                let view = partial
+                    .view
+                    .take()
+                    .ok_or_else(|| at(indent, format!("source {} has no `view:`", partial.name)))?;
                 let descriptor = SourceDescriptor::new(
                     partial.name.clone(),
                     view,
                     std::mem::take(&mut partial.extension),
                     partial.completeness.unwrap_or(Frac::ZERO),
                     partial.soundness.unwrap_or(Frac::ZERO),
-                )?;
+                )
+                .map_err(|e| match e {
+                    CoreError::InvalidDescriptor { source, message } => {
+                        at(indent, format!("source {source}: {message}"))
+                    }
+                    other => at(indent, other.to_string()),
+                })?;
                 collection.push(descriptor);
                 current = None;
             }
             (Some(partial), l) => {
-                let Some((key, value)) = l.split_once(':') else {
-                    return Err(parse_error(
-                        line_no,
-                        format!("expected `key: value`, found {l:?}"),
-                    ));
+                let Some((key, value, start)) = key_value(l, indent) else {
+                    return Err(at(indent, format!("expected `key: value`, found {l:?}")));
                 };
-                let value = value.trim();
-                match key.trim() {
-                    "view" => {
-                        if partial.view.is_some() {
-                            return Err(parse_error(line_no, "duplicate `view:`"));
-                        }
-                        partial.view = Some(parse_rule(value)?);
-                    }
-                    "completeness" => {
-                        if partial.completeness.is_some() {
-                            return Err(parse_error(line_no, "duplicate `completeness:`"));
-                        }
-                        let frac: Frac = value
-                            .parse()
-                            .map_err(|e| parse_error(line_no, format!("{e}")))?;
-                        partial.completeness = Some(frac);
-                    }
-                    "soundness" => {
-                        if partial.soundness.is_some() {
-                            return Err(parse_error(line_no, "duplicate `soundness:`"));
-                        }
-                        let frac: Frac = value
-                            .parse()
-                            .map_err(|e| parse_error(line_no, format!("{e}")))?;
-                        partial.soundness = Some(frac);
-                    }
-                    "extension" => {
-                        partial.extension.extend(parse_facts(value)?);
-                    }
-                    other => {
-                        return Err(parse_error(line_no, format!("unknown key {other:?}")));
-                    }
+                let slot = match key {
+                    "completeness" => &mut partial.completeness,
+                    "soundness" => &mut partial.soundness,
+                    other => return Err(at(indent, format!("unknown key {other:?}"))),
+                };
+                if slot.is_some() {
+                    return Err(at(indent, format!("duplicate `{key}:`")));
                 }
+                *slot = Some(value.parse().map_err(|e| at(start, format!("{e}")))?);
             }
         }
     }
-    if let Some(partial) = current {
-        return Err(parse_error(
-            partial.opened_at,
-            format!("source {} is missing its closing `}}`", partial.name),
-        ));
+    match current {
+        Some(partial) => Err(partial.opened),
+        None => Ok(collection),
     }
-    Ok(collection)
 }
 
 /// Renders a confidence interval in the canonical `[lo, hi]` form with
@@ -396,5 +437,220 @@ source S {
     fn comments_and_blank_lines_ignored() {
         let text = "\n# heading\n\nsource S { // trailing\n view: V(x) <- R(x) # why not\n}\n";
         assert_eq!(parse_collection(text).unwrap().len(), 1);
+    }
+
+    /// A one-source document whose line 5 is `extension: {value}`.
+    fn with_extension(value: &str) -> String {
+        format!(
+            "# header\nsource S {{\n  view: V(x) <- R(x)\n  soundness: 1\n  extension: {value}\n}}\n"
+        )
+    }
+
+    #[test]
+    fn extension_errors_name_line_and_column() {
+        for (value, expected) in [
+            (
+                "V(a). V(b.",
+                "line 5, column 23: expected ',' or ')', found '.'",
+            ),
+            (
+                "V(99999999999999999999)",
+                "line 5, column 16: invalid integer literal '99999999999999999999'",
+            ),
+            ("V(-)", "line 5, column 16: invalid integer literal '-'"),
+            (
+                "V('unterminated",
+                "line 5, column 16: unterminated quoted constant",
+            ),
+        ] {
+            let err = parse_collection(&with_extension(value)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid source descriptor {expected}"),
+                "{value:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn columns_count_characters() {
+        // `ü` and `→` are two and three bytes; the column counts each as
+        // one character.
+        let err = parse_collection(&with_extension("V(ü). V(→)")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("line 5, column 22: unexpected character '→'"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn view_and_structure_errors_name_line_and_column() {
+        for (text, needle) in [
+            ("source S {\n  view: V(x) <- R(x\n}", "line 2, column 20:"),
+            (
+                "source S {\n  view: V(x, w) <- R(x)\n}",
+                "line 2, column 9: unsafe query",
+            ),
+            ("  view: V(x) <- R(x)", "line 1, column 3: unexpected"),
+            (
+                "source S {\n  completeness: 5/4\n view: V(x) <- R(x)\n}",
+                "line 4, column 1: source S: completeness",
+            ),
+            (
+                "source S {\n  soundness: 1/x\n}",
+                "line 2, column 14: invalid fraction",
+            ),
+            (
+                "\n  source S {\n view: V(x) <- R(x)",
+                "line 2, column 3: source S is missing",
+            ),
+            (
+                "source S {\n view: V(x) <- R(x)\n extension: W(a).\n}",
+                "line 4, column 1: source S: extension fact W(a)",
+            ),
+        ] {
+            let err = parse_collection(text).unwrap_err().to_string();
+            assert!(
+                err.contains(needle),
+                "{text:?}: expected {needle:?} in {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn quoted_constants_keep_comment_characters() {
+        let parsed = parse_collection(&with_extension(
+            "V('a#b'). V(\"it's\"). V('c//d'). V('50%') # a comment: V(e). // more",
+        ))
+        .unwrap();
+        let ext = parsed.sources()[0].extension();
+        let symbols: Vec<String> = ext.iter().map(|f| f.args[0].to_string()).collect();
+        assert_eq!(symbols, ["50%", "a#b", "c//d", "it's"]);
+        assert_eq!(
+            parse_collection(&format_collection(&parsed)).unwrap(),
+            parsed
+        );
+        assert!(format_collection(&parsed).contains("V(\"it's\")."));
+    }
+
+    mod round_trip_property {
+        use super::*;
+        use proptest::prelude::*;
+        use pscds_relational::parser::format_fact;
+        use pscds_relational::{Atom, ConjunctiveQuery, Term};
+
+        fn value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                prop_oneof![Just(i64::MIN), Just(i64::MAX), -99i64..99].prop_map(Value::int),
+                "[a-z_][a-z0-9_]{0,4}".prop_map(|s| Value::sym(&s)),
+                "[α-ωA-Z][α-ω0-9]{0,3}".prop_map(|s| Value::sym(&s)),
+                "[a-c ,.#/%()']{0,6}".prop_map(|s| Value::sym(&s)),
+            ]
+        }
+
+        fn comment() -> impl Strategy<Value = String> {
+            "[a-z '#/%().]{0,8}"
+        }
+
+        /// A source: its view constant, bounds `(n, d)` each, facts, and
+        /// the comments to interleave.
+        type Spec = (
+            Value,
+            (u64, u64),
+            (u64, u64),
+            Vec<(Value, Value)>,
+            Vec<String>,
+        );
+
+        fn spec() -> impl Strategy<Value = Spec> {
+            (
+                value(),
+                (0u64..=4, 1u64..=4),
+                (0u64..=4, 1u64..=4),
+                proptest::collection::vec((value(), value()), 0..7),
+                proptest::collection::vec(comment(), 6),
+            )
+        }
+
+        fn build(specs: &[Spec]) -> SourceCollection {
+            let bound = |(n, d): (u64, u64)| Frac::new(n.min(d), d);
+            let sources = specs
+                .iter()
+                .enumerate()
+                .map(|(i, (constant, c, s, facts, _))| {
+                    let head = format!("V{i}");
+                    let view = ConjunctiveQuery::new(
+                        Atom::new(head.as_str(), [Term::var("x"), Term::var("y")]),
+                        vec![Atom::new(
+                            "R",
+                            [Term::var("x"), Term::var("y"), Term::Const(*constant)],
+                        )],
+                    )
+                    .unwrap();
+                    let facts = facts.iter().map(|&(a, b)| Fact::new(head.as_str(), [a, b]));
+                    SourceDescriptor::new(format!("S{i}"), view, facts, bound(*c), bound(*s))
+                        .unwrap()
+                });
+            SourceCollection::from_sources(sources.collect::<Vec<_>>())
+        }
+
+        /// The collection written by hand: facts spread over several
+        /// `extension:` lines, with `#`, `//` and `%` comments between
+        /// and after them.
+        fn hand_written(collection: &SourceCollection, specs: &[Spec]) -> String {
+            let mut out = String::new();
+            for (source, (.., comments)) in collection.sources().iter().zip(specs) {
+                let _ = writeln!(
+                    out,
+                    "# {}\nsource {} {{ // {}",
+                    comments[0],
+                    source.name(),
+                    comments[1]
+                );
+                let _ = writeln!(out, "  view: {} % {}", source.view(), comments[2]);
+                let _ = writeln!(
+                    out,
+                    "  completeness: {} # {}",
+                    source.completeness(),
+                    comments[3]
+                );
+                let _ = writeln!(
+                    out,
+                    "  // {}\n  soundness: {}",
+                    comments[4],
+                    source.soundness()
+                );
+                let facts: Vec<&Fact> = source.extension().iter().collect();
+                for (k, chunk) in facts.chunks(2).enumerate() {
+                    let rendered: Vec<String> = chunk
+                        .iter()
+                        .map(|f| format!("{}.", format_fact(f)))
+                        .collect();
+                    let marker = ["#", "//", "%"][k % 3];
+                    let _ = writeln!(
+                        out,
+                        "  extension: {} {marker} {}",
+                        rendered.join(" "),
+                        comments[5]
+                    );
+                }
+                let _ = writeln!(out, "}}");
+            }
+            out
+        }
+
+        proptest! {
+            #[test]
+            fn format_then_parse_is_identity(specs in proptest::collection::vec(spec(), 1..4)) {
+                let collection = build(&specs);
+                let text = format_collection(&collection);
+                let reparsed = parse_collection(&text).unwrap_or_else(|e| panic!("{text}\n{e}"));
+                prop_assert_eq!(&reparsed, &collection);
+                let text = hand_written(&collection, &specs);
+                let reparsed = parse_collection(&text).unwrap_or_else(|e| panic!("{text}\n{e}"));
+                prop_assert_eq!(reparsed, collection);
+            }
+        }
     }
 }

@@ -2,10 +2,11 @@
 //! notation.
 //!
 //! ```text
-//! rule  :=  atom "<-" atom ("," atom)*        // also "←" accepted
+//! rule  :=  atom "<-" atom ("," atom)* "."?    // also ":-" and "←"
 //! atom  :=  IDENT "(" term ("," term)* ")"  | IDENT "(" ")"
-//! term  :=  INTEGER | QUOTED | IDENT          // in rules: lowercase IDENT = variable
+//! term  :=  INTEGER | QUOTED | IDENT           // in rules: lowercase IDENT = variable
 //! fact  :=  like atom, but IDENTs are constants
+//! facts :=  (fact "."?)*
 //! ```
 //!
 //! In rule bodies and heads, an identifier starting with a lowercase letter
@@ -15,6 +16,21 @@
 //! integer literals are integer constants. When parsing *facts* (view
 //! extension contents), every identifier is a constant, so `R(a)` is the
 //! fact with the symbol `a` — exactly how the paper writes extensions.
+//!
+//! Lexemes: an IDENT starts with a letter or `_` and continues with
+//! letters, digits and `_` (Unicode letters and digits count); an INTEGER
+//! is an optional `-` and ASCII digits that fit an `i64`; a QUOTED
+//! constant runs from `'` or `"` to the next occurrence of the same quote,
+//! with no escapes, so it may hold the other quote kind but not its own.
+//! Whitespace separates tokens, and `#`, `%` or `//` outside a quoted
+//! constant starts a comment that runs to the end of the line.
+//!
+//! One lexer serves every entry point. Its tokens borrow their text from
+//! the input, a fact is built in place, and a fact list interns its
+//! relation name once rather than once per fact, so reading a fact
+//! allocates only its argument vector. Errors are [`RelError::Parse`]
+//! with the byte offset of the offending token, and quote the token's
+//! source text.
 
 use crate::atom::Atom;
 use crate::cq::ConjunctiveQuery;
@@ -24,16 +40,53 @@ use crate::schema::RelName;
 use crate::term::Term;
 use crate::value::Value;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token; text tokens borrow from the input.
+#[derive(Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
-    Quoted(String),
+    /// The text between the quotes.
+    Quoted(&'a str),
     LParen,
     RParen,
     Comma,
     Arrow,
     Period,
+}
+
+/// A token with its source text and byte offset.
+#[derive(Clone, Copy)]
+struct Token<'a> {
+    tok: Tok<'a>,
+    text: &'a str,
+    offset: usize,
+}
+
+/// How many characters of a long token an error message quotes.
+const SNIPPET_CHARS: usize = 32;
+
+/// `text`, cut to [`SNIPPET_CHARS`] characters.
+fn snippet(text: &str) -> String {
+    match text.char_indices().nth(SNIPPET_CHARS) {
+        Some((cut, _)) => format!("{}…", &text[..cut]),
+        None => text.to_owned(),
+    }
+}
+
+impl Token<'_> {
+    /// The token as an error message shows it: its source text, in quotes
+    /// unless it is a quoted constant already.
+    fn describe(&self) -> String {
+        if self.text.starts_with(['\'', '"']) {
+            snippet(self.text)
+        } else {
+            format!("'{}'", snippet(self.text))
+        }
+    }
+}
+
+fn parse_error(offset: usize, message: String) -> RelError {
+    RelError::Parse { message, offset }
 }
 
 struct Lexer<'a> {
@@ -42,236 +95,260 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src, pos: 0 }
-    }
-
-    fn err(&self, message: impl Into<String>) -> RelError {
-        RelError::Parse {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.rest().chars().next() {
-            if c.is_whitespace() {
-                self.pos += c.len_utf8();
-            } else if self.rest().starts_with("//") || self.rest().starts_with('%') {
-                // Line comments in either style.
-                match self.rest().find('\n') {
-                    Some(nl) => self.pos += nl + 1,
-                    None => self.pos = self.src.len(),
+    /// Skips whitespace and comments. ASCII is decided byte by byte;
+    /// only a non-ASCII character is decoded, to test it for whitespace.
+    fn skip_trivia(&mut self) {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'#' | b'%' => self.skip_line(),
+                b'/' if bytes.get(self.pos + 1) == Some(&b'/') => self.skip_line(),
+                _ if b.is_ascii() => {
+                    if !char::from(b).is_whitespace() {
+                        return;
+                    }
+                    self.pos += 1;
                 }
-            } else {
-                break;
+                _ => match self.src[self.pos..].chars().next() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return,
+                },
             }
         }
     }
 
-    fn next_tok(&mut self) -> Result<Option<(Tok, usize)>, RelError> {
-        self.skip_ws();
+    fn skip_line(&mut self) {
+        self.pos = match self.src.as_bytes()[self.pos..]
+            .iter()
+            .position(|&b| b == b'\n')
+        {
+            Some(nl) => self.pos + nl + 1,
+            None => self.src.len(),
+        };
+    }
+
+    /// The end of the identifier whose remaining characters start at
+    /// `end`.
+    fn ident_end(&self, mut end: usize) -> usize {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(end) {
+            if b.is_ascii_alphanumeric() || b == b'_' {
+                end += 1;
+            } else if b.is_ascii() {
+                break;
+            } else {
+                match self.src[end..].chars().next() {
+                    Some(c) if c.is_alphanumeric() => end += c.len_utf8(),
+                    _ => break,
+                }
+            }
+        }
+        end
+    }
+
+    /// The next token, or `None` at the end of the input.
+    fn token(&mut self) -> Result<Option<Token<'a>>, RelError> {
+        self.skip_trivia();
         let start = self.pos;
-        let Some(c) = self.rest().chars().next() else {
+        let bytes = self.src.as_bytes();
+        let Some(&first) = bytes.get(start) else {
             return Ok(None);
         };
-        let tok = match c {
-            '(' => {
-                self.pos += 1;
-                Tok::LParen
+        let (tok, end) = match first {
+            b'(' => (Tok::LParen, start + 1),
+            b')' => (Tok::RParen, start + 1),
+            b',' => (Tok::Comma, start + 1),
+            b'.' => (Tok::Period, start + 1),
+            b'<' | b':' if bytes.get(start + 1) == Some(&b'-') => (Tok::Arrow, start + 2),
+            b'\'' | b'"' => {
+                // The quote is ASCII, so a byte search cannot stop inside
+                // a multi-byte character.
+                let body = start + 1;
+                let Some(len) = bytes[body..].iter().position(|&b| b == first) else {
+                    return Err(parse_error(start, "unterminated quoted constant".into()));
+                };
+                (Tok::Quoted(&self.src[body..body + len]), body + len + 1)
             }
-            ')' => {
-                self.pos += 1;
-                Tok::RParen
+            b'-' | b'0'..=b'9' => {
+                let digits = bytes[start + 1..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count();
+                let end = start + 1 + digits;
+                let text = &self.src[start..end];
+                let value = text.parse().map_err(|_| {
+                    parse_error(
+                        start,
+                        format!("invalid integer literal '{}'", snippet(text)),
+                    )
+                })?;
+                (Tok::Int(value), end)
             }
-            ',' => {
-                self.pos += 1;
-                Tok::Comma
+            b'_' | b'a'..=b'z' | b'A'..=b'Z' => {
+                let end = self.ident_end(start + 1);
+                (Tok::Ident(&self.src[start..end]), end)
             }
-            '.' => {
-                self.pos += 1;
-                Tok::Period
-            }
-            '←' => {
-                self.pos += c.len_utf8();
-                Tok::Arrow
-            }
-            '<' if self.rest().starts_with("<-") => {
-                self.pos += 2;
-                Tok::Arrow
-            }
-            ':' if self.rest().starts_with(":-") => {
-                self.pos += 2;
-                Tok::Arrow
-            }
-            '\'' | '"' => {
-                let quote = c;
-                self.pos += 1;
-                let body_start = self.pos;
-                loop {
-                    match self.rest().chars().next() {
-                        Some(ch) if ch == quote => {
-                            let s = self.src[body_start..self.pos].to_owned();
-                            self.pos += 1;
-                            break Tok::Quoted(s);
-                        }
-                        Some(ch) => self.pos += ch.len_utf8(),
-                        None => return Err(self.err("unterminated quoted constant")),
-                    }
+            _ => match self.src[start..].chars().next() {
+                Some('←') => (Tok::Arrow, start + '←'.len_utf8()),
+                Some(c) if c.is_alphabetic() => {
+                    let end = self.ident_end(start + c.len_utf8());
+                    (Tok::Ident(&self.src[start..end]), end)
                 }
-            }
-            c if c.is_ascii_digit() || c == '-' => {
-                let mut end = self.pos + c.len_utf8();
-                while self.src[end..].starts_with(|ch: char| ch.is_ascii_digit()) {
-                    end += 1;
+                Some(c) => {
+                    return Err(parse_error(start, format!("unexpected character {c:?}")));
                 }
-                let text = &self.src[self.pos..end];
-                let value: i64 = text
-                    .parse()
-                    .map_err(|_| self.err(format!("invalid integer literal {text:?}")))?;
-                self.pos = end;
-                Tok::Int(value)
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut end = self.pos;
-                for ch in self.rest().chars() {
-                    if ch.is_alphanumeric() || ch == '_' {
-                        end += ch.len_utf8();
-                    } else {
-                        break;
-                    }
-                }
-                let text = self.src[self.pos..end].to_owned();
-                self.pos = end;
-                Tok::Ident(text)
-            }
-            other => return Err(self.err(format!("unexpected character {other:?}"))),
+                None => return Ok(None),
+            },
         };
-        Ok(Some((tok, start)))
+        self.pos = end;
+        Ok(Some(Token {
+            tok,
+            text: &self.src[start..end],
+            offset: start,
+        }))
     }
 }
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    peeked: Option<Option<(Tok, usize)>>,
+    /// The lookahead token; `None` at the end of the input.
+    next: Option<Token<'a>>,
+    /// The last fact's relation name and its symbol: every fact of an
+    /// extension repeats it, so the interner sees it once per list.
+    last_relation: Option<(&'a str, RelName)>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            lexer: Lexer::new(src),
-            peeked: None,
+    fn new(src: &'a str) -> Result<Self, RelError> {
+        let mut lexer = Lexer { src, pos: 0 };
+        let next = lexer.token()?;
+        Ok(Parser {
+            lexer,
+            next,
+            last_relation: None,
+        })
+    }
+
+    fn bump(&mut self) -> Result<Option<Token<'a>>, RelError> {
+        let token = self.next;
+        self.next = self.lexer.token()?;
+        Ok(token)
+    }
+
+    /// Consumes the lookahead if it is `tok`; reports whether it did.
+    fn eat(&mut self, tok: Tok<'_>) -> Result<bool, RelError> {
+        let at = self.next.is_some_and(|t| t.tok == tok);
+        if at {
+            self.bump()?;
+        }
+        Ok(at)
+    }
+
+    /// Consumes the lookahead, which must be `tok`.
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<(), RelError> {
+        match self.bump()? {
+            Some(t) if t.tok == tok => Ok(()),
+            other => Err(self.unexpected(other, what)),
         }
     }
 
-    fn peek(&mut self) -> Result<Option<&(Tok, usize)>, RelError> {
-        if self.peeked.is_none() {
-            self.peeked = Some(self.lexer.next_tok()?);
-        }
-        Ok(self.peeked.as_ref().unwrap().as_ref())
-    }
-
-    fn next(&mut self) -> Result<Option<(Tok, usize)>, RelError> {
-        match self.peeked.take() {
-            Some(t) => Ok(t),
-            None => self.lexer.next_tok(),
-        }
-    }
-
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), RelError> {
-        match self.next()? {
-            Some((tok, _)) if tok == *want => Ok(()),
-            Some((tok, offset)) => Err(RelError::Parse {
-                message: format!("expected {what}, found {tok:?}"),
-                offset,
-            }),
-            None => Err(RelError::Parse {
-                message: format!("expected {what}, found end of input"),
-                offset: self.lexer.src.len(),
-            }),
+    fn unexpected(&self, found: Option<Token<'a>>, expected: &str) -> RelError {
+        match found {
+            Some(t) => parse_error(
+                t.offset,
+                format!("expected {expected}, found {}", t.describe()),
+            ),
+            None => parse_error(
+                self.lexer.src.len(),
+                format!("expected {expected}, found end of input"),
+            ),
         }
     }
 
-    /// Parses `Name(arg, …)`; `idents_are_vars` controls whether lowercase
-    /// identifiers become variables (rules) or constants (facts).
-    fn atom(&mut self, idents_are_vars: bool) -> Result<Atom, RelError> {
-        let (name, offset) = match self.next()? {
-            Some((Tok::Ident(name), o)) => (name, o),
-            Some((tok, o)) => {
-                return Err(RelError::Parse {
-                    message: format!("expected relation name, found {tok:?}"),
-                    offset: o,
-                })
+    /// Fails unless the input is exhausted.
+    fn finish(&self, what: &str) -> Result<(), RelError> {
+        match self.next {
+            Some(t) => Err(parse_error(
+                t.offset,
+                format!("trailing input after {what}: {}", t.describe()),
+            )),
+            None => Ok(()),
+        }
+    }
+
+    fn relation(&mut self) -> Result<&'a str, RelError> {
+        match self.bump()? {
+            Some(Token {
+                tok: Tok::Ident(name),
+                ..
+            }) => Ok(name),
+            other => Err(self.unexpected(other, "relation name")),
+        }
+    }
+
+    /// Parses `( term, … )` after a relation name into `out`; `term`
+    /// maps a token to a term, or to `None` if it cannot start one.
+    fn args<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        mut term: impl FnMut(Tok<'a>) -> Option<T>,
+    ) -> Result<(), RelError> {
+        self.expect(Tok::LParen, "'('")?;
+        if self.eat(Tok::RParen)? {
+            return Ok(());
+        }
+        loop {
+            let token = self.bump()?;
+            match token.and_then(|t| term(t.tok)) {
+                Some(value) => out.push(value),
+                None => return Err(self.unexpected(token, "term")),
             }
-            None => {
-                return Err(RelError::Parse {
-                    message: "expected relation name, found end of input".into(),
-                    offset: self.lexer.src.len(),
-                })
+            match self.bump()? {
+                Some(t) if t.tok == Tok::Comma => {}
+                Some(t) if t.tok == Tok::RParen => return Ok(()),
+                other => return Err(self.unexpected(other, "',' or ')'")),
+            }
+        }
+    }
+
+    /// Parses a rule atom: lowercase identifiers are variables.
+    fn atom(&mut self) -> Result<Atom, RelError> {
+        let relation = RelName::new(self.relation()?);
+        let mut terms = Vec::new();
+        self.args(&mut terms, |tok| match tok {
+            Tok::Int(v) => Some(Term::int(v)),
+            Tok::Quoted(s) => Some(Term::sym(s)),
+            Tok::Ident(s) if s.starts_with(|c: char| c.is_lowercase() || c == '_') => {
+                Some(Term::var(s))
+            }
+            Tok::Ident(s) => Some(Term::sym(s)),
+            _ => None,
+        })?;
+        Ok(Atom { relation, terms })
+    }
+
+    /// Parses a fact, building its arguments in the reusable `scratch`
+    /// and copying them out into a vector of the exact length.
+    fn fact(&mut self, scratch: &mut Vec<Value>) -> Result<Fact, RelError> {
+        let name = self.relation()?;
+        let relation = match self.last_relation {
+            Some((last, relation)) if last == name => relation,
+            _ => {
+                let relation = RelName::new(name);
+                self.last_relation = Some((name, relation));
+                relation
             }
         };
-        let _ = offset;
-        self.expect(&Tok::LParen, "'('")?;
-        let mut terms = Vec::new();
-        if matches!(self.peek()?, Some((Tok::RParen, _))) {
-            self.next()?;
-        } else {
-            loop {
-                terms.push(self.term(idents_are_vars)?);
-                match self.next()? {
-                    Some((Tok::Comma, _)) => continue,
-                    Some((Tok::RParen, _)) => break,
-                    Some((tok, o)) => {
-                        return Err(RelError::Parse {
-                            message: format!("expected ',' or ')', found {tok:?}"),
-                            offset: o,
-                        })
-                    }
-                    None => {
-                        return Err(RelError::Parse {
-                            message: "unterminated atom".into(),
-                            offset: self.lexer.src.len(),
-                        })
-                    }
-                }
-            }
-        }
-        Ok(Atom::new(RelName::new(&name), terms))
-    }
-
-    fn term(&mut self, idents_are_vars: bool) -> Result<Term, RelError> {
-        match self.next()? {
-            Some((Tok::Int(v), _)) => Ok(Term::Const(Value::int(v))),
-            Some((Tok::Quoted(s), _)) => Ok(Term::Const(Value::sym(&s))),
-            Some((Tok::Ident(name), _)) => {
-                let is_var = idents_are_vars
-                    && name
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_lowercase() || c == '_');
-                if is_var {
-                    Ok(Term::var(&name))
-                } else {
-                    Ok(Term::Const(Value::sym(&name)))
-                }
-            }
-            Some((tok, o)) => Err(RelError::Parse {
-                message: format!("expected term, found {tok:?}"),
-                offset: o,
-            }),
-            None => Err(RelError::Parse {
-                message: "expected term, found end of input".into(),
-                offset: self.lexer.src.len(),
-            }),
-        }
-    }
-
-    fn at_end(&mut self) -> Result<bool, RelError> {
-        Ok(self.peek()?.is_none())
+        scratch.clear();
+        self.args(scratch, |tok| match tok {
+            Tok::Int(v) => Some(Value::Int(v)),
+            Tok::Ident(s) | Tok::Quoted(s) => Some(Value::sym(s)),
+            _ => None,
+        })?;
+        Ok(Fact {
+            relation,
+            args: scratch.to_vec(),
+        })
     }
 }
 
@@ -294,51 +371,35 @@ impl<'a> Parser<'a> {
 /// # Errors
 /// Returns parse or safety errors.
 pub fn parse_rule(src: &str) -> Result<ConjunctiveQuery, RelError> {
-    let mut p = Parser::new(src);
-    let head = p.atom(true)?;
-    p.expect(&Tok::Arrow, "'<-'")?;
-    let mut body = vec![p.atom(true)?];
-    while matches!(p.peek()?, Some((Tok::Comma, _))) {
-        p.next()?;
-        body.push(p.atom(true)?);
+    let mut p = Parser::new(src)?;
+    let head = p.atom()?;
+    p.expect(Tok::Arrow, "'<-'")?;
+    let mut body = vec![p.atom()?];
+    while p.eat(Tok::Comma)? {
+        body.push(p.atom()?);
     }
-    // Optional trailing period.
-    if matches!(p.peek()?, Some((Tok::Period, _))) {
-        p.next()?;
-    }
-    if !p.at_end()? {
-        let (tok, offset) = p.next()?.expect("peeked token exists");
-        return Err(RelError::Parse {
-            message: format!("trailing input after rule: {tok:?}"),
-            offset,
-        });
-    }
+    p.eat(Tok::Period)?;
+    p.finish("rule")?;
     ConjunctiveQuery::new(head, body)
 }
 
 /// Parses a single fact `R(a, 'b c', 42)`; identifiers are constants.
 ///
 /// # Errors
-/// Returns parse errors; a non-ground atom is impossible by construction.
+/// Returns parse errors.
 pub fn parse_fact(src: &str) -> Result<Fact, RelError> {
-    let mut p = Parser::new(src);
-    let atom = p.atom(false)?;
-    if matches!(p.peek()?, Some((Tok::Period, _))) {
-        p.next()?;
-    }
-    if !p.at_end()? {
-        let (tok, offset) = p.next()?.expect("peeked token exists");
-        return Err(RelError::Parse {
-            message: format!("trailing input after fact: {tok:?}"),
-            offset,
-        });
-    }
-    Ok(atom.to_fact().expect("fact atoms are ground"))
+    let mut p = Parser::new(src)?;
+    let fact = p.fact(&mut Vec::new())?;
+    p.eat(Tok::Period)?;
+    p.finish("fact")?;
+    Ok(fact)
 }
 
 /// Renders a fact so that [`parse_fact`] reads it back identically:
 /// symbolic constants that are not plain identifiers (or that could lex as
-/// something else) are quoted. Plain `Display` on [`Fact`] is the
+/// something else) are quoted, with `"` when the symbol holds a `'` and
+/// with `'` otherwise. A symbol that holds both quote kinds has no
+/// rendering the parser reads back. Plain `Display` on [`Fact`] is the
 /// human-readable form; this is the canonical interchange form.
 #[must_use]
 pub fn format_fact(fact: &Fact) -> String {
@@ -359,9 +420,10 @@ pub fn format_fact(fact: &Fact) -> String {
                 if is_ident {
                     out.push_str(text);
                 } else {
-                    out.push('\'');
+                    let quote = quote_for(text);
+                    out.push(quote);
                     out.push_str(text);
-                    out.push('\'');
+                    out.push(quote);
                 }
             }
         }
@@ -370,23 +432,29 @@ pub fn format_fact(fact: &Fact) -> String {
     out
 }
 
+/// The quote a rendered symbol is wrapped in: `"` if it holds a `'`,
+/// else `'`.
+pub(crate) fn quote_for(text: &str) -> char {
+    if text.contains('\'') {
+        '"'
+    } else {
+        '\''
+    }
+}
+
 /// Parses a list of facts separated by periods and/or newlines.
 ///
 /// # Errors
 /// Returns parse errors with offsets into the full input.
 pub fn parse_facts(src: &str) -> Result<Vec<Fact>, RelError> {
-    let mut p = Parser::new(src);
+    let mut p = Parser::new(src)?;
     let mut out = Vec::new();
-    loop {
-        if p.at_end()? {
-            return Ok(out);
-        }
-        let atom = p.atom(false)?;
-        out.push(atom.to_fact().expect("fact atoms are ground"));
-        if matches!(p.peek()?, Some((Tok::Period, _))) {
-            p.next()?;
-        }
+    let mut scratch = Vec::new();
+    while p.next.is_some() {
+        out.push(p.fact(&mut scratch)?);
+        p.eat(Tok::Period)?;
     }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -460,6 +528,9 @@ mod tests {
     fn parse_quoted_constants() {
         let f = parse_fact("Station(s1, 'New York')").unwrap();
         assert_eq!(f.args[1], Value::sym("New York"));
+        let f = parse_fact("R(\"it's\", 'say \"hi\"', 'a#b', 'c//d', '50%')").unwrap();
+        let texts: Vec<_> = f.args.iter().map(ToString::to_string).collect();
+        assert_eq!(texts, ["it's", "say \"hi\"", "a#b", "c//d", "50%"]);
     }
 
     #[test]
@@ -471,8 +542,9 @@ mod tests {
 
     #[test]
     fn parse_facts_with_comments() {
-        let facts = parse_facts("% the first source\nR(a). // inline\nR(b).").unwrap();
-        assert_eq!(facts.len(), 2);
+        let facts =
+            parse_facts("% the first source\nR(a). // inline\nR(b). # hash\nR(c).").unwrap();
+        assert_eq!(facts.len(), 3);
     }
 
     #[test]
@@ -482,15 +554,77 @@ mod tests {
     }
 
     #[test]
+    fn unicode_identifiers_and_whitespace() {
+        let f = parse_fact("Städte(Zürich,\u{a0}東京, _x9)").unwrap();
+        assert_eq!(f.relation, RelName::new("Städte"));
+        let texts: Vec<_> = f.args.iter().map(ToString::to_string).collect();
+        assert_eq!(texts, ["Zürich", "東京", "_x9"]);
+    }
+
+    #[test]
     fn errors_carry_offsets() {
         let err = parse_fact("R(a").unwrap_err();
-        assert!(matches!(err, RelError::Parse { .. }));
+        assert!(matches!(err, RelError::Parse { offset: 3, .. }), "{err}");
         let err = parse_rule("V(x) <- ").unwrap_err();
         assert!(matches!(err, RelError::Parse { .. }));
         let err = parse_fact("R(a) extra").unwrap_err();
         assert!(err.to_string().contains("trailing"));
         let err = parse_fact("R('unterminated").unwrap_err();
         assert!(err.to_string().contains("unterminated"));
+        assert!(matches!(err, RelError::Parse { offset: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn errors_quote_source_text() {
+        for (src, offset, message) in [
+            ("V(a). V(b.", 9, "expected ',' or ')', found '.'"),
+            (
+                "V(99999999999999999999)",
+                2,
+                "invalid integer literal '99999999999999999999'",
+            ),
+            ("V(-)", 2, "invalid integer literal '-'"),
+            ("V('unterminated", 2, "unterminated quoted constant"),
+            ("V(a) <- R(a)", 5, "expected relation name, found '<-'"),
+            ("V(a, 'b c' 'd')", 11, "expected ',' or ')', found 'd'"),
+            ("V(@)", 2, "unexpected character '@'"),
+        ] {
+            let err = parse_facts(src).unwrap_err();
+            assert_eq!(
+                err,
+                RelError::Parse {
+                    message: message.into(),
+                    offset
+                },
+                "{src:?}"
+            );
+        }
+        let long = format!("V({})", "9".repeat(100_000));
+        let err = parse_facts(&long).unwrap_err().to_string();
+        assert!(err.len() < 100, "{err}");
+    }
+
+    #[test]
+    fn format_fact_quotes_to_round_trip() {
+        for text in ["it's", "a#b", "two words", "-5", "", "x'\"y"] {
+            let fact = Fact::new("R", [Value::sym(text)]);
+            let rendered = format_fact(&fact);
+            if text.contains('\'') && text.contains('"') {
+                // Not representable: the lexer has no escapes.
+                assert!(parse_fact(&rendered).is_err(), "{rendered}");
+            } else {
+                assert_eq!(parse_fact(&rendered).unwrap(), fact, "{rendered}");
+            }
+        }
+        let quoted = Fact::new("R", [Value::sym("it's")]);
+        assert_eq!(format_fact(&quoted), "R(\"it's\")");
+    }
+
+    #[test]
+    fn fact_arguments_have_exact_capacity() {
+        let facts = parse_facts("V(a). V(b, 2). W(a, 'a', 3)").unwrap();
+        assert_eq!(facts[2].relation, RelName::new("W"));
+        assert!(facts.iter().all(|f| f.args.capacity() == f.args.len()));
     }
 
     #[test]

@@ -113,7 +113,8 @@ impl fmt::Display for Term {
                 if is_upper_ident {
                     write!(f, "{text}")
                 } else {
-                    write!(f, "'{text}'")
+                    let quote = crate::parser::quote_for(text);
+                    write!(f, "{quote}{text}{quote}")
                 }
             }
             Term::Const(c) => write!(f, "{c}"),

@@ -341,6 +341,64 @@ seq 0 2999 | awk '
     }
 )
 
+# Catalog parse gate (DESIGN.md §3.2): quoted constants may hold `#`,
+# `'` and `//` beside real comments. Such a catalog must keep every
+# constant through `pscds info` (8 extension tuples) and print the same
+# table at 1 and 4 threads with the quoted symbols intact. A malformed
+# extension on line 5 must exit 2 and name its line and column.
+echo "==> catalog parse gate (quoted comment characters, positioned errors)"
+cat > "$smoke_dir/quoted.pscds" <<'EOT'
+# Constants that hold comment characters and quotes.
+source S1 {   // a comment
+  view: V1(x) <- R(x)   % a comment
+  completeness: 1/4     # a comment
+  soundness: 1/2
+  extension: V1('a#b'). V1("it's"). V1('c//d'). # a comment
+  extension: V1('50%'). V1(plain). // a comment
+}
+source S2 {
+  view: V2(x) <- R(x)
+  soundness: 1
+  extension: V2('a#b'). V2("it's"). V2(other).
+}
+EOT
+printf 'source S {\n  view: V(x) <- R(x)\n  soundness: 1\n  # the next line is malformed\n  extension: V(a). V(b.\n}\n' \
+    > "$smoke_dir/malformed.pscds"
+(
+    cd "$smoke_dir"
+    pscds_cli info quoted.pscds > quoted-info.txt
+    grep -qx 'Σ|v_i| = 8' quoted-info.txt || {
+        echo "pscds info lost constants of quoted.pscds:" >&2
+        cat quoted-info.txt >&2
+        exit 1
+    }
+    for threads in 1 4; do
+        pscds_cli confidence quoted.pscds --padding 1 --threads "$threads" \
+            > "quoted-t$threads.txt"
+    done
+    diff -u quoted-t1.txt quoted-t4.txt || {
+        echo "quoted-constant tables differ between --threads 1 and --threads 4" >&2
+        exit 1
+    }
+    for row in 'R(a#b)  1' "R(it's)  1" 'R(c//d)  4/7' 'R(50%)  4/7'; do
+        grep -qF "  $row  " quoted-t1.txt || {
+            echo "quoted-constant table lacks the row '$row'" >&2
+            exit 1
+        }
+    done
+    status=0
+    pscds_cli confidence malformed.pscds > /dev/null 2> malformed-err.txt || status=$?
+    [ "$status" -eq 2 ] || {
+        echo "a malformed catalog must exit 2 (got $status)" >&2
+        exit 1
+    }
+    grep -q 'line 5, column' malformed-err.txt || {
+        echo "the malformed catalog's error names no line and column:" >&2
+        cat malformed-err.txt >&2
+        exit 1
+    }
+)
+
 # Ladder gate (DESIGN.md §3.10): a catalog whose planned exact rung
 # picks the DP, traced at two thread counts. Eight sources with nine
 # disjoint tuples each, completeness 0 and soundness 1/4 give ~7^8
