@@ -29,12 +29,14 @@
 //!   first, so children carry smaller ids than their parents. A compile
 //!   allocates per level, never per node or per edge.
 //! * **Query** ([`analyze_circuit`], [`analyze_circuit_conditional`],
-//!   [`analyze_circuit_topk`]): every question becomes one or two linear
-//!   passes over the node arena. All per-tuple confidences come from the
-//!   bottom-up count pass (done once, at compile time) plus a single
-//!   top-down reach pass; a conditional confidence is one extra
-//!   bottom-up moment pass per conditioning event; top-k is a sort of
-//!   the per-class table the reach pass already produced.
+//!   [`analyze_circuit_topk`]): every question reads one **event table**
+//!   — for a per-class event vector `e`, the weight `W(e)` and every
+//!   `W(e + δ_c)` — built by one kernel of at most two linear passes
+//!   over the arena: a bottom-up moment pass (skipped at `e = 0`, whose
+//!   values are the compile-time counts) and a top-down reach pass.
+//!   Marginals and top-k read the table at `e = 0`; a conditional reads
+//!   the table at its evidence. Tables are memoized on the skeleton per
+//!   distinct `e`, so a repeated question costs a lookup.
 //!
 //! A [`CompiledCollection`] caches compiled circuits per collection
 //! structure, so one compile amortizes across arbitrarily many queries —
@@ -87,6 +89,7 @@ use crate::partition::ParallelConfig;
 use pscds_numeric::{Rational, RowCache, UBig};
 use pscds_obs::{names, MetricSet, ObsSession};
 use pscds_relational::Value;
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
@@ -184,7 +187,8 @@ const NO_NODE: u32 = u32::MAX;
 /// size)` class sequence — never of which tuples the classes hold, so
 /// structurally identical collections can share one (see
 /// [`CompiledCollection`]) and the delta engine can patch one in place
-/// (see `core::delta`).
+/// (see `core::delta`). The event tables it memoizes are member-free
+/// too.
 #[derive(Clone, Default)]
 pub(crate) struct CircuitSkeleton {
     nodes: Vec<Node>,
@@ -196,6 +200,44 @@ pub(crate) struct CircuitSkeleton {
     root: Option<u32>,
     binoms: Vec<UBig>,
     stats: CircuitStats,
+    /// Every finished event table, by event vector. Filled by queries,
+    /// never by a compile; a patch starts it empty.
+    tables: RefCell<HashMap<Box<[u64]>, Rc<EventTable>>>,
+}
+
+/// One event's answers. For the per-class event vector `e`,
+/// `W(e) = Σ_vec Π_j C(n_j, k_j) · k_j·(k_j−1)···(k_j−e_j+1)` weighs
+/// each world by the ways to pin `e_j` ordered distinct tuples inside
+/// its class-`j` selection. The table holds `weight = W(e)` and
+/// `joint[c] = W(e + δ_c)`. At `e = 0` these are the world count and
+/// the class containment numerators (one pinned tuple weighs a
+/// `k`-selection by `k`); for a class-`c` tuple outside an event `E` of
+/// `e_c < n_c` class-`c` tuples, `conf(t | E) = joint[c] / (W(E) ·
+/// (n_c − e_c))`, since the per-class falling normalizers cancel except
+/// for that one factor.
+#[derive(Clone)]
+struct EventTable {
+    weight: UBig,
+    joint: Vec<UBig>,
+}
+
+impl EventTable {
+    /// `joint[class] / (weight · remaining)`: the confidence of a class
+    /// tuple outside the event, `remaining` being the class's unpinned
+    /// tuples.
+    fn confidence(&self, class: usize, remaining: u64) -> Rational {
+        Rational::new(self.joint[class].clone(), self.weight.mul_u64(remaining))
+    }
+}
+
+/// `out = binom · k·(k−1)···(k−e+1)` for `k ≥ e`: an edge's weight in
+/// the passes at event count `e`, multiplied in place through `spare`.
+fn falling_into(binom: &UBig, k: u64, e: u64, out: &mut UBig, spare: &mut UBig) {
+    out.set_limbs(binom.limbs());
+    for step in 0..e {
+        out.mul_u64_into(k - step, spare);
+        std::mem::swap(out, spare);
+    }
 }
 
 impl CircuitSkeleton {
@@ -212,6 +254,126 @@ impl CircuitSkeleton {
     fn count(&self, id: usize) -> &[u64] {
         let [start, end] = self.nodes[id].limbs;
         &self.limbs[start as usize..end as usize]
+    }
+
+    /// Feasible count vectors of the whole circuit.
+    fn vectors(&self) -> u64 {
+        self.root
+            .map_or(0, |root| self.nodes[root as usize].vectors)
+    }
+
+    /// The event table at `e` (one count per class). A memo hit only
+    /// checks the budget, so a cancel or a deadline still trips it; a
+    /// miss runs the kernel, ticking one step per node per pass, and
+    /// memoizes the table only once it is whole.
+    fn table(&self, e: &[u64], budget: &Budget) -> Result<Rc<EventTable>, CoreError> {
+        if let Some(table) = self.tables.borrow().get(e) {
+            budget.check(QUERY_PHASE)?;
+            return Ok(Rc::clone(table));
+        }
+        // A copy made once the passes' buffers are freed packs into
+        // their space; the table itself, grown among them, would pin the
+        // gaps between them for the skeleton's lifetime (about 1 MiB of
+        // peak resident set on the benchmark's `delta_stream`).
+        let table = Rc::new(self.event_table(e, budget)?.clone());
+        self.tables.borrow_mut().insert(e.into(), Rc::clone(&table));
+        Ok(table)
+    }
+
+    /// The kernel. The bottom-up moment pass gives every node its suffix
+    /// weight `value_e(x) = Σ_edges C(n, k)·ff(k, e_level)·value_e(child)`,
+    /// where `ff(k, e) = k·(k−1)···(k−e+1)`; at `e = 0` that is the
+    /// compile-time count, so the pass is skipped. The top-down reach
+    /// pass then carries `reach_e(x)`, the sum over root-to-`x` paths of
+    /// the path's edge weights — the prefix weight the DFS tally keeps
+    /// per level. Every root-to-leaf path meets exactly one node per
+    /// level (a subtree is a leaf only past the last class), so the sum
+    /// over level-`c` nodes of `reach_e · Σ_edges C(n_c, k)·ff(k, e_c+1)
+    /// ·value_e(child)` is `W(e + δ_c)`: the same terms the DFS and the
+    /// DP's numerator shifting add, in exact integer arithmetic.
+    fn event_table(&self, e: &[u64], budget: &Budget) -> Result<EventTable, CoreError> {
+        let mut joint = vec![UBig::zero(); e.len()];
+        let Some(root) = self.root else {
+            return Ok(EventTable {
+                weight: UBig::zero(),
+                joint,
+            });
+        };
+        let root = root as usize;
+        let moments = if e.iter().any(|&count| count > 0) {
+            Some(self.moments(root, e, budget)?)
+        } else {
+            None
+        };
+        let value = |id: usize| moments.as_ref().map_or(self.count(id), |v| v[id].limbs());
+        let weight = UBig::from_limbs(value(root).to_vec());
+        if weight.is_zero() {
+            // No world holds the event: every `W(e + δ_c)` is zero too.
+            return Ok(EventTable { weight, joint });
+        }
+        // Children carry smaller ids than parents, so walking ids
+        // downward visits every parent before its children.
+        let mut reach = vec![UBig::zero(); root + 1];
+        reach[root] = UBig::one();
+        let [mut weighted, mut spare, mut path, mut scaled, mut child, mut term, mut contained] =
+            std::array::from_fn(|_| UBig::zero());
+        for id in (1..=root).rev() {
+            budget.tick(QUERY_PHASE)?;
+            if reach[id].is_zero() {
+                continue; // garbage a patch stranded, or ruled out by `e`
+            }
+            let level = self.nodes[id].level as usize;
+            let pinned = e[level];
+            contained.set_u64(0);
+            for edge in self.edges(id) {
+                let k = u64::from(edge.k);
+                if k < pinned {
+                    continue; // the falling factorial is zero
+                }
+                let binom = &self.binoms[edge.weight as usize];
+                let edge_weight = if pinned == 0 {
+                    binom
+                } else {
+                    falling_into(binom, k, pinned, &mut weighted, &mut spare);
+                    &weighted
+                };
+                reach[id].mul_into(edge_weight, &mut path);
+                reach[edge.child as usize].add_assign(&path);
+                if k > pinned {
+                    edge_weight.mul_u64_into(k - pinned, &mut scaled);
+                    child.set_limbs(value(edge.child as usize));
+                    scaled.mul_into(&child, &mut term);
+                    contained.add_assign(&term);
+                }
+            }
+            reach[id].mul_into(&contained, &mut term);
+            joint[level].add_assign(&term);
+        }
+        Ok(EventTable { weight, joint })
+    }
+
+    /// The kernel's bottom-up moment pass: `value_e` of every node up to
+    /// `root`.
+    fn moments(&self, root: usize, e: &[u64], budget: &Budget) -> Result<Vec<UBig>, CoreError> {
+        let mut value = vec![UBig::zero(); root + 1];
+        value[0] = UBig::one();
+        let [mut weighted, mut spare, mut term] = std::array::from_fn(|_| UBig::zero());
+        for id in 1..=root {
+            budget.tick(QUERY_PHASE)?;
+            let pinned = e[self.nodes[id].level as usize];
+            let (below, here) = value.split_at_mut(id);
+            for edge in self.edges(id) {
+                let k = u64::from(edge.k);
+                if k < pinned {
+                    continue; // the falling factorial is zero
+                }
+                let binom = &self.binoms[edge.weight as usize];
+                falling_into(binom, k, pinned, &mut weighted, &mut spare);
+                weighted.mul_into(&below[edge.child as usize], &mut term);
+                here[0].add_assign(&term);
+            }
+        }
+        Ok(value)
     }
 }
 
@@ -261,6 +423,29 @@ impl CompiledCircuit {
     /// The member-free half, for sharing and patching.
     pub(crate) fn skeleton(&self) -> &Rc<CircuitSkeleton> {
         &self.skeleton
+    }
+
+    /// The empty event: no tuple pinned in any class.
+    fn no_event(&self) -> Vec<u64> {
+        vec![0; self.analysis.classes().len()]
+    }
+
+    /// The marginal analysis the event table at `e = 0` holds.
+    fn marginals(&self, table: &EventTable) -> ConfidenceAnalysis {
+        ConfidenceAnalysis::from_parts(
+            self.analysis.clone(),
+            table.weight.clone(),
+            table.joint.clone(),
+            self.skeleton.vectors(),
+        )
+    }
+
+    /// The marginal analysis when the memo already holds its table: no
+    /// traversal and no budget (the delta engine's reuse tier).
+    pub(crate) fn memoized_analysis(&self) -> Option<ConfidenceAnalysis> {
+        let tables = self.skeleton.tables.borrow();
+        let table = tables.get(self.no_event().as_slice())?;
+        Some(self.marginals(table))
     }
 
     /// A structural digest of the circuit skeleton: node levels, edge
@@ -655,7 +840,11 @@ fn compile_onto(
     let (m, width) = (analysis.classes().len(), 3 * analysis.source_count());
     let fresh = resumed.is_none();
     let (mut arena, mut memo) = match resumed {
-        Some(resumed) => resumed,
+        Some((arena, memo)) => {
+            // The tables answered for the arena before the patch.
+            arena.tables.take();
+            (arena, memo)
+        }
         None => {
             // The accepting leaf: no edges, count 1.
             let leaf = Node {
@@ -710,11 +899,12 @@ fn compile_onto(
     Ok((CompiledCircuit { analysis, skeleton }, memo))
 }
 
-/// All tuple confidences from a compiled circuit: the bottom-up counts
-/// were fixed at compile time; this runs the single top-down reach pass
-/// that turns them into per-class containment numerators and assembles
-/// the same [`ConfidenceAnalysis`] the DFS and DP engines produce
-/// (bit-identical total, numerators, and feasible vector count).
+/// All tuple confidences from a compiled circuit: the event table at
+/// `e = 0` — the bottom-up counts were fixed at compile time, so a cold
+/// table costs the single top-down reach pass, and a memoized one a
+/// lookup — assembled into the same [`ConfidenceAnalysis`] the DFS and
+/// DP engines produce (bit-identical total, numerators, and feasible
+/// vector count).
 ///
 /// # Panics
 /// Never — the unlimited budget cannot trip; see
@@ -726,7 +916,8 @@ pub fn analyze_circuit(circuit: &CompiledCircuit) -> ConfidenceAnalysis {
         .expect("an unlimited budget never interrupts the traversal")
 }
 
-/// Budget-governed variant of [`analyze_circuit`]: one tick per node.
+/// Budget-governed variant of [`analyze_circuit`]: one tick per node
+/// when the table is cold, a budget check when it is memoized.
 ///
 /// # Errors
 /// [`CoreError::BudgetExceeded`] when the budget runs out mid-pass.
@@ -734,93 +925,8 @@ pub fn analyze_circuit_budgeted(
     circuit: &CompiledCircuit,
     budget: &Budget,
 ) -> Result<ConfidenceAnalysis, CoreError> {
-    let m = circuit.analysis.classes().len();
-    let mut class_numerators = vec![UBig::zero(); m];
-    let Some(root) = circuit.skeleton.root else {
-        return Ok(ConfidenceAnalysis::from_parts(
-            circuit.analysis.clone(),
-            UBig::zero(),
-            class_numerators,
-            0,
-        ));
-    };
-    let root = root as usize;
-    let skeleton = &circuit.skeleton;
-    // Top-down reach pass. Children carry smaller ids than parents, so
-    // walking ids downward visits every parent before its children.
-    // `reach[x]` accumulates Σ over root-to-x paths of the path's
-    // binomial product — the prefix weight the DFS tally keeps per
-    // level (`prefix[j]`). A class-`j` containment numerator is then
-    // Σ over level-`j` nodes of `reach · Σ_edges C(n_j, k) · k ·
-    // count(child)`, the same terms the DP's numerator shifting adds, in
-    // exact integer arithmetic.
-    let mut reach = vec![UBig::zero(); root + 1];
-    reach[root] = UBig::one();
-    let [mut path, mut child, mut term, mut scaled, mut contained] =
-        std::array::from_fn(|_| UBig::zero());
-    for id in (1..=root).rev() {
-        budget.tick(QUERY_PHASE)?;
-        if reach[id].is_zero() {
-            continue; // garbage a patch stranded
-        }
-        contained.set_u64(0);
-        for edge in skeleton.edges(id) {
-            let binom = &skeleton.binoms[edge.weight as usize];
-            reach[id].mul_into(binom, &mut path);
-            reach[edge.child as usize].add_assign(&path);
-            if edge.k > 0 {
-                child.set_limbs(skeleton.count(edge.child as usize));
-                binom.mul_into(&child, &mut term);
-                term.mul_u64_into(u64::from(edge.k), &mut scaled);
-                contained.add_assign(&scaled);
-            }
-        }
-        reach[id].mul_into(&contained, &mut term);
-        class_numerators[skeleton.nodes[id].level as usize].add_assign(&term);
-    }
-    Ok(ConfidenceAnalysis::from_parts(
-        circuit.analysis.clone(),
-        UBig::from_limbs(skeleton.count(root).to_vec()),
-        class_numerators,
-        skeleton.nodes[root].vectors,
-    ))
-}
-
-/// Bottom-up falling-factorial moment pass: returns
-/// `W(e) = Σ_vec Π_j C(n_j, k_j) · k_j·(k_j−1)···(k_j−e_j+1)`,
-/// the world count weighted by the number of ways to pin `e_j` ordered
-/// distinct tuples inside each class-`j` selection. Exact-key sharing
-/// shares whole suffix subtrees, so the moments factor over the arena
-/// exactly like the counts do.
-fn moment_pass(circuit: &CompiledCircuit, e: &[u64], budget: &Budget) -> Result<UBig, CoreError> {
-    let Some(root) = circuit.skeleton.root else {
-        return Ok(UBig::zero());
-    };
-    let root = root as usize;
-    let skeleton = &circuit.skeleton;
-    let mut value = vec![UBig::zero(); root + 1];
-    value[0] = UBig::one();
-    let mut scratch = UBig::zero();
-    for id in 1..=root {
-        budget.tick(QUERY_PHASE)?;
-        let e_level = e[skeleton.nodes[id].level as usize];
-        let mut acc = UBig::zero();
-        for edge in skeleton.edges(id) {
-            let k = u64::from(edge.k);
-            if k < e_level {
-                continue; // falling factorial is zero
-            }
-            value[edge.child as usize]
-                .mul_into(&skeleton.binoms[edge.weight as usize], &mut scratch);
-            let mut term = scratch.clone();
-            for step in 0..e_level {
-                term = term.mul_u64(k - step);
-            }
-            acc.add_assign(&term);
-        }
-        value[id] = acc;
-    }
-    Ok(value[root].clone())
+    let table = circuit.skeleton.table(&circuit.no_event(), budget)?;
+    Ok(circuit.marginals(&table))
 }
 
 /// Per-class observed-tuple counts for a conditioning event, resolved
@@ -830,7 +936,7 @@ fn event_counts(
     collection: &IdentityCollection,
     given: &[Vec<Value>],
 ) -> Result<Vec<u64>, CoreError> {
-    let mut counts = vec![0u64; circuit.analysis.classes().len()];
+    let mut counts = circuit.no_event();
     let distinct: BTreeSet<&[Value]> = given.iter().map(Vec::as_slice).collect();
     for tuple in distinct {
         let idx = circuit
@@ -844,11 +950,10 @@ fn event_counts(
 /// Conditional confidence `confidence(t | E)`: the fraction of possible
 /// worlds containing every tuple of `E` that also contain `t` — the §5
 /// semantics with the uniform distribution restricted to the worlds
-/// satisfying the observation. Computed as
-/// `W(E ∪ {t}) / (W(E) · (n_c − e_c))` from two falling-factorial
-/// moment passes (see `moment_pass`), where `c` is `t`'s class: the
-/// per-class falling normalizers cancel except for one `n_c − e_c`
-/// factor.
+/// satisfying the observation. Read off the event table at `E`'s
+/// per-class counts `e` as `W(e + δ_c) / (W(e) · (n_c − e_c))`, where
+/// `c` is `t`'s class: one table per distinct evidence serves every
+/// target tuple.
 ///
 /// # Errors
 /// [`CoreError::InconsistentCollection`] when `poss(S)` is empty;
@@ -863,8 +968,10 @@ pub fn analyze_circuit_conditional(
     analyze_circuit_conditional_budgeted(circuit, collection, tuple, given, &Budget::unlimited())
 }
 
-/// Budget-governed variant of [`analyze_circuit_conditional`]: one tick
-/// per node per moment pass (two passes, or one when `t ∈ E`).
+/// Budget-governed variant of [`analyze_circuit_conditional`]. A cold
+/// table ticks one step per node per pass: the moment pass (none for an
+/// empty `E`), then the reach pass (none when `W(E)` is zero). A
+/// memoized one only checks the budget.
 ///
 /// # Errors
 /// As [`analyze_circuit_conditional`], plus
@@ -880,8 +987,8 @@ pub fn analyze_circuit_conditional_budgeted(
         return Err(CoreError::InconsistentCollection);
     }
     let observed = event_counts(circuit, collection, given)?;
-    let given_weight = moment_pass(circuit, &observed, budget)?;
-    if given_weight.is_zero() {
+    let table = circuit.skeleton.table(&observed, budget)?;
+    if table.weight.is_zero() {
         return Err(CoreError::BadDomain {
             message: "conditioning event has probability zero in poss(S)".to_owned(),
         });
@@ -898,17 +1005,13 @@ pub fn analyze_circuit_conditional_budgeted(
         // class and `t` would be one more: no world can contain it.
         return Ok(Rational::zero());
     }
-    let remaining = class_size - observed[class_idx];
-    let mut joint = observed;
-    joint[class_idx] += 1;
-    let joint_weight = moment_pass(circuit, &joint, budget)?;
-    Ok(Rational::new(joint_weight, given_weight.mul_u64(remaining)))
+    Ok(table.confidence(class_idx, class_size - observed[class_idx]))
 }
 
-/// The `k` highest-confidence named extension tuples, from one reach
-/// pass: ties broken by tuple order (ascending), matching the CLI's
-/// rendering order, so the result is a prefix of the full sorted
-/// confidence table. Padding (unnamed) facts are not ranked.
+/// The `k` highest-confidence named extension tuples, from the event
+/// table at `e = 0`: ties broken by tuple order (ascending), matching
+/// the CLI's rendering order, so the result is a prefix of the full
+/// sorted confidence table. Padding (unnamed) facts are not ranked.
 ///
 /// # Errors
 /// [`CoreError::InconsistentCollection`] when `poss(S)` is empty.
@@ -919,7 +1022,8 @@ pub fn analyze_circuit_topk(
     analyze_circuit_topk_budgeted(circuit, k, &Budget::unlimited())
 }
 
-/// Budget-governed variant of [`analyze_circuit_topk`].
+/// Budget-governed variant of [`analyze_circuit_topk`]: ticks as
+/// [`analyze_circuit_budgeted`].
 ///
 /// # Errors
 /// As [`analyze_circuit_topk`], plus [`CoreError::BudgetExceeded`].
@@ -928,11 +1032,14 @@ pub fn analyze_circuit_topk_budgeted(
     k: usize,
     budget: &Budget,
 ) -> Result<Vec<(Vec<Value>, Rational)>, CoreError> {
-    let analysis = analyze_circuit_budgeted(circuit, budget)?;
-    if !analysis.is_consistent() {
+    let table = circuit.skeleton.table(&circuit.no_event(), budget)?;
+    if table.weight.is_zero() {
         return Err(CoreError::InconsistentCollection);
     }
-    let confs = analysis.class_confidences()?;
+    let classes = circuit.analysis.classes();
+    let confs: Vec<Rational> = (classes.iter().enumerate())
+        .map(|(class, members)| table.confidence(class, members.size))
+        .collect();
     Ok(circuit
         .analysis
         .ranked_members(|a, b| confs[b].cmp(&confs[a]))

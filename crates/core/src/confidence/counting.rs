@@ -136,9 +136,9 @@ impl ConfidenceAnalysis {
     }
 
     /// The raw aggregates `(total, class_numerators, feasible_vectors)` —
-    /// the inverse of [`ConfidenceAnalysis::from_parts`], used by the
-    /// delta engine to rebind a cached result onto a refreshed
-    /// decomposition without re-traversing anything.
+    /// the inverse of [`ConfidenceAnalysis::from_parts`], which the
+    /// engine tests compare bit for bit.
+    #[cfg(test)]
     pub(crate) fn parts(&self) -> (&UBig, &[UBig], u64) {
         (&self.total, &self.class_numerators, self.feasible_vectors)
     }

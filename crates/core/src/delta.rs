@@ -16,17 +16,18 @@
 //!   and circuit breakers compose with streaming unchanged.
 //! * [`DeltaSession`] — the maintained state: the identity collection,
 //!   its signature decomposition, the compiled confidence circuit with
-//!   its residual states per class level (flat keys and node ids), and
-//!   the last answer's aggregates. Applying a batch classifies the damage
-//!   instead of recomputing:
+//!   its residual states per class level (flat keys and node ids); the
+//!   circuit's skeleton memoizes the last answer. Applying a batch
+//!   classifies the damage instead of recomputing:
 //!
 //!   1. **Reuse** — the *projected structure* (per-source bounds plus
 //!      the ordered `(signature, size)` class sequence) is unchanged;
 //!      only class membership churned. Every compile-time quantity and
 //!      every count aggregate is a function of the projected structure
-//!      alone, so the session rebinds the existing circuit skeleton and
-//!      cached numerators to the refreshed decomposition — no compile,
-//!      no traversal (`delta.results_reused`).
+//!      alone, so the session rebinds the existing circuit skeleton —
+//!      and with it the marginal event table the skeleton memoizes — to
+//!      the refreshed decomposition: no compile, no traversal
+//!      (`delta.results_reused`).
 //!   2. **Patch** — class *sizes* changed at indices `..=max_touched`,
 //!      but the bounds and the signature sequence survived. A residual
 //!      state at `level` depends only on `classes[level..]` and the
@@ -87,9 +88,10 @@ use crate::confidence::ConfidenceAnalysis;
 use crate::error::CoreError;
 use crate::govern::Budget;
 use crate::source::{extension_view, FetchFault, SourceProvider};
+use crate::textfmt::snippet;
 use pscds_obs::{names, MetricSet};
 use pscds_relational::parser::{format_fact, parse_facts};
-use pscds_relational::{Fact, Value};
+use pscds_relational::{Fact, RelError, Value};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -133,13 +135,6 @@ impl DeltaBatch {
     }
 }
 
-fn parse_error(line_no: usize, message: impl Into<String>) -> CoreError {
-    CoreError::InvalidDescriptor {
-        source: format!("line {line_no}"),
-        message: message.into(),
-    }
-}
-
 /// Parses a delta-stream document: ordered `batch { ... }` blocks, each
 /// holding `source <name> { insert: ... delete: ... }` blocks whose
 /// facts use the same syntax as `extension:` lines in catalog documents.
@@ -161,18 +156,29 @@ fn parse_error(line_no: usize, message: impl Into<String>) -> CoreError {
 /// ```
 ///
 /// # Errors
-/// Returns [`CoreError::InvalidDescriptor`] with a line reference for
-/// any structural problem, and propagates fact parse errors.
+/// Returns [`CoreError::InvalidDescriptor`] whose `source` is `line L,
+/// column C` (1-based, the column in characters of the raw line), as in
+/// catalog documents: a structural error at the line's first character,
+/// a fact error at its token, a block left open at its opening keyword.
+/// Echoed text is cut at 32 characters.
 pub fn parse_delta_stream(text: &str) -> Result<Vec<DeltaBatch>, CoreError> {
+    /// A block's opening keyword: its line and column.
+    type Opened = (usize, usize);
     enum State {
         Top,
-        InBatch,
-        InSource(usize),
+        InBatch(Opened),
+        InSource(Opened, Opened),
     }
+    let error = |(line, column): Opened, message: String| CoreError::InvalidDescriptor {
+        source: format!("line {line}, column {column}"),
+        message,
+    };
     let mut batches: Vec<DeltaBatch> = Vec::new();
     let mut state = State::Top;
     for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
+        // Position of byte `byte` of this line.
+        let at = |byte: usize| (idx + 1, raw[..byte].chars().count() + 1);
+        let here = at(raw.len() - raw.trim_start().len());
         let without_hash = raw.find('#').map_or(raw, |i| &raw[..i]);
         let line = without_hash
             .find("//")
@@ -185,48 +191,48 @@ pub fn parse_delta_stream(text: &str) -> Result<Vec<DeltaBatch>, CoreError> {
             State::Top => {
                 if line == "batch {" || (line.starts_with("batch") && line.ends_with('{')) {
                     batches.push(DeltaBatch::default());
-                    state = State::InBatch;
+                    state = State::InBatch(here);
                 } else {
-                    return Err(parse_error(
-                        line_no,
-                        format!("expected `batch {{`, found {line:?}"),
-                    ));
+                    let found = snippet(line);
+                    return Err(error(here, format!("expected `batch {{`, found {found}")));
                 }
             }
-            State::InBatch => {
+            State::InBatch(batch) => {
                 if line == "}" {
                     state = State::Top;
                 } else if let Some(rest) = line.strip_prefix("source") {
                     let Some(name) = rest.trim().strip_suffix('{').map(str::trim) else {
-                        return Err(parse_error(line_no, "expected `source <name> {`"));
+                        return Err(error(here, "expected `source <name> {`".into()));
                     };
                     if name.is_empty() {
-                        return Err(parse_error(line_no, "source name missing"));
+                        return Err(error(here, "source name missing".into()));
                     }
                     // lint-allow(no-panic): State::InBatch is only entered after pushing a batch
-                    let batch = batches.last_mut().expect("inside a batch");
-                    batch.deltas.push(SourceDelta {
+                    let batch_deltas = &mut batches.last_mut().expect("inside a batch").deltas;
+                    batch_deltas.push(SourceDelta {
                         source: name.to_owned(),
                         delete: Vec::new(),
                         insert: Vec::new(),
                     });
-                    state = State::InSource(line_no);
+                    state = State::InSource(batch, here);
                 } else {
-                    return Err(parse_error(
-                        line_no,
-                        format!("expected `source <name> {{` or `}}`, found {line:?}"),
+                    let found = snippet(line);
+                    return Err(error(
+                        here,
+                        format!("expected `source <name> {{` or `}}`, found {found}"),
                     ));
                 }
             }
-            State::InSource(opened_at) => {
+            State::InSource(batch, (opened_at, _)) => {
                 if line == "}" {
-                    state = State::InBatch;
+                    state = State::InBatch(batch);
                     continue;
                 }
-                let Some((key, value)) = line.split_once(':') else {
-                    return Err(parse_error(
-                        line_no,
-                        format!("expected `insert:`/`delete:` or `}}`, found {line:?}"),
+                let (Some((key, _)), Some(colon)) = (line.split_once(':'), raw.find(':')) else {
+                    let found = snippet(line);
+                    return Err(error(
+                        here,
+                        format!("expected `insert:`/`delete:` or `}}`, found {found}"),
                     ));
                 };
                 let delta = batches
@@ -236,16 +242,21 @@ pub fn parse_delta_stream(text: &str) -> Result<Vec<DeltaBatch>, CoreError> {
                     .expect("inside a source block");
                 // The facts go to the lexer uncut: it skips comments
                 // itself, and only outside quoted constants.
-                let value = raw.split_once(':').map_or(value, |(_, v)| v);
-                let facts = parse_facts(value.trim())?;
+                let value = &raw[colon + 1..];
+                let start = colon + 1 + (value.len() - value.trim_start().len());
+                let facts = parse_facts(value.trim()).map_err(|e| match e {
+                    RelError::Parse { message, offset } => error(at(start + offset), message),
+                    other => error(at(start), other.to_string()),
+                })?;
                 match key.trim() {
                     "insert" => delta.insert.extend(facts),
                     "delete" => delta.delete.extend(facts),
                     other => {
-                        return Err(parse_error(
-                            line_no,
+                        let other = snippet(other);
+                        return Err(error(
+                            here,
                             format!(
-                                "unknown key {other:?} in source block opened at line {opened_at}"
+                                "unknown key {other} in source block opened at line {opened_at}"
                             ),
                         ));
                     }
@@ -255,10 +266,8 @@ pub fn parse_delta_stream(text: &str) -> Result<Vec<DeltaBatch>, CoreError> {
     }
     match state {
         State::Top => Ok(batches),
-        State::InBatch | State::InSource(_) => Err(parse_error(
-            text.lines().count(),
-            "unclosed block at end of stream",
-        )),
+        State::InBatch(opened) => Err(error(opened, "`batch` block is never closed".into())),
+        State::InSource(_, opened) => Err(error(opened, "`source` block is never closed".into())),
     }
 }
 
@@ -429,10 +438,10 @@ impl DeltaStats {
 /// severity; consecutive batches merge to the worst requirement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Maintenance {
-    /// The cached aggregates are valid verbatim.
+    /// The skeleton's memoized answer is valid verbatim.
     Current,
     /// Projected structure unchanged, members churned: rebind the
-    /// skeleton and cached aggregates to the refreshed decomposition.
+    /// skeleton, and its memoized answer, to the refreshed decomposition.
     Rebind,
     /// Class sizes changed at indices `..=max_touched`, short of the
     /// last class: drop those levels' residual states and patch-compile
@@ -446,17 +455,10 @@ enum Maintenance {
     Recompile,
 }
 
-/// The cached aggregates of the last answer — everything
-/// [`ConfidenceAnalysis`] holds beyond the decomposition itself.
-struct CachedResult {
-    total: pscds_numeric::UBig,
-    numerators: Vec<pscds_numeric::UBig>,
-    vectors: u64,
-}
-
 /// Maintained incremental state across a delta stream: the collection,
-/// its decomposition, the compiled circuit plus its residual states per
-/// level, and the last answer. See the module docs for the
+/// its decomposition, and the compiled circuit (whose skeleton memoizes
+/// the last answer) plus its residual states per level. See the module
+/// docs for the
 /// three-tier maintenance scheme.
 pub struct DeltaSession {
     collection: IdentityCollection,
@@ -467,7 +469,6 @@ pub struct DeltaSession {
     padding: u64,
     analysis: SignatureAnalysis,
     circuit: Option<(CompiledCircuit, CircuitMemo)>,
-    cached: Option<CachedResult>,
     maintenance: Maintenance,
     config: CircuitConfig,
     stats: DeltaStats,
@@ -495,7 +496,6 @@ impl DeltaSession {
             padding,
             analysis,
             circuit: None,
-            cached: None,
             maintenance: Maintenance::Recompile,
             config: CircuitConfig::default(),
             stats: DeltaStats::default(),
@@ -526,14 +526,15 @@ impl DeltaSession {
         self.stats
     }
 
-    /// The consistency verdict of the last answer, if one is cached.
+    /// The consistency verdict of the last answer, if the circuit's memo
+    /// still holds it.
     #[must_use]
     pub fn last_consistent(&self) -> Option<bool> {
-        match self.maintenance {
-            Maintenance::Current | Maintenance::Rebind => {
-                self.cached.as_ref().map(|c| c.vectors > 0)
-            }
-            Maintenance::Patch { .. } | Maintenance::Recompile => None,
+        match (&self.circuit, self.maintenance) {
+            (Some((circuit, _)), Maintenance::Current | Maintenance::Rebind) => circuit
+                .memoized_analysis()
+                .map(|answer| answer.feasible_vectors() > 0),
+            _ => None,
         }
     }
 
@@ -722,12 +723,6 @@ impl DeltaSession {
             self.stats.recompiles_forced += 1;
         }
         self.maintenance = merge(self.maintenance, need);
-        if matches!(
-            self.maintenance,
-            Maintenance::Patch { .. } | Maintenance::Recompile
-        ) {
-            self.cached = None;
-        }
         self.analysis = fresh;
     }
 
@@ -735,33 +730,22 @@ impl DeltaSession {
     /// the applied deltas require. Named without an engine prefix; the
     /// registered entry points are the `analyze_incremental*` triple.
     fn answer(&mut self, budget: &Budget) -> Result<ConfidenceAnalysis, CoreError> {
-        match self.maintenance {
-            Maintenance::Current | Maintenance::Rebind => {
-                if self.maintenance == Maintenance::Rebind && self.cached.is_some() {
-                    // Rebinding is only worth doing when the cached answer
-                    // below will actually be reused.
-                    if let Some((circuit, memo)) = self.circuit.take() {
-                        let skeleton = Rc::clone(circuit.skeleton());
-                        self.circuit = Some((
-                            CompiledCircuit::rebind(skeleton, self.analysis.clone()),
-                            memo,
-                        ));
-                    }
-                }
-                if let (Some(cached), Some(_)) = (&self.cached, &self.circuit) {
-                    self.maintenance = Maintenance::Current;
-                    self.stats.results_reused += 1;
-                    return Ok(ConfidenceAnalysis::from_parts(
-                        self.analysis.clone(),
-                        cached.total.clone(),
-                        cached.numerators.clone(),
-                        cached.vectors,
-                    ));
-                }
-                // No cached answer yet (first query): fall through to a
-                // plain compile without counting it as forced.
+        if let (Some((circuit, _)), Maintenance::Current | Maintenance::Rebind) =
+            (&mut self.circuit, self.maintenance)
+        {
+            if self.maintenance == Maintenance::Rebind {
+                // The skeleton, and the event tables it memoizes, are a
+                // function of the projected structure alone.
+                let skeleton = Rc::clone(circuit.skeleton());
+                *circuit = CompiledCircuit::rebind(skeleton, self.analysis.clone());
             }
-            Maintenance::Patch { .. } | Maintenance::Recompile => {}
+            if let Some(answer) = circuit.memoized_analysis() {
+                self.maintenance = Maintenance::Current;
+                self.stats.results_reused += 1;
+                return Ok(answer);
+            }
+            // No answer memoized yet: fall through to the traversal
+            // without counting it as forced.
         }
         if let Maintenance::Patch { max_touched } = self.maintenance {
             if let Some((circuit, mut memo)) = self.circuit.take() {
@@ -808,12 +792,6 @@ impl DeltaSession {
         };
         let (circuit, _) = self.circuit.insert(compiled);
         let result = analyze_circuit_budgeted(circuit, budget)?;
-        let (total, numerators, vectors) = result.parts();
-        self.cached = Some(CachedResult {
-            total: total.clone(),
-            numerators: numerators.to_vec(),
-            vectors,
-        });
         self.maintenance = Maintenance::Current;
         Ok(result)
     }
@@ -988,6 +966,75 @@ mod tests {
         // Comments and blank lines are fine.
         let ok = parse_delta_stream("# header\n\nbatch { // open\n}\n");
         assert_eq!(ok.unwrap().len(), 1);
+    }
+
+    /// The error `parse_delta_stream` reports for `text`, rendered.
+    fn stream_error(text: &str) -> String {
+        parse_delta_stream(text).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn stream_errors_name_line_and_column() {
+        let cases = [
+            (
+                "# header\n\n  stray line\n",
+                "line 3, column 3: expected `batch {`, found \"stray line\"",
+            ),
+            (
+                "batch {\n\t source S1\n}\n",
+                "line 2, column 3: expected `source <name> {`",
+            ),
+            (
+                "batch {\n  source {\n",
+                "line 2, column 3: source name missing",
+            ),
+            (
+                "batch {\n  upsert: V(a).\n}\n",
+                "line 2, column 3: expected `source <name> {` or `}`, found \"upsert: V(a).\"",
+            ),
+            (
+                "batch {\n source S {\n    upsert: V(a).\n }\n}",
+                "line 3, column 5: unknown key \"upsert\" in source block opened at line 2",
+            ),
+            (
+                "batch {\n source S {\n  V(a).\n",
+                "line 3, column 3: expected `insert:`/`delete:` or `}`, found \"V(a).\"",
+            ),
+            (
+                "batch {\n source S {\n  insert: V(a). ü V(b).\n",
+                "line 3, column 19: expected '(', found 'V'",
+            ),
+            (
+                "batch {\n  source S1 {\n    insert: V1(a).\n",
+                "line 2, column 3: `source` block is never closed",
+            ),
+            (
+                "# header\n   batch {\n  source S1 {\n  }\n",
+                "line 2, column 4: `batch` block is never closed",
+            ),
+        ];
+        for (text, want) in cases {
+            let got = stream_error(text);
+            assert!(got.contains(want), "{text:?}: got {got}, want {want}");
+        }
+    }
+
+    #[test]
+    fn stream_errors_cut_the_echoed_text() {
+        let long = "x".repeat(100_000);
+        for text in [
+            format!("{long}\n"),
+            format!("batch {{\n{long}\n}}"),
+            format!("batch {{\n source S {{\n  {long}\n }}\n}}"),
+            format!("batch {{\n source S {{\n  {long}: V(a).\n }}\n}}"),
+        ] {
+            let got = stream_error(&text);
+            assert!(got.len() < 200, "the message quotes the line whole");
+            assert!(
+                got.contains("\"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\"…"),
+                "{got}"
+            );
+        }
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub fn parse_collection(text: &str) -> Result<SourceCollection, CoreError> {
             (None, other) => {
                 return Err(at(
                     indent,
-                    format!("unexpected {other:?} outside a source block"),
+                    format!("unexpected {} outside a source block", snippet(other)),
                 ));
             }
             (Some(partial), "}") => {
@@ -192,12 +192,13 @@ pub fn parse_collection(text: &str) -> Result<SourceCollection, CoreError> {
             }
             (Some(partial), l) => {
                 let Some((key, value, start)) = key_value(l, indent) else {
-                    return Err(at(indent, format!("expected `key: value`, found {l:?}")));
+                    let found = snippet(l);
+                    return Err(at(indent, format!("expected `key: value`, found {found}")));
                 };
                 let slot = match key {
                     "completeness" => &mut partial.completeness,
                     "soundness" => &mut partial.soundness,
-                    other => return Err(at(indent, format!("unknown key {other:?}"))),
+                    other => return Err(at(indent, format!("unknown key {}", snippet(other)))),
                 };
                 if slot.is_some() {
                     return Err(at(indent, format!("duplicate `{key}:`")));
@@ -209,6 +210,18 @@ pub fn parse_collection(text: &str) -> Result<SourceCollection, CoreError> {
     match current {
         Some(partial) => Err(partial.opened),
         None => Ok(collection),
+    }
+}
+
+/// How many characters of an offending line an error message quotes.
+const SNIPPET_CHARS: usize = 32;
+
+/// `text` quoted for an error message, cut to [`SNIPPET_CHARS`]
+/// characters.
+pub(crate) fn snippet(text: &str) -> String {
+    match text.char_indices().nth(SNIPPET_CHARS) {
+        Some((cut, _)) => format!("{:?}…", &text[..cut]),
+        None => format!("{text:?}"),
     }
 }
 

@@ -1,6 +1,7 @@
 //! A seeded mutation corpus for the catalog parser: truncations, splices
-//! and byte flips of a small catalog, plus a huge numeral, a run of
-//! unmatched parentheses and a 1 MiB extension line.
+//! and byte flips of a small catalog, plus a huge numeral in an
+//! extension and in a bound, a run of unmatched parentheses and a 1 MiB
+//! extension line.
 //!
 //! Every case must return (no panic), every error from
 //! `parse_collection` must name a line and column inside the input, and
@@ -190,6 +191,44 @@ fn a_huge_numeral() {
     assert!(message.len() < 200, "the message quotes the numeral whole");
     let message = timed_error(&with_extension(&format!("V(-{digits}")));
     assert!(message.contains("line 5, column 16"));
+}
+
+#[test]
+fn a_huge_bound_numeral() {
+    let digits = "9".repeat(100_000);
+    let with_bound =
+        |value: &str| format!("source S {{\n  view: V(x) <- R(x)\n  completeness: {value}\n}}\n");
+    for (value, what) in [
+        (format!("{digits}/2"), "bad numerator"),
+        (format!("1/{digits}"), "bad denominator"),
+        (format!("{digits}x"), "bad integer"),
+        (format!("{digits}.5"), "bad integer part"),
+        (format!("0.{digits}"), "more than 18 decimal places"),
+        (format!("0.5{digits}x"), "more than 18 decimal places"),
+        ("1x.5".to_owned(), "bad integer part \"1x\""),
+        ("0.5x".to_owned(), "bad fractional part \"5x\""),
+    ] {
+        let message = timed_error(&with_bound(&value));
+        assert!(
+            message.contains(&format!("line 3, column 17: invalid fraction: {what}")),
+            "{}",
+            &message[..message.len().min(200)]
+        );
+        assert!(message.len() < 200, "the message quotes the field whole");
+    }
+}
+
+#[test]
+fn a_huge_stray_line() {
+    let long = "x".repeat(100_000);
+    for text in [
+        format!("{long}\n"),
+        format!("source S {{\n  view: V(x) <- R(x)\n  {long}\n}}\n"),
+        format!("source S {{\n  view: V(x) <- R(x)\n  {long}: 1\n}}\n"),
+    ] {
+        let message = timed_error(&text);
+        assert!(message.len() < 200, "the message quotes the line whole");
+    }
 }
 
 #[test]

@@ -193,6 +193,18 @@ impl fmt::Display for ParseFracError {
 
 impl std::error::Error for ParseFracError {}
 
+/// How many characters of a malformed field an error message quotes.
+const SNIPPET_CHARS: usize = 32;
+
+/// `text` quoted for an error message, cut to [`SNIPPET_CHARS`]
+/// characters.
+fn snippet(text: &str) -> String {
+    match text.char_indices().nth(SNIPPET_CHARS) {
+        Some((cut, _)) => format!("{:?}…", &text[..cut]),
+        None => format!("{text:?}"),
+    }
+}
+
 impl std::str::FromStr for Frac {
     type Err = ParseFracError;
 
@@ -207,10 +219,10 @@ impl std::str::FromStr for Frac {
         }
         if let Some((num, den)) = s.split_once('/') {
             let num: u64 = num.trim().parse().map_err(|_| ParseFracError {
-                message: format!("bad numerator {num:?}"),
+                message: format!("bad numerator {}", snippet(num)),
             })?;
             let den: u64 = den.trim().parse().map_err(|_| ParseFracError {
-                message: format!("bad denominator {den:?}"),
+                message: format!("bad denominator {}", snippet(den)),
             })?;
             if den == 0 {
                 return Err(ParseFracError {
@@ -224,7 +236,7 @@ impl std::str::FromStr for Frac {
                 0
             } else {
                 int.parse().map_err(|_| ParseFracError {
-                    message: format!("bad integer part {int:?}"),
+                    message: format!("bad integer part {}", snippet(int)),
                 })?
             };
             if frac.len() > 18 {
@@ -237,7 +249,7 @@ impl std::str::FromStr for Frac {
                 0
             } else {
                 frac.parse().map_err(|_| ParseFracError {
-                    message: format!("bad fractional part {frac:?}"),
+                    message: format!("bad fractional part {}", snippet(frac)),
                 })?
             };
             let num = int
@@ -249,7 +261,7 @@ impl std::str::FromStr for Frac {
             return Ok(Frac::new(num, scale));
         }
         let int: u64 = s.parse().map_err(|_| ParseFracError {
-            message: format!("bad integer {s:?}"),
+            message: format!("bad integer {}", snippet(s)),
         })?;
         Ok(Frac::from(int))
     }
