@@ -1229,7 +1229,7 @@ fn render_exact_confidence(
         .collect();
     let classes = analysis.signature_analysis();
     let _ = writeln!(out, "tuple confidences (descending):");
-    for (tuple, class) in classes.ranked_members(|a, b| confs[b].cmp(&confs[a])) {
+    for (tuple, class) in classes.ranked_members(|a, b| confs[b].cmp(&confs[a]), usize::MAX) {
         write_row(out, classes.relation(), tuple, &tails[class]);
     }
     if padding > 0 {
@@ -1253,11 +1253,14 @@ fn render_sampled_confidence(
     let confs = &estimate.class_confidence;
     let tails: Vec<String> = confs.iter().map(|conf| format!("  ≈{conf:.4}")).collect();
     let _ = writeln!(out, "tuple confidences (sampled, descending):");
-    let ranked = analysis.ranked_members(|a, b| {
-        confs[b]
-            .partial_cmp(&confs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let ranked = analysis.ranked_members(
+        |a, b| {
+            confs[b]
+                .partial_cmp(&confs[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        },
+        usize::MAX,
+    );
     for (tuple, class) in ranked {
         write_row(out, analysis.relation(), tuple, &tails[class]);
     }

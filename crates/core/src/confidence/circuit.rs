@@ -35,12 +35,19 @@
 //!   over the arena: a bottom-up moment pass (skipped at `e = 0`, whose
 //!   values are the compile-time counts) and a top-down reach pass.
 //!   Marginals and top-k read the table at `e = 0`; a conditional reads
-//!   the table at its evidence. Tables are memoized on the skeleton per
-//!   distinct `e`, so a repeated question costs a lookup.
+//!   the table at its evidence. A table stores its per-class confidences,
+//!   divided once when it is made, and is memoized on the skeleton per
+//!   distinct `e`, so a repeated question costs a lookup: no traversal,
+//!   no division, and no copy — every [`ConfidenceAnalysis`] a circuit
+//!   returns shares its table and its decomposition.
 //!
-//! A [`CompiledCollection`] caches compiled circuits per collection
-//! structure, so one compile amortizes across arbitrarily many queries —
-//! the compile-once/query-many regime experiment E11 measures.
+//! A [`CompiledCollection`] caches compiled circuits per collection, so
+//! one compile amortizes across arbitrarily many queries — the
+//! compile-once/query-many regime experiment E11 measures. Its instance
+//! level keys on the collection itself, not on the class decomposition,
+//! so a warm lookup builds no decomposition and allocates nothing; its
+//! skeleton level shares one arena among structurally identical
+//! collections.
 //!
 //! The compile and every query are serial: a traversal is one linear
 //! sweep over the arena with nothing to partition, so no entry takes a
@@ -80,18 +87,20 @@
 //! expanding more than [`CircuitConfig::max_nodes`] states is an error.
 
 use crate::collection::IdentityCollection;
-use crate::confidence::counting::ConfidenceAnalysis;
-use crate::confidence::dp::{index_keys, DpStats, Level, LimbMap, Sweep};
+use crate::confidence::counting::{ClassCounts, ConfidenceAnalysis};
+use crate::confidence::dp::{index_keys, DpStats, Level, LimbHasher, LimbMap, Sweep};
 use crate::confidence::signature::{SignatureAnalysis, Subtree};
 use crate::error::CoreError;
 use crate::govern::Budget;
 use crate::partition::ParallelConfig;
 use pscds_numeric::{Rational, RowCache, UBig};
 use pscds_obs::{names, MetricSet, ObsSession};
-use pscds_relational::Value;
+use pscds_relational::{RelName, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Budget phase charged once per residual state during compilation.
 const COMPILE_PHASE: &str = "confidence::circuit::compile";
@@ -200,34 +209,25 @@ pub(crate) struct CircuitSkeleton {
     root: Option<u32>,
     binoms: Vec<UBig>,
     stats: CircuitStats,
-    /// Every finished event table, by event vector. Filled by queries,
-    /// never by a compile; a patch starts it empty.
-    tables: RefCell<HashMap<Box<[u64]>, Rc<EventTable>>>,
+    /// Every finished event table, by the event vector's shortest form
+    /// ([`event_key`]). Filled by queries, never by a compile; a patch
+    /// starts it empty.
+    tables: RefCell<HashMap<Box<[u64]>, Arc<ClassCounts>>>,
 }
 
-/// One event's answers. For the per-class event vector `e`,
-/// `W(e) = Σ_vec Π_j C(n_j, k_j) · k_j·(k_j−1)···(k_j−e_j+1)` weighs
-/// each world by the ways to pin `e_j` ordered distinct tuples inside
-/// its class-`j` selection. The table holds `weight = W(e)` and
-/// `joint[c] = W(e + δ_c)`. At `e = 0` these are the world count and
-/// the class containment numerators (one pinned tuple weighs a
-/// `k`-selection by `k`); for a class-`c` tuple outside an event `E` of
-/// `e_c < n_c` class-`c` tuples, `conf(t | E) = joint[c] / (W(E) ·
-/// (n_c − e_c))`, since the per-class falling normalizers cancel except
-/// for that one factor.
-#[derive(Clone)]
-struct EventTable {
-    weight: UBig,
-    joint: Vec<UBig>,
+/// An event vector's shortest form, the memo's key: trailing zero
+/// counts dropped, so the empty event is `[]`.
+fn event_key(e: &[u64]) -> &[u64] {
+    let len = e
+        .iter()
+        .rposition(|&count| count > 0)
+        .map_or(0, |last| last + 1);
+    &e[..len]
 }
 
-impl EventTable {
-    /// `joint[class] / (weight · remaining)`: the confidence of a class
-    /// tuple outside the event, `remaining` being the class's unpinned
-    /// tuples.
-    fn confidence(&self, class: usize, remaining: u64) -> Rational {
-        Rational::new(self.joint[class].clone(), self.weight.mul_u64(remaining))
-    }
+/// Class `class`'s count in event `e`; counts past `e`'s end are zero.
+fn pinned(e: &[u64], class: usize) -> u64 {
+    e.get(class).copied().unwrap_or(0)
 }
 
 /// `out = binom · k·(k−1)···(k−e+1)` for `k ≥ e`: an edge's weight in
@@ -262,21 +262,45 @@ impl CircuitSkeleton {
             .map_or(0, |root| self.nodes[root as usize].vectors)
     }
 
-    /// The event table at `e` (one count per class). A memo hit only
-    /// checks the budget, so a cancel or a deadline still trips it; a
-    /// miss runs the kernel, ticking one step per node per pass, and
-    /// memoizes the table only once it is whole.
-    fn table(&self, e: &[u64], budget: &Budget) -> Result<Rc<EventTable>, CoreError> {
+    /// The event table at the per-class event vector `e` over the
+    /// classes of `analysis`, the decomposition the skeleton was compiled
+    /// from. `W(e) = Σ_vec Π_j C(n_j, k_j) · k_j·(k_j−1)···(k_j−e_j+1)`
+    /// weighs each world by the ways to pin `e_j` ordered distinct
+    /// tuples inside its class-`j` selection; the table holds `weight =
+    /// W(e)` and `joint[c] = W(e + δ_c)`. At `e = 0` these are the world
+    /// count and the class containment numerators (one pinned tuple
+    /// weighs a `k`-selection by `k`); for a class-`c` tuple outside an
+    /// event `E` of `e_c` class-`c` tuples, `conf(t | E) = joint[c] /
+    /// (W(E) · (n_c − e_c))`, since the per-class falling normalizers
+    /// cancel except for that one factor. The table stores that
+    /// confidence per class (zero when `e_c = n_c`), divided once.
+    ///
+    /// A memo hit only checks the budget, so a cancel or a deadline
+    /// still trips it; a miss runs the kernel, ticking one step per node
+    /// per pass, and memoizes the table only once it is whole.
+    fn table(
+        &self,
+        e: &[u64],
+        analysis: &SignatureAnalysis,
+        budget: &Budget,
+    ) -> Result<Arc<ClassCounts>, CoreError> {
+        let e = event_key(e);
         if let Some(table) = self.tables.borrow().get(e) {
             budget.check(QUERY_PHASE)?;
-            return Ok(Rc::clone(table));
+            return Ok(Arc::clone(table));
         }
-        // A copy made once the passes' buffers are freed packs into
-        // their space; the table itself, grown among them, would pin the
-        // gaps between them for the skeleton's lifetime (about 1 MiB of
-        // peak resident set on the benchmark's `delta_stream`).
-        let table = Rc::new(self.event_table(e, budget)?.clone());
-        self.tables.borrow_mut().insert(e.into(), Rc::clone(&table));
+        let classes = analysis.classes();
+        let (weight, joint) = self.event_table(e, classes.len(), budget)?;
+        let remaining = |class: usize| classes[class].size.saturating_sub(pinned(e, class));
+        // A copy made once the passes' buffers and the divisions' scratch
+        // are freed packs into their space; the table as computed, grown
+        // among them, would pin the gaps between them for the skeleton's
+        // lifetime (about 1 MiB of peak resident set on the benchmark's
+        // `delta_stream`).
+        let table = Arc::new(ClassCounts::new(weight, joint, remaining).clone());
+        self.tables
+            .borrow_mut()
+            .insert(e.into(), Arc::clone(&table));
         Ok(table)
     }
 
@@ -291,13 +315,15 @@ impl CircuitSkeleton {
     /// over level-`c` nodes of `reach_e · Σ_edges C(n_c, k)·ff(k, e_c+1)
     /// ·value_e(child)` is `W(e + δ_c)`: the same terms the DFS and the
     /// DP's numerator shifting add, in exact integer arithmetic.
-    fn event_table(&self, e: &[u64], budget: &Budget) -> Result<EventTable, CoreError> {
-        let mut joint = vec![UBig::zero(); e.len()];
+    fn event_table(
+        &self,
+        e: &[u64],
+        classes: usize,
+        budget: &Budget,
+    ) -> Result<(UBig, Vec<UBig>), CoreError> {
+        let mut joint = vec![UBig::zero(); classes];
         let Some(root) = self.root else {
-            return Ok(EventTable {
-                weight: UBig::zero(),
-                joint,
-            });
+            return Ok((UBig::zero(), joint));
         };
         let root = root as usize;
         let moments = if e.iter().any(|&count| count > 0) {
@@ -309,7 +335,7 @@ impl CircuitSkeleton {
         let weight = UBig::from_limbs(value(root).to_vec());
         if weight.is_zero() {
             // No world holds the event: every `W(e + δ_c)` is zero too.
-            return Ok(EventTable { weight, joint });
+            return Ok((weight, joint));
         }
         // Children carry smaller ids than parents, so walking ids
         // downward visits every parent before its children.
@@ -323,7 +349,7 @@ impl CircuitSkeleton {
                 continue; // garbage a patch stranded, or ruled out by `e`
             }
             let level = self.nodes[id].level as usize;
-            let pinned = e[level];
+            let pinned = pinned(e, level);
             contained.set_u64(0);
             for edge in self.edges(id) {
                 let k = u64::from(edge.k);
@@ -349,7 +375,7 @@ impl CircuitSkeleton {
             reach[id].mul_into(&contained, &mut term);
             joint[level].add_assign(&term);
         }
-        Ok(EventTable { weight, joint })
+        Ok((weight, joint))
     }
 
     /// The kernel's bottom-up moment pass: `value_e` of every node up to
@@ -360,7 +386,7 @@ impl CircuitSkeleton {
         let [mut weighted, mut spare, mut term] = std::array::from_fn(|_| UBig::zero());
         for id in 1..=root {
             budget.tick(QUERY_PHASE)?;
-            let pinned = e[self.nodes[id].level as usize];
+            let pinned = pinned(e, self.nodes[id].level as usize);
             let (below, here) = value.split_at_mut(id);
             for edge in self.edges(id) {
                 let k = u64::from(edge.k);
@@ -387,10 +413,11 @@ fn to_u32(value: impl TryInto<u32>) -> Result<u32, CoreError> {
 /// A source collection's confidence semantics, compiled once.
 ///
 /// Pairs a shareable [`CircuitSkeleton`] with the [`SignatureAnalysis`]
-/// the queries resolve tuples against. Build with [`compile_circuit`]
-/// or through a [`CompiledCollection`] cache.
+/// the queries resolve tuples against, held behind an `Arc` that every
+/// [`ConfidenceAnalysis`] the circuit answers shares. Build with
+/// [`compile_circuit`] or through a [`CompiledCollection`] cache.
 pub struct CompiledCircuit {
-    analysis: SignatureAnalysis,
+    analysis: Arc<SignatureAnalysis>,
     skeleton: Rc<CircuitSkeleton>,
 }
 
@@ -416,7 +443,7 @@ impl CompiledCircuit {
     /// Rebinds a (shared) skeleton to another instance's decomposition.
     /// Sound exactly when both analyses project to the same structure —
     /// the caller ([`CompiledCollection`], `core::delta`) checks that.
-    pub(crate) fn rebind(skeleton: Rc<CircuitSkeleton>, analysis: SignatureAnalysis) -> Self {
+    pub(crate) fn rebind(skeleton: Rc<CircuitSkeleton>, analysis: Arc<SignatureAnalysis>) -> Self {
         CompiledCircuit { analysis, skeleton }
     }
 
@@ -425,26 +452,22 @@ impl CompiledCircuit {
         &self.skeleton
     }
 
-    /// The empty event: no tuple pinned in any class.
-    fn no_event(&self) -> Vec<u64> {
-        vec![0; self.analysis.classes().len()]
+    /// The event table at `e`, memoized on the skeleton.
+    fn table(&self, e: &[u64], budget: &Budget) -> Result<Arc<ClassCounts>, CoreError> {
+        self.skeleton.table(e, &self.analysis, budget)
     }
 
-    /// The marginal analysis the event table at `e = 0` holds.
-    fn marginals(&self, table: &EventTable) -> ConfidenceAnalysis {
-        ConfidenceAnalysis::from_parts(
-            self.analysis.clone(),
-            table.weight.clone(),
-            table.joint.clone(),
-            self.skeleton.vectors(),
-        )
+    /// The marginal analysis the event table at `e = 0` holds, sharing
+    /// the table and the decomposition.
+    fn marginals(&self, table: Arc<ClassCounts>) -> ConfidenceAnalysis {
+        let analysis = Arc::clone(&self.analysis);
+        ConfidenceAnalysis::shared(analysis, table, self.skeleton.vectors())
     }
 
     /// The marginal analysis when the memo already holds its table: no
     /// traversal and no budget (the delta engine's reuse tier).
     pub(crate) fn memoized_analysis(&self) -> Option<ConfidenceAnalysis> {
-        let tables = self.skeleton.tables.borrow();
-        let table = tables.get(self.no_event().as_slice())?;
+        let table = self.skeleton.tables.borrow().get(&[][..]).cloned()?;
         Some(self.marginals(table))
     }
 
@@ -777,7 +800,7 @@ pub fn compile_circuit(
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<CompiledCircuit, CoreError> {
-    Ok(compile_onto(analysis, None, false, budget, config)?.0)
+    Ok(compile_onto(Arc::new(analysis), None, false, budget, config)?.0)
 }
 
 /// [`compile_circuit`] plus the compile's residual states, so the
@@ -787,7 +810,7 @@ pub fn compile_circuit(
 /// # Errors
 /// As [`compile_circuit`].
 pub(crate) fn compile_with_memo(
-    analysis: SignatureAnalysis,
+    analysis: Arc<SignatureAnalysis>,
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<(CompiledCircuit, CircuitMemo), CoreError> {
@@ -810,7 +833,7 @@ pub(crate) fn compile_with_memo(
 pub(crate) fn patch_compile(
     circuit: CompiledCircuit,
     memo: CircuitMemo,
-    analysis: SignatureAnalysis,
+    analysis: Arc<SignatureAnalysis>,
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<(CompiledCircuit, CircuitMemo, u64), CoreError> {
@@ -831,7 +854,7 @@ pub(crate) fn patch_compile(
 /// state generates — the ticks of a memoized walk), then the bottom-up
 /// append of their nodes onto its arena, or onto a fresh one.
 fn compile_onto(
-    analysis: SignatureAnalysis,
+    analysis: Arc<SignatureAnalysis>,
     resumed: Option<(CircuitSkeleton, CircuitMemo)>,
     keep: bool,
     budget: &Budget,
@@ -925,8 +948,7 @@ pub fn analyze_circuit_budgeted(
     circuit: &CompiledCircuit,
     budget: &Budget,
 ) -> Result<ConfidenceAnalysis, CoreError> {
-    let table = circuit.skeleton.table(&circuit.no_event(), budget)?;
-    Ok(circuit.marginals(&table))
+    Ok(circuit.marginals(circuit.table(&[], budget)?))
 }
 
 /// Per-class observed-tuple counts for a conditioning event, resolved
@@ -936,7 +958,7 @@ fn event_counts(
     collection: &IdentityCollection,
     given: &[Vec<Value>],
 ) -> Result<Vec<u64>, CoreError> {
-    let mut counts = circuit.no_event();
+    let mut counts = vec![0; circuit.analysis.classes().len()];
     let distinct: BTreeSet<&[Value]> = given.iter().map(Vec::as_slice).collect();
     for tuple in distinct {
         let idx = circuit
@@ -987,7 +1009,7 @@ pub fn analyze_circuit_conditional_budgeted(
         return Err(CoreError::InconsistentCollection);
     }
     let observed = event_counts(circuit, collection, given)?;
-    let table = circuit.skeleton.table(&observed, budget)?;
+    let table = circuit.table(&observed, budget)?;
     if table.weight.is_zero() {
         return Err(CoreError::BadDomain {
             message: "conditioning event has probability zero in poss(S)".to_owned(),
@@ -996,16 +1018,12 @@ pub fn analyze_circuit_conditional_budgeted(
     if given.iter().any(|g| g.as_slice() == tuple) {
         return Ok(Rational::one());
     }
-    let class_idx = circuit
+    // Zero when the event already pins every tuple of `t`'s class: no
+    // world holds one more.
+    let class = circuit
         .analysis
         .class_of(tuple, collection.signature_of(tuple))?;
-    let class_size = circuit.analysis.classes()[class_idx].size;
-    if observed[class_idx] >= class_size {
-        // The event already pins `class_size` distinct tuples of the
-        // class and `t` would be one more: no world can contain it.
-        return Ok(Rational::zero());
-    }
-    Ok(table.confidence(class_idx, class_size - observed[class_idx]))
+    Ok(table.confidence(class).clone())
 }
 
 /// The `k` highest-confidence named extension tuples, from the event
@@ -1032,55 +1050,107 @@ pub fn analyze_circuit_topk_budgeted(
     k: usize,
     budget: &Budget,
 ) -> Result<Vec<(Vec<Value>, Rational)>, CoreError> {
-    let table = circuit.skeleton.table(&circuit.no_event(), budget)?;
+    let table = circuit.table(&[], budget)?;
     if table.weight.is_zero() {
         return Err(CoreError::InconsistentCollection);
     }
-    let classes = circuit.analysis.classes();
-    let confs: Vec<Rational> = (classes.iter().enumerate())
-        .map(|(class, members)| table.confidence(class, members.size))
-        .collect();
+    let conf = |class| table.confidence(class);
     Ok(circuit
         .analysis
-        .ranked_members(|a, b| confs[b].cmp(&confs[a]))
+        .ranked_members(|a, b| conf(b).cmp(conf(a)), k)
         .into_iter()
-        .take(k)
-        .map(|(tuple, class)| (tuple.to_vec(), confs[class].clone()))
+        .map(|(tuple, class)| (tuple.to_vec(), conf(class).clone()))
         .collect())
 }
 
-/// What an instance-level cache entry keys on: the relation, the arity,
-/// the projected structure (`SignatureAnalysis::structure`) and
-/// every class's member tuples, flattened in class order. The structure
-/// fixes each class's member count and the arity each tuple's width, so
-/// two different member lists never flatten alike — unlike a rendering,
-/// which cannot tell `("a,", "b")` from `("a", ",b")`, or `1` from `"1"`.
-#[derive(PartialEq, Eq, Hash)]
+/// What an instance-level cache entry keys on, read off the collection
+/// in one pass: the relation, then the arity and the padding, then per
+/// source in order its completeness, `⌈s·|v|⌉` and tuple count, then
+/// every tuple, flattened source by source. The decomposition a query
+/// resolves against is a function of exactly these — source `i`'s
+/// tuples are the members of the classes with bit `i` set, and back —
+/// so two collections share a key iff they share a decomposition.
+/// Source names stay out, and two soundness bounds with the same ceiling
+/// share a key. The counts fix where each source's tuples end and the
+/// arity each tuple's width, so two different tuple lists never flatten
+/// alike — unlike a rendering, which cannot tell `("a,", "b")` from
+/// `("a", ",b")`, or `1` from `"1"`.
 struct InstanceKey {
-    relation: pscds_relational::RelName,
-    arity: usize,
-    shape: Box<[u64]>,
-    members: Vec<Value>,
+    relation: RelName,
+    header: Box<[u64]>,
+    values: Box<[Value]>,
+}
+
+/// The key's limbs after the relation.
+fn key_header(collection: &IdentityCollection, padding: u64) -> impl Iterator<Item = u64> + '_ {
+    let sources = collection.sources.iter().flat_map(|source| {
+        let (bound, len) = (source.completeness, source.tuples.len() as u64);
+        [
+            bound.num(),
+            bound.den(),
+            source.soundness.ceil_mul(len),
+            len,
+        ]
+    });
+    [collection.arity as u64, padding]
+        .into_iter()
+        .chain(sources)
+}
+
+/// The key's values: every tuple, source by source.
+fn key_values(collection: &IdentityCollection) -> impl Iterator<Item = &Value> {
+    (collection.sources.iter()).flat_map(|source| source.tuples.iter().flatten())
+}
+
+impl InstanceKey {
+    /// The key's hash, streamed off the collection without allocating.
+    fn fingerprint(collection: &IdentityCollection, padding: u64) -> u64 {
+        let mut hasher = LimbHasher::default();
+        collection.relation.hash(&mut hasher);
+        key_header(collection, padding).for_each(|limb| hasher.write_u64(limb));
+        key_values(collection).for_each(|value| value.hash(&mut hasher));
+        hasher.finish()
+    }
+
+    fn new(collection: &IdentityCollection, padding: u64) -> Self {
+        InstanceKey {
+            relation: collection.relation,
+            header: key_header(collection, padding).collect(),
+            values: key_values(collection).copied().collect(),
+        }
+    }
+
+    /// `true` iff the collection at `padding` has this key, compared
+    /// element by element without allocating.
+    fn matches(&self, collection: &IdentityCollection, padding: u64) -> bool {
+        self.relation == collection.relation
+            && key_header(collection, padding).eq(self.header.iter().copied())
+            && key_values(collection).eq(self.values.iter())
+    }
 }
 
 /// A two-level cache of compiled circuits, so one compile amortizes
 /// across many queries *and* across structurally identical collections.
 ///
-/// * The **instance** level keys on everything a query resolves against
-///   — relation, arity, per-source bounds, and the full class
-///   decomposition including member tuples. An instance hit returns the
-///   very same [`CompiledCircuit`].
+/// * The **instance** level keys on the collection itself
+///   ([`InstanceKey`]): relation, arity, padding, per-source bounds and
+///   tuple counts, and every tuple. A lookup streams that key off the
+///   collection into a fingerprint, then compares the few entries
+///   filed under it element by element — no decomposition is built and
+///   nothing is allocated. An instance hit returns the very same
+///   [`CompiledCircuit`].
 /// * The **skeleton** level keys on the member-free projection — the
 ///   bounds signature plus the `(signature, size)` class sequence —
 ///   which is exactly what the compiled arena is a function of (the
-///   same projection the shared DP cache interns as a context). An
-///   instance miss that hits here skips the compile entirely: the
-///   shared [`CircuitSkeleton`] is rebound to the new instance's
-///   decomposition, and the reuse is reported as a *cross-collection
-///   hit* (`circuit.cross_hits`).
+///   same projection the shared DP cache interns as a context). Only an
+///   instance miss builds the [`SignatureAnalysis`]; one that hits here
+///   skips the compile entirely: the shared [`CircuitSkeleton`] is
+///   rebound to the new instance's decomposition, and the reuse is
+///   reported as a *cross-collection hit* (`circuit.cross_hits`).
 #[derive(Default)]
 pub struct CompiledCollection {
-    circuits: HashMap<InstanceKey, Rc<CompiledCircuit>>,
+    /// Instance entries by key fingerprint.
+    circuits: LimbMap<u64, Vec<(InstanceKey, Rc<CompiledCircuit>)>>,
     skeletons: HashMap<Box<[u64]>, Rc<CircuitSkeleton>>,
     hits: u64,
     misses: u64,
@@ -1094,7 +1164,7 @@ impl CompiledCollection {
         Self::default()
     }
 
-    /// Returns the cached circuit for the collection's structure —
+    /// Returns the cached circuit for the collection —
     /// rebinding a structurally identical collection's skeleton when
     /// only the member tuples differ — or compiles (charging `budget`)
     /// and caches it.
@@ -1108,30 +1178,33 @@ impl CompiledCollection {
         budget: &Budget,
         config: &CircuitConfig,
     ) -> Result<Rc<CompiledCircuit>, CoreError> {
-        let analysis = SignatureAnalysis::new(collection, padding);
-        let shape = analysis.structure();
-        let key = InstanceKey {
-            relation: analysis.relation(),
-            arity: analysis.arity(),
-            shape: shape.clone(),
-            members: (analysis.classes().iter())
-                .flat_map(|class| class.members.iter().flatten().copied())
-                .collect(),
-        };
-        if let Some(circuit) = self.circuits.get(&key) {
+        let fingerprint = InstanceKey::fingerprint(collection, padding);
+        let filed = self
+            .circuits
+            .get(&fingerprint)
+            .map_or(&[][..], Vec::as_slice);
+        if let Some((_, circuit)) = filed
+            .iter()
+            .find(|(key, _)| key.matches(collection, padding))
+        {
             self.hits += 1;
             return Ok(Rc::clone(circuit));
         }
-        if let Some(skeleton) = self.skeletons.get(&shape) {
+        let analysis = SignatureAnalysis::new(collection, padding);
+        let shape = analysis.structure();
+        let circuit = if let Some(skeleton) = self.skeletons.get(&shape) {
             self.cross_hits += 1;
-            let circuit = Rc::new(CompiledCircuit::rebind(Rc::clone(skeleton), analysis));
-            self.circuits.insert(key, Rc::clone(&circuit));
-            return Ok(circuit);
-        }
-        let circuit = Rc::new(compile_circuit(analysis, budget, config)?);
-        self.misses += 1;
-        self.skeletons.insert(shape, Rc::clone(circuit.skeleton()));
-        self.circuits.insert(key, Rc::clone(&circuit));
+            CompiledCircuit::rebind(Rc::clone(skeleton), Arc::new(analysis))
+        } else {
+            let circuit = compile_circuit(analysis, budget, config)?;
+            self.misses += 1;
+            self.skeletons.insert(shape, Rc::clone(circuit.skeleton()));
+            circuit
+        };
+        let circuit = Rc::new(circuit);
+        let key = InstanceKey::new(collection, padding);
+        let filed = self.circuits.entry(fingerprint).or_default();
+        filed.push((key, Rc::clone(&circuit)));
         Ok(circuit)
     }
 
@@ -1157,7 +1230,7 @@ impl CompiledCollection {
     /// Number of distinct circuits cached (instance level).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.circuits.len()
+        self.circuits.values().map(Vec::len).sum()
     }
 
     /// `true` iff no circuit has been cached yet.
@@ -1653,6 +1726,194 @@ mod tests {
         let y = cache.get_or_compile(&sym, 1, &budget, &config).unwrap();
         assert!(!Rc::ptr_eq(&i, &y));
         assert_eq!(analyze_circuit_topk(&y, 1).unwrap()[0].0, [Value::sym("1")]);
+    }
+
+    /// The key the instance level filed circuits under before it keyed
+    /// on the collection: relation, arity, projected structure and every
+    /// class's members in class order.
+    type DecompositionKey = (RelName, usize, Box<[u64]>, Vec<Value>);
+
+    fn decomposition_key(collection: &IdentityCollection, padding: u64) -> DecompositionKey {
+        let analysis = SignatureAnalysis::new(collection, padding);
+        let members = (analysis.classes().iter())
+            .flat_map(|class| class.members.iter().flatten().copied())
+            .collect();
+        let (relation, arity) = (analysis.relation(), analysis.arity());
+        (relation, arity, analysis.structure(), members)
+    }
+
+    /// `(name, tuples, completeness, soundness)` per source, over `R/1`.
+    type Spec<'a> = [(&'a str, &'a [&'a str], Frac, Frac)];
+
+    fn collection(spec: &Spec<'_>) -> IdentityCollection {
+        let sources = spec.iter().enumerate().map(|(i, &(name, tuples, c, s))| {
+            let extension = tuples.iter().map(|&t| [Value::sym(t)]);
+            SourceDescriptor::identity(name, &format!("V{i}"), "R", 1, extension, c, s).unwrap()
+        });
+        SourceCollection::from_sources(sources.collect::<Vec<_>>())
+            .as_identity()
+            .unwrap()
+    }
+
+    /// Looks `collection` up in `cache` and checks the counters against
+    /// the decomposition-keyed cache's rule: a hit when an earlier
+    /// lookup had the same decomposition key, else a cross hit when one
+    /// had the same structure, else a compile. Keeps `seen` as that
+    /// cache's keys.
+    fn lookup_as_before(
+        cache: &mut CompiledCollection,
+        seen: &mut Vec<DecompositionKey>,
+        collection: &IdentityCollection,
+        padding: u64,
+    ) -> Rc<CompiledCircuit> {
+        let key = decomposition_key(collection, padding);
+        let mut want = (cache.hits(), cache.cross_hits(), cache.misses());
+        if seen.contains(&key) {
+            want.0 += 1;
+        } else if seen.iter().any(|old| old.2 == key.2) {
+            want.1 += 1;
+        } else {
+            want.2 += 1;
+        }
+        if !seen.contains(&key) {
+            seen.push(key);
+        }
+        let (budget, config) = (Budget::unlimited(), CircuitConfig::default());
+        let circuit = (cache.get_or_compile(collection, padding, &budget, &config)).unwrap();
+        assert_eq!((cache.hits(), cache.cross_hits(), cache.misses()), want);
+        assert_eq!(cache.len(), seen.len());
+        circuit
+    }
+
+    #[test]
+    fn instance_key_hits_exactly_when_the_decomposition_key_does() {
+        let (half, third, zero) = (Frac::HALF, Frac::new(1, 3), Frac::ZERO);
+        let base: &Spec<'_> = &[
+            ("S1", &["a", "b"], half, half),
+            ("S2", &["b", "c"], half, half),
+        ];
+        // `(case, collection, padding, hits)`.
+        let cases: [(&str, &Spec<'_>, u64, bool); 7] = [
+            ("itself", base, 3, true),
+            (
+                "renamed sources",
+                &[
+                    ("T1", &["a", "b"], half, half),
+                    ("T2", &["b", "c"], half, half),
+                ],
+                3,
+                true,
+            ),
+            (
+                "s = 1/3, the same ⌈s·|v|⌉ = 1",
+                &[
+                    ("S1", &["a", "b"], half, third),
+                    ("S2", &["b", "c"], half, half),
+                ],
+                3,
+                true,
+            ),
+            (
+                "a moved from S1 to S2",
+                &[
+                    ("S1", &["b"], half, half),
+                    ("S2", &["a", "b", "c"], half, half),
+                ],
+                3,
+                false,
+            ),
+            (
+                "swapped source order",
+                &[
+                    ("S2", &["b", "c"], half, half),
+                    ("S1", &["a", "b"], half, half),
+                ],
+                3,
+                false,
+            ),
+            (
+                "S2's completeness 0",
+                &[
+                    ("S1", &["a", "b"], half, half),
+                    ("S2", &["b", "c"], zero, half),
+                ],
+                3,
+                false,
+            ),
+            ("padding + 1", base, 4, false),
+        ];
+        let original = collection(base);
+        let key = InstanceKey::new(&original, 3);
+        let mut cache = CompiledCollection::new();
+        let mut seen = Vec::new();
+        let first = lookup_as_before(&mut cache, &mut seen, &original, 3);
+        for (case, spec, padding, hits) in cases {
+            let other = collection(spec);
+            let before = decomposition_key(&original, 3) == decomposition_key(&other, padding);
+            assert_eq!(before, hits, "{case}: the decomposition key");
+            assert_eq!(
+                key.matches(&other, padding),
+                hits,
+                "{case}: the instance key"
+            );
+            if hits {
+                let print = InstanceKey::fingerprint(&other, padding);
+                assert_eq!(print, InstanceKey::fingerprint(&original, 3), "{case}");
+            }
+            let circuit = lookup_as_before(&mut cache, &mut seen, &other, padding);
+            assert_eq!(
+                Rc::ptr_eq(&circuit, &first),
+                hits,
+                "{case}: the cached circuit"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Random pairs over a three-tuple pool with bounds in quarters,
+        /// so equal decompositions, equal soundness ceilings and
+        /// equal structures with different members all come up.
+        #[test]
+        fn instance_key_equality_is_decomposition_key_equality(
+            specs in proptest::collection::vec(
+                proptest::collection::vec((0u8..8, 0u64..=4, 0u64..=4), 1..=2),
+                2..=4,
+            ),
+            paddings in proptest::collection::vec(0u64..=1, 4),
+        ) {
+            let pool = ["a", "b", "c"];
+            let built: Vec<IdentityCollection> = specs
+                .iter()
+                .map(|sources| {
+                    let sources = sources.iter().enumerate().map(|(i, &(mask, c, s))| {
+                        let tuples = (0..3).filter(|bit| mask >> bit & 1 == 1);
+                        let extension: Vec<[Value; 1]> =
+                            tuples.map(|bit| [Value::sym(pool[bit])]).collect();
+                        let (c, s) = (Frac::new(c, 4), Frac::new(s, 4));
+                        SourceDescriptor::identity(format!("S{i}"), &format!("V{i}"), "R", 1, extension, c, s)
+                            .unwrap()
+                    });
+                    SourceCollection::from_sources(sources.collect::<Vec<_>>())
+                        .as_identity()
+                        .unwrap()
+                })
+                .collect();
+            let mut cache = CompiledCollection::new();
+            let mut seen = Vec::new();
+            for (a, &pa) in built.iter().zip(&paddings) {
+                for (b, &pb) in built.iter().zip(&paddings) {
+                    let before = decomposition_key(a, pa) == decomposition_key(b, pb);
+                    proptest::prop_assert_eq!(InstanceKey::new(a, pa).matches(b, pb), before);
+                    if before {
+                        proptest::prop_assert_eq!(
+                            InstanceKey::fingerprint(a, pa),
+                            InstanceKey::fingerprint(b, pb)
+                        );
+                    }
+                }
+                lookup_as_before(&mut cache, &mut seen, a, pa);
+            }
+        }
     }
 
     #[test]

@@ -25,17 +25,61 @@ use crate::partition::{self, ParallelConfig};
 use pscds_numeric::binomial::RowId;
 use pscds_numeric::{Rational, RowCache, UBig};
 use pscds_relational::Value;
+use std::sync::Arc;
+
+/// A weighted world count split by class, with the confidences it fixes:
+/// `weight` worlds in all, `joint[c]` of them weighted by their free
+/// class-`c` tuples, and `confidence[c] = joint[c] / (weight ·
+/// remaining_c)` — divided once, when the counts are made, and read by
+/// every query after. A confidence is zero where no class tuple remains
+/// or no world exists. The exact engines make one at the empty event
+/// (`weight = |poss(S)|`, `joint` the class numerators, every class
+/// tuple remaining); the circuit makes one per event table and shares
+/// it with every analysis it answers (`circuit.rs`).
+#[derive(Clone, Debug)]
+pub(crate) struct ClassCounts {
+    pub(crate) weight: UBig,
+    pub(crate) joint: Vec<UBig>,
+    confidences: Box<[Rational]>,
+}
+
+impl ClassCounts {
+    /// The counts, with one exact division per class; `remaining(c)` is
+    /// the number of class-`c` tuples outside the event.
+    pub(crate) fn new(weight: UBig, joint: Vec<UBig>, remaining: impl Fn(usize) -> u64) -> Self {
+        let confidences = (joint.iter().enumerate())
+            .map(|(class, num)| {
+                let rest = remaining(class);
+                if weight.is_zero() || rest == 0 {
+                    Rational::zero()
+                } else {
+                    Rational::new(num.clone(), weight.mul_u64(rest))
+                }
+            })
+            .collect();
+        ClassCounts {
+            weight,
+            joint,
+            confidences,
+        }
+    }
+
+    /// The confidence of a class-`class` tuple outside the event.
+    pub(crate) fn confidence(&self, class: usize) -> &Rational {
+        &self.confidences[class]
+    }
+}
 
 /// The result of an exact confidence analysis of an identity-view
-/// collection over a finite domain.
+/// collection over a finite domain. The decomposition and the counts are
+/// shared, not owned: a circuit hands every query the same two.
 #[derive(Debug)]
 pub struct ConfidenceAnalysis {
-    analysis: SignatureAnalysis,
-    /// `N_sol(Γ) = |poss(S)|` over the finite domain.
-    total: UBig,
-    /// Per class: `Σ_{feasible} Π_σ C(|σ|,k_σ) · k_class` (divide by
-    /// `size·total` for the confidence).
-    class_numerators: Vec<UBig>,
+    analysis: Arc<SignatureAnalysis>,
+    /// `N_sol(Γ) = |poss(S)|` over the finite domain, the per-class
+    /// numerators `Σ_{feasible} Π_σ C(|σ|,k_σ) · k_class`, and the class
+    /// confidences they fix.
+    counts: Arc<ClassCounts>,
     /// Number of feasible count vectors visited.
     feasible_vectors: u64,
 }
@@ -127,12 +171,12 @@ impl ConfidenceAnalysis {
             }
             feasible_vectors += vectors;
         }
-        Ok(ConfidenceAnalysis {
+        Ok(Self::from_parts(
             analysis,
             total,
             class_numerators,
             feasible_vectors,
-        })
+        ))
     }
 
     /// The raw aggregates `(total, class_numerators, feasible_vectors)` —
@@ -140,7 +184,11 @@ impl ConfidenceAnalysis {
     /// engine tests compare bit for bit.
     #[cfg(test)]
     pub(crate) fn parts(&self) -> (&UBig, &[UBig], u64) {
-        (&self.total, &self.class_numerators, self.feasible_vectors)
+        (
+            &self.counts.weight,
+            &self.counts.joint,
+            self.feasible_vectors,
+        )
     }
 
     /// Assembles a result from parts computed by a sibling engine (the
@@ -152,10 +200,22 @@ impl ConfidenceAnalysis {
         feasible_vectors: u64,
     ) -> Self {
         debug_assert_eq!(class_numerators.len(), analysis.classes().len());
+        let classes = analysis.classes();
+        let counts = ClassCounts::new(total, class_numerators, |class| classes[class].size);
+        Self::shared(Arc::new(analysis), Arc::new(counts), feasible_vectors)
+    }
+
+    /// Assembles a result from a decomposition and counts made at the
+    /// empty event, both shared with their maker (the circuit).
+    pub(crate) fn shared(
+        analysis: Arc<SignatureAnalysis>,
+        counts: Arc<ClassCounts>,
+        feasible_vectors: u64,
+    ) -> Self {
+        debug_assert_eq!(counts.joint.len(), analysis.classes().len());
         ConfidenceAnalysis {
             analysis,
-            total,
-            class_numerators,
+            counts,
             feasible_vectors,
         }
     }
@@ -163,7 +223,7 @@ impl ConfidenceAnalysis {
     /// `N_sol(Γ)` — the number of possible worlds over the finite domain.
     #[must_use]
     pub fn world_count(&self) -> &UBig {
-        &self.total
+        &self.counts.weight
     }
 
     /// Number of feasible count vectors (the outer sum's length) — a
@@ -176,7 +236,7 @@ impl ConfidenceAnalysis {
     /// `true` iff the collection is consistent over this domain.
     #[must_use]
     pub fn is_consistent(&self) -> bool {
-        !self.total.is_zero()
+        !self.counts.weight.is_zero()
     }
 
     /// The underlying signature decomposition.
@@ -185,29 +245,25 @@ impl ConfidenceAnalysis {
         &self.analysis
     }
 
-    /// Confidence of any fact in class `class_idx`.
+    /// Confidence of any fact in class `class_idx`, as stored when the
+    /// counts were made.
     ///
     /// # Errors
     /// [`CoreError::InconsistentCollection`] when `poss(S)` is empty.
     pub fn class_confidence(&self, class_idx: usize) -> Result<Rational, CoreError> {
-        if self.total.is_zero() {
-            return Err(CoreError::InconsistentCollection);
-        }
-        let class = &self.analysis.classes()[class_idx];
-        let num = self.class_numerators[class_idx].clone();
-        let den = self.total.mul_u64(class.size);
-        Ok(Rational::new(num, den))
+        Ok(self.class_confidences()?[class_idx].clone())
     }
 
     /// Every class's confidence, by class index: one exact division per
-    /// class, shared by all of the class's members.
+    /// class, made once and shared by all of the class's members.
     ///
     /// # Errors
     /// [`CoreError::InconsistentCollection`] when `poss(S)` is empty.
-    pub fn class_confidences(&self) -> Result<Vec<Rational>, CoreError> {
-        (0..self.analysis.classes().len())
-            .map(|idx| self.class_confidence(idx))
-            .collect()
+    pub fn class_confidences(&self) -> Result<&[Rational], CoreError> {
+        if self.counts.weight.is_zero() {
+            return Err(CoreError::InconsistentCollection);
+        }
+        Ok(&self.counts.confidences)
     }
 
     /// Confidence of a specific tuple (`confidence(t_p)` of Section 5.1).
@@ -260,16 +316,13 @@ impl ConfidenceAnalysis {
     }
 
     fn tuples_with<F: Fn(&Rational) -> bool>(&self, keep: F) -> Result<Vec<Vec<Value>>, CoreError> {
-        if self.total.is_zero() {
-            return Err(CoreError::InconsistentCollection);
-        }
+        let confs = self.class_confidences()?;
         let mut out = Vec::new();
-        for (idx, class) in self.analysis.classes().iter().enumerate() {
+        for (class, conf) in self.analysis.classes().iter().zip(confs) {
             if class.members.is_empty() {
                 continue; // padding class: unnamed tuples
             }
-            let conf = self.class_confidence(idx)?;
-            if keep(&conf) {
+            if keep(conf) {
                 out.extend(class.members.iter().cloned());
             }
         }
@@ -284,14 +337,15 @@ impl ConfidenceAnalysis {
     /// # Errors
     /// [`CoreError::InconsistentCollection`] when `poss(S)` is empty.
     pub fn expected_world_size(&self) -> Result<Rational, CoreError> {
-        if self.total.is_zero() {
+        let total = &self.counts.weight;
+        if total.is_zero() {
             return Err(CoreError::InconsistentCollection);
         }
         let mut num = UBig::zero();
-        for n in &self.class_numerators {
+        for n in &self.counts.joint {
             num.add_assign(n);
         }
-        Ok(Rational::new(num, self.total.clone()))
+        Ok(Rational::new(num, total.clone()))
     }
 
     /// Joint confidence `Pr(t ∈ D ∧ t' ∈ D | D ∈ poss(S))` for two
@@ -314,7 +368,8 @@ impl ConfidenceAnalysis {
         class_i: usize,
         class_j: usize,
     ) -> Result<Rational, CoreError> {
-        if self.total.is_zero() {
+        let total = &self.counts.weight;
+        if total.is_zero() {
             return Err(CoreError::InconsistentCollection);
         }
         let classes = self.analysis.classes();
@@ -344,9 +399,9 @@ impl ConfidenceAnalysis {
             num.add_assign(&scaled);
         });
         let den = if class_i == class_j {
-            self.total.mul_u64(ni).mul_u64(ni - 1)
+            total.mul_u64(ni).mul_u64(ni - 1)
         } else {
-            self.total.mul_u64(ni).mul_u64(nj)
+            total.mul_u64(ni).mul_u64(nj)
         };
         Ok(Rational::new(num, den))
     }
@@ -972,6 +1027,12 @@ mod tests {
             naive_tally(&sizes(&analysis), &vectors)
         );
         assert_eq!(amortized_tally(&analysis, &[]).0, UBig::zero());
+    }
+
+    #[test]
+    fn analyses_stay_sendable_while_sharing_their_parts() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<ConfidenceAnalysis>();
     }
 
     #[test]

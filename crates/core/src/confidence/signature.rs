@@ -283,38 +283,43 @@ impl SignatureAnalysis {
         Ok(idx)
     }
 
-    /// The named members in confidence-table order, each with its class
-    /// index. Every member of a class shares the class's confidence
-    /// (§5.1), so the table is built per class: the extension classes are
-    /// ranked once by `class_order` (`Less` puts the first class earlier,
-    /// and classes comparing `Equal` share a rank), each class's members
-    /// — already ascending — are laid out in rank order, and one stable
-    /// sort on `(rank, tuple)` merges the runs of tied classes. The
-    /// padding class has no members and yields no rows.
+    /// The first `limit` named members in confidence-table order, each
+    /// with its class index. Every member of a class shares the class's
+    /// confidence (§5.1), so the table is built per class: the extension
+    /// classes are ranked once by `class_order` (`Less` puts the first
+    /// class earlier, and classes comparing `Equal` share a rank), and
+    /// each run of tied classes, taken in rank order, merges its classes'
+    /// members — already ascending — by one sort of their first rows.
+    /// Runs past the limit are never read, so a short prefix costs the
+    /// class ranking and its own rows only. The padding class has no
+    /// members and yields no rows.
     pub fn ranked_members(
         &self,
         mut class_order: impl FnMut(usize, usize) -> Ordering,
+        limit: usize,
     ) -> Vec<(&[Value], usize)> {
         let mut order: Vec<usize> = (0..self.classes.len())
             .filter(|&c| !self.classes[c].members.is_empty())
             .collect();
         order.sort_by(|&a, &b| class_order(a, b));
-        let len = order.iter().map(|&c| self.classes[c].members.len()).sum();
-        let mut rows: Vec<(usize, &[Value], usize)> = Vec::with_capacity(len);
-        let mut rank = 0usize;
-        for (pos, &c) in order.iter().enumerate() {
-            if pos > 0 && class_order(order[pos - 1], c) != Ordering::Equal {
-                rank += 1;
+        let len: usize = order.iter().map(|&c| self.classes[c].members.len()).sum();
+        let mut rows: Vec<(&[Value], usize)> = Vec::with_capacity(len.min(limit));
+        let mut tied = order.as_slice();
+        while rows.len() < limit {
+            let Some(&first) = tied.first() else { break };
+            let run = (tied.iter()).position(|&c| class_order(first, c) != Ordering::Equal);
+            let (run, rest) = tied.split_at(run.unwrap_or(tied.len()));
+            let (at, need) = (rows.len(), limit - rows.len());
+            for &c in run {
+                let members = self.classes[c].members.iter().take(need);
+                rows.extend(members.map(|m| (m.as_slice(), c)));
             }
-            rows.extend(
-                self.classes[c]
-                    .members
-                    .iter()
-                    .map(|m| (rank, m.as_slice(), c)),
-            );
+            // A stable sort merges the classes' ascending runs.
+            rows[at..].sort_by(|a, b| a.0.cmp(b.0));
+            rows.truncate(limit);
+            tied = rest;
         }
-        rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-        rows.into_iter().map(|(_, tuple, c)| (tuple, c)).collect()
+        rows
     }
 
     /// Tests feasibility of a complete count vector (one entry per class).

@@ -95,6 +95,7 @@ use pscds_relational::{Fact, RelError, Value};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One validated per-source update: `(source index, deletes, inserts)`,
 /// the form [`DeltaSession::apply_ops`] consumes.
@@ -467,7 +468,8 @@ pub struct DeltaSession {
     /// union churns.
     universe: u64,
     padding: u64,
-    analysis: SignatureAnalysis,
+    /// Shared with the circuit and every answer it gives.
+    analysis: Arc<SignatureAnalysis>,
     circuit: Option<(CompiledCircuit, CircuitMemo)>,
     maintenance: Maintenance,
     config: CircuitConfig,
@@ -489,7 +491,7 @@ impl DeltaSession {
             .ok_or_else(|| CoreError::BadDomain {
                 message: "padding + extension union overflows the u64 fact universe".into(),
             })?;
-        let analysis = SignatureAnalysis::new(&collection, padding);
+        let analysis = Arc::new(SignatureAnalysis::new(&collection, padding));
         Ok(DeltaSession {
             collection,
             universe,
@@ -723,7 +725,7 @@ impl DeltaSession {
             self.stats.recompiles_forced += 1;
         }
         self.maintenance = merge(self.maintenance, need);
-        self.analysis = fresh;
+        self.analysis = Arc::new(fresh);
     }
 
     /// Answers from maintained state, performing whatever maintenance
@@ -737,7 +739,7 @@ impl DeltaSession {
                 // The skeleton, and the event tables it memoizes, are a
                 // function of the projected structure alone.
                 let skeleton = Rc::clone(circuit.skeleton());
-                *circuit = CompiledCircuit::rebind(skeleton, self.analysis.clone());
+                *circuit = CompiledCircuit::rebind(skeleton, Arc::clone(&self.analysis));
             }
             if let Some(answer) = circuit.memoized_analysis() {
                 self.maintenance = Maintenance::Current;
@@ -757,8 +759,8 @@ impl DeltaSession {
                     self.maintenance = Maintenance::Recompile;
                 } else {
                     self.stats.states_invalidated += invalidate_prefix(&mut memo, max_touched);
-                    match patch_compile(circuit, memo, self.analysis.clone(), budget, &self.config)
-                    {
+                    let analysis = Arc::clone(&self.analysis);
+                    match patch_compile(circuit, memo, analysis, budget, &self.config) {
                         Ok((circuit, memo, patched)) => {
                             self.stats.nodes_patched += patched;
                             self.circuit = Some((circuit, memo));
@@ -781,7 +783,7 @@ impl DeltaSession {
             stale => {
                 // Never hold the old arena and the new one at once.
                 drop(stale);
-                match compile_with_memo(self.analysis.clone(), budget, &self.config) {
+                match compile_with_memo(Arc::clone(&self.analysis), budget, &self.config) {
                     Ok(compiled) => compiled,
                     Err(e) => {
                         self.maintenance = Maintenance::Recompile;

@@ -261,8 +261,11 @@ printf 'seed: 99\ndefault { fail: 1/8 }\nsource S2 { down: 0..100 }\n' \
 # hold end to end, and the E11 compile-once/query-many run must append a
 # schema-valid "circuit" record to BENCH_history.jsonl — the binary
 # itself asserts bit-identical answers and the ≥5× amortized speedup.
-echo "==> circuit gate (DP parity at 2 thread counts, metamorphic suite, E11 amortization)"
+echo "==> circuit gate (DP parity at 2 thread counts, metamorphic suite, warm-query allocations, E11 amortization)"
 cargo test -q --release --test circuit_metamorphic
+# The benchmark runs release builds: a warm circuit query must allocate
+# the same at every catalog size under that profile too.
+cargo test -q --release -p pscds-core --test query_alloc
 (
     cd "$smoke_dir"
     for threads in 1 4; do

@@ -86,7 +86,7 @@ fn ranked_rows(analysis: &ConfidenceAnalysis) -> Result<Vec<(Vec<Value>, Rationa
     let confs = analysis.class_confidences()?;
     Ok(analysis
         .signature_analysis()
-        .ranked_members(|a, b| confs[b].cmp(&confs[a]))
+        .ranked_members(|a, b| confs[b].cmp(&confs[a]), usize::MAX)
         .into_iter()
         .map(|(tuple, class)| (tuple.to_vec(), confs[class].clone()))
         .collect())
@@ -150,11 +150,14 @@ fn assert_tables_match(identity: &IdentityCollection, padding: u64) {
         });
         let confs = &estimate.class_confidence;
         let ranked: Vec<(Vec<Value>, f64)> = signatures
-            .ranked_members(|a, b| {
-                confs[b]
-                    .partial_cmp(&confs[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .ranked_members(
+                |a, b| {
+                    confs[b]
+                        .partial_cmp(&confs[a])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                },
+                usize::MAX,
+            )
             .into_iter()
             .map(|(tuple, class)| (tuple.to_vec(), confs[class]))
             .collect();
