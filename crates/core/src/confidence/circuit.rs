@@ -66,7 +66,8 @@
 //! On top of the exact arena the compiler builds a **canonical**
 //! index, one level at a time from the level's flat keys: within each
 //! *orbit* of interchangeable sources, the exact key's per-source
-//! `(deficit, margin)` triples are sorted in place. Two sources `a`, `b` are interchangeable at level `j` when
+//! `(deficit, margin)` fields are sorted, and the canonical key is packed
+//! in the level's layout. Two sources `a`, `b` are interchangeable at level `j` when
 //! they claim identical bounds `(min_sound, c)` and the multiset of
 //! suffix classes `(signature, size)` from `j` on is invariant under
 //! swapping their signature bits — then swapping their residuals relabels the suffix
@@ -88,7 +89,8 @@
 
 use crate::collection::IdentityCollection;
 use crate::confidence::counting::{ClassCounts, ConfidenceAnalysis};
-use crate::confidence::dp::{index_keys, DpStats, Level, LimbHasher, LimbMap, Sweep};
+use crate::confidence::dp::{DpStats, Level, Sweep};
+use crate::confidence::residual::{KeyTable, Layout, LimbHasher, LimbMap};
 use crate::confidence::signature::{SignatureAnalysis, Subtree};
 use crate::error::CoreError;
 use crate::govern::Budget;
@@ -572,38 +574,38 @@ fn source_orbits(analysis: &SignatureAnalysis) -> Vec<Vec<usize>> {
     orbits
 }
 
-/// Turns an exact residual key into its canonical key, in place: each
-/// orbit's per-source `(deficit, margin)` triples are sorted (an
+/// Appends the canonical key of the exact residual key `key` to `out`:
+/// each orbit's per-source `(deficit, margin)` fields are sorted (an
 /// insertion sort over the orbit's positions), so residual permutations
-/// within an orbit collapse.
-fn canonicalize(key: &mut [u64], labels: &[usize]) {
+/// within an orbit collapse. Sources of one orbit share their field
+/// widths, since their suffix maxima and saturation caps are equal.
+fn canonicalize(
+    layout: &Layout,
+    key: &[u64],
+    labels: &[usize],
+    fields: &mut Vec<(u64, u128)>,
+    out: &mut Vec<u64>,
+) {
+    layout.read_fields(key, fields);
     for i in 1..labels.len() {
         let mut at = i;
         for prev in (0..i).rev().filter(|&prev| labels[prev] == labels[i]) {
-            if key[3 * prev..3 * prev + 3] <= key[3 * at..3 * at + 3] {
+            if fields[prev] <= fields[at] {
                 break;
             }
-            for limb in 0..3 {
-                key.swap(3 * prev + limb, 3 * at + limb);
-            }
+            fields.swap(prev, at);
             at = prev;
         }
     }
+    layout.write_fields(fields, out);
 }
 
-/// One level's residual states, flat: `3n` key limbs each, and the node
-/// each got ([`NO_NODE`] for none).
+/// One level's residual states: their packed keys (`words(j)` limbs
+/// each) and the node each got ([`NO_NODE`] for none).
 #[derive(Default)]
 struct KeyLevel {
-    keys: Vec<u64>,
+    keys: KeyTable,
     ids: Vec<u32>,
-}
-
-impl KeyLevel {
-    /// Key (`width` limbs) → position of each state.
-    fn index(&self, width: usize) -> LimbMap<&[u64], usize> {
-        index_keys(&self.keys, self.ids.len(), width, width)
-    }
 }
 
 /// The residual states a compile leaves behind, kept *outside*
@@ -653,7 +655,7 @@ impl CircuitSkeleton {
         budget: &Budget,
     ) -> Result<Option<u32>, CoreError> {
         let analysis = sweep.analysis;
-        let (m, width) = (analysis.classes().len(), 3 * analysis.source_count());
+        let m = analysis.classes().len();
         let orbits = source_orbits(analysis);
         self.nodes
             .reserve_exact(levels.iter().map(Level::len).sum());
@@ -669,13 +671,16 @@ impl CircuitSkeleton {
             let level = std::mem::take(&mut levels[j]);
             let row = rows.intern(analysis.classes()[j].size);
             let (upper, lower) = memo.levels.split_at_mut(j + 1);
-            let (states, below) = (&mut upper[j], lower.first().map(|b| b.index(width)));
+            let states = &mut upper[j];
+            if let Some(below) = lower.first_mut() {
+                below.keys.index();
+            }
+            let below = lower.first();
             let first = states.ids.len();
-            states.keys.reserve_exact(level.len() * width);
             states.ids.reserve_exact(level.len());
             // Binomial weight slots of this level, by `k`.
             slots.clear();
-            for (key, t0, w0) in level.states(0..level.len()) {
+            for (t0, w0) in level.states(0..level.len()) {
                 t.copy_from_slice(t0);
                 let first_edge = to_u32(self.edges.len())?;
                 count.set_u64(0);
@@ -686,11 +691,10 @@ impl CircuitSkeleton {
                         Subtree::Pruned => None,
                         Subtree::Inner => {
                             sweep.residual.pack_into(j + 1, t, *w, &mut packed);
-                            let found = below.as_ref().and_then(|b| b.get(packed.as_slice()));
+                            let found =
+                                below.and_then(|b| b.keys.find(&packed).map(|at| b.ids[at]));
                             debug_assert!(found.is_some(), "the expansion kept every live child");
-                            found
-                                .map(|&at| lower[0].ids[at])
-                                .filter(|&id| id != NO_NODE)
+                            found.filter(|&id| id != NO_NODE)
                         }
                     };
                     let Some(child) = child else { return Ok(()) };
@@ -728,13 +732,17 @@ impl CircuitSkeleton {
                     self.stats.edges += edges as u64;
                     id
                 };
-                states.keys.extend_from_slice(key);
                 states.ids.push(id);
             }
-            drop(below);
-            self.share(&level, &states.ids[first..], &orbits[j]);
-            if let (false, Some(below)) = (keep, lower.first_mut()) {
-                *below = KeyLevel::default();
+            states.keys.append(level.keys);
+            let layout = sweep.residual.layout(j);
+            self.share(layout, &states.keys, &states.ids, first, &orbits[j]);
+            if let Some(below) = lower.first_mut() {
+                if keep {
+                    below.keys.unindex();
+                } else {
+                    *below = KeyLevel::default();
+                }
             }
         }
         self.nodes.shrink_to_fit();
@@ -750,17 +758,23 @@ impl CircuitSkeleton {
     /// the canonicalization soundness check. They need NOT agree on
     /// per-class numerators, which is exactly why the answering arena
     /// stays exact.
-    fn share(&mut self, level: &Level, ids: &[u32], labels: &[usize]) {
-        let (mut canon, mut order) = (Vec::new(), Vec::new());
-        for ((key, _, _), &id) in level.states(0..level.len()).zip(ids) {
+    fn share(
+        &mut self,
+        layout: &Layout,
+        keys: &KeyTable,
+        ids: &[u32],
+        first: usize,
+        labels: &[usize],
+    ) {
+        let (mut canon, mut order, mut fields) = (Vec::new(), Vec::new(), Vec::new());
+        for (at, &id) in ids.iter().enumerate().skip(first) {
             if id != NO_NODE {
-                let at = canon.len();
-                canon.extend_from_slice(key);
-                canonicalize(&mut canon[at..], labels);
-                order.push((at, id));
+                let start = canon.len();
+                canonicalize(layout, keys.key(at), labels, &mut fields, &mut canon);
+                order.push((start, id));
             }
         }
-        let width = 3 * labels.len();
+        let width = layout.words();
         let key = |at: usize| &canon[at..at + width];
         order.sort_unstable_by(|a, b| key(a.0).cmp(key(b.0)));
         let mut shared = 0;
@@ -860,7 +874,7 @@ fn compile_onto(
     budget: &Budget,
     config: &CircuitConfig,
 ) -> Result<(CompiledCircuit, CircuitMemo), CoreError> {
-    let (m, width) = (analysis.classes().len(), 3 * analysis.source_count());
+    let m = analysis.classes().len();
     let fresh = resumed.is_none();
     let (mut arena, mut memo) = match resumed {
         Some((arena, memo)) => {
@@ -887,12 +901,16 @@ fn compile_onto(
     memo.levels.resize_with(m, KeyLevel::default);
     let serial = ParallelConfig::serial();
     let sweep = Sweep::new(&analysis, &serial, COMPILE_PHASE);
-    let kept: Vec<_> = memo.levels.iter().map(|level| level.index(width)).collect();
-    let retained = |j: usize, key: &[u64]| kept[j].contains_key(key);
+    memo.levels.iter_mut().for_each(|level| level.keys.index());
+    let kept = &memo.levels;
+    let retained = |j: usize, key: &[u64]| kept[j].keys.find(key).is_some();
     let mut arrivals = DpStats::default();
     let no_obs = &mut ObsSession::disabled();
-    let (levels, plan) = sweep.expand(budget, config.max_nodes, retained, &mut arrivals, no_obs)?;
-    drop(kept);
+    let expanded = sweep.expand(budget, config.max_nodes, retained, &mut arrivals, no_obs);
+    memo.levels
+        .iter_mut()
+        .for_each(|level| level.keys.unindex());
+    let (levels, plan) = expanded?;
     arena.root = match levels {
         _ if !plan.complete => {
             return Err(CoreError::BadDomain {

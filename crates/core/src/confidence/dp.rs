@@ -74,7 +74,7 @@
 //! kept levels already hold as `retained`, so the expansion stops there.
 
 use crate::confidence::counting::{ConfidenceAnalysis, Tally};
-use crate::confidence::residual::{render_key, Residual};
+use crate::confidence::residual::{render_key, KeyTable, Residual};
 use crate::confidence::signature::{SignatureAnalysis, Subtree};
 use crate::error::CoreError;
 use crate::govern::{record_trip, Budget, Engine};
@@ -82,7 +82,6 @@ use crate::partition::{self, ParallelConfig};
 use pscds_numeric::{RowCache, UBig};
 use pscds_obs::{names, MetricSet, ObsSession, EXEMPLAR_KEYS};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Memoization limits for the DP engine (search *steps* are governed by
@@ -98,9 +97,11 @@ pub struct DpConfig {
 impl Default for DpConfig {
     fn default() -> Self {
         DpConfig {
-            // ~1M residual states; each holds a handful of UBigs, so this
-            // caps memory at a few hundred MB in the worst case while
-            // leaving every realistic instance fully resident.
+            // ~1M residual states; each holds its packed key and its
+            // representative state (`words(j) + n + 1` limbs) and, while
+            // its level folds, a handful of UBigs, so this caps memory at
+            // a few hundred MB in the worst case while leaving every
+            // realistic instance fully resident.
             max_cache_entries: 1 << 20,
         }
     }
@@ -273,46 +274,6 @@ const REPLAY_NODE_CAP: u64 = 10_000;
 /// Budget phase charged once per DP node.
 const DP_PHASE: &str = "confidence::dp";
 
-/// A multiply-rotate hasher for the per-arrival lookups of packed
-/// residual limbs, where SipHash would cost more than the rest of the
-/// lookup. The keys are computed, not adversarial.
-#[derive(Default)]
-pub(crate) struct LimbHasher(u64);
-
-impl Hasher for LimbHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for word in bytes.chunks(8) {
-            let mut limb = [0u8; 8];
-            limb[..word.len()].copy_from_slice(word);
-            let limb = u64::from_le_bytes(limb);
-            self.0 = (self.0.rotate_left(5) ^ limb).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) type LimbMap<K, V> = HashMap<K, V, BuildHasherDefault<LimbHasher>>;
-
-/// Indexes `len` flat records of `stride` limbs each by their leading
-/// `width` limbs, a packed residual key: key → record position.
-pub(crate) fn index_keys(
-    records: &[u64],
-    len: usize,
-    stride: usize,
-    width: usize,
-) -> LimbMap<&[u64], usize> {
-    let key = |at: usize| &records[at * stride..at * stride + width];
-    (0..len).map(|at| (key(at), at)).collect()
-}
-
-/// A child state's first arrival during the expansion: where its `(t, w)`
-/// sits in the level's arrival records, whether the debug replay already
-/// checked a repeat against it, and the DFS's paths into it.
-type Arrival = (usize, bool, u64);
-
 /// DP results shared **across runs** — the consensus sweep's cache.
 ///
 /// A run's result is a pure function of its analysis's *projected
@@ -353,30 +314,27 @@ impl SharedDpCache {
     }
 }
 
-/// One level's states, flat: per state its packed residual key (`3n`
-/// limbs for `n` sources), then its representative exact state `t` (`n`
-/// limbs) and `w`.
+/// One level's states, flat: their packed residual keys (`words(j)`
+/// limbs each, sorted) and per state its representative exact state `t`
+/// (`n` limbs for `n` sources) and `w` — `words(j) + n + 1` limbs a state.
 #[derive(Default)]
 pub(crate) struct Level {
+    pub(crate) keys: KeyTable,
     sources: usize,
-    records: Vec<u64>,
+    /// Per state, `t` then `w`.
+    reps: Vec<u64>,
 }
 
 impl Level {
     pub(crate) fn len(&self) -> usize {
-        self.records.len() / (4 * self.sources + 1)
+        self.keys.len()
     }
 
-    /// The `(key, t, w)` of the states in `range`.
-    pub(crate) fn states(
-        &self,
-        range: Range<usize>,
-    ) -> impl Iterator<Item = (&[u64], &[u64], u64)> {
-        let (n, stride) = (self.sources, 4 * self.sources + 1);
-        let records = &self.records[range.start * stride..range.end * stride];
-        records
-            .chunks_exact(stride)
-            .map(move |r| (&r[..3 * n], &r[3 * n..4 * n], r[4 * n]))
+    /// The exact `(t, w)` of the states in `range`.
+    pub(crate) fn states(&self, range: Range<usize>) -> impl Iterator<Item = (&[u64], u64)> {
+        let n = self.sources;
+        let reps = &self.reps[range.start * (n + 1)..range.end * (n + 1)];
+        reps.chunks_exact(n + 1).map(move |r| (&r[..n], r[n]))
     }
 }
 
@@ -491,12 +449,13 @@ impl<'a> Sweep<'a> {
         let (m, n) = (analysis.classes().len(), analysis.source_count());
         let (mut t, mut packed) = (vec![0u64; n], Vec::new());
         // The root: its key, then its exact state, all zeros.
-        let mut records = Vec::new();
-        self.residual.pack_into(0, &t, 0, &mut records);
-        records.resize(4 * n + 1, 0);
+        let mut root = KeyTable::with_capacity(self.residual.layout(0).words(), 1);
+        self.residual.pack_into(0, &t, 0, &mut packed);
+        root.push(&packed);
         let mut levels = vec![Level {
+            keys: root,
             sources: n,
-            records,
+            reps: vec![0; n + 1],
         }];
         // The DFS's paths into each state of the current level.
         let mut paths = vec![1u64];
@@ -505,19 +464,26 @@ impl<'a> Sweep<'a> {
         let mut kept = 1;
         let mut mark = budget.steps();
         budget.tick(self.phase)?;
+        // Per level, the distinct children in arrival order: their keys,
+        // their first arrivals' `(t, w)`, the DFS's paths into each, and
+        // whether the debug replay already checked a repeat against it.
+        let mut seen = KeyTable::default();
+        let (mut arrivals, mut into, mut checked) = (Vec::new(), Vec::<u64>::new(), Vec::new());
         for j in 0..m {
             let states = levels[j].len();
             obs.span_open(names::SPAN_DP_LEVEL, budget.elapsed_ns());
             obs.span_attr("level", &j.to_string());
             obs.span_attr("states", &states.to_string());
-            let mut seen: LimbMap<Box<[u64]>, Arrival> = LimbMap::default();
-            let mut arrivals = Vec::new();
+            seen.reset(self.residual.layout(j + 1).words());
+            arrivals.clear();
+            into.clear();
+            checked.clear();
             let width = (m - j + 1) as u64;
             let mut expand_level = || -> Result<(), CoreError> {
-                for ((_, t0, w0), &into) in levels[j].states(0..states).zip(&paths) {
+                for ((t0, w0), &paths_in) in levels[j].states(0..states).zip(&paths) {
                     t.copy_from_slice(t0);
                     analysis.children::<CoreError>(j, &mut t, &mut { w0 }, |_, child, t, w| {
-                        plan.dfs_steps = plan.dfs_steps.saturating_add(into);
+                        plan.dfs_steps = plan.dfs_steps.saturating_add(paths_in);
                         plan.dp_steps = plan.dp_steps.saturating_add(1);
                         plan.folds = plan.folds.saturating_add(width);
                         budget.tick(self.phase)?;
@@ -525,20 +491,24 @@ impl<'a> Sweep<'a> {
                             return Ok(()); // the evaluation folds leaves in
                         }
                         self.residual.pack_into(j + 1, t, *w, &mut packed);
-                        if let Some(rep) = seen.get_mut(packed.as_slice()) {
-                            #[cfg(debug_assertions)]
-                            if !std::mem::replace(&mut rep.1, true) {
-                                let rep = &arrivals[rep.0..=rep.0 + n];
-                                self.replay_check(j + 1, (&rep[..n], rep[n]), (t, *w));
+                        match seen.probe(&packed) {
+                            Ok(at) => {
+                                #[cfg(debug_assertions)]
+                                if !std::mem::replace(&mut checked[at], true) {
+                                    let rep = &arrivals[at * (n + 1)..(at + 1) * (n + 1)];
+                                    self.replay_check(j + 1, (&rep[..n], rep[n]), (t, *w));
+                                }
+                                into[at] = into[at].saturating_add(paths_in);
+                                stats.cache_hits += 1;
                             }
-                            rep.2 = rep.2.saturating_add(into);
-                            stats.cache_hits += 1;
-                        } else if retained(j + 1, &packed) {
-                            stats.cache_hits += 1;
-                        } else {
-                            seen.insert(packed.as_slice().into(), (arrivals.len(), false, into));
-                            arrivals.extend_from_slice(t);
-                            arrivals.push(*w);
+                            Err(_) if retained(j + 1, &packed) => stats.cache_hits += 1,
+                            Err(vacant) => {
+                                seen.fill(vacant, &packed)?;
+                                arrivals.extend_from_slice(t);
+                                arrivals.push(*w);
+                                into.push(paths_in);
+                                checked.push(false);
+                            }
                         }
                         Ok(())
                     })?;
@@ -554,25 +524,29 @@ impl<'a> Sweep<'a> {
             }
             obs.span_close(budget.elapsed_ns());
             expanded?;
-            let mut children: Vec<(Box<[u64]>, Arrival)> = seen.into_iter().collect();
-            children.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let room = children.len().min(cap - kept);
-            plan.complete &= room == children.len();
-            for (key, _) in children[room..].iter().take(EXEMPLAR_KEYS) {
-                stats.note_fallback_key(&render_key(j + 1, key));
+            // The children in key order: a permutation, sorted.
+            let mut order: Vec<u32> = (0..seen.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| seen.key(a as usize).cmp(seen.key(b as usize)));
+            let room = order.len().min(cap - kept);
+            plan.complete &= room == order.len();
+            for &at in order[room..].iter().take(EXEMPLAR_KEYS) {
+                stats.note_fallback_key(&render_key(j + 1, seen.key(at as usize)));
             }
             if room == 0 {
                 break;
             }
             let mut next = Level {
+                keys: KeyTable::with_capacity(self.residual.layout(j + 1).words(), room),
                 sources: n,
-                records: Vec::with_capacity(room * (4 * n + 1)),
+                reps: Vec::with_capacity(room * (n + 1)),
             };
             paths.clear();
-            for (key, (at, _, into)) in &children[..room] {
-                next.records.extend_from_slice(key);
-                next.records.extend_from_slice(&arrivals[*at..=*at + n]);
-                paths.push(*into);
+            for &at in &order[..room] {
+                let at = at as usize;
+                next.keys.push(seen.key(at));
+                next.reps
+                    .extend_from_slice(&arrivals[at * (n + 1)..(at + 1) * (n + 1)]);
+                paths.push(into[at]);
             }
             kept += room;
             levels.push(next);
@@ -601,8 +575,8 @@ impl<'a> Sweep<'a> {
         for j in (0..levels.len()).rev() {
             let level = std::mem::take(&mut levels[j]);
             // Key → position of each aggregate of the level below.
-            let (stride, width) = (4 * below.sources + 1, 3 * below.sources);
-            let index = index_keys(&below.records, below.len(), stride, width);
+            below.keys.index();
+            let index = &below.keys;
             let evaluate_part = |part: &Range<usize>, budget: &Budget| -> Result<_, CoreError> {
                 budget.check(DP_PHASE)?;
                 let mut rows = RowCache::new();
@@ -611,7 +585,7 @@ impl<'a> Sweep<'a> {
                 let mut scratch = [UBig::zero(), UBig::zero(), UBig::zero()];
                 let mut acc = vec![UBig::zero(); m - j + 1];
                 let mut sums = Sums::default();
-                for (_, t0, w0) in level.states(part.clone()) {
+                for (t0, w0) in level.states(part.clone()) {
                     acc.iter_mut().for_each(|value| value.set_u64(0));
                     let mut vectors = 0;
                     t.copy_from_slice(t0);
@@ -622,8 +596,8 @@ impl<'a> Sweep<'a> {
                             Subtree::Pruned => None,
                             Subtree::Inner => {
                                 self.residual.pack_into(j + 1, t, *w, &mut packed);
-                                Some(match index.get(packed.as_slice()) {
-                                    Some(&i) => {
+                                Some(match index.find(&packed) {
+                                    Some(i) => {
                                         let p = below_parts.partition_point(|r| r.end <= i);
                                         (&below_sums[p], i - below_parts[p].start)
                                     }
@@ -652,7 +626,6 @@ impl<'a> Sweep<'a> {
                     Ok((sums, b.steps() - start))
                 })?;
             partition::record_chunk_lifecycle(metrics, self.parallel, &outcomes);
-            drop(index);
             below_sums.clear();
             for (sums, ticks) in outcomes.into_iter().flatten() {
                 below_sums.push(sums);

@@ -113,6 +113,23 @@ pub struct SignatureAnalysis {
     arity: usize,
 }
 
+/// `suffix_max_t[i][j]`: the total size of classes `j..` with bit `i`.
+fn suffix_maxima(classes: &[SignatureClass], sources: usize) -> Vec<Vec<u64>> {
+    let m = classes.len();
+    let mut suffix_max_t = vec![vec![0u64; m + 1]; sources];
+    for (i, row) in suffix_max_t.iter_mut().enumerate() {
+        for j in (0..m).rev() {
+            let contrib = if classes[j].signature >> i & 1 == 1 {
+                classes[j].size
+            } else {
+                0
+            };
+            row[j] = row[j + 1] + contrib;
+        }
+    }
+    suffix_max_t
+}
+
 impl SignatureAnalysis {
     /// Builds the decomposition. `padding` is the number of potential
     /// facts in the finite domain that belong to **no** extension
@@ -149,24 +166,27 @@ impl SignatureAnalysis {
                 min_sound: s.soundness.ceil_mul(s.tuples.len() as u64),
             })
             .collect();
-        let m = classes.len();
-        let mut suffix_max_t = vec![vec![0u64; m + 1]; bounds.len()];
-        for (i, row) in suffix_max_t.iter_mut().enumerate() {
-            for j in (0..m).rev() {
-                let contrib = if classes[j].signature >> i & 1 == 1 {
-                    classes[j].size
-                } else {
-                    0
-                };
-                row[j] = row[j + 1] + contrib;
-            }
-        }
         SignatureAnalysis {
+            suffix_max_t: suffix_maxima(&classes, bounds.len()),
             classes,
             bounds,
-            suffix_max_t,
             relation: collection.relation,
             arity: collection.arity,
+        }
+    }
+
+    /// The same decomposition with class `j` resized to `sizes[j]`: the
+    /// members are left as they are, so only the count structure moves.
+    #[cfg(test)]
+    pub(crate) fn resized(&self, sizes: &[u64]) -> Self {
+        let mut classes = self.classes.clone();
+        for (class, &size) in classes.iter_mut().zip(sizes) {
+            class.size = size;
+        }
+        SignatureAnalysis {
+            suffix_max_t: suffix_maxima(&classes, self.bounds.len()),
+            classes,
+            ..self.clone()
         }
     }
 

@@ -84,8 +84,8 @@ fn scaled64_circuit_is_small_and_compiles_in_little_memory() {
         "the circuit holds {per_edge:.1} B per edge, over 16"
     );
     assert!(
-        peak as f64 <= 4.0 * MIB,
-        "the compile peaked at {:.2} MiB, over 4",
+        peak as f64 <= 3.0 * MIB,
+        "the compile peaked at {:.2} MiB, over 3",
         peak as f64 / MIB
     );
 }
