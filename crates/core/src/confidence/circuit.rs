@@ -11,23 +11,27 @@
 //! * **Compile** ([`compile_circuit`]): the DP's two sweeps, folding
 //!   into a d-DNNF-style arithmetic circuit instead of a count. The DP's
 //!   expansion (`dp.rs`) builds each level's sorted, deduplicated
-//!   residual states (`residual.rs`) from the root down; a bottom-up
-//!   append sweep — the child kernel's fourth sink, after the DFS and the
-//!   DP's two sweeps — then turns each level's states, deepest first,
-//!   into arena nodes. Every interior node is an Or over the count
-//!   choices `k` of one signature class; each disjunct is an And of the
-//!   binomial leaf `C(n_j, k)` and the child node, found by key in the
-//!   level below; the single accepting leaf carries weight 1. So the
-//!   circuit has exactly one node per distinct live residual state —
-//!   subtrees the DFS re-enters exponentially often appear once — and
-//!   the compile ticks the budget exactly as the DP's expansion does.
+//!   residual states (`residual.rs`) from the root down, and records per
+//!   state one link `(k, child position)` for every child that can get
+//!   an edge; a bottom-up append sweep then turns each level's states,
+//!   deepest first, into arena nodes, reading their edges off the links
+//!   in one linear pass — the child kernel runs once per compile, in the
+//!   expansion. Every interior node is an Or over the count choices `k`
+//!   of one signature class; each disjunct is an And of the binomial leaf
+//!   `C(n_j, k)` and the child node its link names; the single accepting
+//!   leaf carries weight 1. So the circuit has exactly one node per
+//!   distinct live residual state — subtrees the DFS re-enters
+//!   exponentially often appear once — and the compile ticks the budget
+//!   exactly as the DP's expansion does.
 //! * **The arena** is flat, in the compressed-sparse-row shape: one node
-//!   array of `(level, first edge, count limb range, vectors)`, one edge
-//!   array of `u32` `(k, weight, child)` triples — a node's edges run up
-//!   to the next node's first edge — and one limb array holding every
-//!   node's count back to back. Nodes come level by level, deepest
-//!   first, so children carry smaller ids than their parents. A compile
-//!   allocates per level, never per node or per edge.
+//!   array of `(block, edge range, count limb start, vectors)`, one block
+//!   per appended level of 8-byte `(weight slot, child)` edges — the
+//!   level's links, rewritten in place — a table of the interned binomial
+//!   weights with their `k`, and one limb array holding every node's
+//!   count back to back, a node's limbs running up to the next node's
+//!   start. Nodes come level by level, deepest first, so children carry
+//!   smaller ids than their parents. A compile allocates per level, never
+//!   per node or per edge.
 //! * **Query** ([`analyze_circuit`], [`analyze_circuit_conditional`],
 //!   [`analyze_circuit_topk`]): every question reads one **event table**
 //!   — for a per-class event vector `e`, the weight `W(e)` and every
@@ -160,30 +164,53 @@ impl CircuitStats {
     }
 }
 
-/// One Or-disjunct: choose `k` tuples of the node's class, weighted by
-/// the interned binomial in slot `weight` and continued in `child`.
-#[derive(Clone, Copy)]
-struct Edge {
-    k: u32,
-    weight: u32,
-    child: u32,
+/// One Or-disjunct: choose `k = slots[weight].k` tuples of the node's
+/// class, weighted by that slot's binomial, and continue in `child`.
+/// The expansion records each edge-to-be as a link of the same two
+/// `u32`s — `weight` holding `k` and `child` the child's position (see
+/// `dp::Level::links`) — and the append rewrites it in place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Edge {
+    pub(crate) weight: u32,
+    pub(crate) child: u32,
 }
 
-/// One circuit node: an Or over the `k` choices of class `level`, whose
-/// edges run from `first_edge` to the next node's. `nodes[0]` is the
-/// accepting leaf (no edges, count 1). Children always carry smaller ids
-/// than their parents (levels are appended deepest first), which is what
+/// One circuit node: an Or over the `k` choices of its block's class,
+/// whose edges are `edges` of that block. `nodes[0]` is the accepting
+/// leaf (no edges, count 1). Children always carry smaller ids than
+/// their parents (levels are appended deepest first), which is what
 /// makes single-direction passes correct.
 #[derive(Clone, Copy)]
 struct Node {
-    level: u32,
-    first_edge: u32,
-    /// The limb range of the weighted world count of the suffix
-    /// (`N_suffix`), fixed bottom-up at compile time.
-    limbs: [u32; 2],
+    block: u32,
+    edges: [u32; 2],
+    /// Where the limbs of the weighted world count of the suffix
+    /// (`N_suffix`), fixed bottom-up at compile time, start; they end
+    /// where the next node's do.
+    limbs: u32,
     /// Number of feasible suffix count vectors (saturating, exactly the
     /// DP's aggregation).
     vectors: u64,
+}
+
+// The arena's per-edge and per-node records, pinned: an edge is the
+// bulk of a circuit's memory (`tests/circuit_alloc.rs` pins the rest).
+const _: () = assert!(std::mem::size_of::<Edge>() == 8);
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
+/// The edges of one appended level: the links its expansion recorded,
+/// rewritten in place.
+#[derive(Clone, Default)]
+struct Block {
+    level: u32,
+    edges: Vec<Edge>,
+}
+
+/// One interned binomial weight `C(n_j, k)` of a level.
+#[derive(Clone)]
+struct Slot {
+    k: u32,
+    binom: UBig,
 }
 
 /// The node id of a residual state with no feasible completion: such a
@@ -191,25 +218,26 @@ struct Node {
 const NO_NODE: u32 = u32::MAX;
 
 /// The member-free half of a compiled circuit: a flat arena of nodes
-/// (children before parents, accepting leaf first), their edges and
-/// their counts' limbs, the interned binomial weights, and the compile
-/// counters. A skeleton is a pure function of the collection's
-/// *projected structure* — the per-source bounds and the `(signature,
-/// size)` class sequence — never of which tuples the classes hold, so
-/// structurally identical collections can share one (see
+/// (children before parents, accepting leaf first), their edges one
+/// block per appended level, their counts' limbs, the interned binomial
+/// weights, and the compile counters. A skeleton is a pure function of
+/// the collection's *projected structure* — the per-source bounds and
+/// the `(signature, size)` class sequence — never of which tuples the
+/// classes hold, so structurally identical collections can share one (see
 /// [`CompiledCollection`]) and the delta engine can patch one in place
 /// (see `core::delta`). The event tables it memoizes are member-free
 /// too.
 #[derive(Clone, Default)]
 pub(crate) struct CircuitSkeleton {
     nodes: Vec<Node>,
-    edges: Vec<Edge>,
+    /// `blocks[0]` is the accepting leaf's, with no edges.
+    blocks: Vec<Block>,
     /// Every node's count, limb runs back to back.
     limbs: Vec<u64>,
     /// The root node, or `None` when the collection admits no possible
     /// world over this domain (the circuit computes the zero constant).
     root: Option<u32>,
-    binoms: Vec<UBig>,
+    slots: Vec<Slot>,
     stats: CircuitStats,
     /// Every finished event table, by the event vector's shortest form
     /// ([`event_key`]). Filled by queries, never by a compile; a patch
@@ -245,17 +273,22 @@ fn falling_into(binom: &UBig, k: u64, e: u64, out: &mut UBig, spare: &mut UBig) 
 impl CircuitSkeleton {
     /// The edges of node `id`.
     fn edges(&self, id: usize) -> &[Edge] {
-        let end = self
-            .nodes
-            .get(id + 1)
-            .map_or(self.edges.len(), |next| next.first_edge as usize);
-        &self.edges[self.nodes[id].first_edge as usize..end]
+        let Node { block, edges, .. } = self.nodes[id];
+        &self.blocks[block as usize].edges[edges[0] as usize..edges[1] as usize]
+    }
+
+    /// The class level of node `id`.
+    fn level(&self, id: usize) -> u32 {
+        self.blocks[self.nodes[id].block as usize].level
     }
 
     /// The limbs of node `id`'s count.
     fn count(&self, id: usize) -> &[u64] {
-        let [start, end] = self.nodes[id].limbs;
-        &self.limbs[start as usize..end as usize]
+        let end = self
+            .nodes
+            .get(id + 1)
+            .map_or(self.limbs.len(), |next| next.limbs as usize);
+        &self.limbs[self.nodes[id].limbs as usize..end]
     }
 
     /// Feasible count vectors of the whole circuit.
@@ -350,15 +383,15 @@ impl CircuitSkeleton {
             if reach[id].is_zero() {
                 continue; // garbage a patch stranded, or ruled out by `e`
             }
-            let level = self.nodes[id].level as usize;
+            let level = self.level(id) as usize;
             let pinned = pinned(e, level);
             contained.set_u64(0);
             for edge in self.edges(id) {
-                let k = u64::from(edge.k);
+                let Slot { k, binom } = &self.slots[edge.weight as usize];
+                let k = u64::from(*k);
                 if k < pinned {
                     continue; // the falling factorial is zero
                 }
-                let binom = &self.binoms[edge.weight as usize];
                 let edge_weight = if pinned == 0 {
                     binom
                 } else {
@@ -388,14 +421,14 @@ impl CircuitSkeleton {
         let [mut weighted, mut spare, mut term] = std::array::from_fn(|_| UBig::zero());
         for id in 1..=root {
             budget.tick(QUERY_PHASE)?;
-            let pinned = pinned(e, self.nodes[id].level as usize);
+            let pinned = pinned(e, self.level(id) as usize);
             let (below, here) = value.split_at_mut(id);
             for edge in self.edges(id) {
-                let k = u64::from(edge.k);
+                let Slot { k, binom } = &self.slots[edge.weight as usize];
+                let k = u64::from(*k);
                 if k < pinned {
                     continue; // the falling factorial is zero
                 }
-                let binom = &self.binoms[edge.weight as usize];
                 falling_into(binom, k, pinned, &mut weighted, &mut spare);
                 weighted.mul_into(&below[edge.child as usize], &mut term);
                 here[0].add_assign(&term);
@@ -406,7 +439,7 @@ impl CircuitSkeleton {
 }
 
 /// `value` as an arena index.
-fn to_u32(value: impl TryInto<u32>) -> Result<u32, CoreError> {
+pub(crate) fn to_u32(value: impl TryInto<u32>) -> Result<u32, CoreError> {
     value.try_into().map_err(|_| CoreError::BadDomain {
         message: "the circuit arena outgrew its u32 indices".to_owned(),
     })
@@ -492,18 +525,18 @@ impl CompiledCircuit {
         let skeleton = &self.skeleton;
         mix(skeleton.nodes.len() as u64);
         mix(u64::from(skeleton.root.map_or(u32::MAX, |r| r)));
-        for binom in &skeleton.binoms {
-            mix(binom.limbs().len() as u64);
-            for &limb in binom.limbs() {
+        for slot in &skeleton.slots {
+            mix(slot.binom.limbs().len() as u64);
+            for &limb in slot.binom.limbs() {
                 mix(limb);
             }
         }
-        for (id, node) in skeleton.nodes.iter().enumerate() {
-            mix(u64::from(node.level));
+        for id in 0..skeleton.nodes.len() {
+            mix(u64::from(skeleton.level(id)));
             let edges = skeleton.edges(id);
             mix(edges.len() as u64);
             for edge in edges {
-                mix(u64::from(edge.k));
+                mix(u64::from(skeleton.slots[edge.weight as usize].k));
                 mix(u64::from(edge.weight));
                 mix(u64::from(edge.child));
             }
@@ -517,7 +550,7 @@ impl std::fmt::Debug for CompiledCircuit {
         f.debug_struct("CompiledCircuit")
             .field("nodes", &self.skeleton.nodes.len())
             .field("root", &self.skeleton.root)
-            .field("binoms", &self.skeleton.binoms.len())
+            .field("slots", &self.skeleton.slots.len())
             .field("stats", &self.skeleton.stats)
             .finish_non_exhaustive()
     }
@@ -600,25 +633,27 @@ fn canonicalize(
     layout.write_fields(fields, out);
 }
 
-/// One level's residual states: their packed keys (`words(j)` limbs
-/// each) and the node each got ([`NO_NODE`] for none).
-#[derive(Default)]
-struct KeyLevel {
-    keys: KeyTable,
-    ids: Vec<u32>,
-}
-
 /// The residual states a compile leaves behind, kept *outside*
 /// [`CompiledCircuit`] so the delta engine can resume it: per class
-/// level, every state compiled so far and its node. Valid only against
-/// the skeleton the same compile (or patch) produced.
+/// level, every state compiled so far — its packed key (`words(j)` limbs)
+/// and the node it got ([`NO_NODE`] for none), at one position. Valid
+/// only against the skeleton the same compile (or patch) produced.
 #[derive(Default)]
 pub(crate) struct CircuitMemo {
-    levels: Vec<KeyLevel>,
+    keys: Vec<KeyTable>,
+    ids: Vec<Vec<u32>>,
     /// Arena length right after the last from-scratch compile. Patches
     /// strand the old prefix nodes as unreachable garbage; once the
     /// arena exceeds twice this, callers should recompile.
     pub(crate) compiled_len: usize,
+}
+
+impl CircuitMemo {
+    /// The states the memo holds at level `j`.
+    #[cfg(test)]
+    pub(crate) fn states_at(&self, j: usize) -> usize {
+        self.ids.get(j).map_or(0, Vec::len)
+    }
 }
 
 /// Drops every level a delta touching classes `..=max_touched` can
@@ -626,130 +661,176 @@ pub(crate) struct CircuitMemo {
 /// levels only read the untouched suffix classes — and returns how many
 /// states were dropped (the `delta.states_invalidated` quantity).
 pub(crate) fn invalidate_prefix(memo: &mut CircuitMemo, max_touched: usize) -> u64 {
-    let dropped = memo.levels.iter_mut().take(max_touched + 1);
-    dropped
-        .map(|level| std::mem::take(level).ids.len() as u64)
-        .sum()
+    let dropped = max_touched + 1;
+    (memo.keys.iter_mut().take(dropped)).for_each(|keys| *keys = KeyTable::default());
+    let ids = memo.ids.iter_mut().take(dropped);
+    ids.map(|ids| std::mem::take(ids).len() as u64).sum()
 }
 
 impl CircuitSkeleton {
     /// The bottom-up sweep over the levels the expansion produced,
-    /// deepest first: each state folds its children — found by key in
-    /// `memo`'s level below, which holds the states appended just before
-    /// and those a patch kept — into a node with one edge per live child
-    /// (none when no child is live), registers the level in the canonical
-    /// index, and joins `memo`'s level (the level below is dropped unless
-    /// `keep`). Returns the root node.
-    ///
-    /// Every state gets at most one node, and every arrival at an inner
-    /// state (`inner` in all) or feasible leaf at most one edge; reserving
-    /// them — the edges once the deepest level's leaf edges are in —
-    /// keeps the arena from reallocating (and copying) as it grows.
+    /// deepest first: each state becomes a node with one edge per link
+    /// whose child got a node (none when no link does), each level's
+    /// nodes join the canonical index and `memo`'s level (the level below
+    /// is dropped unless `keep`). A link's target indexes `memo`'s level
+    /// below, which holds the states appended just before and those a
+    /// patch kept, in the expansion's numbering; past the last class it is
+    /// the accepting leaf. The level's links are rewritten in place into
+    /// its block of edges — `k` to its weight slot, the position to the
+    /// child's node, links to no node compacted away — so no second copy
+    /// of the edges is made. Returns the root node.
     fn append(
         &mut self,
         sweep: &Sweep,
         mut levels: Vec<Level>,
-        mut inner: usize,
         memo: &mut CircuitMemo,
         keep: bool,
         budget: &Budget,
     ) -> Result<Option<u32>, CoreError> {
         let analysis = sweep.analysis;
-        let m = analysis.classes().len();
         let orbits = source_orbits(analysis);
         self.nodes
             .reserve_exact(levels.iter().map(Level::len).sum());
         let mut rows = RowCache::new();
         let (mut count, mut value, mut term) = (UBig::zero(), UBig::zero(), UBig::zero());
-        let mut t = vec![0u64; analysis.source_count()];
-        let (mut packed, mut slots) = (Vec::new(), Vec::new());
+        let mut slots = Vec::new();
         for j in (0..levels.len()).rev() {
             budget.check(COMPILE_PHASE)?;
-            if j + 1 < m {
-                self.edges.reserve_exact(std::mem::take(&mut inner));
-            }
-            let level = std::mem::take(&mut levels[j]);
+            let mut level = std::mem::take(&mut levels[j]);
+            let (keys, mut edges) = (
+                std::mem::take(&mut level.keys),
+                std::mem::take(&mut level.links),
+            );
             let row = rows.intern(analysis.classes()[j].size);
-            let (upper, lower) = memo.levels.split_at_mut(j + 1);
-            let states = &mut upper[j];
-            if let Some(below) = lower.first_mut() {
-                below.keys.index();
+            #[cfg(debug_assertions)]
+            if let Some(keys) = memo.keys.get_mut(j + 1) {
+                keys.index();
             }
-            let below = lower.first();
-            let first = states.ids.len();
-            states.ids.reserve_exact(level.len());
+            #[cfg(debug_assertions)]
+            let mut reps = level.states(0..keys.len());
+            let (upper, lower) = memo.ids.split_at_mut(j + 1);
+            let (ids, below_ids) = (&mut upper[j], lower.first().map_or(&[0][..], Vec::as_slice));
+            let first = ids.len();
+            ids.reserve_exact(keys.len());
+            let block = to_u32(self.blocks.len())?;
             // Binomial weight slots of this level, by `k`.
             slots.clear();
-            for (t0, w0) in level.states(0..level.len()) {
-                t.copy_from_slice(t0);
-                let first_edge = to_u32(self.edges.len())?;
+            let (mut read, mut write) = (0, 0);
+            for &end in &level.ends {
+                let first_edge = write;
                 count.set_u64(0);
                 let mut vectors = 0u64;
-                analysis.children::<CoreError>(j, &mut t, &mut { w0 }, |k, child, t, w| {
-                    let child = match child {
-                        Subtree::Leaf { feasible } => feasible.then_some(0),
-                        Subtree::Pruned => None,
-                        Subtree::Inner => {
-                            sweep.residual.pack_into(j + 1, t, *w, &mut packed);
-                            let found =
-                                below.and_then(|b| b.keys.find(&packed).map(|at| b.ids[at]));
-                            debug_assert!(found.is_some(), "the expansion kept every live child");
-                            found.filter(|&id| id != NO_NODE)
-                        }
-                    };
-                    let Some(child) = child else { return Ok(()) };
-                    let k = to_u32(k)?;
+                for at in read..end {
+                    let Edge { weight: k, child } = edges[at];
+                    let child = below_ids[child as usize];
+                    if child == NO_NODE {
+                        continue;
+                    }
                     if slots.len() <= k as usize {
                         slots.resize(k as usize + 1, NO_NODE);
                     }
                     if slots[k as usize] == NO_NODE {
-                        slots[k as usize] = to_u32(self.binoms.len())?;
-                        self.binoms.push(rows.get(row, u64::from(k)).clone());
+                        slots[k as usize] = to_u32(self.slots.len())?;
+                        let binom = rows.get(row, u64::from(k)).clone();
+                        self.slots.push(Slot { k, binom });
                     }
                     let weight = slots[k as usize];
                     value.set_limbs(self.count(child as usize));
-                    self.binoms[weight as usize].mul_into(&value, &mut term);
+                    self.slots[weight as usize]
+                        .binom
+                        .mul_into(&value, &mut term);
                     count.add_assign(&term);
                     vectors = vectors.saturating_add(self.nodes[child as usize].vectors);
-                    self.edges.push(Edge { k, weight, child });
-                    Ok(())
-                })?;
-                let edges = self.edges.len() - first_edge as usize;
-                let id = if edges == 0 {
+                    edges[write] = Edge { weight, child };
+                    write += 1;
+                }
+                read = end;
+                #[cfg(debug_assertions)]
+                if let Some(rep) = reps.next() {
+                    let below = (memo.keys.get(j + 1), below_ids);
+                    self.check_links(sweep, j, rep, below, &edges[first_edge..write]);
+                }
+                let id = if write == first_edge {
                     NO_NODE
                 } else {
-                    let start = to_u32(self.limbs.len())?;
+                    let limbs = to_u32(self.limbs.len())?;
                     self.limbs.extend_from_slice(count.limbs());
-                    let limbs = [start, to_u32(self.limbs.len())?];
-                    let (level, id) = (to_u32(j)?, to_u32(self.nodes.len())?);
+                    let id = to_u32(self.nodes.len())?;
                     self.nodes.push(Node {
-                        level,
-                        first_edge,
+                        block,
+                        edges: [to_u32(first_edge)?, to_u32(write)?],
                         limbs,
                         vectors,
                     });
                     self.stats.exact_nodes += 1;
-                    self.stats.edges += edges as u64;
+                    self.stats.edges += (write - first_edge) as u64;
                     id
                 };
-                states.ids.push(id);
+                ids.push(id);
             }
-            states.keys.append(level.keys);
+            edges.truncate(write);
+            edges.shrink_to_fit();
+            self.blocks.push(Block {
+                level: to_u32(j)?,
+                edges,
+            });
+            memo.keys[j].append(keys);
             let layout = sweep.residual.layout(j);
-            self.share(layout, &states.keys, &states.ids, first, &orbits[j]);
-            if let Some(below) = lower.first_mut() {
+            self.share(layout, &memo.keys[j], &memo.ids[j], first, &orbits[j]);
+            if let Some(below) = memo.keys.get_mut(j + 1) {
                 if keep {
-                    below.keys.unindex();
+                    below.unindex();
                 } else {
-                    *below = KeyLevel::default();
+                    (*below, memo.ids[j + 1]) = (KeyTable::default(), Vec::new());
                 }
             }
         }
         self.nodes.shrink_to_fit();
-        self.edges.shrink_to_fit();
         self.limbs.shrink_to_fit();
-        let root = memo.levels[0].ids.first().copied();
+        let root = memo.ids[0].first().copied();
         Ok(root.filter(|&id| id != NO_NODE))
+    }
+
+    /// Debug check of one state's links against the child kernel, like
+    /// the DP's replay check: re-walks the children of the state's
+    /// representative `(t, w)` at level `j`, finds each inner child by key
+    /// in the (indexed) keys of the level below and its node through
+    /// their `ids`, and `debug_assert`s that the `edges` the state's links
+    /// became are exactly the children that yield an edge — a feasible
+    /// leaf, or an inner child with a node — with the same `k` and the
+    /// same child.
+    #[cfg(debug_assertions)]
+    fn check_links(
+        &self,
+        sweep: &Sweep,
+        j: usize,
+        (t, w): (&[u64], u64),
+        (keys, ids): (Option<&KeyTable>, &[u32]),
+        edges: &[Edge],
+    ) {
+        let (mut t, mut packed, mut want) = (t.to_vec(), Vec::new(), Vec::new());
+        let walked =
+            (sweep.analysis).children::<CoreError>(j, &mut t, &mut { w }, |k, child, t, w| {
+                let child = match child {
+                    Subtree::Leaf { feasible: true } => 0,
+                    Subtree::Leaf { .. } | Subtree::Pruned => return Ok(()),
+                    Subtree::Inner => {
+                        sweep.residual.pack_into(j + 1, t, *w, &mut packed);
+                        let found = keys.and_then(|keys| keys.find(&packed)).map(|at| ids[at]);
+                        debug_assert!(found.is_some(), "the expansion kept every live child");
+                        found.unwrap_or(NO_NODE)
+                    }
+                };
+                if child != NO_NODE {
+                    want.push((to_u32(k)?, child));
+                }
+                Ok(())
+            });
+        debug_assert!(walked.is_ok());
+        let got: Vec<(u32, u32)> = (edges.iter())
+            .map(|edge| (self.slots[edge.weight as usize].k, edge.child))
+            .collect();
+        debug_assert_eq!(got, want, "level {j}: the links disagree with the kernel");
     }
 
     /// Registers one appended level's nodes in the canonical index: sorts
@@ -784,7 +865,7 @@ impl CircuitSkeleton {
         {
             shared += 1;
             let (rep, node) = (pair[0].1 as usize, pair[1].1 as usize);
-            let level = self.nodes[node].level;
+            let level = self.level(node);
             debug_assert_eq!(
                 self.nodes[rep].vectors, self.nodes[node].vectors,
                 "canonical residual collision at level {level}: completion counts differ"
@@ -885,31 +966,32 @@ fn compile_onto(
         None => {
             // The accepting leaf: no edges, count 1.
             let leaf = Node {
-                level: to_u32(m)?,
-                first_edge: 0,
-                limbs: [0, 1],
+                block: 0,
+                edges: [0, 0],
+                limbs: 0,
                 vectors: 1,
+            };
+            let block = Block {
+                level: to_u32(m)?,
+                edges: Vec::new(),
             };
             let arena = CircuitSkeleton {
                 nodes: vec![leaf],
+                blocks: vec![block],
                 limbs: vec![1],
                 ..CircuitSkeleton::default()
             };
             (arena, CircuitMemo::default())
         }
     };
-    memo.levels.resize_with(m, KeyLevel::default);
+    memo.keys.resize_with(m, KeyTable::default);
+    memo.ids.resize_with(m, Vec::new);
     let serial = ParallelConfig::serial();
     let sweep = Sweep::new(&analysis, &serial, COMPILE_PHASE);
-    memo.levels.iter_mut().for_each(|level| level.keys.index());
-    let kept = &memo.levels;
-    let retained = |j: usize, key: &[u64]| kept[j].keys.find(key).is_some();
-    let mut arrivals = DpStats::default();
-    let no_obs = &mut ObsSession::disabled();
-    let expanded = sweep.expand(budget, config.max_nodes, retained, &mut arrivals, no_obs);
-    memo.levels
-        .iter_mut()
-        .for_each(|level| level.keys.unindex());
+    memo.keys.iter_mut().for_each(KeyTable::index);
+    let (stats, no_obs) = (&mut DpStats::default(), &mut ObsSession::disabled());
+    let expanded = sweep.expand::<true>(budget, config.max_nodes, &memo.keys, stats, no_obs);
+    memo.keys.iter_mut().for_each(KeyTable::unindex);
     let (levels, plan) = expanded?;
     arena.root = match levels {
         _ if !plan.complete => {
@@ -921,11 +1003,7 @@ fn compile_onto(
                 ),
             })
         }
-        Some(levels) => {
-            let inner = arrivals.cache_hits + arrivals.cache_misses - 1;
-            let inner = usize::try_from(inner).unwrap_or(0);
-            arena.append(&sweep, levels, inner, &mut memo, keep, budget)?
-        }
+        Some(levels) => arena.append(&sweep, levels, &mut memo, keep, budget)?,
         None => {
             // The root is a leaf or pruned: the one tick of its walk.
             budget.tick(COMPILE_PHASE)?;

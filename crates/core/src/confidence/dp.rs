@@ -70,9 +70,19 @@
 //!
 //! The circuit compiler (`circuit.rs`) runs this same expansion, charged
 //! to its own budget phase, then appends each level's nodes to its arena
-//! bottom-up where the DP evaluates. A delta patch passes the states its
-//! kept levels already hold as `retained`, so the expansion stops there.
+//! bottom-up where the DP evaluates. Its expansion also records, per
+//! state, one link `(k, target)` per child that can get an edge — a
+//! feasible leaf, or an inner child at its position in the level below,
+//! remapped through the sort permutation once that level is sorted — so
+//! the append reads every edge off a link and never re-walks the kernel.
+//! A delta patch passes the levels it kept as `retained`: the expansion
+//! stops at their states and links to their positions, and numbers the
+//! fresh states of a kept level after them. The DP records no links
+//! (the `LINK` parameter of [`Sweep::expand`] is off, so it does no
+//! per-child work for them); its evaluation re-walks the children, since
+//! holding every level's links would grow its resident set.
 
+use crate::confidence::circuit::{to_u32, Edge};
 use crate::confidence::counting::{ConfidenceAnalysis, Tally};
 use crate::confidence::residual::{render_key, KeyTable, Residual};
 use crate::confidence::signature::{SignatureAnalysis, Subtree};
@@ -317,12 +327,22 @@ impl SharedDpCache {
 /// One level's states, flat: their packed residual keys (`words(j)`
 /// limbs each, sorted) and per state its representative exact state `t`
 /// (`n` limbs for `n` sources) and `w` — `words(j) + n + 1` limbs a state.
+/// A circuit compile's expansion also records each state's child links.
 #[derive(Default)]
 pub(crate) struct Level {
     pub(crate) keys: KeyTable,
     sources: usize,
     /// Per state, `t` then `w`.
     reps: Vec<u64>,
+    /// Per state, in `k` order, one link per child that can get a circuit
+    /// edge — a feasible leaf or an inner child — as an [`Edge`] whose
+    /// `weight` holds the `k` chosen and whose `child` holds the target:
+    /// the accepting leaf `0` past the last class, else the child's
+    /// position in the compile's level below (see [`Sweep::expand`]).
+    /// Empty in a DP run.
+    pub(crate) links: Vec<Edge>,
+    /// Per state, the end of its links.
+    pub(crate) ends: Vec<usize>,
 }
 
 impl Level {
@@ -337,6 +357,10 @@ impl Level {
         reps.chunks_exact(n + 1).map(move |r| (&r[..n], r[n]))
     }
 }
+
+/// The tag of a link that targets a retained state while its level
+/// expands.
+const RETAINED: u32 = 1 << 31;
 
 /// One sweep over one decomposition: the DP's run, or the expansion the
 /// circuit compiler appends its arena from (`circuit.rs`).
@@ -373,7 +397,7 @@ impl<'a> Sweep<'a> {
         obs: &mut ObsSession,
     ) -> Result<(Sums, DpStats), CoreError> {
         let mut stats = DpStats::default();
-        let (levels, _) = self.expand(budget, cap, |_, _| false, &mut stats, obs)?;
+        let (levels, _) = self.expand::<false>(budget, cap, &[], &mut stats, obs)?;
         self.finish(levels, budget, stats, obs)
     }
 
@@ -424,15 +448,22 @@ impl<'a> Sweep<'a> {
     /// The expansion sweep from the root: every level's states but the
     /// `retained` ones, at most `cap` in all, each level charged to its
     /// `dp.level` span, and the [`Plan`] the sweep predicts. A child state
-    /// for which `retained(level, key)` holds is neither kept nor
-    /// expanded, only counted as a hit: the caller already has its
-    /// suffix. No levels come back when the root is a leaf, pruned or
-    /// past a zero cap: the uncached walk then counts the tree.
-    pub(crate) fn expand(
+    /// `retained[level]` holds is neither kept nor expanded, only counted
+    /// as a hit: the caller already has its suffix. No levels come back when
+    /// the root is a leaf, pruned or past a zero cap: the uncached walk
+    /// then counts the tree.
+    ///
+    /// With `LINK`, the circuit compile's expansion, every state also
+    /// records its [`Level::links`]. A link's target is a position in one
+    /// space per level, the one the compile's memo numbers its states in:
+    /// a retained state's position in `retained[level]`, and a fresh
+    /// state's `retained[level].len()` plus its position in the sorted
+    /// level. The DP passes no `retained` levels and records no links.
+    pub(crate) fn expand<const LINK: bool>(
         &self,
         budget: &Budget,
         cap: usize,
-        retained: impl Fn(usize, &[u64]) -> bool,
+        retained: &[KeyTable],
         stats: &mut DpStats,
         obs: &mut ObsSession,
     ) -> Result<(Option<Vec<Level>>, Plan), CoreError> {
@@ -456,6 +487,7 @@ impl<'a> Sweep<'a> {
             keys: root,
             sources: n,
             reps: vec![0; n + 1],
+            ..Level::default()
         }];
         // The DFS's paths into each state of the current level.
         let mut paths = vec![1u64];
@@ -479,15 +511,44 @@ impl<'a> Sweep<'a> {
             into.clear();
             checked.clear();
             let width = (m - j + 1) as u64;
+            let below = retained.get(j + 1);
+            // Until the level below is sorted, a link targets a retained
+            // state as `RETAINED | position` and a fresh one by its arrival.
+            let (mut links, mut ends) = (Vec::new(), Vec::new());
+            let links_fit = |arrivals: usize| {
+                let positions = below.map_or(0, KeyTable::len).max(arrivals);
+                if analysis.classes()[j].size <= u64::from(u32::MAX)
+                    && positions < RETAINED as usize
+                {
+                    Ok(())
+                } else {
+                    Err(CoreError::BadDomain {
+                        message: "a residual level outgrew the circuit's u32 links".to_owned(),
+                    })
+                }
+            };
+            if LINK {
+                links_fit(0)?;
+            }
             let mut expand_level = || -> Result<(), CoreError> {
                 for ((t0, w0), &paths_in) in levels[j].states(0..states).zip(&paths) {
                     t.copy_from_slice(t0);
-                    analysis.children::<CoreError>(j, &mut t, &mut { w0 }, |_, child, t, w| {
+                    analysis.children::<CoreError>(j, &mut t, &mut { w0 }, |k, child, t, w| {
                         plan.dfs_steps = plan.dfs_steps.saturating_add(paths_in);
                         plan.dp_steps = plan.dp_steps.saturating_add(1);
                         plan.folds = plan.folds.saturating_add(width);
                         budget.tick(self.phase)?;
+                        // `links_fit` checks that `k` and `at` fit.
+                        let mut link = |at: usize, tag: u32| {
+                            if LINK {
+                                let (weight, child) = (k as u32, at as u32 | tag);
+                                links.push(Edge { weight, child });
+                            }
+                        };
                         if child != Subtree::Inner {
+                            if child == (Subtree::Leaf { feasible: true }) {
+                                link(0, 0);
+                            }
                             return Ok(()); // the evaluation folds leaves in
                         }
                         self.residual.pack_into(j + 1, t, *w, &mut packed);
@@ -500,18 +561,28 @@ impl<'a> Sweep<'a> {
                                 }
                                 into[at] = into[at].saturating_add(paths_in);
                                 stats.cache_hits += 1;
+                                link(at, 0);
                             }
-                            Err(_) if retained(j + 1, &packed) => stats.cache_hits += 1,
-                            Err(vacant) => {
-                                seen.fill(vacant, &packed)?;
-                                arrivals.extend_from_slice(t);
-                                arrivals.push(*w);
-                                into.push(paths_in);
-                                checked.push(false);
-                            }
+                            Err(vacant) => match below.and_then(|keys| keys.find(&packed)) {
+                                Some(at) => {
+                                    stats.cache_hits += 1;
+                                    link(at, RETAINED);
+                                }
+                                None => {
+                                    let at = seen.fill(vacant, &packed)?;
+                                    arrivals.extend_from_slice(t);
+                                    arrivals.push(*w);
+                                    into.push(paths_in);
+                                    checked.push(false);
+                                    link(at, 0);
+                                }
+                            },
                         }
                         Ok(())
                     })?;
+                    if LINK {
+                        ends.push(links.len());
+                    }
                 }
                 Ok(())
             };
@@ -529,6 +600,25 @@ impl<'a> Sweep<'a> {
             order.sort_unstable_by(|&a, &b| seen.key(a as usize).cmp(seen.key(b as usize)));
             let room = order.len().min(cap - kept);
             plan.complete &= room == order.len();
+            if LINK {
+                links_fit(seen.len())?;
+                // Past the last class every link reaches the leaf.
+                if j + 1 < m {
+                    let first = below.map_or(0, KeyTable::len);
+                    let mut rank = vec![0; order.len()];
+                    for (at, &arrival) in order.iter().enumerate() {
+                        rank[arrival as usize] = to_u32(first + at)?;
+                    }
+                    for link in &mut links {
+                        link.child = match link.child & RETAINED {
+                            0 => rank[link.child as usize],
+                            _ => link.child & !RETAINED,
+                        };
+                    }
+                }
+                links.shrink_to_fit();
+                (levels[j].links, levels[j].ends) = (links, ends);
+            }
             for &at in order[room..].iter().take(EXEMPLAR_KEYS) {
                 stats.note_fallback_key(&render_key(j + 1, seen.key(at as usize)));
             }
@@ -539,6 +629,7 @@ impl<'a> Sweep<'a> {
                 keys: KeyTable::with_capacity(self.residual.layout(j + 1).words(), room),
                 sources: n,
                 reps: Vec::with_capacity(room * (n + 1)),
+                ..Level::default()
             };
             paths.clear();
             for &at in &order[..room] {
@@ -747,13 +838,7 @@ pub(crate) fn plan_exact(
     let sweep = Sweep::new(&analysis, parallel, DP_PHASE);
     let mut stats = DpStats::default();
     let planned = sweep
-        .expand(
-            budget,
-            config.max_cache_entries,
-            |_, _| false,
-            &mut stats,
-            obs,
-        )
+        .expand::<false>(budget, config.max_cache_entries, &[], &mut stats, obs)
         .and_then(|(levels, plan)| {
             let dfs = plan.prefers_dfs(budget.remaining_steps());
             let (engine, predicted) = if dfs {

@@ -2,16 +2,16 @@
 //! circuit compiler (`circuit.rs`) share the suffixes of the counting
 //! DFS's search tree.
 //!
-//! One kernel, four sinks: [`SignatureAnalysis::children`] enumerates a
-//! state's children under the one set of rules (the prune, the leaf
-//! test, `k_cap`, `(t, w)` descend/restore), for the uncached DFS, the
-//! DP's expansion and evaluation, and the circuit's append. The last
-//! three identify every interior node by its **residual state**, so a
-//! suffix the DFS re-enters along exponentially many paths is computed
+//! One kernel, three sinks: [`SignatureAnalysis::children`] enumerates
+//! a state's children under the one set of rules (the prune, the leaf
+//! test, `k_cap`, `(t, w)` descend/restore), for the uncached DFS and
+//! the DP's expansion and evaluation. The last two, and the circuit
+//! compiler, identify every interior node by its **residual state**, so
+//! a suffix the DFS re-enters along exponentially many paths is computed
 //! once: the expansion builds the tree level by level into sorted key
 //! sets; the DP folds each level's suffix aggregates bottom-up, and the
 //! compiler appends each level's nodes bottom-up to an arena of weighted
-//! edges. [`Residual`] builds the keys; this header is the argument that
+//! edges, read off the child links the expansion recorded. [`Residual`] builds the keys; this header is the argument that
 //! one key stands for one suffix, which is what lets the expansion
 //! expand a key from any one exact state that reaches it.
 //!

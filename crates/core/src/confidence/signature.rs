@@ -20,13 +20,14 @@
 //! the feasible count vectors with sound pruning; `counting` adds the
 //! binomial weights.
 //!
-//! One kernel, four sinks: every exact engine walks the same tree of
+//! One kernel, three sinks: every exact engine walks the same tree of
 //! count vectors, and the rules of that walk live here once.
 //! [`SignatureAnalysis::subtree`] is the leaf test and the prune;
 //! [`SignatureAnalysis::children`] visits a state's children `k` under
 //! the `k_cap` rule, descending into and restoring `(t, w)`. Its sinks
-//! are the uncached DFS here, the DP's expansion and evaluation
-//! (`dp.rs`) and the circuit's append (`circuit.rs`).
+//! are the uncached DFS here and the DP's expansion and evaluation
+//! (`dp.rs`); the circuit compiler (`circuit.rs`) reads its edges off
+//! the links the expansion records.
 
 use crate::collection::IdentityCollection;
 use crate::error::CoreError;
@@ -625,8 +626,8 @@ impl SignatureAnalysis {
     /// `j` in ascending `k`, handing `sink` each `k`, the child's
     /// [`Subtree`] and the sums already descended into it, and restores
     /// `(t, w)` after every child. It stops at the first `Err` the sink
-    /// returns, with `(t, w)` restored. The DFS, the DP's expansion and
-    /// evaluation, and the circuit's append are its sinks.
+    /// returns, with `(t, w)` restored. The DFS and the DP's expansion
+    /// and evaluation are its sinks.
     ///
     /// # Errors
     /// The first error `sink` returns.

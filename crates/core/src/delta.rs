@@ -849,7 +849,7 @@ pub fn analyze_incremental_budgeted(
 mod tests {
     use super::*;
     use crate::confidence::analyze_circuit;
-    use crate::confidence::circuit::compile_circuit;
+    use crate::confidence::circuit::{analyze_circuit_conditional, compile_circuit};
     use crate::faults::{FaultPlan, FaultSpec};
     use crate::paper::example_5_1;
     use crate::source::{AccessPolicy, CatalogProvider, FaultyProvider, SourceAccess};
@@ -1191,6 +1191,83 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.recompiles_forced, 0);
         assert_eq!(stats.states_invalidated, 5);
+    }
+
+    #[test]
+    fn patches_at_two_depths_resolve_kept_and_fresh_children() {
+        // Epoch 1: a2 joins S2's view, so {S1} shrinks and {S1,S2} grows
+        // (levels 0..=2 drop). Epoch 2: a1 moves from S1's view to S2's, so
+        // {S1} shrinks and {S2} grows (levels 0..=1 drop). Both keep every
+        // ceiling `⌈|v|/4⌉ = 2` and the padding. With six padding facts
+        // the padding level's states do not saturate, so epoch 1 reaches
+        // fresh states there too.
+        let batch = |source: &str, delete: &[&str], insert: &[&str]| SourceDelta {
+            source: source.into(),
+            delete: delete.iter().map(|t| fact(t)).collect(),
+            insert: insert.iter().map(|t| fact(t)).collect(),
+        };
+        let epochs = [
+            (2, vec![batch("S2", &[], &["V2(a2)"])]),
+            (
+                1,
+                vec![batch("S1", &["V1(a1)"], &[]), batch("S2", &[], &["V2(a1)"])],
+            ),
+        ];
+        let mut session = DeltaSession::new(&patch_catalog(), 6).unwrap();
+        let _ = analyze_incremental(&mut session);
+        let (target, given) = ([Value::sym("a3")], [vec![Value::sym("b1")]]);
+        for (max_touched, deltas) in epochs {
+            let before = session.stats();
+            session.apply_batch(&DeltaBatch { deltas }).unwrap();
+            let kept_level = max_touched + 1;
+            let kept = session.circuit.as_ref().unwrap().1.states_at(kept_level);
+            let incremental = analyze_incremental(&mut session);
+            let stats = session.stats();
+            assert_eq!(stats.recompiles_forced, 0, "depth {max_touched}");
+            assert!(
+                stats.nodes_patched > before.nodes_patched,
+                "depth {max_touched}"
+            );
+            let (collection, padding) = (session.collection(), session.padding());
+            let (patched, memo) = session.circuit.as_ref().unwrap();
+            // The kept level below the touched prefix gained fresh states
+            // and still serves kept ones: a compile from scratch reaches
+            // more states there than the patch added.
+            let fresh = memo.states_at(kept_level) - kept;
+            let analysis = Arc::new(SignatureAnalysis::new(collection, padding));
+            let (scratch, scratch_memo) =
+                compile_with_memo(analysis, &Budget::unlimited(), &CircuitConfig::default())
+                    .unwrap();
+            let reached = scratch_memo.states_at(kept_level);
+            assert!(
+                kept > 0 && fresh > 0,
+                "depth {max_touched}: {kept} kept, {fresh} fresh"
+            );
+            assert!(
+                reached > fresh,
+                "depth {max_touched}: no kept child reached"
+            );
+            let dfs = ConfidenceAnalysis::analyze(collection, padding);
+            assert_answers_match(&incremental, &analyze_circuit(&scratch), collection);
+            assert_answers_match(&incremental, &dfs, collection);
+            // The DFS answers `conf(a3 | b1)` as a plain confidence once a
+            // soundness-1 source holding b1 keeps only the worlds with it.
+            let mut evidence = collection.clone();
+            evidence.sources.push(crate::collection::IdentitySource {
+                name: "E".into(),
+                tuples: given.iter().cloned().collect(),
+                completeness: pscds_numeric::Frac::ZERO,
+                soundness: pscds_numeric::Frac::ONE,
+            });
+            let oracle = ConfidenceAnalysis::analyze(&evidence, padding)
+                .confidence_of_tuple(&evidence, &target)
+                .unwrap();
+            let conditional = |circuit| {
+                analyze_circuit_conditional(circuit, collection, &target, &given).unwrap()
+            };
+            assert_eq!(conditional(patched), conditional(&scratch));
+            assert_eq!(conditional(patched), oracle, "depth {max_touched}");
+        }
     }
 
     #[test]
